@@ -11,13 +11,12 @@ from .autodiff import (GradReversalSpec, Node, Tape, Tensor, backward,
                        finite_difference_check, gradient_reversal, tensor)
 from .data import (Batch, Example, SynthSpec, TaskDataset, Vocabulary,
                    generate_synthetic, load_corpus, partition, write_corpus)
-from .losses import (LossWeights, adversarial_loss, cross_entropy, diff_loss,
-                     task_loss, total_loss)
-from .models import (ForwardResult, ModelConfig, ModelParams, build_transfer,
-                     discriminate, dump_activations, forward, init_model,
-                     load_checkpoint, save_checkpoint)
+from .losses import cross_entropy, diff_loss
+from .models import (Encoding, ForwardResult, ModelConfig, ModelParams,
+                     build_transfer, discriminate, dump_activations, encode,
+                     forward, init_model, load_checkpoint, save_checkpoint)
 from .nn import (EmbeddingTable, LstmParams, SoftmaxHead, lstm_encode,
-                 lstm_step, softmax_classify)
+                 lstm_states, softmax_classify)
 from .train import (TrainConfig, TrainHistory, evaluate, grid_search, sgd_step,
                     train_multitask, train_transfer)
 

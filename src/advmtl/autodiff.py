@@ -102,10 +102,6 @@ class Tape:
                 raise ContractError("operands recorded on different tapes")
         return self._append(value, tuple(p.idx for p in parents), vjp, False)
 
-    @property
-    def leaves(self) -> list[Node]:
-        return [self.nodes[i] for i in self._leaf_ids]
-
 
 def _same_tape(*nodes: Node) -> Tape:
     t = nodes[0].tape
@@ -191,6 +187,13 @@ def _stable_sigmoid(x: Tensor) -> Tensor:
     return 0.5 * np.tanh(0.5 * x) + 0.5
 
 
+def _softmax(x: Tensor) -> Tensor:
+    # stabilized by max subtraction; rows of a matrix are normalized separately
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def sigmoid(a: Node) -> Node:
     y = _stable_sigmoid(a.value)
     return a.tape.record(y, (a,), lambda g: (g * y * (1.0 - y),))
@@ -215,9 +218,7 @@ def softmax(a: Node) -> Node:
     """Stable softmax over a vector of logits."""
     if a.value.ndim != 1:
         raise ShapeError(f"softmax: expected a vector, got shape {a.value.shape}")
-    z = a.value - a.value.max()
-    e = np.exp(z)
-    y = e / e.sum()
+    y = _softmax(a.value)
 
     def vjp(g):
         return (y * (g - float(g @ y)),)
@@ -309,10 +310,6 @@ def sum_all(a: Node) -> Node:
     shape = a.value.shape
     return a.tape.record(np.asarray(a.value.sum()), (a,),
                          lambda g: (np.broadcast_to(g, shape).copy() if shape else g,))
-
-
-def mean_all(a: Node) -> Node:
-    return scale(sum_all(a), 1.0 / a.value.size)
 
 
 def mean_of(nodes: Sequence[Node]) -> Node:

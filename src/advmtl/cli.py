@@ -244,7 +244,10 @@ def _parse_alpha(cfg: dict, n_tasks: int):
     parts = [p for p in cfg["alpha"].split(",") if p.strip()]
     if len(parts) != n_tasks:
         raise ConfigError(f"alpha: expected {n_tasks} weights, got {len(parts)}")
-    return {k: float(p) for k, p in enumerate(parts)}
+    try:
+        return {k: float(p) for k, p in enumerate(parts)}
+    except ValueError as exc:
+        raise ConfigError(f"alpha: {exc}") from None
 
 
 def _parse_grid(text: str) -> dict[str, list[float]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -275,41 +275,6 @@ def write_corpus(out_dir, raw: RawCorpus,
 
 def _cut(items: list, size: int) -> list[list]:
     return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def batches(dataset: TaskDataset, task_id: int, size: int, seed: int,
-            epoch: int = 0, include_unlabeled: bool = False,
-            unlabeled_ratio: float = 1.0) -> Iterator[Batch]:
-    """One shuffled pass over the task's training split.
-
-    When ``include_unlabeled`` is set, unlabeled batches are interleaved
-    after labeled ones at ``unlabeled_ratio`` per labeled batch (1.0
-    alternates them), cycling the unlabeled pool if it runs short.
-    """
-    if size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {size}")
-    rng = np.random.default_rng((seed, epoch, task_id))
-    order = rng.permutation(len(dataset.train))
-    labeled = [dataset.train[i] for i in order]
-    unl_order: list[list[int]] = []
-    if include_unlabeled and dataset.unlabeled:
-        uperm = rng.permutation(len(dataset.unlabeled))
-        unl_order = [dataset.unlabeled[i] for i in uperm]
-    u_ptr = 0
-    credit = 0.0
-    for chunk in _cut(labeled, size):
-        yield Batch(task=task_id, sequences=[ex.tokens for ex in chunk],
-                    labels=[ex.label for ex in chunk])
-        if not unl_order:
-            continue
-        credit += unlabeled_ratio
-        while credit >= 1.0:
-            credit -= 1.0
-            seqs = []
-            for _ in range(min(size, len(unl_order))):
-                seqs.append(unl_order[u_ptr % len(unl_order)])
-                u_ptr += 1
-            yield Batch(task=task_id, sequences=seqs, labels=None, is_unlabeled=True)
 
 
 class TaskBatcher:

@@ -1,46 +1,17 @@
-"""Objective terms: cross-entropy, weighted task loss, adversarial task
-loss behind a gradient-reversal node, orthogonality (diff) loss, and the
-combined training objective.
+"""Objective terms: cross-entropy and the orthogonality (diff) loss.
 
-All batch reductions are means over samples so gradient magnitudes do not
-depend on batch size.
+The training step (``train._combine``) weights and sums these terms; the
+adversarial term is the cross-entropy of the discriminator's output
+behind a gradient-reversal node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
-
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradReversalSpec, Node, Tensor
+from .autodiff import Node, Tensor
 from .errors import ConfigError, ShapeError
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the combined objective: adversarial, orthogonality, per-task."""
-
-    adv: float = 0.05
-    diff: float = 0.01
-    alpha: Mapping[int, float] | None = None
-
-    def __post_init__(self):
-        for name, v in (("adv", self.adv), ("diff", self.diff)):
-            if not np.isfinite(v) or v < 0:
-                raise ConfigError(f"loss weight '{name}' must be finite and >= 0, got {v}")
-        if self.alpha is not None:
-            for k, v in self.alpha.items():
-                if not np.isfinite(v) or v < 0:
-                    raise ConfigError(f"task weight alpha[{k}] must be finite and >= 0, got {v}")
-
-    def task_weight(self, task: int) -> float:
-        if self.alpha is None:
-            return 1.0
-        if task not in self.alpha:
-            raise ConfigError(f"no task weight for task {task}")
-        return float(self.alpha[task])
 
 
 def onehot(index: int, size: int) -> Tensor:
@@ -61,38 +32,6 @@ def cross_entropy(probs: Node, target) -> Node:
     return ad.scale(ad.sum_all(ad.mul(t, ad.log(probs))), -1.0)
 
 
-def cross_entropy_batch(probs: Sequence[Node], targets: Sequence) -> Node:
-    """Mean cross-entropy over a batch of (probs, target) pairs."""
-    if len(probs) != len(targets):
-        raise ShapeError("cross_entropy_batch: probs/targets length mismatch")
-    return ad.mean_of([cross_entropy(p, t) for p, t in zip(probs, targets)])
-
-
-def task_loss(per_task: Mapping[int, Node], weights: LossWeights) -> Node:
-    """Weighted sum of per-task losses (alpha_k defaults to 1)."""
-    if not per_task:
-        raise ConfigError("task_loss: no task losses given")
-    terms = [ad.scale(node, weights.task_weight(k)) for k, node in per_task.items()]
-    return terms[0] if len(terms) == 1 else ad.add_n(terms)
-
-
-def adversarial_loss(shared_final: Node, task_id: int, n_tasks: int,
-                     disc_W: Node, disc_b: Node, spec: GradReversalSpec) -> Node:
-    """Discriminator cross-entropy on the reversed shared representation.
-
-    Minimizing this node trains the discriminator toward predicting the
-    task; the reversal node makes the shared encoder ascend the same
-    objective, scaled by ``spec.scale``.
-    """
-    if n_tasks < 2:
-        raise ConfigError(f"adversarial loss needs at least 2 tasks, got {n_tasks}")
-    if not 0 <= task_id < n_tasks:
-        raise ConfigError(f"task id {task_id} out of range for {n_tasks} tasks")
-    rev = ad.gradient_reversal(shared_final, spec)
-    probs = ad.softmax(ad.add(ad.matmul(disc_W, rev), disc_b))
-    return cross_entropy(probs, onehot(task_id, n_tasks))
-
-
 def diff_loss(S: Node, H: Node) -> Node:
     """Squared Frobenius norm of S^T H (orthogonality penalty)."""
     if S.value.ndim != 2 or H.value.ndim != 2:
@@ -106,13 +45,3 @@ def diff_loss(S: Node, H: Node) -> Node:
             f"diff_loss: row counts of {S.value.shape} and {H.value.shape} must match")
     m = ad.matmul(ad.transpose(S), H)
     return ad.sum_all(ad.mul(m, m))
-
-
-def total_loss(l_task: Node, l_adv: Node, l_diff: Node, weights: LossWeights) -> Node:
-    """Combined objective: l_task + adv_weight * l_adv + diff_weight * l_diff."""
-    for name, node in (("l_task", l_task), ("l_adv", l_adv), ("l_diff", l_diff)):
-        if node.value.shape != ():
-            raise ShapeError(f"total_loss: {name} must be scalar, got {node.value.shape}")
-    return ad.add_n([l_task,
-                     ad.scale(l_adv, weights.adv),
-                     ad.scale(l_diff, weights.diff)])

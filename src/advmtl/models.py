@@ -14,6 +14,7 @@ trainable one).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -171,14 +172,20 @@ def _check_task(config: ModelConfig, task: int) -> None:
         raise InputError(f"unknown task index {task} for {config.n_tasks} tasks")
 
 
+def _embed_shared(bound: Mapping[str, Node], token_ids: Sequence[int]):
+    xs = nn.embed_sequence(bound["embeddings"], token_ids)
+    s_T, S = nn.lstm_encode(xs, bound["shared.W"], bound["shared.b"])
+    return xs, s_T, S
+
+
 def forward(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
             token_ids: Sequence[int], task: int,
             rev_spec: GradReversalSpec | None = None,
             want_disc: bool = True) -> ForwardResult:
     """Run one sentence through the scheme's encoders and its task head."""
     _check_task(config, task)
-    xs = nn.embed_sequence(bound["embeddings"], token_ids)
-    s_T, S = nn.lstm_encode(xs, bound["shared.W"], bound["shared.b"])
+    # one embedding node feeds both encoders, so its gradient is summed once
+    xs, s_T, S = _embed_shared(bound, token_ids)
     h_T = H = None
     if config.has_private:
         h_T, H = nn.lstm_encode(xs, bound[f"private.{task}.W"],
@@ -200,8 +207,7 @@ def forward(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
 def forward_shared(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
                    token_ids: Sequence[int]) -> tuple[Node, Node]:
     """Shared encoder only (the unlabeled-data path); returns (s_T, S)."""
-    xs = nn.embed_sequence(bound["embeddings"], token_ids)
-    return nn.lstm_encode(xs, bound["shared.W"], bound["shared.b"])
+    return _embed_shared(bound, token_ids)[1:]
 
 
 def discriminate(s: Node, W: Node, b: Node) -> Node:
@@ -239,6 +245,50 @@ def build_transfer(shared: nn.LstmParams, mode: str, task_name: str,
     return params, config
 
 
+@dataclass
+class Encoding:
+    """Tape-free forward values of one sentence; fields as in ForwardResult."""
+
+    s_T: Tensor
+    S: Tensor
+    h_T: Tensor | None = None
+    H: Tensor | None = None
+    class_probs: Tensor | None = None
+    disc_probs: Tensor | None = None
+
+
+def _classify(params: ModelParams, task: int, s: Tensor, h: Tensor | None) -> Tensor:
+    feature = s if h is None else np.concatenate([h, s])
+    head = params.heads[task]
+    return ad._softmax(head.W @ feature + head.b)
+
+
+def encode(params: ModelParams, config: ModelConfig, token_ids: Sequence[int],
+           task: int | None = None) -> Encoding:
+    """Inference for one sentence: the values of :func:`forward`, with no tape.
+
+    With no task only the shared encoder runs. With a task, that task's
+    private encoder and head run too, and the discriminator when the
+    scheme has one.
+    """
+    if task is not None:
+        _check_task(config, task)
+    table = params.embeddings.matrix
+    xs = table[nn.check_token_ids(token_ids, table.shape[0])]
+    S = nn.lstm_states(xs, params.shared.W, params.shared.b)[0]
+    out = Encoding(s_T=S[-1].copy(), S=S)
+    if task is None:
+        return out
+    if config.has_private:
+        p = params.private[task]
+        out.H = nn.lstm_states(xs, p.W, p.b)[0]
+        out.h_T = out.H[-1].copy()
+    out.class_probs = _classify(params, task, out.s_T, out.h_T)
+    if config.has_discriminator:
+        out.disc_probs = ad._softmax(params.disc.W @ out.s_T + params.disc.b)
+    return out
+
+
 def dump_activations(params: ModelParams, config: ModelConfig,
                      token_ids: Sequence[int], task: int) -> list[dict]:
     """Per-timestep encoder states plus the head's running prediction.
@@ -247,30 +297,16 @@ def dump_activations(params: ModelParams, config: ModelConfig,
     that step and the class distribution the task head assigns to the
     prefix ending there; the last record matches ``forward``.
     """
-    _check_task(config, task)
-    tape = Tape()
-    bound = params.bind(tape)
-    xs = nn.embed_sequence(bound["embeddings"], token_ids)
-    _, S = nn.lstm_encode(xs, bound["shared.W"], bound["shared.b"])
-    H = None
-    if config.has_private:
-        _, H = nn.lstm_encode(xs, bound[f"private.{task}.W"],
-                              bound[f"private.{task}.b"])
-    head_W, head_b = bound[f"head.{task}.W"], bound[f"head.{task}.b"]
+    enc = encode(params, config, token_ids, task)
+    S, H = enc.S, enc.H
     records = []
-    for t in range(len(token_ids)):
-        s_t = ad.row(S, t)
-        if H is not None:
-            feat = ad.concat([ad.row(H, t), s_t])
-        else:
-            feat = s_t
-        probs = nn.softmax_classify(feat, head_W, head_b)
+    for t in range(len(S)):
         records.append({
             "t": t + 1,
             "token_id": int(token_ids[t]),
-            "shared": S.value[t].copy(),
-            "private": H.value[t].copy() if H is not None else None,
-            "class_probs": probs.value.copy(),
+            "shared": S[t].copy(),
+            "private": H[t].copy() if H is not None else None,
+            "class_probs": _classify(params, task, S[t], None if H is None else H[t]),
         })
     return records
 
@@ -320,7 +356,15 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
         if magic != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: not a checkpoint file")
         header_len = int.from_bytes(fh.read(8), "little")
-        manifest = json.loads(fh.read(header_len).decode("utf-8"))
+        if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise DataFormatError(
+                f"{path}: header length {header_len} runs past the end of the file")
+        try:
+            manifest = json.loads(fh.read(header_len).decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise DataFormatError(f"{path}: unreadable checkpoint header: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise DataFormatError(f"{path}: checkpoint header is not a JSON object")
         if manifest.get("format_version") != CHECKPOINT_VERSION:
             raise DataFormatError(
                 f"{path}: unsupported checkpoint version {manifest.get('format_version')}")
@@ -332,6 +376,13 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
             if len(buf) != 8 * count:
                 raise DataFormatError(f"{path}: truncated tensor '{spec['name']}'")
             arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+    try:
+        return _from_manifest(manifest, arrays)
+    except KeyError as exc:
+        raise DataFormatError(f"{path}: checkpoint has no {exc.args[0]!r}") from None
+
+
+def _from_manifest(manifest: dict, arrays: dict) -> tuple[ModelParams, ModelConfig, dict]:
     config = ModelConfig(scheme=manifest["scheme"],
                          task_names=tuple(manifest["task_names"]),
                          classes=tuple(manifest["classes"]),

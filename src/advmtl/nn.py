@@ -1,4 +1,4 @@
-"""Neural layers: embedding lookup, LSTM cell/encoder, softmax classifier.
+"""Neural layers: embedding lookup, LSTM encoder, softmax classifier.
 
 The LSTM is the peephole-free variant: one affine map produces all four
 gate pre-activations, stacked in the fixed row-block order
@@ -67,92 +67,38 @@ def init_lstm(rng: np.random.Generator, hidden: int, embed: int) -> LstmParams:
                       b=uniform_init(rng, 4 * hidden))
 
 
-def lstm_step(x: Node, h_prev: Node, c_prev: Node, W: Node, b: Node) -> tuple[Node, Node]:
-    """One LSTM transition; returns (h, c) nodes.
+def lstm_states(X: Tensor, W: Tensor, b: Tensor,
+                h0: Tensor | None = None, c0: Tensor | None = None) -> tuple:
+    """Fold the LSTM over the rows of ``X`` ([T, e]) in plain numpy.
 
-    Recorded as a single fused tape node (plus two row extractions) with a
-    hand-derived backward rule; cheaper than composing a dozen primitives
-    per timestep.
+    Returns ``(H, C, cbar, gates, tanh_C)`` with one row per timestep: the
+    hidden and cell states, the candidate block, the ``o, i, f`` gates and
+    ``tanh`` of the cell. Initial states default to zeros. Inference uses
+    ``H`` alone; :func:`lstm_encode` keeps the rest for its backward rule.
     """
-    d = b.value.shape[0] // 4
-    e = W.value.shape[1] - d
-    if x.value.shape != (e,):
-        raise ShapeError(f"lstm_step: input shape {x.value.shape}, expected ({e},)")
-    if h_prev.value.shape != (d,) or c_prev.value.shape != (d,):
-        raise ShapeError(
-            f"lstm_step: state shapes {h_prev.value.shape}/{c_prev.value.shape}, "
-            f"expected ({d},)")
-
-    Wv, bv = W.value, b.value
-    z = np.concatenate([x.value, h_prev.value])
-    pre = Wv @ z + bv
-    cbar = np.tanh(pre[:d])
-    gates = ad._stable_sigmoid(pre[d:])
-    o, i, f = gates[:d], gates[d:2 * d], gates[2 * d:]
-    c = cbar * i + c_prev.value * f
-    tc = np.tanh(c)
-    h = o * tc
-    c_prev_v = c_prev.value
-
-    def vjp(g):
-        gh, gc_in = g[0], g[1]
-        go = gh * tc
-        gc = gc_in + gh * o * (1.0 - tc * tc)
-        ga = np.empty(4 * d)
-        ga[:d] = gc * i * (1.0 - cbar * cbar)       # candidate block
-        ga[d:2 * d] = go * o * (1.0 - o)            # output gate
-        ga[2 * d:3 * d] = gc * cbar * i * (1.0 - i)  # input gate
-        ga[3 * d:] = gc * c_prev_v * f * (1.0 - f)   # forget gate
-        gz = Wv.T @ ga
-        return (gz[:e], gz[e:], gc * f, np.outer(ga, z), ga)
-
-    pair = x.tape.record(np.stack([h, c]), (x, h_prev, c_prev, W, b), vjp)
-    return ad.row(pair, 0), ad.row(pair, 1)
-
-
-def lstm_encode(xs: Node, W: Node, b: Node,
-                h0: Node | None = None, c0: Node | None = None) -> tuple[Node, Node]:
-    """Fold the LSTM over the rows of ``xs`` ([T, e]); returns (h_T, all_h [T, d]).
-
-    Initial states default to zeros. The whole unrolled sequence is one
-    fused tape node whose backward rule runs the usual truncated-free BPTT
-    loop; per-timestep gates are cached from the forward pass and the
-    weight gradient is accumulated as a single matrix product. Gradients
-    agree with chaining :func:`lstm_step` (both are finite-difference
-    checked).
-    """
-    if xs.value.ndim != 2:
-        raise ShapeError(f"lstm_encode: expected [T, e] inputs, got {xs.value.shape}")
-    T = xs.value.shape[0]
+    if X.ndim != 2:
+        raise ShapeError(f"lstm_encode: expected [T, e] inputs, got {X.shape}")
+    T = X.shape[0]
     if T < 1:
         raise InputError("lstm_encode: empty sequence")
-    d = b.value.shape[0] // 4
-    e = W.value.shape[1] - d
-    if xs.value.shape[1] != e:
+    d = b.shape[0] // 4
+    e = W.shape[1] - d
+    if X.shape[1] != e:
+        raise ShapeError(f"lstm_encode: input width {X.shape[1]}, expected {e}")
+    h = np.zeros(d) if h0 is None else h0
+    c = np.zeros(d) if c0 is None else c0
+    if h.shape != (d,) or c.shape != (d,):
         raise ShapeError(
-            f"lstm_encode: input width {xs.value.shape[1]}, expected {e}")
-    tape = xs.tape
-    h0 = h0 if h0 is not None else tape.constant(np.zeros(d))
-    c0 = c0 if c0 is not None else tape.constant(np.zeros(d))
-    if h0.value.shape != (d,) or c0.value.shape != (d,):
-        raise ShapeError(
-            f"lstm_encode: initial state shapes {h0.value.shape}/{c0.value.shape}, "
-            f"expected ({d},)")
+            f"lstm_encode: initial state shapes {h.shape}/{c.shape}, expected ({d},)")
 
-    Wv, bv = W.value, b.value
-    W_h = Wv[:, e:]
-    pre_x = xs.value @ Wv[:, :e].T + bv  # x-side of all gate pre-activations
-
-    zs = np.empty((T, d + e))
+    W_h = W[:, e:]
+    pre_x = X @ W[:, :e].T + b  # x-side of all gate pre-activations
     cbar = np.empty((T, d))
     gates = np.empty((T, 3 * d))  # o, i, f per row
     cs = np.empty((T, d))
     tcs = np.empty((T, d))
     all_h = np.empty((T, d))
-    h, c = h0.value, c0.value
     for t in range(T):
-        zs[t, :e] = xs.value[t]
-        zs[t, e:] = h
         pre = pre_x[t] + W_h @ h
         cbar[t] = np.tanh(pre[:d])
         gates[t] = ad._stable_sigmoid(pre[d:])
@@ -160,13 +106,37 @@ def lstm_encode(xs: Node, W: Node, b: Node,
         c = cbar[t] * i + c * f
         cs[t] = c
         tcs[t] = np.tanh(c)
-        all_h[t] = gates[t, :d] * tcs[t]
+        all_h[t] = o * tcs[t]
         h = all_h[t]
-    c_prevs = np.empty((T, d))
-    c_prevs[0] = c0.value
-    c_prevs[1:] = cs[:-1]
+    return all_h, cs, cbar, gates, tcs
+
+
+def lstm_encode(xs: Node, W: Node, b: Node,
+                h0: Node | None = None, c0: Node | None = None) -> tuple[Node, Node]:
+    """Fold the LSTM over the rows of ``xs`` ([T, e]); returns (h_T, all_h [T, d]).
+
+    Initial states default to zeros. The forward values come from
+    :func:`lstm_states`, and the whole unrolled sequence is one fused tape
+    node whose backward rule runs the full BPTT loop, accumulating the
+    weight gradient as a single matrix product. Its gradients are
+    finite-difference checked and agree with chaining single LSTM steps.
+    """
+    tape = xs.tape
+    d = b.value.shape[0] // 4
+    h0 = h0 if h0 is not None else tape.constant(np.zeros(d))
+    c0 = c0 if c0 is not None else tape.constant(np.zeros(d))
+    Wv = W.value
+    all_h, cs, cbar, gates, tcs = lstm_states(xs.value, Wv, b.value, h0.value, c0.value)
+    T, e = xs.value.shape
 
     def vjp(g):
+        zs = np.empty((T, d + e))  # the [x; h_prev] input of every step
+        zs[:, :e] = xs.value
+        zs[0, e:] = h0.value
+        zs[1:, e:] = all_h[:-1]
+        c_prevs = np.empty((T, d))
+        c_prevs[0] = c0.value
+        c_prevs[1:] = cs[:-1]
         ga_all = np.empty((T, 4 * d))
         dxs = np.empty((T, e))
         dh = np.zeros(d)
@@ -251,16 +221,20 @@ def init_embeddings(rng: np.random.Generator, vocab_size: int, dim: int) -> Embe
     return EmbeddingTable(matrix=uniform_init(rng, (vocab_size, dim)))
 
 
-def embed_sequence(table_node: Node, token_ids) -> Node:
-    """Look up token vectors; returns a [T, e] node."""
+def check_token_ids(token_ids, vocab_size: int) -> list[int]:
+    """The ids of one sentence as a list; empty or out-of-range ids raise."""
     ids = list(token_ids)
     if not ids:
         raise InputError("embed_sequence: empty sentence")
-    if min(ids) < 0 or max(ids) >= table_node.value.shape[0]:
+    if min(ids) < 0 or max(ids) >= vocab_size:
         raise InputError(
-            f"embed_sequence: token id out of range for vocabulary of "
-            f"{table_node.value.shape[0]}")
-    return ad.take_rows(table_node, ids)
+            f"embed_sequence: token id out of range for vocabulary of {vocab_size}")
+    return ids
+
+
+def embed_sequence(table_node: Node, token_ids) -> Node:
+    """Look up token vectors; returns a [T, e] node."""
+    return ad.take_rows(table_node, check_token_ids(token_ids, table_node.value.shape[0]))
 
 
 def load_embeddings_text(path, token_to_id: dict[str, int], matrix: Tensor) -> int:

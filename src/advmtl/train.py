@@ -9,7 +9,8 @@ contribute the adversarial term only.
 
 An epoch is one pass over the largest task's training split; smaller
 tasks cycle. Early stopping watches mean dev error across tasks and
-returns the best-dev checkpoint.
+returns the best-dev checkpoint. Evaluation and the probe and cosine
+diagnostics need no gradient, so they run the tape-free ``models.encode``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ class TrainConfig:
             raise ConfigError(f"diff_mode must be 'sentence' or 'batch', got {self.diff_mode}")
         if self.clip_norm <= 0:
             raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
+        for k, v in (self.alpha or {}).items():
+            if not np.isfinite(v) or v < 0:
+                raise ConfigError(f"task weight alpha[{k}] must be finite and >= 0, got {v}")
 
 
 @dataclass
@@ -136,6 +140,7 @@ def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
     adversarial = config.has_discriminator
     rev = GradReversalSpec(cfg.adv_weight) if adversarial else None
     n_classes = config.classes[batch.task]
+    task_target = L.onehot(batch.task, config.n_tasks) if adversarial else None
     ce_nodes, adv_nodes, diff_nodes = [], [], []
     finals = []
     if batch.is_unlabeled:
@@ -143,16 +148,16 @@ def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
             raise ContractError("unlabeled batches require the adversarial scheme")
         for seq in batch.sequences:
             s_T, _ = M.forward_shared(tape, bound, config, seq)
-            adv_nodes.append(L.adversarial_loss(
-                s_T, batch.task, config.n_tasks, bound["disc.W"], bound["disc.b"], rev))
+            disc_probs = M.discriminate(ad.gradient_reversal(s_T, rev),
+                                        bound["disc.W"], bound["disc.b"])
+            adv_nodes.append(L.cross_entropy(disc_probs, task_target))
         return None, ad.mean_of(adv_nodes), None
     for seq, label in zip(batch.sequences, batch.labels):
         res = M.forward(tape, bound, config, seq, batch.task,
                         rev_spec=rev, want_disc=adversarial)
         ce_nodes.append(L.cross_entropy(res.class_probs, L.onehot(label, n_classes)))
         if adversarial:
-            adv_nodes.append(L.cross_entropy(
-                res.disc_probs, L.onehot(batch.task, config.n_tasks)))
+            adv_nodes.append(L.cross_entropy(res.disc_probs, task_target))
             if cfg.diff_mode == "sentence":
                 diff_nodes.append(L.diff_loss(res.S, res.H))
             else:
@@ -171,19 +176,22 @@ def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
 
 
 def _combine(tape: Tape, l_ce, l_adv, l_diff, task: int, cfg: TrainConfig) -> ad.Node:
-    """Total objective for one step.
+    """Total objective for one step: alpha_k * ce + adv + gamma * diff.
 
-    The adversarial weight acts through the reversal node (the
-    discriminator itself trains at full rate), so the adversarial term
-    enters the sum unscaled; the diff term is scaled by its weight.
+    Absent (None) terms are left out, so an unlabeled batch's objective is
+    its adversarial term alone. The adversarial weight acts through the
+    reversal node (the discriminator itself trains at full rate), so the
+    adversarial term enters the sum unscaled.
     """
-    zero = lambda: tape.constant(0.0)
-    weights = L.LossWeights(adv=1.0, diff=cfg.diff_weight, alpha=None)
-    if l_ce is None:
-        return L.total_loss(zero(), l_adv, zero(), weights)
-    l_task = L.task_loss({task: l_ce}, L.LossWeights(adv=0, diff=0, alpha=cfg.alpha))
-    return L.total_loss(l_task, l_adv if l_adv is not None else zero(),
-                        l_diff if l_diff is not None else zero(), weights)
+    terms = []
+    if l_ce is not None:
+        alpha = 1.0 if cfg.alpha is None else float(cfg.alpha[task])
+        terms.append(ad.scale(l_ce, alpha))
+    if l_adv is not None:
+        terms.append(l_adv)
+    if l_diff is not None:
+        terms.append(ad.scale(l_diff, cfg.diff_weight))
+    return terms[0] if len(terms) == 1 else ad.add_n(terms)
 
 
 def _apply_step(params: M.ModelParams, tape: Tape, bound, total: ad.Node,
@@ -224,13 +232,8 @@ def evaluate(params: M.ModelParams, config: M.ModelConfig,
     """Error rate of argmax predictions (argmax breaks ties toward class 0)."""
     if not examples:
         raise InputError("evaluate: empty split")
-    wrong = 0
-    for ex in examples:
-        tape = Tape()
-        bound = params.bind(tape)
-        res = M.forward(tape, bound, config, ex.tokens, task, want_disc=False)
-        if int(np.argmax(res.class_probs.value)) != ex.label:
-            wrong += 1
+    wrong = sum(int(np.argmax(M.encode(params, config, ex.tokens, task).class_probs))
+                != ex.label for ex in examples)
     return wrong / len(examples)
 
 
@@ -242,13 +245,10 @@ def _dev_stats(params: M.ModelParams, config: M.ModelConfig,
         wrong = 0
         disc_right = 0
         for ex in ds.dev:
-            tape = Tape()
-            bound = params.bind(tape)
-            res = M.forward(tape, bound, config, ex.tokens, k,
-                            want_disc=config.has_discriminator)
-            if int(np.argmax(res.class_probs.value)) != ex.label:
+            enc = M.encode(params, config, ex.tokens, k)
+            if int(np.argmax(enc.class_probs)) != ex.label:
                 wrong += 1
-            if res.disc_probs is not None and int(np.argmax(res.disc_probs.value)) == k:
+            if enc.disc_probs is not None and int(np.argmax(enc.disc_probs)) == k:
                 disc_right += 1
         errors.append(wrong / len(ds.dev) if ds.dev else 0.0)
         disc_accs.append(disc_right / len(ds.dev) if ds.dev else 0.0)
@@ -273,6 +273,10 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
                 f"task '{name}': dataset has {ds.n_classes} classes, "
                 f"model expects {config.classes[k]}")
         tasks.append(ds)
+    if cfg.alpha is not None:
+        missing = [k for k in range(config.n_tasks) if k not in cfg.alpha]
+        if missing:
+            raise ConfigError(f"alpha: no task weight for task {missing[0]}")
     use_unlabeled = (cfg.use_unlabeled and config.has_discriminator)
     batcher = TaskBatcher(tasks, cfg.batch_size, cfg.seed, cfg.unlabeled_ratio)
     history = TrainHistory()
@@ -337,10 +341,7 @@ def shared_features(params: M.ModelParams, config: M.ModelConfig,
     """Final shared-encoder states, one row per sentence."""
     out = np.empty((len(sentences), config.hidden_size))
     for i, seq in enumerate(sentences):
-        tape = Tape()
-        bound = params.bind(tape)
-        s_T, _ = M.forward_shared(tape, bound, config, seq)
-        out[i] = s_T.value
+        out[i] = M.encode(params, config, seq).s_T
     return out
 
 
@@ -361,10 +362,7 @@ def fit_probe(features: Tensor, labels: Sequence[int], n_classes: int,
     W = np.zeros((n_classes, d))
     b = np.zeros(n_classes)
     for _ in range(iters):
-        logits = X @ W.T + b
-        logits -= logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        P = e / e.sum(axis=1, keepdims=True)
+        P = ad._softmax(X @ W.T + b)
         G = (P - Y) / n
         W -= lr * (G.T @ X)
         b -= lr * G.sum(axis=0)
@@ -405,10 +403,8 @@ def shared_private_cosine(params: M.ModelParams, config: M.ModelConfig,
     vals = []
     for k, name in enumerate(config.task_names):
         for ex in datasets[name].split(split):
-            tape = Tape()
-            bound = params.bind(tape)
-            res = M.forward(tape, bound, config, ex.tokens, k, want_disc=False)
-            s, h = res.s_T.value, res.h_T.value
+            enc = M.encode(params, config, ex.tokens, k)
+            s, h = enc.s_T, enc.h_T
             denom = np.linalg.norm(s) * np.linalg.norm(h)
             if denom > 0:
                 vals.append(abs(float(s @ h)) / denom)

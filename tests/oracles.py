@@ -1,12 +1,18 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written with explicit scalar loops and
-the math library, sharing no code with the package under test.
+Everything here except :func:`lstm_step` is deliberately written with
+explicit scalar loops and the math library, sharing no code with the
+package under test. :func:`lstm_step` is one LSTM timestep as a tape node
+with a hand-derived backward rule; the fused sequence encoder
+``nn.lstm_encode`` is checked against it.
 """
 
 import math
 
 import numpy as np
+
+from advmtl import autodiff as ad
+from advmtl.errors import ShapeError
 
 
 def matmul_loops(a, b):
@@ -84,3 +90,45 @@ def frobenius_sq_loops(S, H):
                 m += S[t][i] * H[t][j]
             total += m * m
     return total
+
+
+def lstm_step(x, h_prev, c_prev, W, b):
+    """One LSTM transition on the tape; returns (h, c) nodes.
+
+    Recorded as a single fused node (plus two row extractions) whose
+    backward rule is derived by hand for one step.
+    """
+    d = b.value.shape[0] // 4
+    e = W.value.shape[1] - d
+    if x.value.shape != (e,):
+        raise ShapeError(f"lstm_step: input shape {x.value.shape}, expected ({e},)")
+    if h_prev.value.shape != (d,) or c_prev.value.shape != (d,):
+        raise ShapeError(
+            f"lstm_step: state shapes {h_prev.value.shape}/{c_prev.value.shape}, "
+            f"expected ({d},)")
+
+    Wv, bv = W.value, b.value
+    z = np.concatenate([x.value, h_prev.value])
+    pre = Wv @ z + bv
+    cbar = np.tanh(pre[:d])
+    gates = ad._stable_sigmoid(pre[d:])
+    o, i, f = gates[:d], gates[d:2 * d], gates[2 * d:]
+    c = cbar * i + c_prev.value * f
+    tc = np.tanh(c)
+    h = o * tc
+    c_prev_v = c_prev.value
+
+    def vjp(g):
+        gh, gc_in = g[0], g[1]
+        go = gh * tc
+        gc = gc_in + gh * o * (1.0 - tc * tc)
+        ga = np.empty(4 * d)
+        ga[:d] = gc * i * (1.0 - cbar * cbar)       # candidate block
+        ga[d:2 * d] = go * o * (1.0 - o)            # output gate
+        ga[2 * d:3 * d] = gc * cbar * i * (1.0 - i)  # input gate
+        ga[3 * d:] = gc * c_prev_v * f * (1.0 - f)   # forget gate
+        gz = Wv.T @ ga
+        return (gz[:e], gz[e:], gc * f, np.outer(ga, z), ga)
+
+    pair = x.tape.record(np.stack([h, c]), (x, h_prev, c_prev, W, b), vjp)
+    return ad.row(pair, 0), ad.row(pair, 1)

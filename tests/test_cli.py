@@ -96,6 +96,13 @@ class TestTrain:
                        "--data", str(corpus_dir), "--out", str(tmp_path / "x")])
         assert rc == 3
 
+    @pytest.mark.parametrize("alpha", ["1,x", "1,-0.5", "1,nan"])
+    def test_bad_alpha_exits_3(self, corpus_dir, tmp_path, capsys, alpha):
+        rc = cli.main(["train", "--scheme", "sp", "--alpha", alpha,
+                       "--data", str(corpus_dir), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert "alpha" in capsys.readouterr().err
+
     def test_missing_data_exits_2(self, tmp_path):
         rc = cli.main(["train", "--scheme", "fs", "--data",
                        str(tmp_path / "nowhere"), "--out", str(tmp_path / "x")])

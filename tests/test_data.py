@@ -113,22 +113,41 @@ class TestBatches:
         return D.TaskDataset(name="t", n_classes=2, train=exs, dev=[], test=[],
                              unlabeled=unl)
 
+    def _draw(self, batcher, steps):
+        """Batches in training-loop order: one labeled, then the unlabeled owed."""
+        out = []
+        for _ in range(steps):
+            out.append(batcher.next_labeled(0))
+            out.extend(batcher.next_unlabeled(0))
+        return out
+
     def test_batch_sizes(self):
-        out = list(D.batches(self._dataset(35), 0, 16, seed=1))
-        assert [len(b) for b in out] == [16, 16, 3]
+        batcher = D.TaskBatcher([self._dataset(35)], 16, seed=1)
+        assert batcher.steps_per_epoch() == 3
+        assert [len(b) for b in self._draw(batcher, 3)] == [16, 16, 3]
 
     def test_unlabeled_alternate_at_ratio_one(self):
-        out = list(D.batches(self._dataset(32, 40), 0, 16, seed=1,
-                             include_unlabeled=True, unlabeled_ratio=1.0))
-        kinds = [b.is_unlabeled for b in out]
-        assert kinds == [False, True, False, True]
+        batcher = D.TaskBatcher([self._dataset(32, 40)], 16, seed=1, unlabeled_ratio=1.0)
+        out = self._draw(batcher, 2)
+        assert [b.is_unlabeled for b in out] == [False, True, False, True]
+        assert [len(b) for b in out] == [16, 16, 16, 16]
+
+    def test_unlabeled_credit_at_ratio_half(self):
+        batcher = D.TaskBatcher([self._dataset(32, 40)], 16, seed=1, unlabeled_ratio=0.5)
+        out = self._draw(batcher, 4)
+        assert [b.is_unlabeled for b in out] == [False, False, True, False, False, True]
 
     def test_deterministic_order(self):
-        a = list(D.batches(self._dataset(50), 0, 8, seed=5, epoch=2))
-        b = list(D.batches(self._dataset(50), 0, 8, seed=5, epoch=2))
-        assert [x.sequences for x in a] == [x.sequences for x in b]
-        c = list(D.batches(self._dataset(50), 0, 8, seed=5, epoch=3))
-        assert [x.sequences for x in a] != [x.sequences for x in c]
+        def passes(seed, n):
+            batcher = D.TaskBatcher([self._dataset(50)], 8, seed=seed)
+            return [batcher.next_labeled(0).sequences for _ in range(n)]
+
+        a = passes(5, 14)  # two passes of 7 batches
+        assert a == passes(5, 14)
+        assert a != passes(6, 14)
+        first, second = a[:7], a[7:]
+        assert first != second  # reshuffled on the second pass
+        assert sorted(s for b in first for s in b) == sorted(s for b in second for s in b)
 
     def test_batcher_epoch_length_uses_largest_task(self):
         small = self._dataset(10)

