@@ -14,6 +14,8 @@ Exit codes: 0 ok, 2 missing/unreadable input, 3 config validation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -51,30 +53,30 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: '{text}'")
 
 
-# key -> (type caster, default, validation scope)
+# key -> (type caster, default, flag help); the one declaration of each setting
 CONFIG_KEYS: dict[str, tuple] = {
-    "scheme": (str, None),
-    "seed": (int, 0),
-    "hidden_size": (int, 16),
-    "embed_size": (int, 16),
-    "learning_rate": (float, 0.01),
-    "lambda": (float, None),      # adversarial weight; asp only, default 0.05
-    "gamma": (float, None),       # diff weight; asp only, default 0.01
-    "batch_size": (int, 16),
-    "max_epochs": (int, 50),
-    "patience": (int, 5),
-    "clip_norm": (float, 5.0),
-    "alpha": (str, None),         # comma-separated per-task weights
-    "unlabeled": (_bool, False),
-    "unlabeled_ratio": (float, 1.0),
-    "diff_mode": (str, "sentence"),
-    "alternating": (_bool, False),
-    "embeddings": (str, None),
-    "freeze_embeddings": (_bool, False),
-    "swap_dev_test": (_bool, False),
-    "max_len": (int, D.DEFAULT_MAX_LEN),
-    "grid": (str, None),          # e.g. "learning_rate=0.1,0.01;lambda=0.01,0.1"
-    "jobs": (int, 1),
+    "scheme": (str, None, f"model scheme, one of {', '.join(M.SCHEMES)}"),
+    "seed": (int, 0, "random seed (on reload, the checkpoint's own seed wins)"),
+    "hidden_size": (int, 16, "LSTM hidden size"),
+    "embed_size": (int, 16, "word embedding size"),
+    "learning_rate": (float, 0.01, "SGD learning rate"),
+    "lambda": (float, None, "adversarial weight (asp only, default 0.05)"),
+    "gamma": (float, None, "orthogonality weight (asp only, default 0.01)"),
+    "batch_size": (int, 16, "sentences per batch"),
+    "max_epochs": (int, 50, "epoch limit"),
+    "patience": (int, 5, "epochs without dev improvement before stopping"),
+    "clip_norm": (float, 5.0, "global gradient-norm clip"),
+    "alpha": (str, None, "comma-separated task weights"),
+    "unlabeled": (_bool, False, "interleave unlabeled batches (asp only)"),
+    "unlabeled_ratio": (float, 1.0, "unlabeled batches per labeled batch"),
+    "diff_mode": (str, "sentence", "orthogonality penalty per 'sentence' or per 'batch'"),
+    "alternating": (_bool, False, "separate discriminator and model updates"),
+    "embeddings": (str, None, "pretrained vectors file"),
+    "freeze_embeddings": (_bool, False, "keep the embedding table fixed"),
+    "swap_dev_test": (_bool, False, "partition labeled.tsv 70/10/20, not 70/20/10"),
+    "max_len": (int, D.DEFAULT_MAX_LEN, "keep the first N tokens of each sentence"),
+    "grid": (str, None, "grid spec 'learning_rate=0.1,0.01;lambda=0.01,0.1'"),
+    "jobs": (int, 1, "parallel grid cells"),
 }
 
 
@@ -99,7 +101,7 @@ def resolve_config(file_values: dict[str, str], flag_values: dict[str, object],
     environ = os.environ if environ is None else environ
     resolved = {}
     explicit = set()
-    for key, (cast, default) in CONFIG_KEYS.items():
+    for key, (cast, default, _) in CONFIG_KEYS.items():
         value = default
         if key in file_values:
             try:
@@ -261,7 +263,10 @@ def _parse_grid(text: str) -> dict[str, list[float]]:
         key = key.strip()
         if key not in ("learning_rate", "lambda", "gamma"):
             raise ConfigError(f"grid: unsupported key '{key}'")
-        grid[key] = [float(v) for v in values.split(",") if v.strip()]
+        try:
+            grid[key] = [float(v) for v in values.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from None
     if not grid:
         raise ConfigError("grid: empty specification")
     return grid
@@ -271,29 +276,23 @@ def _parse_grid(text: str) -> dict[str, list[float]]:
 # commands
 # ---------------------------------------------------------------------------
 
-class ModelFactory:
-    """Picklable fresh-model builder for (possibly parallel) grid cells."""
+def _fresh_model(params: M.ModelParams, config: M.ModelConfig):
+    """A grid cell's starting model; module-level so ``--jobs`` can pickle it."""
+    return params.copy(), config
 
-    def __init__(self, config: M.ModelConfig, seed: int, embedding_matrix,
-                 freeze_embeddings: bool):
-        self.config = config
-        self.seed = seed
-        self.embedding_matrix = embedding_matrix
-        self.freeze_embeddings = freeze_embeddings
 
-    def __call__(self):
-        params = M.init_model(self.config, seed=self.seed,
-                              embedding_matrix=self.embedding_matrix,
-                              freeze_embeddings=self.freeze_embeddings)
-        return params, self.config
+def _error_table(rows: list) -> str:
+    """Append the AVG row to ``rows``; print and return the ``task,error`` CSV."""
+    rows.append(("AVG", float(np.mean([e for _, e in rows]))))
+    table = "\n".join(["task,error"] + [f"{n},{e!r}" for n, e in rows]) + "\n"
+    print(table, end="")
+    return table
 
 
 def cmd_train(args) -> int:
     started = time.time()
-    file_cfg = parse_flat_config(args.config) if args.config else {}
-    if args.config:
-        _require_file(args.config, "--config")
-    cfg = resolve_config(file_cfg, vars(args))
+    cfg = resolve_config(parse_flat_config(args.config) if args.config else {},
+                         vars(args))
     validate_train_config(cfg)
     datasets, vocab = _load_datasets(cfg, args.data)
     for name, ds in datasets.items():
@@ -315,9 +314,8 @@ def cmd_train(args) -> int:
     if cfg["grid"]:
         grid = {{"lambda": "adv_weight", "gamma": "diff_weight"}.get(k, k): v
                 for k, v in _parse_grid(cfg["grid"]).items()}
-        factory = ModelFactory(config, cfg["seed"], params.embeddings.matrix.copy(),
-                               cfg["freeze_embeddings"])
-        result = T.grid_search(factory, datasets, grid, train_cfg, jobs=cfg["jobs"])
+        result = T.grid_search(functools.partial(_fresh_model, params, config),
+                               datasets, grid, train_cfg, jobs=cfg["jobs"])
         best, history = result.best_params, result.best_history
         grid_rows = ["cell,mean_dev_error," + ",".join(result.cells[0][0])]
         for i, (cell, err) in enumerate(result.cells):
@@ -368,25 +366,29 @@ def _check_compat(config: M.ModelConfig, datasets, vocab, extra: dict) -> None:
             "training vocabulary")
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
+def _reload(args):
+    """Checkpoint, resolved config and corpus for eval and dump-activations.
+
+    The corpus is read with the seed, ``swap_dev_test`` and ``max_len`` the
+    checkpoint was trained with, so it rebuilds the same splits and
+    vocabulary; config values are only the fallback for older checkpoints.
+    """
     _require_file(args.checkpoint, "--checkpoint")
     params, config, extra = M.load_checkpoint(args.checkpoint)
     cfg = resolve_config({}, vars(args))
-    cfg["seed"] = extra.get("seed", cfg["seed"])
-    cfg["swap_dev_test"] = extra.get("swap_dev_test", cfg["swap_dev_test"])
-    cfg["max_len"] = extra.get("max_len", cfg["max_len"])
+    for key in ("seed", "swap_dev_test", "max_len"):
+        cfg[key] = extra.get(key, cfg[key])
     datasets, vocab = _load_datasets(cfg, args.data)
     _check_compat(config, datasets, vocab, extra)
-    rows = []
-    for k, name in enumerate(config.task_names):
-        err = T.evaluate(params, config, datasets[name].split(args.split), k)
-        rows.append((name, err))
-    avg = float(np.mean([e for _, e in rows]))
-    rows.append(("AVG", avg))
-    lines = ["task,error"] + [f"{n},{e!r}" for n, e in rows]
-    table = "\n".join(lines) + "\n"
-    print(table, end="")
+    return params, config, cfg, datasets, vocab
+
+
+def cmd_eval(args) -> int:
+    started = time.time()
+    params, config, cfg, datasets, _ = _reload(args)
+    rows = [(name, T.evaluate(params, config, datasets[name].split(args.split), k))
+            for k, name in enumerate(config.task_names)]
+    table = _error_table(rows)
     outputs = []
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -417,8 +419,6 @@ def cmd_transfer(args) -> int:
     if cfg["gamma"] is None:
         cfg["gamma"] = 0.0
     datasets, vocab = _load_datasets(cfg, args.data)
-    if args.mode not in ("sc", "bc"):
-        raise ConfigError(f"--mode: must be 'sc' or 'bc', got '{args.mode}'")
     if args.target:
         if args.target not in datasets:
             raise CompatibilityError(f"target task '{args.target}' not in data")
@@ -451,11 +451,7 @@ def cmd_transfer(args) -> int:
                                  "head_input_size": tconfig.head_input_size,
                                  "seed": cfg["seed"]})
         outputs.append(ckpt)
-    avg = float(np.mean([e for _, e in rows]))
-    rows.append(("AVG", avg))
-    lines = ["task,error"] + [f"{n},{e!r}" for n, e in rows]
-    table = "\n".join(lines) + "\n"
-    print(table, end="")
+    table = _error_table(rows)
     table_path = os.path.join(args.out, f"transfer_{args.mode}.csv")
     with open(table_path, "w", encoding="utf-8") as fh:
         fh.write(table)
@@ -466,15 +462,8 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-SYNTH_KEYS = {
-    "tasks": int, "shared_tokens": int, "private_tokens": int,
-    "conflict_fraction": float, "filler_tokens": int,
-    "sentences_per_task": int, "unlabeled_per_task": int,
-    "min_len": int, "max_len": int, "min_margin": int,
-    "noise_rate": float, "shared_rate": float, "own_rate": float,
-    "contaminant_rate": float, "seed": int,
-    "embedding_dim": int, "embedding_scale": float,
-}
+SYNTH_KEYS = {**{f.name: type(f.default) for f in dataclasses.fields(D.SynthSpec)},
+              "embedding_dim": int, "embedding_scale": float}
 
 
 def cmd_synth(args) -> int:
@@ -519,14 +508,8 @@ def cmd_synth(args) -> int:
 
 def cmd_dump_activations(args) -> int:
     started = time.time()
-    _require_file(args.checkpoint, "--checkpoint")
     _require_file(args.sentences, "--sentences")
-    params, config, extra = M.load_checkpoint(args.checkpoint)
-    cfg = resolve_config({}, vars(args))
-    cfg["seed"] = extra.get("seed", cfg["seed"])
-    cfg["swap_dev_test"] = extra.get("swap_dev_test", cfg["swap_dev_test"])
-    datasets, vocab = _load_datasets(cfg, args.data)
-    _check_compat(config, datasets, vocab, extra)
+    params, config, cfg, _, vocab = _reload(args)
     if args.task not in config.task_names:
         raise CompatibilityError(f"task '{args.task}' not in checkpoint tasks")
     task = config.task_names.index(args.task)
@@ -570,61 +553,38 @@ def cmd_dump_activations(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _add_config_flags(p: argparse.ArgumentParser, keys) -> None:
+    """One ``--key-with-dashes`` flag per ``CONFIG_KEYS`` entry; unset is None."""
+    for key in keys:
+        cast, _, help_text = CONFIG_KEYS[key]
+        kind = dict(action="store_const", const=True) if cast is _bool else dict(type=cast)
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="advmtl",
         description="Adversarial shared-private multi-task LSTM classification")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
-
     p = sub.add_parser("train", help="train a model")
-    common(p)
+    p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--data", required=True, help="corpus root directory")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--scheme", choices=M.SCHEMES, default=None)
-    p.add_argument("--hidden-size", dest="hidden_size", type=int, default=None)
-    p.add_argument("--embed-size", dest="embed_size", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--lambda", dest="lambda", type=float, default=None,
-                   help="adversarial weight (asp only)")
-    p.add_argument("--gamma", dest="gamma", type=float, default=None,
-                   help="orthogonality weight (asp only)")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--clip-norm", dest="clip_norm", type=float, default=None)
-    p.add_argument("--alpha", default=None, help="comma-separated task weights")
-    p.add_argument("--unlabeled", dest="unlabeled", action="store_const",
-                   const=True, default=None, help="interleave unlabeled batches")
-    p.add_argument("--unlabeled-ratio", dest="unlabeled_ratio", type=float, default=None)
-    p.add_argument("--diff-mode", dest="diff_mode", choices=("sentence", "batch"),
-                   default=None)
-    p.add_argument("--alternating", action="store_const", const=True, default=None)
-    p.add_argument("--embeddings", default=None, help="pretrained vectors file")
-    p.add_argument("--freeze-embeddings", dest="freeze_embeddings",
-                   action="store_const", const=True, default=None)
-    p.add_argument("--swap-dev-test", dest="swap_dev_test",
-                   action="store_const", const=True, default=None)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--grid", default=None,
-                   help="grid spec 'learning_rate=0.1,0.01;lambda=0.01,0.1'")
-    p.add_argument("--jobs", type=int, default=None, help="parallel grid cells")
+    _add_config_flags(p, CONFIG_KEYS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "dev", "test"), default="test")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
+    _add_config_flags(p, ("seed",))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("transfer", help="transfer a frozen shared layer")
-    common(p)
+    p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--checkpoint", required=True, help="source model")
     p.add_argument("--data", required=True)
     p.add_argument("--target", default=None, help="target task name")
@@ -632,12 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one transfer per task in the data root")
     p.add_argument("--mode", choices=("sc", "bc"), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--hidden-size", dest="hidden_size", type=int, default=None)
-    p.add_argument("--embed-size", dest="embed_size", type=int, default=None)
+    _add_config_flags(p, ("seed", "learning_rate", "max_epochs", "patience",
+                          "batch_size"))
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark corpus")
@@ -646,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("dump-activations", help="per-timestep encoder states")
-    common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True,
                    help="corpus root (rebuilds the training vocabulary)")
@@ -654,6 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="file with one pre-tokenized sentence per line")
     p.add_argument("--task", required=True, help="task name for the head")
     p.add_argument("--out", required=True)
+    _add_config_flags(p, ("seed",))
     p.set_defaults(func=cmd_dump_activations)
 
     return parser

@@ -189,6 +189,8 @@ def partition(examples: Sequence, seed: int,
 def load_raw_corpus(root, seed: int = 0, swap_dev_test: bool = False,
                     max_len: int = DEFAULT_MAX_LEN) -> RawCorpus:
     """Read every task directory under ``root`` into text-level datasets."""
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
     if not os.path.isdir(root):
         raise InputError(f"corpus root '{root}' is not a directory")
     task_dirs = sorted(d for d in os.listdir(root)

@@ -368,14 +368,20 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
         if manifest.get("format_version") != CHECKPOINT_VERSION:
             raise DataFormatError(
                 f"{path}: unsupported checkpoint version {manifest.get('format_version')}")
+        tensors = manifest.get("tensors")
+        if not isinstance(tensors, list):
+            raise DataFormatError(f"{path}: checkpoint header has no tensor list")
         arrays = {}
-        for spec in manifest["tensors"]:
-            shape = tuple(spec["shape"])
+        for spec in tensors:
+            try:
+                name, shape = spec["name"], tuple(spec["shape"])
+            except (KeyError, TypeError):
+                raise DataFormatError(f"{path}: malformed tensor entry {spec!r}") from None
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(8 * count)
             if len(buf) != 8 * count:
-                raise DataFormatError(f"{path}: truncated tensor '{spec['name']}'")
-            arrays[spec["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                raise DataFormatError(f"{path}: truncated tensor '{name}'")
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     try:
         return _from_manifest(manifest, arrays)
     except KeyError as exc:

@@ -61,6 +61,9 @@ class TrainConfig:
             raise ConfigError(f"diff_mode must be 'sentence' or 'batch', got {self.diff_mode}")
         if self.clip_norm <= 0:
             raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
+        if not np.isfinite(self.unlabeled_ratio) or self.unlabeled_ratio <= 0:
+            raise ConfigError(
+                f"unlabeled_ratio must be finite and > 0, got {self.unlabeled_ratio}")
         for k, v in (self.alpha or {}).items():
             if not np.isfinite(v) or v < 0:
                 raise ConfigError(f"task weight alpha[{k}] must be finite and >= 0, got {v}")

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from advmtl import cli
+from advmtl import data as D
 from advmtl import models as M
 
 
@@ -76,6 +79,23 @@ class TestSynth:
         assert cli.main(["synth", "--spec", str(spec), "--out",
                          str(tmp_path / "x")]) == 3
 
+    def test_every_synthspec_field_accepted(self, tmp_path):
+        values = dict(tasks=2, shared_tokens=24, private_tokens=6,
+                      conflict_fraction=0.5, filler_tokens=12,
+                      sentences_per_task=40, unlabeled_per_task=5, min_len=4,
+                      max_len=6, min_margin=1, noise_rate=0.0, shared_rate=0.5,
+                      own_rate=0.25, contaminant_rate=0.1, domain_bias=3.0, seed=5)
+        assert set(values) == {f.name for f in dataclasses.fields(D.SynthSpec)}
+        spec = tmp_path / "full.cfg"
+        spec.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        out = tmp_path / "corpus"
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        want = tmp_path / "direct"
+        D.write_corpus(want, D.generate_synthetic(D.SynthSpec(**values))[0])
+        for fname in ("train.tsv", "dev.tsv", "test.tsv", "unlabeled.tsv"):
+            assert (out / "task01" / fname).read_bytes() == \
+                (want / "task01" / fname).read_bytes()
+
 
 class TestTrain:
     def test_artifacts_written(self, trained_dir):
@@ -102,6 +122,21 @@ class TestTrain:
                        "--data", str(corpus_dir), "--out", str(tmp_path / "x")])
         assert rc == 3
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--scheme", "bogus"], "scheme"),
+        (["--scheme", "sp", "--diff-mode", "bogus"], "diff_mode"),
+        (["--scheme", "sp", "--grid", "learning_rate=0.1,x"], "grid"),
+        (["--scheme", "asp", "--unlabeled", "--unlabeled-ratio", "-1"], "unlabeled_ratio"),
+        (["--scheme", "asp", "--unlabeled", "--unlabeled-ratio", "nan"], "unlabeled_ratio"),
+        (["--scheme", "fs", "--max-len", "0"], "max_len"),
+    ], ids=["scheme", "diff_mode", "grid", "unlabeled_ratio_negative",
+            "unlabeled_ratio_nan", "max_len"])
+    def test_bad_value_exits_3(self, corpus_dir, tmp_path, capsys, flags, key):
+        rc = cli.main(["train", *flags, "--data", str(corpus_dir),
+                       "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert key in capsys.readouterr().err
 
     def test_missing_data_exits_2(self, tmp_path):
         rc = cli.main(["train", "--scheme", "fs", "--data",
@@ -259,6 +294,53 @@ class TestDumpActivations:
         last = lines[3].split(",")
         got = [float(v) for v in last[-2:]]
         np.testing.assert_allclose(got, res.class_probs.value, rtol=0, atol=1e-12)
+
+    def test_checkpoint_max_len_restored(self, corpus_dir, tmp_path):
+        run = tmp_path / "short"
+        assert cli.main(["train", "--scheme", "fs", "--data", str(corpus_dir),
+                         "--out", str(run), "--max-len", "3", "--max-epochs", "1",
+                         "--patience", "1", "--hidden-size", "4",
+                         "--embed-size", "4"]) == 0
+        sentences = tmp_path / "sents.txt"
+        sentences.write_text("sh000 sh001\n")
+        rc = cli.main(["dump-activations", "--checkpoint", str(run / "checkpoint.bin"),
+                       "--data", str(corpus_dir), "--sentences", str(sentences),
+                       "--task", "task00", "--out", str(tmp_path / "dump")])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "dump" / "manifest.json").read_text())
+        assert manifest["config"]["max_len"] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--config", "run.cfg"],
+    ["dump-activations", "--config", "run.cfg", "--sentences", "s.txt",
+     "--task", "task00", "--out", "dump"],
+    ["transfer", "--hidden-size", "99", "--mode", "sc", "--out", "tr"],
+    ["transfer", "--embed-size", "77", "--mode", "sc", "--out", "tr"],
+], ids=["eval-config", "dump-activations-config", "transfer-hidden-size",
+        "transfer-embed-size"])
+def test_flags_nothing_reads_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--checkpoint", "model.bin", "--data", "corpus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_demo_runs(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    src = Path(cli.__file__).resolve().parents[1]
+    shim = tmp_path / "bin" / "advmtl"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m advmtl "$@"\n')
+    shim.chmod(0o755)
+    env = dict(os.environ, PATH=f"{shim.parent}{os.pathsep}{os.environ['PATH']}",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                        os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(["bash", str(repo / "demos" / "05_cli_workflow.sh")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert len(list((tmp_path / "demo_run").rglob("manifest.json"))) == 5
 
 
 def test_console_entry_point(tmp_path):

@@ -283,7 +283,8 @@ class TestCheckpoint:
             M.load_checkpoint(path)
 
     @pytest.mark.parametrize("corruption", ["missing_tensor", "bad_header",
-                                            "huge_header_length"])
+                                            "huge_header_length", "tensor_without_shape",
+                                            "tensor_without_name", "no_tensor_list"])
     def test_corrupt_checkpoint_is_a_format_error(self, tmp_path, corruption):
         import json
         from advmtl import cli
@@ -301,6 +302,13 @@ class TestCheckpoint:
             body = body[:-8 * int(np.prod(dropped["shape"]))]
         elif corruption == "bad_header":
             header = b"{" + header[1:-1]
+        elif corruption != "huge_header_length":
+            manifest = json.loads(header)
+            if corruption == "no_tensor_list":
+                del manifest["tensors"]
+            else:
+                del manifest["tensors"][0][corruption.rsplit("_", 1)[1]]
+            header = json.dumps(manifest).encode()
         else:
             hlen = 10 ** 12
         if corruption != "huge_header_length":
