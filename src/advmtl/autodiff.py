@@ -3,7 +3,9 @@
 Values are plain C-order ``numpy`` arrays; the tape records one node per
 operation with the ids of its inputs and a closure computing the
 vector-Jacobian product. A tape is single-use: build a forward graph,
-call :func:`backward` once, throw it away.
+call :func:`backward` once, throw it away. Gradients are dense arrays,
+except that a leaf matrix read through :func:`take_rows` (the embedding
+table) gets a row-sparse :class:`RowGrad`.
 
 Everything runs in double precision so finite-difference checks are
 meaningful. No broadcasting beyond adding a bias vector to matrix rows;
@@ -32,18 +34,108 @@ def tensor(data) -> Tensor:
     return arr
 
 
-class Node:
-    """Handle to one recorded value on a tape."""
+def _add_rows_at(out: Tensor, at: np.ndarray, rows: Tensor) -> None:
+    """``np.add.at(out, at, rows)`` for matrices as one flat scatter.
 
-    __slots__ = ("tape", "idx", "value", "parents", "is_leaf")
+    The additions and their order are the same; numpy's fast path for flat
+    indices makes it several times faster.
+    """
+    e = out.shape[1]
+    np.add.at(out.reshape(-1), (at[:, None] * e + np.arange(e)).reshape(-1),
+              np.ravel(rows))
+
+
+class RowGrad:
+    """Row-sparse gradient of a ``[V, e]`` table read by :func:`take_rows` lookups.
+
+    It keeps each lookup's row indices and upstream rows, and sums them on
+    the first read of ``ids`` or ``rows``: ``ids`` are the distinct row ids,
+    and ``rows[k]`` is row ``ids[k]`` of the dense gradient, whose other rows
+    are zero. Each lookup's rows are summed first, then the lookups in the
+    order they were added, which is the order in which their dense
+    gradients would add. ``np.asarray`` gives the dense matrix; ``size``,
+    ``nbytes`` and ``itemsize`` describe the stored rows, as ``scipy.sparse``
+    does.
+    """
+
+    __slots__ = ("shape", "_lookups", "_ids", "_rows")
+
+    def __init__(self, lookups: list[tuple[np.ndarray, Tensor]], shape: tuple[int, int]):
+        self.shape = shape
+        self._lookups = lookups
+        self._ids = self._rows = None
+
+    def _sum(self) -> None:
+        V, e = self.shape
+        idx = [i for i, _ in self._lookups]
+        lookup = np.repeat(np.arange(len(idx)), [len(i) for i in idx])
+        # one slot per (lookup, row id), sorted by lookup; np.add.at adds in index order
+        slots, slot_of = np.unique(lookup * V + np.concatenate(idx), return_inverse=True)
+        per_lookup = np.zeros((len(slots), e))
+        _add_rows_at(per_lookup, slot_of, np.concatenate([g for _, g in self._lookups]))
+        self._ids, id_of = np.unique(slots % V, return_inverse=True)
+        self._rows = np.zeros((len(self._ids), e))
+        _add_rows_at(self._rows, id_of, per_lookup)
+        # distinct ids make a lookup whose sum is itself, so a later + stays exact
+        self._lookups = [(self._ids, self._rows)]
+
+    @property
+    def ids(self) -> np.ndarray:
+        if self._ids is None:
+            self._sum()
+        return self._ids
+
+    @property
+    def rows(self) -> Tensor:
+        if self._rows is None:
+            self._sum()
+        return self._rows
+
+    @property
+    def size(self) -> int:
+        return self.rows.size
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes
+
+    @property
+    def itemsize(self) -> int:
+        return self.rows.itemsize
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a row-sparse gradient has no dense array to share")
+        out = np.zeros(self.shape, dtype=self.rows.dtype)
+        out[self.ids] = self.rows
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def __add__(self, other):
+        """Sum in the order ``self + other``, as the dense arrays would add."""
+        if not isinstance(other, RowGrad):
+            out = np.asarray(self)
+            out += other
+            return out
+        return RowGrad(self._lookups + other._lookups, self.shape)
+
+
+class Node:
+    """Handle to one recorded value on a tape.
+
+    ``needs_grad`` is true for a leaf and for every node with a leaf
+    upstream of it; :func:`backward` runs no vjp for the other nodes.
+    """
+
+    __slots__ = ("tape", "idx", "value", "parents", "is_leaf", "needs_grad")
 
     def __init__(self, tape: "Tape", idx: int, value: Tensor,
-                 parents: tuple[int, ...], is_leaf: bool):
+                 parents: tuple[int, ...], is_leaf: bool, needs_grad: bool):
         self.tape = tape
         self.idx = idx
         self.value = value
         self.parents = parents
         self.is_leaf = is_leaf
+        self.needs_grad = needs_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -72,8 +164,8 @@ class Tape:
         return len(self.nodes)
 
     def _append(self, value: Tensor, parents: tuple[int, ...],
-                vjp: Vjp | None, is_leaf: bool) -> Node:
-        node = Node(self, len(self.nodes), value, parents, is_leaf)
+                vjp: Vjp | None, is_leaf: bool, needs_grad: bool) -> Node:
+        node = Node(self, len(self.nodes), value, parents, is_leaf, needs_grad)
         self.nodes.append(node)
         self._vjps.append(vjp)
         if is_leaf:
@@ -88,19 +180,21 @@ class Tape:
         parameters every minibatch).
         """
         v = tensor(value) if validate else np.asarray(value, dtype=np.float64)
-        return self._append(v, (), None, True)
+        return self._append(v, (), None, True, True)
 
     def constant(self, value, validate: bool = True) -> Node:
         """Register a non-trainable input; gradients stop here silently."""
         v = tensor(value) if validate else np.asarray(value, dtype=np.float64)
-        return self._append(v, (), None, False)
+        return self._append(v, (), None, False, False)
 
     def record(self, value: Tensor, parents: Sequence[Node], vjp: Vjp) -> Node:
         """Append an operation result; ``vjp`` maps upstream grad to parent grads."""
+        needs_grad = False
         for p in parents:
             if p.tape is not self:
                 raise ContractError("operands recorded on different tapes")
-        return self._append(value, tuple(p.idx for p in parents), vjp, False)
+            needs_grad |= p.needs_grad
+        return self._append(value, tuple(p.idx for p in parents), vjp, False, needs_grad)
 
 
 def _same_tape(*nodes: Node) -> Tape:
@@ -285,7 +379,11 @@ def row(a: Node, i: int) -> Node:
 
 
 def take_rows(a: Node, indices: Sequence[int]) -> Node:
-    """Gather rows by index (embedding lookup); duplicates accumulate."""
+    """Gather rows by index (embedding lookup); duplicates accumulate.
+
+    The gradient of a leaf ``a`` is a :class:`RowGrad` over the distinct
+    indices, so no ``[V, e]`` array is built; a computed ``a`` gets it dense.
+    """
     if a.value.ndim != 2:
         raise ShapeError(f"take_rows: expected a matrix, got shape {a.value.shape}")
     idx = np.asarray(indices, dtype=np.intp)
@@ -298,9 +396,8 @@ def take_rows(a: Node, indices: Sequence[int]) -> Node:
             f"take_rows: index out of range for {a.value.shape[0]} rows")
 
     def vjp(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return (out,)
+        grad = RowGrad([(idx, g)], a.value.shape)
+        return (grad if a.is_leaf else np.asarray(grad),)
 
     return a.tape.record(a.value[idx], (a,), vjp)
 
@@ -338,11 +435,14 @@ def gradient_reversal(a: Node, spec: GradReversalSpec) -> Node:
 # backward pass and gradient checking
 # ---------------------------------------------------------------------------
 
-def backward(tape: Tape, loss: Node) -> dict[int, Tensor]:
-    """Reverse sweep from ``loss``; returns grads for every leaf by node id.
+def backward(tape: Tape, loss: Node) -> dict[int, Tensor | RowGrad]:
+    """Reverse sweep from ``loss``; returns the gradient of each used leaf by node id.
 
-    Unused leaves get zero tensors of matching shape. Multiple uses of a
-    node accumulate by summation.
+    Only leaves that ``loss`` depends on get an entry; an unused leaf has
+    none, and no vjp runs for a node with no leaf upstream (a lookup in a
+    frozen table, a frozen layer fed only constants). A leaf read through
+    :func:`take_rows` gets a :class:`RowGrad`, every other leaf a dense
+    array. Multiple uses of a node accumulate by summation.
     """
     if loss.tape is not tape:
         raise ContractError("loss node does not belong to this tape")
@@ -350,8 +450,10 @@ def backward(tape: Tape, loss: Node) -> dict[int, Tensor]:
         raise ContractError(
             f"backward requires a scalar loss, got shape {loss.value.shape}")
 
-    grads: list[Tensor | None] = [None] * len(tape.nodes)
-    grads[loss.idx] = np.asarray(1.0)
+    nodes = tape.nodes
+    grads: list[Tensor | RowGrad | None] = [None] * len(nodes)
+    if loss.needs_grad:
+        grads[loss.idx] = np.asarray(1.0)
     for idx in range(loss.idx, -1, -1):
         g = grads[idx]
         if g is None:
@@ -359,20 +461,18 @@ def backward(tape: Tape, loss: Node) -> dict[int, Tensor]:
         vjp = tape._vjps[idx]
         if vjp is None:
             continue
-        node = tape.nodes[idx]
-        for parent_idx, pg in zip(node.parents, vjp(g)):
-            if pg is None:
+        for parent_idx, pg in zip(nodes[idx].parents, vjp(g)):
+            if pg is None or not nodes[parent_idx].needs_grad:
                 continue
-            if grads[parent_idx] is None:
-                grads[parent_idx] = np.array(pg, dtype=np.float64, copy=True)
+            acc = grads[parent_idx]
+            if acc is None:
+                grads[parent_idx] = (pg if isinstance(pg, RowGrad)
+                                     else np.array(pg, dtype=np.float64, copy=True))
+            elif isinstance(acc, RowGrad):
+                grads[parent_idx] = acc + pg
             else:
-                grads[parent_idx] += pg
-
-    out: dict[int, Tensor] = {}
-    for i in tape._leaf_ids:
-        g = grads[i]
-        out[i] = np.zeros_like(tape.nodes[i].value) if g is None else g
-    return out
+                acc += pg
+    return {i: grads[i] for i in tape._leaf_ids if grads[i] is not None}
 
 
 def finite_difference_check(loss_fn: Callable[[Mapping[str, Tensor], bool], tuple],

@@ -79,6 +79,11 @@ CONFIG_KEYS: dict[str, tuple] = {
     "jobs": (int, 1, "parallel grid cells"),
 }
 
+# The settings ``transfer`` reads: its five flags, then three it takes only
+# from a config file or the environment.
+TRANSFER_KEYS = ("seed", "learning_rate", "max_epochs", "patience", "batch_size",
+                 "clip_norm", "swap_dev_test", "max_len")
+
 
 def parse_flat_config(path) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment."""
@@ -96,12 +101,16 @@ def parse_flat_config(path) -> dict[str, str]:
 
 
 def resolve_config(file_values: dict[str, str], flag_values: dict[str, object],
-                   environ=None) -> dict[str, object]:
-    """Merge defaults < file < environment < flags; track which keys were set."""
+                   environ=None, keys=CONFIG_KEYS) -> dict[str, object]:
+    """Merge defaults < file < environment < flags for ``keys``; track which were set.
+
+    A file may hold any ``CONFIG_KEYS`` entry; those outside ``keys`` are ignored.
+    """
     environ = os.environ if environ is None else environ
     resolved = {}
     explicit = set()
-    for key, (cast, default, _) in CONFIG_KEYS.items():
+    for key in keys:
+        cast, default, _ = CONFIG_KEYS[key]
         value = default
         if key in file_values:
             try:
@@ -144,6 +153,10 @@ def validate_train_config(cfg: dict) -> None:
         cfg["lambda"] = 0.05 if scheme == "asp" else 0.0
     if cfg["gamma"] is None:
         cfg["gamma"] = 0.01 if scheme == "asp" else 0.0
+    # every check that needs no corpus runs before the corpus loads
+    _train_config(cfg)
+    if cfg["grid"]:
+        _parse_grid(cfg["grid"])
 
 
 def _train_config(cfg: dict, alpha=None) -> T.TrainConfig:
@@ -413,11 +426,11 @@ def cmd_transfer(args) -> int:
     _require_file(args.checkpoint, "--checkpoint")
     source_params, source_config, extra = M.load_checkpoint(args.checkpoint)
     cfg = resolve_config(parse_flat_config(args.config) if args.config else {},
-                         vars(args))
-    if cfg["lambda"] is None:
-        cfg["lambda"] = 0.0
-    if cfg["gamma"] is None:
-        cfg["gamma"] = 0.0
+                         vars(args), keys=TRANSFER_KEYS)
+    train_cfg = T.TrainConfig(
+        learning_rate=cfg["learning_rate"], batch_size=cfg["batch_size"],
+        max_epochs=cfg["max_epochs"], patience=cfg["patience"],
+        clip_norm=cfg["clip_norm"], seed=cfg["seed"])
     datasets, vocab = _load_datasets(cfg, args.data)
     if args.target:
         if args.target not in datasets:
@@ -429,7 +442,6 @@ def cmd_transfer(args) -> int:
         raise ConfigError("--target or --all-targets: required")
     frozen_before = hashlib.sha256(
         source_params.shared.W.tobytes() + source_params.shared.b.tobytes()).hexdigest()
-    train_cfg = _train_config(cfg)
     rows = []
     os.makedirs(args.out, exist_ok=True)
     outputs = []
@@ -592,8 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one transfer per task in the data root")
     p.add_argument("--mode", choices=("sc", "bc"), required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, ("seed", "learning_rate", "max_epochs", "patience",
-                          "batch_size"))
+    _add_config_flags(p, TRANSFER_KEYS[:5])
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark corpus")

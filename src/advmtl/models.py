@@ -349,8 +349,28 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor of a ``config`` model, in checkpoint order."""
+    d, e = config.hidden_size, config.embed_size
+    lstm = ((4 * d, d + e), (4 * d,))
+    shapes = {"embeddings": (config.vocab_size, e), "shared.W": lstm[0], "shared.b": lstm[1]}
+    if config.has_private:
+        for k in range(config.n_tasks):
+            shapes[f"private.{k}.W"], shapes[f"private.{k}.b"] = lstm
+    for k, c in enumerate(config.classes):
+        shapes[f"head.{k}.W"], shapes[f"head.{k}.b"] = (c, config.head_input_size), (c,)
+    if config.has_discriminator:
+        shapes["disc.W"], shapes["disc.b"] = (config.n_tasks, d), (config.n_tasks,)
+    return shapes
+
+
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
-    """Read a container written by :func:`save_checkpoint`."""
+    """Read a container written by :func:`save_checkpoint`.
+
+    Every malformed file raises :class:`DataFormatError`: a bad header, tensor
+    names or shapes that disagree with the manifest's sizes, a truncated or
+    non-finite tensor, and bytes after the last tensor.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -371,30 +391,47 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
         tensors = manifest.get("tensors")
         if not isinstance(tensors, list):
             raise DataFormatError(f"{path}: checkpoint header has no tensor list")
-        arrays = {}
+        specs = []
         for spec in tensors:
             try:
-                name, shape = spec["name"], tuple(spec["shape"])
+                specs.append((spec["name"], tuple(spec["shape"])))
             except (KeyError, TypeError):
                 raise DataFormatError(f"{path}: malformed tensor entry {spec!r}") from None
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
+        try:
+            config = ModelConfig(scheme=manifest["scheme"],
+                                 task_names=tuple(manifest["task_names"]),
+                                 classes=tuple(manifest["classes"]),
+                                 hidden_size=manifest["hidden_size"],
+                                 embed_size=manifest["embed_size"],
+                                 vocab_size=manifest["vocab_size"])
+        except KeyError as exc:
+            raise DataFormatError(f"{path}: checkpoint has no {exc.args[0]!r}") from None
+        except (ConfigError, TypeError) as exc:
+            raise DataFormatError(f"{path}: bad model settings: {exc}") from None
+        expected = _tensor_shapes(config)
+        if len(specs) != len(expected) or dict(specs) != expected:
+            raise DataFormatError(
+                f"{path}: tensor names or shapes disagree with the manifest's sizes")
+        arrays = {}
+        for name, shape in specs:  # one tensor at a time: no second copy of any
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
                 raise DataFormatError(f"{path}: truncated tensor '{name}'")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise DataFormatError(f"{path}: non-finite values in tensor '{name}'")
+            arrays[name] = arr
+        if fh.read(1):
+            raise DataFormatError(f"{path}: unexpected bytes after the last tensor")
     try:
-        return _from_manifest(manifest, arrays)
+        return _from_manifest(manifest, config, arrays)
     except KeyError as exc:
         raise DataFormatError(f"{path}: checkpoint has no {exc.args[0]!r}") from None
+    except TypeError as exc:  # e.g. a frozen-name list that is not a list
+        raise DataFormatError(f"{path}: bad checkpoint header: {exc}") from None
 
 
-def _from_manifest(manifest: dict, arrays: dict) -> tuple[ModelParams, ModelConfig, dict]:
-    config = ModelConfig(scheme=manifest["scheme"],
-                         task_names=tuple(manifest["task_names"]),
-                         classes=tuple(manifest["classes"]),
-                         hidden_size=manifest["hidden_size"],
-                         embed_size=manifest["embed_size"],
-                         vocab_size=manifest["vocab_size"])
+def _from_manifest(manifest: dict, config: ModelConfig,
+                   arrays: dict) -> tuple[ModelParams, ModelConfig, dict]:
     emb = nn.EmbeddingTable(arrays["embeddings"],
                             trainable=manifest["embeddings_trainable"])
     shared = nn.LstmParams(arrays["shared.W"], arrays["shared.b"])

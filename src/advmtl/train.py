@@ -105,12 +105,15 @@ class TrainHistory:
                          f"{opt(r.l_adv)},{opt(r.l_diff)}\n")
 
 
-def sgd_step(params: M.ModelParams, grads: Mapping[str, Tensor],
+def sgd_step(params: M.ModelParams, grads: Mapping[str, Tensor | ad.RowGrad],
              lr: float, clip_norm: float = float("inf")) -> None:
     """Global-norm clipping then an in-place descent step.
 
     ``grads`` must be keyed to trainable tensors only; frozen names are a
-    contract violation. NaN/Inf gradients abort naming the tensor.
+    contract violation, and a tensor without an entry is left as it is.
+    NaN/Inf gradients abort naming the tensor. A :class:`~advmtl.autodiff.RowGrad`
+    adds only its stored rows to the norm, which is exact because its other
+    rows are zero, and updates only those rows of the tensor.
     """
     tensors = params.named_tensors()
     frozen = params.frozen_names()
@@ -120,21 +123,27 @@ def sgd_step(params: M.ModelParams, grads: Mapping[str, Tensor],
             raise ContractError(f"gradient supplied for frozen parameter '{name}'")
         if name not in tensors:
             raise ContractError(f"gradient for unknown parameter '{name}'")
-        if not np.all(np.isfinite(g)):
+        stored = g.rows if isinstance(g, ad.RowGrad) else g
+        if not np.all(np.isfinite(stored)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
-        sq += float((g * g).sum())
+        sq += float((stored * stored).sum())
     if lr == 0.0:
         return
     gnorm = float(np.sqrt(sq))
     factor = clip_norm / gnorm if gnorm > clip_norm else 1.0
     step = lr * factor
     for name, g in grads.items():
-        tensors[name] -= step * g
+        if isinstance(g, ad.RowGrad):
+            tensors[name][g.ids] -= step * g.rows
+        else:
+            tensors[name] -= step * g
 
 
-def _leaf_grads(tape: Tape, bound: Mapping[str, ad.Node], loss: ad.Node) -> dict[str, Tensor]:
+def _leaf_grads(tape: Tape, bound: Mapping[str, ad.Node],
+                loss: ad.Node) -> dict[str, Tensor | ad.RowGrad]:
+    """Gradients by parameter name, for the parameters ``loss`` depends on."""
     by_id = ad.backward(tape, loss)
-    return {name: by_id[node.idx] for name, node in bound.items() if node.is_leaf}
+    return {name: by_id[node.idx] for name, node in bound.items() if node.idx in by_id}
 
 
 def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,

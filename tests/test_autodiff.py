@@ -101,12 +101,29 @@ class TestBackward:
         grads = ad.backward(t, ad.sum_all(ad.mul(p, p)))
         npt.assert_array_equal(grads[p.idx], [2.0, 4.0])
 
-    def test_unused_leaf_gets_zeros(self):
+    def test_unused_leaf_has_no_entry(self):
         t = Tape()
         p = leaf(t, [1.0, 2.0])
         q = leaf(t, np.ones((2, 2)))
-        grads = ad.backward(t, ad.sum_all(p))
-        npt.assert_array_equal(grads[q.idx], np.zeros((2, 2)))
+        r = leaf(t, [3.0])
+        grads = ad.backward(t, ad.add(ad.sum_all(ad.mul(p, p)), ad.sum_all(r)))
+        assert set(grads) == {p.idx, r.idx} and q.idx not in grads
+        assert grads[p.idx].tobytes() == np.array([2.0, 4.0]).tobytes()
+        assert grads[r.idx].tobytes() == np.array([1.0]).tobytes()
+
+    def test_constant_only_subgraph_runs_no_vjp(self):
+        t = Tape()
+        p = leaf(t, [1.0, 2.0])
+        frozen = t.constant(np.ones((3, 2)))
+        looked_up = ad.take_rows(frozen, [0, 2])
+        assert not looked_up.needs_grad
+
+        def must_not_run(g):
+            raise AssertionError("vjp of a node with no leaf upstream ran")
+
+        t._vjps[looked_up.idx] = must_not_run
+        grads = ad.backward(t, ad.add(ad.sum_all(p), ad.sum_all(looked_up)))
+        assert set(grads) == {p.idx}
 
     def test_non_scalar_loss_rejected(self):
         t = Tape()
@@ -311,6 +328,80 @@ def test_every_op_matches_finite_differences(op):
             "take_rows": ["m1"], "stack_rows": ["a", "b"]}[op]
     err = ad.finite_difference_check(build, {k: params[k] for k in used}, 1e-5)
     assert err < 1e-4, f"{op}: max relative error {err}"
+
+
+def _dense_take_rows_grad(shape, idx, g):
+    """The dense embedding gradient of one lookup: zeros plus ``np.add.at``."""
+    out = np.zeros(shape)
+    np.add.at(out, np.asarray(idx), g)
+    return out
+
+
+class TestRowGrad:
+    # ids repeat within a sentence and are shared across sentences
+    SENTENCES = ([1, 3, 1, 5], [3, 0, 3], [5, 5, 1])
+
+    def _lookups(self, t, table, rng):
+        terms, upstream = [], []
+        for ids in self.SENTENCES:
+            c = rng.normal(size=(len(ids), table.value.shape[1]))
+            upstream.append(c)  # d sum(x * c) / dx is c exactly
+            terms.append(ad.sum_all(ad.mul(ad.take_rows(table, ids), t.constant(c))))
+        return terms, upstream
+
+    def test_dense_value_bitwise_equals_add_at(self):
+        rng = np.random.default_rng(0)
+        t = Tape()
+        table = leaf(t, rng.normal(size=(7, 3)))
+        terms, upstream = self._lookups(t, table, rng)
+        g = ad.backward(t, ad.add_n(terms))[table.idx]
+        assert isinstance(g, ad.RowGrad)
+        npt.assert_array_equal(g.ids, [0, 1, 3, 5])
+        assert g.rows.shape == (4, 3)
+        assert (g.size, g.nbytes, g.itemsize) == (12, 96, 8)
+        # backward visits the lookups last-recorded first and sums densely
+        dense = [_dense_take_rows_grad((7, 3), ids, c)
+                 for ids, c in zip(self.SENTENCES, upstream)]
+        expected = dense[2].copy()
+        expected += dense[1]
+        expected += dense[0]
+        assert np.asarray(g).tobytes() == expected.tobytes()
+        assert np.count_nonzero(g) == np.count_nonzero(expected)
+
+    @pytest.mark.parametrize("direct_first", [False, True])
+    def test_dense_use_of_the_same_leaf_gives_a_dense_sum(self, direct_first):
+        rng = np.random.default_rng(1)
+        t = Tape()
+        table = leaf(t, rng.normal(size=(7, 3)))
+        weight = rng.normal(size=(7, 3))
+        if direct_first:
+            direct = ad.sum_all(ad.mul(table, t.constant(weight)))
+        terms, upstream = self._lookups(t, table, rng)
+        if not direct_first:
+            direct = ad.sum_all(ad.mul(table, t.constant(weight)))
+        g = ad.backward(t, ad.add_n([direct] + terms))[table.idx]
+        assert isinstance(g, np.ndarray)
+        # parts in recording order; backward visits the last-recorded first
+        parts = [weight] + [_dense_take_rows_grad((7, 3), ids, c)
+                            for ids, c in zip(self.SENTENCES, upstream)]
+        if not direct_first:
+            parts = parts[1:] + parts[:1]
+        expected = parts[-1].copy()
+        for part in reversed(parts[:-1]):
+            expected += part
+        assert g.tobytes() == expected.tobytes()
+
+    def test_computed_operand_gets_a_dense_gradient(self):
+        t = Tape()
+        a = leaf(t, np.arange(6.0).reshape(3, 2))
+        out = ad.sum_all(ad.take_rows(ad.scale(a, 2.0), [2, 2, 0]))
+        g = ad.backward(t, out)[a.idx]
+        npt.assert_array_equal(g, [[2.0, 2.0], [0.0, 0.0], [4.0, 4.0]])
+
+    def test_no_dense_array_is_shared(self):
+        g = ad.RowGrad([(np.array([1]), np.ones((1, 2)))], (3, 2))
+        with pytest.raises(ValueError):
+            np.asarray(g, copy=False)
 
 
 def test_gradient_accumulates_across_multiple_uses():

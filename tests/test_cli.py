@@ -136,7 +136,20 @@ class TestTrain:
         rc = cli.main(["train", *flags, "--data", str(corpus_dir),
                        "--out", str(tmp_path / "x")])
         assert rc == 3
-        assert key in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert key in captured.err
+        # rejected before the corpus loads and its per-task counts print
+        assert "task " not in captured.out
+
+    def test_bad_config_file_value_exits_before_loading(self, corpus_dir, tmp_path,
+                                                        capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("scheme = asp\ndiff_mode = bogus\n")
+        rc = cli.main(["train", "--config", str(config), "--data", str(corpus_dir),
+                       "--out", str(tmp_path / "x")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "diff_mode" in captured.err and "task " not in captured.out
 
     def test_missing_data_exits_2(self, tmp_path):
         rc = cli.main(["train", "--scheme", "fs", "--data",
@@ -242,6 +255,21 @@ class TestTransfer:
         assert extra["transfer_mode"] == "bc"
         assert extra["head_input_size"] == 2 * config.hidden_size
         assert extra["frozen_sha256"]
+
+    def test_manifest_records_only_settings_transfer_reads(
+            self, corpus_dir, trained_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("ADVMTL_HIDDEN_SIZE", "99")
+        out = tmp_path / "tr_env"
+        rc = cli.main(["transfer", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                       "--data", str(corpus_dir), "--target", "task00",
+                       "--mode", "sc", "--out", str(out), "--max-epochs", "1",
+                       "--patience", "1"])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["config"]) == set(cli.TRANSFER_KEYS)
+        assert "hidden_size" not in manifest["config"]
+        _, config, _ = M.load_checkpoint(out / "transfer_sc_task00.bin")
+        assert config.hidden_size == 6
 
     def test_frozen_layer_hash_stable(self, corpus_dir, trained_dir, tmp_path):
         import hashlib

@@ -284,7 +284,10 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("corruption", ["missing_tensor", "bad_header",
                                             "huge_header_length", "tensor_without_shape",
-                                            "tensor_without_name", "no_tensor_list"])
+                                            "tensor_without_name", "no_tensor_list",
+                                            "trailing_bytes", "hidden_size", "embed_size",
+                                            "vocab_size", "classes", "tensor_shape",
+                                            "nan_weight", "inf_weight", "frozen_not_a_list"])
     def test_corrupt_checkpoint_is_a_format_error(self, tmp_path, corruption):
         import json
         from advmtl import cli
@@ -302,6 +305,30 @@ class TestCheckpoint:
             body = body[:-8 * int(np.prod(dropped["shape"]))]
         elif corruption == "bad_header":
             header = b"{" + header[1:-1]
+        elif corruption == "trailing_bytes":
+            body += b"\0" * 8
+        elif corruption in ("hidden_size", "embed_size", "vocab_size"):
+            manifest = json.loads(header)
+            manifest[corruption] += 1  # the tensors keep their sizes
+            header = json.dumps(manifest).encode()
+        elif corruption == "classes":
+            manifest = json.loads(header)
+            manifest["classes"][0] += 1
+            header = json.dumps(manifest).encode()
+        elif corruption == "frozen_not_a_list":
+            manifest = json.loads(header)
+            manifest["frozen"] = 5
+            header = json.dumps(manifest).encode()
+        elif corruption == "tensor_shape":
+            manifest = json.loads(header)
+            entry = next(t for t in manifest["tensors"] if t["name"] == "shared.b")
+            entry["shape"] = [3, 4]  # same element count as [12]
+            header = json.dumps(manifest).encode()
+        elif corruption.endswith("_weight"):
+            # a value inside the shared LSTM's weights, the second tensor
+            value = np.array(np.nan if corruption == "nan_weight" else -np.inf, "<f8")
+            at = 8 * (cfg.vocab_size * cfg.embed_size + 5)
+            body = body[:at] + value.tobytes() + body[at + 8:]
         elif corruption != "huge_header_length":
             manifest = json.loads(header)
             if corruption == "no_tensor_list":

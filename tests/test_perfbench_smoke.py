@@ -8,13 +8,24 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_desk_workload_runs_correctly():
+def _run_desk(trace):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload",
-         "desk-asp", "--seed", "1", "--seconds", "1", "--trace", "0"],
+         "desk-asp", "--seed", "1", "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc, json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_desk_workload_runs_correctly():
+    proc, result = _run_desk(trace=0)
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] > 0
     assert "probability check skipped" not in proc.stdout
+
+
+def test_traced_desk_workload_reads_every_gradient():
+    # the tracer reads nbytes, size, itemsize and count_nonzero of each gradient
+    _, result = _run_desk(trace=1)
+    assert result["correct"] and result["failed"] == 0
+    assert result["attempted"] > 0

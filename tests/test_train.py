@@ -101,6 +101,78 @@ class TestSgdStep:
             assert changed == (n in params.trainable_names())
 
 
+class TestRowSparseStep:
+    def _grads(self, params):
+        rng = np.random.default_rng(3)
+        rows = ad.RowGrad([(np.array([2, 5, 7]), rng.normal(size=(3, 8)))], (12, 8))
+        return {"embeddings": rows, "shared.b": rng.normal(size=params.shared.b.shape)}
+
+    def _step_both(self, clip_norm):
+        sparse_params, dense_params = toy_model()[0], toy_model()[0]
+        grads = self._grads(sparse_params)
+        T.sgd_step(sparse_params, grads, lr=0.1, clip_norm=clip_norm)
+        T.sgd_step(dense_params, {n: np.asarray(g) for n, g in grads.items()},
+                   lr=0.1, clip_norm=clip_norm)
+        return sparse_params.named_tensors(), dense_params.named_tensors()
+
+    def test_equals_dense_step_bitwise_without_clipping(self):
+        sparse, dense = self._step_both(clip_norm=float("inf"))
+        for name in dense:
+            assert sparse[name].tobytes() == dense[name].tobytes(), name
+
+    def test_equals_dense_step_when_clipping(self):
+        sparse, dense = self._step_both(clip_norm=0.1)
+        assert not np.array_equal(sparse["embeddings"], toy_model()[0].embeddings.matrix)
+        for name in dense:
+            npt.assert_allclose(sparse[name], dense[name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_nan_row_names_embeddings(self):
+        params, _ = toy_model()
+        grads = self._grads(params)
+        grads["embeddings"].rows[1, 4] = np.nan
+        with pytest.raises(NumericError, match="embeddings"):
+            T.sgd_step(params, grads, lr=0.1)
+
+
+class TestPrunedBackward:
+    def _grads(self, freeze_embeddings):
+        spec = D.SynthSpec(tasks=2, sentences_per_task=20, seed=2)
+        corpus, vocab = D.encode_corpus(D.generate_synthetic(spec)[0])
+        names = tuple(sorted(corpus))
+        config = M.ModelConfig(scheme="asp", task_names=names, classes=(2, 2),
+                               hidden_size=4, embed_size=4, vocab_size=len(vocab))
+        params = M.init_model(config, seed=3, freeze_embeddings=freeze_embeddings)
+        batch = D.Batch(task=1, sequences=[e.tokens for e in corpus[names[1]].train[:4]],
+                        labels=[e.label for e in corpus[names[1]].train[:4]])
+        cfg = T.TrainConfig(seed=0)
+        tape = Tape()
+        bound = params.bind(tape)
+        total = T._combine(tape, *T._batch_terms(tape, bound, config, batch, cfg), 1, cfg)
+        return T._leaf_grads(tape, bound, total)
+
+    def test_only_used_tensors_get_gradients(self):
+        grads = self._grads(freeze_embeddings=False)
+        assert set(grads) == {"embeddings", "shared.W", "shared.b", "private.1.W",
+                              "private.1.b", "head.1.W", "head.1.b", "disc.W", "disc.b"}
+        assert isinstance(grads["embeddings"], ad.RowGrad)
+
+    def test_frozen_embeddings_run_no_lookup_vjp(self, monkeypatch):
+        calls = []
+        take_rows = ad.take_rows
+
+        def spy(a, indices):
+            node = take_rows(a, indices)
+            vjp = node.tape._vjps[node.idx]
+            node.tape._vjps[node.idx] = lambda g: calls.append(1) or vjp(g)
+            return node
+
+        monkeypatch.setattr(ad, "take_rows", spy)
+        assert "embeddings" not in self._grads(freeze_embeddings=True)
+        assert calls == []
+        assert "embeddings" in self._grads(freeze_embeddings=False)
+        assert len(calls) == 4
+
+
 class TestTrainingLoop:
     def test_fixed_batch_loss_monotone(self):
         ds = toy_task()
