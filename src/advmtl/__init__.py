@@ -14,7 +14,8 @@ from .data import (Batch, Example, SynthSpec, TaskDataset, Vocabulary,
 from .losses import cross_entropy, diff_loss
 from .models import (Encoding, ForwardResult, ModelConfig, ModelParams,
                      build_transfer, discriminate, dump_activations, encode,
-                     forward, init_model, load_checkpoint, save_checkpoint)
+                     forward, forward_batch, init_model, load_checkpoint,
+                     save_checkpoint)
 from .nn import (EmbeddingTable, LstmParams, SoftmaxHead, lstm_encode,
                  lstm_states, softmax_classify)
 from .train import (TrainConfig, TrainHistory, evaluate, grid_search, sgd_step,

@@ -3,9 +3,10 @@
 Values are plain C-order ``numpy`` arrays; the tape records one node per
 operation with the ids of its inputs and a closure computing the
 vector-Jacobian product. A tape is single-use: build a forward graph,
-call :func:`backward` once, throw it away. Gradients are dense arrays,
-except that a leaf matrix read through :func:`take_rows` (the embedding
-table) gets a row-sparse :class:`RowGrad`.
+call :func:`backward` once (it frees each closure as it runs it), throw
+it away. Gradients are dense arrays, except that a leaf matrix read
+through :func:`take_rows` (the embedding table) gets a row-sparse
+:class:`RowGrad`.
 
 Everything runs in double precision so finite-difference checks are
 meaningful. No broadcasting beyond adding a bias vector to matrix rows;
@@ -159,6 +160,7 @@ class Tape:
         self._vjps: list[Vjp | None] = []
         self._leaf_ids: list[int] = []
         self.clamp_events = 0
+        self.swept = False
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -309,15 +311,36 @@ def log(a: Node) -> Node:
 
 
 def softmax(a: Node) -> Node:
-    """Stable softmax over a vector of logits."""
-    if a.value.ndim != 1:
-        raise ShapeError(f"softmax: expected a vector, got shape {a.value.shape}")
+    """Stable softmax over a vector of logits, or over each row of a matrix."""
+    if a.value.ndim not in (1, 2):
+        raise ShapeError(f"softmax: expected a vector or matrix, got shape {a.value.shape}")
     y = _softmax(a.value)
 
     def vjp(g):
-        return (y * (g - float(g @ y)),)
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return a.tape.record(y, (a,), vjp)
+
+
+def _affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    return x @ W.T + b
+
+
+def affine(x: Node, W: Node, b: Node) -> Node:
+    """The rows of ``x`` (or the vector ``x``) through a linear layer: x @ W.T + b."""
+    tape = _same_tape(x, W, b)
+    xv, Wv, bv = x.value, W.value, b.value
+    if Wv.ndim != 2 or bv.shape != (Wv.shape[0],):
+        raise ShapeError(f"affine: incompatible W {Wv.shape} and b {bv.shape}")
+    if xv.ndim not in (1, 2) or xv.shape[-1] != Wv.shape[1]:
+        raise ShapeError(f"affine: input shape {xv.shape} does not match W {Wv.shape}")
+
+    def vjp(g):
+        if xv.ndim == 1:
+            return (g @ Wv, np.outer(g, xv), g)
+        return (g @ Wv, g.T @ xv, g.sum(axis=0))
+
+    return tape.record(_affine(xv, Wv, bv), (x, W, b), vjp)
 
 
 def concat(parts: Sequence[Node], axis: int = 0) -> Node:
@@ -366,8 +389,8 @@ def stack_rows(rows: Sequence[Node]) -> Node:
 
 
 def row(a: Node, i: int) -> Node:
-    """Extract row ``i`` of a matrix as a vector."""
-    if a.value.ndim != 2:
+    """Extract row ``i`` of a matrix as a vector (slice ``i`` along the first axis)."""
+    if a.value.ndim < 2:
         raise ShapeError(f"row: expected a matrix, got shape {a.value.shape}")
 
     def vjp(g):
@@ -402,16 +425,57 @@ def take_rows(a: Node, indices: Sequence[int]) -> Node:
     return a.tape.record(a.value[idx], (a,), vjp)
 
 
+def _mask(lengths: np.ndarray) -> np.ndarray:
+    """``[B, T]`` booleans, true at the first ``lengths[k]`` positions of row ``k``."""
+    return np.arange(lengths.max()) < lengths[:, None]
+
+
+def _pad(rows: Tensor, lengths: np.ndarray) -> Tensor:
+    """The numpy value of :func:`pad_runs`."""
+    out = np.zeros((len(lengths), lengths.max()) + rows.shape[1:])
+    out[_mask(lengths)] = rows
+    return out
+
+
+def pad_runs(a: Node, lengths: Sequence[int]) -> Node:
+    """Split the rows of ``a`` into consecutive runs and pad each run with zero rows.
+
+    Run ``k`` has ``lengths[k]`` rows; the result is ``[B, T, ...]`` with
+    ``T = max(lengths)``. The padding is constant: no gradient reaches it.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or len(lengths) == 0 or lengths.min() < 1:
+        raise ShapeError("pad_runs: lengths must be a non-empty list of positive counts")
+    if a.value.ndim < 1 or int(lengths.sum()) != a.value.shape[0]:
+        raise ShapeError(
+            f"pad_runs: lengths add up to {int(lengths.sum())}, input has shape {a.value.shape}")
+    mask = _mask(lengths)
+    return a.tape.record(_pad(a.value, lengths), (a,), lambda g: (g[mask],))
+
+
+def take_along(a: Node, index: Sequence[int]) -> Node:
+    """Entry ``index[k]`` of slice ``k``: row ``k`` of the result is ``a[k, index[k]]``."""
+    idx = np.asarray(index, dtype=np.intp)
+    v = a.value
+    if v.ndim < 2 or idx.shape != (v.shape[0],):
+        raise ShapeError(f"take_along: {idx.shape} indices for an operand of shape {v.shape}")
+    if idx.min() < 0 or idx.max() >= v.shape[1]:
+        raise ShapeError(f"take_along: index out of range for {v.shape[1]} entries")
+    rows = np.arange(len(idx))
+
+    def vjp(g):
+        out = np.zeros_like(v)
+        out[rows, idx] = g
+        return (out,)
+
+    return a.tape.record(v[rows, idx], (a,), vjp)
+
+
 def sum_all(a: Node) -> Node:
     """Reduce to a scalar by summing every element."""
     shape = a.value.shape
     return a.tape.record(np.asarray(a.value.sum()), (a,),
                          lambda g: (np.broadcast_to(g, shape).copy() if shape else g,))
-
-
-def mean_of(nodes: Sequence[Node]) -> Node:
-    """Mean of scalar nodes (per-sample batch reduction)."""
-    return scale(add_n(nodes), 1.0 / len(nodes))
 
 
 @dataclass(frozen=True)
@@ -443,14 +507,22 @@ def backward(tape: Tape, loss: Node) -> dict[int, Tensor | RowGrad]:
     frozen table, a frozen layer fed only constants). A leaf read through
     :func:`take_rows` gets a :class:`RowGrad`, every other leaf a dense
     array. Multiple uses of a node accumulate by summation.
+
+    Each vjp is dropped once it has run, with the forward values it keeps
+    (an LSTM fold's gate activations): a tape is a reference cycle, so
+    they would otherwise live until the garbage collector finds it. A
+    second sweep of the same tape is a :class:`ContractError`.
     """
     if loss.tape is not tape:
         raise ContractError("loss node does not belong to this tape")
+    if tape.swept:
+        raise ContractError("backward: this tape has been swept already")
     if loss.value.shape != ():
         raise ContractError(
             f"backward requires a scalar loss, got shape {loss.value.shape}")
 
-    nodes = tape.nodes
+    tape.swept = True
+    nodes, vjps = tape.nodes, tape._vjps
     grads: list[Tensor | RowGrad | None] = [None] * len(nodes)
     if loss.needs_grad:
         grads[loss.idx] = np.asarray(1.0)
@@ -458,7 +530,7 @@ def backward(tape: Tape, loss: Node) -> dict[int, Tensor | RowGrad]:
         g = grads[idx]
         if g is None:
             continue
-        vjp = tape._vjps[idx]
+        vjp, vjps[idx] = vjps[idx], None
         if vjp is None:
             continue
         for parent_idx, pg in zip(nodes[idx].parents, vjp(g)):

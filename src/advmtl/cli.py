@@ -28,8 +28,8 @@ from . import data as D
 from . import models as M
 from . import nn
 from . import train as T
-from .errors import (AdvMtlError, ConfigError, DataFormatError, InputError,
-                     NumericError)
+from .errors import (AdvMtlError, ConfigError, ContractError, DataFormatError,
+                     InputError, NumericError, ShapeError)
 
 ENV_PREFIX = "ADVMTL_"
 
@@ -640,7 +640,8 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (FileNotFoundError, OSError, DataFormatError, InputError) as exc:
+    except (FileNotFoundError, OSError, DataFormatError, InputError, ShapeError,
+            ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

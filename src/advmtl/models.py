@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -159,11 +159,19 @@ def init_model(config: ModelConfig, seed: int,
 
 @dataclass
 class ForwardResult:
-    class_probs: Node
+    """Tape nodes of a forward pass; a batch's have a leading batch axis.
+
+    ``S`` and ``H`` hold every timestep's shared and private state, zero
+    past each sentence's length; ``s_T`` and ``h_T`` are the states at each
+    sentence's last token. Fields that the scheme or the call does not
+    produce are None.
+    """
+
     s_T: Node
     S: Node
     h_T: Node | None = None
     H: Node | None = None
+    class_probs: Node | None = None
     disc_probs: Node | None = None
 
 
@@ -172,51 +180,55 @@ def _check_task(config: ModelConfig, task: int) -> None:
         raise InputError(f"unknown task index {task} for {config.n_tasks} tasks")
 
 
-def _embed_shared(bound: Mapping[str, Node], token_ids: Sequence[int]):
-    xs = nn.embed_sequence(bound["embeddings"], token_ids)
-    s_T, S = nn.lstm_encode(xs, bound["shared.W"], bound["shared.b"])
-    return xs, s_T, S
+def forward_batch(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
+                  sentences: Sequence[Sequence[int]], task: int | None,
+                  rev_spec: GradReversalSpec | None = None,
+                  want_disc: bool = True) -> ForwardResult:
+    """Run a batch of sentences through the scheme's encoders, as one graph.
+
+    With a task, that task's private encoder and head run too; with none
+    (unlabeled data) only the shared encoder does. For ``asp`` with
+    ``want_disc`` the discriminator reads the gradient-reversed final shared
+    states.
+    """
+    if task is not None:
+        _check_task(config, task)
+    # one embedding node feeds both encoders, so its gradient is summed once
+    xs, lengths = nn.embed_batch(bound["embeddings"], sentences)
+    out = ForwardResult(*nn.lstm_encode(xs, bound["shared.W"], bound["shared.b"], lengths))
+    if task is not None:
+        feature = out.s_T
+        if config.has_private:
+            out.h_T, out.H = nn.lstm_encode(xs, bound[f"private.{task}.W"],
+                                            bound[f"private.{task}.b"], lengths)
+            feature = ad.concat([out.h_T, out.s_T], axis=1)
+        out.class_probs = nn.softmax_classify(feature, bound[f"head.{task}.W"],
+                                              bound[f"head.{task}.b"])
+    if config.has_discriminator and want_disc:
+        spec = rev_spec if rev_spec is not None else GradReversalSpec(1.0)
+        rev = ad.gradient_reversal(out.s_T, spec)
+        out.disc_probs = discriminate(rev, bound["disc.W"], bound["disc.b"])
+    return out
 
 
 def forward(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
             token_ids: Sequence[int], task: int,
             rev_spec: GradReversalSpec | None = None,
             want_disc: bool = True) -> ForwardResult:
-    """Run one sentence through the scheme's encoders and its task head."""
+    """Run one sentence through the scheme's encoders and its task head.
+
+    This is :func:`forward_batch` on a batch of one, with the batch axis
+    taken off every result.
+    """
     _check_task(config, task)
-    # one embedding node feeds both encoders, so its gradient is summed once
-    xs, s_T, S = _embed_shared(bound, token_ids)
-    h_T = H = None
-    if config.has_private:
-        h_T, H = nn.lstm_encode(xs, bound[f"private.{task}.W"],
-                                bound[f"private.{task}.b"])
-        feature = ad.concat([h_T, s_T])
-    else:
-        feature = s_T
-    probs = nn.softmax_classify(feature, bound[f"head.{task}.W"],
-                                bound[f"head.{task}.b"])
-    disc_probs = None
-    if config.has_discriminator and want_disc:
-        spec = rev_spec if rev_spec is not None else GradReversalSpec(1.0)
-        rev = ad.gradient_reversal(s_T, spec)
-        disc_probs = discriminate(rev, bound["disc.W"], bound["disc.b"])
-    return ForwardResult(class_probs=probs, s_T=s_T, S=S, h_T=h_T, H=H,
-                         disc_probs=disc_probs)
-
-
-def forward_shared(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
-                   token_ids: Sequence[int]) -> tuple[Node, Node]:
-    """Shared encoder only (the unlabeled-data path); returns (s_T, S)."""
-    return _embed_shared(bound, token_ids)[1:]
+    res = forward_batch(tape, bound, config, [token_ids], task, rev_spec, want_disc)
+    nodes = {f.name: getattr(res, f.name) for f in fields(res)}
+    return ForwardResult(**{k: None if n is None else ad.row(n, 0) for k, n in nodes.items()})
 
 
 def discriminate(s: Node, W: Node, b: Node) -> Node:
-    """Task probabilities softmax(W s + b) from a shared representation."""
-    if s.value.shape != (W.value.shape[1],):
-        raise ShapeError(
-            f"discriminate: feature shape {s.value.shape} does not match "
-            f"discriminator input width {W.value.shape[1]}")
-    return ad.softmax(ad.add(ad.matmul(W, s), b))
+    """Task probabilities softmax(W s + b) of a shared representation, or of each row of ``s``."""
+    return ad.softmax(ad.affine(s, W, b))
 
 
 def build_transfer(shared: nn.LstmParams, mode: str, task_name: str,
@@ -247,7 +259,7 @@ def build_transfer(shared: nn.LstmParams, mode: str, task_name: str,
 
 @dataclass
 class Encoding:
-    """Tape-free forward values of one sentence; fields as in ForwardResult."""
+    """Tape-free forward values of a batch of sentences; fields as in ForwardResult."""
 
     s_T: Tensor
     S: Tensor
@@ -258,34 +270,37 @@ class Encoding:
 
 
 def _classify(params: ModelParams, task: int, s: Tensor, h: Tensor | None) -> Tensor:
-    feature = s if h is None else np.concatenate([h, s])
+    feature = s if h is None else np.concatenate([h, s], axis=1)
     head = params.heads[task]
-    return ad._softmax(head.W @ feature + head.b)
+    return ad._softmax(ad._affine(feature, head.W, head.b))
 
 
-def encode(params: ModelParams, config: ModelConfig, token_ids: Sequence[int],
-           task: int | None = None) -> Encoding:
-    """Inference for one sentence: the values of :func:`forward`, with no tape.
+def encode(params: ModelParams, config: ModelConfig,
+           sentences: Sequence[Sequence[int]], task: int | None = None) -> Encoding:
+    """Inference for a batch of sentences: the values of :func:`forward_batch`, with no tape.
 
     With no task only the shared encoder runs. With a task, that task's
     private encoder and head run too, and the discriminator when the
-    scheme has one.
+    scheme has one. Every field has one row per sentence; ``S`` and ``H``
+    are ``[B, T, d]`` with zero rows past each sentence's length.
     """
     if task is not None:
         _check_task(config, task)
     table = params.embeddings.matrix
-    xs = table[nn.check_token_ids(token_ids, table.shape[0])]
-    S = nn.lstm_states(xs, params.shared.W, params.shared.b)[0]
-    out = Encoding(s_T=S[-1].copy(), S=S)
+    ids, lengths = nn.batch_token_ids(sentences, table.shape[0])
+    xs = ad._pad(table[ids], lengths)
+    last = (np.arange(len(lengths)), lengths - 1)
+    S = nn.lstm_states(xs, params.shared.W, params.shared.b, lengths)
+    out = Encoding(s_T=S[last], S=S)
     if task is None:
         return out
     if config.has_private:
         p = params.private[task]
-        out.H = nn.lstm_states(xs, p.W, p.b)[0]
-        out.h_T = out.H[-1].copy()
+        out.H = nn.lstm_states(xs, p.W, p.b, lengths)
+        out.h_T = out.H[last]
     out.class_probs = _classify(params, task, out.s_T, out.h_T)
     if config.has_discriminator:
-        out.disc_probs = ad._softmax(params.disc.W @ out.s_T + params.disc.b)
+        out.disc_probs = ad._softmax(ad._affine(out.s_T, params.disc.W, params.disc.b))
     return out
 
 
@@ -297,18 +312,16 @@ def dump_activations(params: ModelParams, config: ModelConfig,
     that step and the class distribution the task head assigns to the
     prefix ending there; the last record matches ``forward``.
     """
-    enc = encode(params, config, token_ids, task)
-    S, H = enc.S, enc.H
-    records = []
-    for t in range(len(S)):
-        records.append({
-            "t": t + 1,
-            "token_id": int(token_ids[t]),
-            "shared": S[t].copy(),
-            "private": H[t].copy() if H is not None else None,
-            "class_probs": _classify(params, task, S[t], None if H is None else H[t]),
-        })
-    return records
+    enc = encode(params, config, [token_ids], task)
+    S = enc.S[0]
+    H = None if enc.H is None else enc.H[0]
+    probs = _classify(params, task, S, H)
+    return [{"t": t + 1,
+             "token_id": int(token_ids[t]),
+             "shared": S[t].copy(),
+             "private": H[t].copy() if H is not None else None,
+             "class_probs": probs[t]}
+            for t in range(len(S))]
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +380,11 @@ def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
     """Read a container written by :func:`save_checkpoint`.
 
-    Every malformed file raises :class:`DataFormatError`: a bad header, tensor
-    names or shapes that disagree with the manifest's sizes, a truncated or
-    non-finite tensor, and bytes after the last tensor.
+    Every malformed file raises :class:`DataFormatError`: a bad header
+    (including an ``embeddings_trainable`` that is not a bool and an
+    ``extra`` that is not an object), tensor names or shapes that disagree
+    with the manifest's sizes, a truncated or non-finite tensor, and bytes
+    after the last tensor.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -408,6 +423,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
             raise DataFormatError(f"{path}: checkpoint has no {exc.args[0]!r}") from None
         except (ConfigError, TypeError) as exc:
             raise DataFormatError(f"{path}: bad model settings: {exc}") from None
+        if not isinstance(manifest.get("embeddings_trainable"), bool):
+            raise DataFormatError(f"{path}: 'embeddings_trainable' must be true or false")
+        if not isinstance(manifest.get("extra", {}), dict):
+            raise DataFormatError(f"{path}: 'extra' must be a JSON object")
         expected = _tensor_shapes(config)
         if len(specs) != len(expected) or dict(specs) != expected:
             raise DataFormatError(

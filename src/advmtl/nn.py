@@ -14,7 +14,8 @@ checkpoint format and must not change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,100 +68,146 @@ def init_lstm(rng: np.random.Generator, hidden: int, embed: int) -> LstmParams:
                       b=uniform_init(rng, 4 * hidden))
 
 
-def lstm_states(X: Tensor, W: Tensor, b: Tensor,
-                h0: Tensor | None = None, c0: Tensor | None = None) -> tuple:
-    """Fold the LSTM over the rows of ``X`` ([T, e]) in plain numpy.
+def lstm_states(X: Tensor, W: Tensor, b: Tensor, lengths=None,
+                h0: Tensor | None = None, c0: Tensor | None = None) -> Tensor:
+    """Hidden states ``[B, T, d]`` of the LSTM folded over each sentence of ``X``.
 
-    Returns ``(H, C, cbar, gates, tanh_C)`` with one row per timestep: the
-    hidden and cell states, the candidate block, the ``o, i, f`` gates and
-    ``tanh`` of the cell. Initial states default to zeros. Inference uses
-    ``H`` alone; :func:`lstm_encode` keeps the rest for its backward rule.
+    ``X`` is ``[B, T, e]``; sentence ``k`` is its first ``lengths[k]`` rows
+    (default: all ``T``). Past its length a sentence's state is frozen: its
+    output rows are zero and its final state, ``H[k, lengths[k] - 1]``, is
+    the state at its last real token. Initial states ``[B, d]`` default to
+    zeros. :func:`lstm_encode` records this fold as one tape node.
     """
-    if X.ndim != 2:
-        raise ShapeError(f"lstm_encode: expected [T, e] inputs, got {X.shape}")
-    T = X.shape[0]
-    if T < 1:
-        raise InputError("lstm_encode: empty sequence")
-    d = b.shape[0] // 4
-    e = W.shape[1] - d
-    if X.shape[1] != e:
-        raise ShapeError(f"lstm_encode: input width {X.shape[1]}, expected {e}")
-    h = np.zeros(d) if h0 is None else h0
-    c = np.zeros(d) if c0 is None else c0
-    if h.shape != (d,) or c.shape != (d,):
-        raise ShapeError(
-            f"lstm_encode: initial state shapes {h.shape}/{c.shape}, expected ({d},)")
-
-    W_h = W[:, e:]
-    pre_x = X @ W[:, :e].T + b  # x-side of all gate pre-activations
-    cbar = np.empty((T, d))
-    gates = np.empty((T, 3 * d))  # o, i, f per row
-    cs = np.empty((T, d))
-    tcs = np.empty((T, d))
-    all_h = np.empty((T, d))
-    for t in range(T):
-        pre = pre_x[t] + W_h @ h
-        cbar[t] = np.tanh(pre[:d])
-        gates[t] = ad._stable_sigmoid(pre[d:])
-        o, i, f = gates[t, :d], gates[t, d:2 * d], gates[t, 2 * d:]
-        c = cbar[t] * i + c * f
-        cs[t] = c
-        tcs[t] = np.tanh(c)
-        all_h[t] = o * tcs[t]
-        h = all_h[t]
-    return all_h, cs, cbar, gates, tcs
+    return _LstmFold(X, W, b, lengths, h0, c0).outputs()
 
 
-def lstm_encode(xs: Node, W: Node, b: Node,
+class _LstmFold:
+    """The forward values of one LSTM fold, kept for its backward rule.
+
+    The batch is folded sorted by length, longest first and in time-major
+    ``[T, B, ...]`` arrays, so the sentences still running at step ``t`` are
+    the first ``active[t]`` rows: each step computes only those, and the
+    rest stay as they are. Rows a step does not compute are zero in every
+    stored array and in the gate gradients, so they contribute nothing to
+    any product and the backward rule's whole-array factors stay finite.
+    """
+
+    def __init__(self, X, W, b, lengths, h0, c0):
+        if X.ndim != 3:
+            raise ShapeError(f"lstm_encode: expected [B, T, e] inputs, got {X.shape}")
+        B, T, e = X.shape
+        if B < 1 or T < 1:
+            raise InputError("lstm_encode: empty sequence")
+        d = b.shape[0] // 4
+        if e != W.shape[1] - d:
+            raise ShapeError(f"lstm_encode: input width {e}, expected {W.shape[1] - d}")
+        lengths = np.full(B, T) if lengths is None else np.asarray(lengths, dtype=np.intp)
+        if lengths.shape != (B,) or lengths.max() > T:
+            raise ShapeError(f"lstm_encode: lengths {lengths} for inputs of shape {X.shape}")
+        if lengths.min() < 1:
+            raise InputError("lstm_encode: empty sequence")
+        h0 = np.zeros((B, d)) if h0 is None else h0
+        c0 = np.zeros((B, d)) if c0 is None else c0
+        if h0.shape != (B, d) or c0.shape != (B, d):
+            raise ShapeError(
+                f"lstm_encode: initial state shapes {h0.shape}/{c0.shape}, expected {(B, d)}")
+
+        self.lengths = lengths
+        self.order = np.argsort(-lengths, kind="stable")
+        self.unsort = np.argsort(self.order)
+        self.active = [int(n) for n in np.count_nonzero(lengths[:, None] > np.arange(T), axis=0)]
+        self.d, self.e, self.W = d, e, W
+        self.h0, self.c0 = h0[self.order], c0[self.order]
+        # time-major, sorted: the x half of every step's [x; h_prev] input
+        self.X = np.ascontiguousarray(X[self.order].transpose(1, 0, 2))
+        pre_x = self.X.reshape(T * B, e) @ W[:, :e].T
+        pre_x += b
+        pre_x = pre_x.reshape(T, B, 4 * d)
+        W_hT = W[:, e:].T
+        self.H = np.zeros((T, B, d))
+        self.C = np.zeros((T, B, d))
+        self.cbar = np.zeros((T, B, d))
+        self.gates = np.zeros((T, B, 3 * d))  # o, i, f
+        self.tanh_C = np.zeros((T, B, d))
+        h_prev, c_prev = self.h0, self.c0
+        for t, n in enumerate(self.active):
+            pre = pre_x[t, :n] + h_prev[:n] @ W_hT
+            cbar = np.tanh(pre[:, :d], out=self.cbar[t, :n])
+            gates = self.gates[t, :n]
+            gates[...] = ad._stable_sigmoid(pre[:, d:])
+            o, i, f = gates[:, :d], gates[:, d:2 * d], gates[:, 2 * d:]
+            c = np.multiply(cbar, i, out=self.C[t, :n])
+            c += c_prev[:n] * f
+            tc = np.tanh(c, out=self.tanh_C[t, :n])
+            np.multiply(o, tc, out=self.H[t, :n])
+            h_prev, c_prev = self.H[t], self.C[t]
+
+    def outputs(self) -> Tensor:
+        """``[B, T, d]`` hidden states in the caller's sentence order."""
+        return self.H.transpose(1, 0, 2)[self.unsort]
+
+    def backward(self, g: Tensor) -> tuple:
+        """Gradients of (inputs, W, b, h0, c0) from the gradient of :meth:`outputs`."""
+        d, e, W = self.d, self.e, self.W
+        T, B = self.H.shape[:2]
+        g = g[self.order].transpose(1, 0, 2)
+        zs = np.empty((T, B, e + d))  # the [x; h_prev] input of every step
+        zs[:, :, :e] = self.X
+        zs[0, :, e:] = self.h0
+        zs[1:, :, e:] = self.H[:-1]
+        o, i, f = (self.gates[:, :, k * d:(k + 1) * d] for k in range(3))
+        cbar, tc = self.cbar, self.tanh_C
+        c_prev = np.concatenate([self.c0[None], self.C[:-1]])
+        # each step's gate-gradient factors in block order cbar, o, i, f: the
+        # o block scales the step's dh, the other three its dc
+        local = np.stack([i * (1.0 - cbar * cbar), tc * o * (1.0 - o),
+                          cbar * i * (1.0 - i), c_prev * f * (1.0 - f)], axis=2)
+        dc_dh = o * (1.0 - tc * tc)
+        ga_all = np.zeros((T, B, 4, d))
+        dX = np.zeros((T, B, e))
+        dh = np.zeros((B, d))
+        dc = np.zeros((B, d))
+        for t in range(T - 1, -1, -1):
+            n = self.active[t]
+            dh_t = dh[:n] + g[t, :n]
+            gc = dc[:n] + dh_t * dc_dh[t, :n]
+            ga = np.multiply(local[t, :n], gc[:, None], out=ga_all[t, :n])
+            np.multiply(local[t, :n, 1], dh_t, out=ga[:, 1])
+            gz = ga.reshape(n, 4 * d) @ W
+            dX[t, :n] = gz[:, :e]
+            dh[:n] = gz[:, e:]
+            np.multiply(gc, f[t, :n], out=dc[:n])
+        ga_rows = ga_all.reshape(T * B, 4 * d)
+        dW = ga_rows.T @ zs.reshape(T * B, e + d)
+        db = ga_rows.sum(axis=0)
+        u = self.unsort
+        return dX.transpose(1, 0, 2)[u], dW, db, dh[u], dc[u]
+
+
+def lstm_encode(xs: Node, W: Node, b: Node, lengths=None,
                 h0: Node | None = None, c0: Node | None = None) -> tuple[Node, Node]:
-    """Fold the LSTM over the rows of ``xs`` ([T, e]); returns (h_T, all_h [T, d]).
+    """Fold the LSTM over each sentence of ``xs`` ([B, T, e]); returns (h_T [B, d], all_h [B, T, d]).
 
-    Initial states default to zeros. The forward values come from
-    :func:`lstm_states`, and the whole unrolled sequence is one fused tape
-    node whose backward rule runs the full BPTT loop, accumulating the
-    weight gradient as a single matrix product. Its gradients are
-    finite-difference checked and agree with chaining single LSTM steps.
+    Sentence ``k`` is its first ``lengths[k]`` rows (default: all ``T``);
+    ``h_T[k]`` is its state at its last real token, and ``all_h`` is zero
+    past each length, as in :func:`lstm_states`. The whole batch is one tape
+    node whose backward rule runs one batched BPTT loop and accumulates the
+    weight gradient as a single matrix product over all B*T steps; padded
+    steps contribute exactly zero to every gradient. Initial states
+    ``[B, d]`` default to zeros. Its gradients are finite-difference checked
+    and agree with chaining single LSTM steps.
     """
-    tape = xs.tape
-    d = b.value.shape[0] // 4
-    h0 = h0 if h0 is not None else tape.constant(np.zeros(d))
-    c0 = c0 if c0 is not None else tape.constant(np.zeros(d))
-    Wv = W.value
-    all_h, cs, cbar, gates, tcs = lstm_states(xs.value, Wv, b.value, h0.value, c0.value)
-    T, e = xs.value.shape
+    fold = _LstmFold(xs.value, W.value, b.value, lengths,
+                     None if h0 is None else h0.value, None if c0 is None else c0.value)
+    parents = (xs, W, b) + tuple(n for n in (h0, c0) if n is not None)
+    grads = (0, 1, 2) + tuple(k for k, n in ((3, h0), (4, c0)) if n is not None)
 
     def vjp(g):
-        zs = np.empty((T, d + e))  # the [x; h_prev] input of every step
-        zs[:, :e] = xs.value
-        zs[0, e:] = h0.value
-        zs[1:, e:] = all_h[:-1]
-        c_prevs = np.empty((T, d))
-        c_prevs[0] = c0.value
-        c_prevs[1:] = cs[:-1]
-        ga_all = np.empty((T, 4 * d))
-        dxs = np.empty((T, e))
-        dh = np.zeros(d)
-        dc = np.zeros(d)
-        for t in range(T - 1, -1, -1):
-            dh = dh + g[t]
-            o, i, f = gates[t, :d], gates[t, d:2 * d], gates[t, 2 * d:]
-            tc = tcs[t]
-            gc = dc + dh * o * (1.0 - tc * tc)
-            ga = ga_all[t]
-            ga[:d] = gc * i * (1.0 - cbar[t] * cbar[t])
-            ga[d:2 * d] = dh * tc * o * (1.0 - o)
-            ga[2 * d:3 * d] = gc * cbar[t] * i * (1.0 - i)
-            ga[3 * d:] = gc * c_prevs[t] * f * (1.0 - f)
-            gz = Wv.T @ ga
-            dxs[t] = gz[:e]
-            dh = gz[e:]
-            dc = gc * f
-        dW = ga_all.T @ zs
-        db = ga_all.sum(axis=0)
-        return (dxs, dW, db, dh, dc)
+        out = fold.backward(g)
+        return tuple(out[k] for k in grads)
 
-    all_h_node = tape.record(all_h, (xs, W, b, h0, c0), vjp)
-    return ad.row(all_h_node, T - 1), all_h_node
+    all_h = xs.tape.record(fold.outputs(), parents, vjp)
+    return ad.take_along(all_h, fold.lengths - 1), all_h
 
 
 @dataclass
@@ -188,12 +235,8 @@ def init_head(rng: np.random.Generator, n_classes: int, d_in: int) -> SoftmaxHea
 
 
 def softmax_classify(h: Node, W: Node, b: Node) -> Node:
-    """Class probabilities softmax(W h + b); stabilized by max subtraction."""
-    if h.value.shape != (W.value.shape[1],):
-        raise ShapeError(
-            f"softmax_classify: feature shape {h.value.shape} does not match "
-            f"head input width {W.value.shape[1]}")
-    return ad.softmax(ad.add(ad.matmul(W, h), b))
+    """Class probabilities softmax(W h + b) of a feature vector, or of each row of ``h``."""
+    return ad.softmax(ad.affine(h, W, b))
 
 
 @dataclass
@@ -221,20 +264,30 @@ def init_embeddings(rng: np.random.Generator, vocab_size: int, dim: int) -> Embe
     return EmbeddingTable(matrix=uniform_init(rng, (vocab_size, dim)))
 
 
-def check_token_ids(token_ids, vocab_size: int) -> list[int]:
-    """The ids of one sentence as a list; empty or out-of-range ids raise."""
-    ids = list(token_ids)
-    if not ids:
-        raise InputError("embed_sequence: empty sentence")
-    if min(ids) < 0 or max(ids) >= vocab_size:
+def batch_token_ids(sentences, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of a batch of sentences, concatenated, and each sentence's length.
+
+    An empty batch, an empty sentence and an out-of-range id raise.
+    """
+    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+    if len(lengths) == 0 or lengths.min() == 0:
+        raise InputError("embed_batch: empty sentence")
+    ids = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.intp,
+                      count=int(lengths.sum()))
+    if ids.min() < 0 or ids.max() >= vocab_size:
         raise InputError(
-            f"embed_sequence: token id out of range for vocabulary of {vocab_size}")
-    return ids
+            f"embed_batch: token id out of range for vocabulary of {vocab_size}")
+    return ids, lengths
 
 
-def embed_sequence(table_node: Node, token_ids) -> Node:
-    """Look up token vectors; returns a [T, e] node."""
-    return ad.take_rows(table_node, check_token_ids(token_ids, table_node.value.shape[0]))
+def embed_batch(table_node: Node, sentences) -> tuple[Node, np.ndarray]:
+    """Look up a batch of sentences; returns the ``[B, T, e]`` node and the lengths.
+
+    Only the real tokens are looked up, as one :func:`~advmtl.autodiff.take_rows`;
+    the padding past each sentence's length is zero and gets no gradient.
+    """
+    ids, lengths = batch_token_ids(sentences, table_node.value.shape[0])
+    return ad.pad_runs(ad.take_rows(table_node, ids), lengths), lengths
 
 
 def load_embeddings_text(path, token_to_id: dict[str, int], matrix: Tensor) -> int:

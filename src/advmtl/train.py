@@ -1,7 +1,8 @@
 """Training loop and evaluation.
 
 One optimization step draws one task's batch (strict round-robin),
-assembles the combined objective on a fresh tape, backpropagates once,
+assembles the combined objective of the whole batch as one graph on a
+fresh tape, backpropagates once,
 and updates every trainable tensor jointly; the gradient-reversal node
 inside the adversarial term is what sends the shared encoder and the
 discriminator in opposing directions. Unlabeled batches (when enabled)
@@ -10,7 +11,8 @@ contribute the adversarial term only.
 An epoch is one pass over the largest task's training split; smaller
 tasks cycle. Early stopping watches mean dev error across tasks and
 returns the best-dev checkpoint. Evaluation and the probe and cosine
-diagnostics need no gradient, so they run the tape-free ``models.encode``.
+diagnostics need no gradient, so they run the tape-free ``models.encode``
+on chunks of ``ENCODE_CHUNK`` sentences.
 """
 
 from __future__ import annotations
@@ -148,42 +150,30 @@ def _leaf_grads(tape: Tape, bound: Mapping[str, ad.Node],
 
 def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
                  cfg: TrainConfig):
-    """Per-batch loss nodes: (task CE, adversarial CE, diff) — None where n/a."""
+    """Per-batch loss nodes: (task CE, adversarial CE, diff) — None where n/a.
+
+    The whole batch is one graph. Each term is the mean over its sentences;
+    the diff term is over every timestep (``diff_mode="sentence"``) or over
+    the final states (``"batch"``).
+    """
     adversarial = config.has_discriminator
+    if batch.is_unlabeled and not adversarial:
+        raise ContractError("unlabeled batches require the adversarial scheme")
     rev = GradReversalSpec(cfg.adv_weight) if adversarial else None
-    n_classes = config.classes[batch.task]
-    task_target = L.onehot(batch.task, config.n_tasks) if adversarial else None
-    ce_nodes, adv_nodes, diff_nodes = [], [], []
-    finals = []
+    task = None if batch.is_unlabeled else batch.task
+    res = M.forward_batch(tape, bound, config, batch.sequences, task,
+                          rev_spec=rev, want_disc=adversarial)
+    l_adv = (L.cross_entropy(res.disc_probs, L.onehot([batch.task] * len(batch),
+                                                      config.n_tasks))
+             if adversarial else None)
     if batch.is_unlabeled:
-        if not adversarial:
-            raise ContractError("unlabeled batches require the adversarial scheme")
-        for seq in batch.sequences:
-            s_T, _ = M.forward_shared(tape, bound, config, seq)
-            disc_probs = M.discriminate(ad.gradient_reversal(s_T, rev),
-                                        bound["disc.W"], bound["disc.b"])
-            adv_nodes.append(L.cross_entropy(disc_probs, task_target))
-        return None, ad.mean_of(adv_nodes), None
-    for seq, label in zip(batch.sequences, batch.labels):
-        res = M.forward(tape, bound, config, seq, batch.task,
-                        rev_spec=rev, want_disc=adversarial)
-        ce_nodes.append(L.cross_entropy(res.class_probs, L.onehot(label, n_classes)))
-        if adversarial:
-            adv_nodes.append(L.cross_entropy(res.disc_probs, task_target))
-            if cfg.diff_mode == "sentence":
-                diff_nodes.append(L.diff_loss(res.S, res.H))
-            else:
-                finals.append((res.s_T, res.h_T))
-    l_ce = ad.mean_of(ce_nodes)
-    l_adv = ad.mean_of(adv_nodes) if adv_nodes else None
-    if diff_nodes:
-        l_diff = ad.mean_of(diff_nodes)
-    elif finals:
-        S = ad.stack_rows([s for s, _ in finals])
-        H = ad.stack_rows([h for _, h in finals])
-        l_diff = ad.scale(L.diff_loss(S, H), 1.0 / len(finals))
-    else:
-        l_diff = None
+        return None, l_adv, None
+    l_ce = L.cross_entropy(res.class_probs,
+                           L.onehot(batch.labels, config.classes[batch.task]))
+    l_diff = None
+    if adversarial:
+        S, H = (res.S, res.H) if cfg.diff_mode == "sentence" else (res.s_T, res.h_T)
+        l_diff = ad.scale(L.diff_loss(S, H), 1.0 / len(batch))
     return l_ce, l_adv, l_diff
 
 
@@ -239,13 +229,34 @@ def _train_one_batch(params: M.ModelParams, config: M.ModelConfig, batch: Batch,
     return vals
 
 
+ENCODE_CHUNK = 16  # sentences per encode call in evaluation: bounds its memory
+
+
+def _encode_split(params: M.ModelParams, config: M.ModelConfig,
+                  sentences: Sequence[Sequence[int]], task: int | None = None):
+    """``M.encode`` over consecutive chunks of ``sentences``; yields each chunk's Encoding."""
+    for start in range(0, len(sentences), ENCODE_CHUNK):
+        yield M.encode(params, config, sentences[start:start + ENCODE_CHUNK], task)
+
+
+def _predictions(params: M.ModelParams, config: M.ModelConfig,
+                 examples: Sequence[Example], task: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Argmax class and (for adversarial models) argmax task of every example."""
+    classes, tasks = [], []
+    for enc in _encode_split(params, config, [ex.tokens for ex in examples], task):
+        classes.append(np.argmax(enc.class_probs, axis=1))
+        if enc.disc_probs is not None:
+            tasks.append(np.argmax(enc.disc_probs, axis=1))
+    return np.concatenate(classes), np.concatenate(tasks) if tasks else None
+
+
 def evaluate(params: M.ModelParams, config: M.ModelConfig,
              examples: Sequence[Example], task: int) -> float:
     """Error rate of argmax predictions (argmax breaks ties toward class 0)."""
     if not examples:
         raise InputError("evaluate: empty split")
-    wrong = sum(int(np.argmax(M.encode(params, config, ex.tokens, task).class_probs))
-                != ex.label for ex in examples)
+    pred, _ = _predictions(params, config, examples, task)
+    wrong = int(np.count_nonzero(pred != [ex.label for ex in examples]))
     return wrong / len(examples)
 
 
@@ -254,16 +265,14 @@ def _dev_stats(params: M.ModelParams, config: M.ModelConfig,
     """Per-task dev error and (for adversarial models) dev discriminator accuracy."""
     errors, disc_accs = [], []
     for k, ds in enumerate(tasks):
-        wrong = 0
-        disc_right = 0
-        for ex in ds.dev:
-            enc = M.encode(params, config, ex.tokens, k)
-            if int(np.argmax(enc.class_probs)) != ex.label:
-                wrong += 1
-            if enc.disc_probs is not None and int(np.argmax(enc.disc_probs)) == k:
-                disc_right += 1
-        errors.append(wrong / len(ds.dev) if ds.dev else 0.0)
-        disc_accs.append(disc_right / len(ds.dev) if ds.dev else 0.0)
+        if not ds.dev:
+            errors.append(0.0)
+            disc_accs.append(0.0)
+            continue
+        pred, disc = _predictions(params, config, ds.dev, k)
+        wrong = int(np.count_nonzero(pred != [ex.label for ex in ds.dev]))
+        errors.append(wrong / len(ds.dev))
+        disc_accs.append(0.0 if disc is None else int(np.count_nonzero(disc == k)) / len(ds.dev))
     return errors, (disc_accs if config.has_discriminator else None)
 
 
@@ -337,7 +346,9 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
         mean_err = float(np.mean(errors))
         if mean_err < best_err:
             best_err = mean_err
-            best_params = params.copy()
+            for dst, src in zip(best_params.named_tensors().values(),
+                                params.named_tensors().values()):
+                np.copyto(dst, src)
             best_epoch = epoch
             since_best = 0
         else:
@@ -351,10 +362,8 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
 def shared_features(params: M.ModelParams, config: M.ModelConfig,
                     sentences: Sequence[Sequence[int]]) -> Tensor:
     """Final shared-encoder states, one row per sentence."""
-    out = np.empty((len(sentences), config.hidden_size))
-    for i, seq in enumerate(sentences):
-        out[i] = M.encode(params, config, seq).s_T
-    return out
+    chunks = [enc.s_T for enc in _encode_split(params, config, sentences)]
+    return np.concatenate(chunks) if chunks else np.empty((0, config.hidden_size))
 
 
 def fit_probe(features: Tensor, labels: Sequence[int], n_classes: int,
@@ -414,12 +423,12 @@ def shared_private_cosine(params: M.ModelParams, config: M.ModelConfig,
         raise ConfigError("cosine diagnostic needs a scheme with private encoders")
     vals = []
     for k, name in enumerate(config.task_names):
-        for ex in datasets[name].split(split):
-            enc = M.encode(params, config, ex.tokens, k)
+        split_tokens = [ex.tokens for ex in datasets[name].split(split)]
+        for enc in _encode_split(params, config, split_tokens, k):
             s, h = enc.s_T, enc.h_T
-            denom = np.linalg.norm(s) * np.linalg.norm(h)
-            if denom > 0:
-                vals.append(abs(float(s @ h)) / denom)
+            denom = np.linalg.norm(s, axis=1) * np.linalg.norm(h, axis=1)
+            dots = np.abs((s * h).sum(axis=1))
+            vals.extend((dots[denom > 0] / denom[denom > 0]).tolist())
     return float(np.mean(vals)) if vals else 0.0
 
 

@@ -1,10 +1,12 @@
 """Independent reference implementations used as test oracles.
 
-Everything here except :func:`lstm_step` is deliberately written with
-explicit scalar loops and the math library, sharing no code with the
-package under test. :func:`lstm_step` is one LSTM timestep as a tape node
-with a hand-derived backward rule; the fused sequence encoder
-``nn.lstm_encode`` is checked against it.
+Everything here except :func:`lstm_step` and :func:`batch_terms` is
+deliberately written with explicit scalar loops and the math library,
+sharing no code with the package under test. :func:`lstm_step` is one LSTM
+timestep as a tape node with a hand-derived backward rule; the fused
+sequence encoder ``nn.lstm_encode`` is checked against it.
+:func:`batch_terms` builds a batch's loss terms one sentence at a time;
+the batched ``train._batch_terms`` is checked against it.
 """
 
 import math
@@ -12,7 +14,10 @@ import math
 import numpy as np
 
 from advmtl import autodiff as ad
-from advmtl.errors import ShapeError
+from advmtl import losses as L
+from advmtl import models as M
+from advmtl.autodiff import GradReversalSpec
+from advmtl.errors import ContractError, ShapeError
 
 
 def matmul_loops(a, b):
@@ -132,3 +137,51 @@ def lstm_step(x, h_prev, c_prev, W, b):
 
     pair = x.tape.record(np.stack([h, c]), (x, h_prev, c_prev, W, b), vjp)
     return ad.row(pair, 0), ad.row(pair, 1)
+
+
+def _mean(nodes):
+    return ad.scale(ad.add_n(nodes), 1.0 / len(nodes))
+
+
+def batch_terms(tape, bound, config, batch, cfg):
+    """(task CE, adversarial CE, diff) of a batch, one graph per sentence.
+
+    Each sentence runs through ``models.forward`` on its own, and each term
+    is the mean of the per-sentence terms.
+    """
+    adversarial = config.has_discriminator
+    rev = GradReversalSpec(cfg.adv_weight) if adversarial else None
+    n_classes = config.classes[batch.task]
+    task_target = L.onehot(batch.task, config.n_tasks) if adversarial else None
+    ce_nodes, adv_nodes, diff_nodes = [], [], []
+    finals = []
+    if batch.is_unlabeled:
+        if not adversarial:
+            raise ContractError("unlabeled batches require the adversarial scheme")
+        for seq in batch.sequences:
+            res = M.forward_batch(tape, bound, config, [seq], None, want_disc=False)
+            disc_probs = M.discriminate(ad.gradient_reversal(ad.row(res.s_T, 0), rev),
+                                        bound["disc.W"], bound["disc.b"])
+            adv_nodes.append(L.cross_entropy(disc_probs, task_target))
+        return None, _mean(adv_nodes), None
+    for seq, label in zip(batch.sequences, batch.labels):
+        res = M.forward(tape, bound, config, seq, batch.task,
+                        rev_spec=rev, want_disc=adversarial)
+        ce_nodes.append(L.cross_entropy(res.class_probs, L.onehot(label, n_classes)))
+        if adversarial:
+            adv_nodes.append(L.cross_entropy(res.disc_probs, task_target))
+            if cfg.diff_mode == "sentence":
+                diff_nodes.append(L.diff_loss(res.S, res.H))
+            else:
+                finals.append((res.s_T, res.h_T))
+    l_ce = _mean(ce_nodes)
+    l_adv = _mean(adv_nodes) if adv_nodes else None
+    if diff_nodes:
+        l_diff = _mean(diff_nodes)
+    elif finals:
+        S = ad.stack_rows([s for s, _ in finals])
+        H = ad.stack_rows([h for _, h in finals])
+        l_diff = ad.scale(L.diff_loss(S, H), 1.0 / len(finals))
+    else:
+        l_diff = None
+    return l_ce, l_adv, l_diff

@@ -89,6 +89,24 @@ class TestElementwise:
 
 
 class TestBackward:
+    def test_sweep_frees_the_closures_and_runs_once(self):
+        import weakref
+
+        class Kept:  # stands in for the forward values a vjp keeps
+            pass
+
+        t = Tape()
+        p = leaf(t, [1.0, 2.0])
+        kept = Kept()
+        ref = weakref.ref(kept)
+        out = t.record(p.value * 3.0, (p,), lambda g, kept=kept: (3.0 * g,))
+        del kept
+        loss = ad.sum_all(out)
+        npt.assert_array_equal(ad.backward(t, loss)[p.idx], [3.0, 3.0])
+        assert ref() is None  # freed by the sweep, not left to the cycle collector
+        with pytest.raises(ContractError):
+            ad.backward(t, loss)
+
     def test_linear_map(self):
         t = Tape()
         p = leaf(t, [1.0, 2.0, 3.0])
@@ -242,7 +260,8 @@ class TestFiniteDifferenceCheck:
 
 OPS = ["add", "add_bias", "mul", "matmul", "matvec", "sigmoid", "tanh", "log",
        "softmax", "concat0", "concat1", "transpose", "sum_all", "row",
-       "take_rows", "stack_rows"]
+       "take_rows", "stack_rows", "softmax_rows", "affine", "affine_vec", "pad_runs",
+       "take_along"]
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -307,6 +326,23 @@ def test_every_op_matches_finite_differences(op):
             a, b = t.leaf(p["a"]), t.leaf(p["b"])
             out = ad.stack_rows([a, b, a])
             nodes = {"a": a, "b": b}
+        elif op == "softmax_rows":
+            a = t.leaf(p["m1"])
+            out = ad.softmax(a)
+            nodes = {"m1": a}
+        elif op in ("affine", "affine_vec"):
+            x = t.leaf(p["m1" if op == "affine" else "a"])
+            W, b = t.leaf(p["w"]), t.leaf(p["bias2"])
+            out = ad.affine(x, W, b)
+            nodes = {"m1" if op == "affine" else "a": x, "w": W, "bias2": b}
+        elif op == "pad_runs":
+            a = t.leaf(p["m1"])
+            out = ad.pad_runs(a, [1, 2])
+            nodes = {"m1": a}
+        elif op == "take_along":
+            a = t.leaf(p["t3"])
+            out = ad.take_along(a, [2, 0])
+            nodes = {"t3": a}
         loss = ad.sum_all(ad.mul(out, out)) if out.value.shape != () else out
         if not with_grads:
             return float(loss.value), None
@@ -317,7 +353,9 @@ def test_every_op_matches_finite_differences(op):
               "bias": rng.normal(size=4),
               "m1": rng.normal(size=(3, 4)), "m2": rng.normal(size=(4, 2)),
               "m3": rng.normal(size=(3, 2)),
-              "v": rng.normal(size=4), "pos": rng.uniform(0.5, 2.0, 4)}
+              "v": rng.normal(size=4), "pos": rng.uniform(0.5, 2.0, 4),
+              "w": rng.normal(size=(2, 4)), "bias2": rng.normal(size=2),
+              "t3": rng.normal(size=(2, 3, 4))}
     if op == "add_bias":
         params["a"] = rng.normal(size=(3, 4))
     used = {"add": ["a", "b"], "add_bias": ["a", "bias"], "mul": ["a", "b"],
@@ -325,7 +363,9 @@ def test_every_op_matches_finite_differences(op):
             "sigmoid": ["a"], "tanh": ["a"], "log": ["pos"], "softmax": ["v"],
             "concat0": ["a", "b"], "concat1": ["m1", "m3"],
             "transpose": ["m1"], "sum_all": ["m1"], "row": ["m1"],
-            "take_rows": ["m1"], "stack_rows": ["a", "b"]}[op]
+            "take_rows": ["m1"], "stack_rows": ["a", "b"], "softmax_rows": ["m1"],
+            "affine": ["m1", "w", "bias2"], "affine_vec": ["a", "w", "bias2"],
+            "pad_runs": ["m1"], "take_along": ["t3"]}[op]
     err = ad.finite_difference_check(build, {k: params[k] for k in used}, 1e-5)
     assert err < 1e-4, f"{op}: max relative error {err}"
 
@@ -439,3 +479,26 @@ def test_softmax_is_distribution(n, seed):
     out = ad.softmax(t.leaf(rng.uniform(-1e3, 1e3, n)))
     assert abs(out.value.sum() - 1.0) < 1e-9
     assert np.all(out.value >= 0)
+
+
+def test_pad_runs_and_take_along_values():
+    t = Tape()
+    a = leaf(t, np.arange(8.0).reshape(4, 2))
+    padded = ad.pad_runs(a, [1, 3])
+    npt.assert_array_equal(padded.value, [[[0, 1], [0, 0], [0, 0]],
+                                          [[2, 3], [4, 5], [6, 7]]])
+    npt.assert_array_equal(ad.take_along(padded, [0, 2]).value, [[0, 1], [6, 7]])
+    with pytest.raises(ShapeError):
+        ad.pad_runs(a, [1, 2])  # lengths must cover every row
+    with pytest.raises(ShapeError):
+        ad.take_along(padded, [0, 3])
+
+
+def test_softmax_rows_are_independent_distributions():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(3, 4))
+    t = Tape()
+    out = ad.softmax(leaf(t, m))
+    for i in range(3):
+        npt.assert_allclose(out.value[i], oracles.softmax_direct(m[i].tolist()),
+                            rtol=0, atol=1e-15)

@@ -378,3 +378,46 @@ def test_console_entry_point(tmp_path):
                          str(bad), "--out", str(tmp_path / "x")],
                         capture_output=True)
     assert rc.returncode == 3
+
+
+def _edit_manifest(src, dst, **changes):
+    """Copy a checkpoint, replacing the given manifest entries."""
+    blob = Path(src).read_bytes()
+    hlen = int.from_bytes(blob[8:16], "little")
+    manifest = json.loads(blob[16:16 + hlen])
+    manifest.update(changes)
+    header = json.dumps(manifest).encode()
+    Path(dst).write_bytes(blob[:8] + len(header).to_bytes(8, "little") + header
+                          + blob[16 + hlen:])
+
+
+@pytest.mark.parametrize("changes", [{"extra": 3}, {"embeddings_trainable": None}],
+                         ids=["extra", "embeddings_trainable"])
+def test_mistyped_manifest_exits_2_without_traceback(corpus_dir, trained_dir, tmp_path,
+                                                     changes):
+    bad = tmp_path / "bad.bin"
+    _edit_manifest(trained_dir / "checkpoint.bin", bad, **changes)
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "advmtl", "eval", "--checkpoint", str(bad),
+                           "--data", str(corpus_dir)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert next(iter(changes)) in proc.stderr
+
+
+@pytest.mark.parametrize("error", ["ShapeError", "ContractError"])
+def test_shape_and_contract_errors_exit_2(monkeypatch, tmp_path, capsys, error):
+    from advmtl import errors
+
+    def fail(args):
+        raise getattr(errors, error)("operands disagree")
+
+    monkeypatch.setattr(cli, "cmd_synth", fail)
+    spec = tmp_path / "synth.cfg"
+    spec.write_text(SYNTH_SPEC)
+    assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: operands disagree\n"

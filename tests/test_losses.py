@@ -39,8 +39,7 @@ class TestCrossEntropy:
         probs = [rand_probs(rng, 3) for _ in range(4)]
         targets = [L.onehot(int(rng.integers(3)), 3) for _ in range(4)]
         t = Tape()
-        batch = ad.mean_of([L.cross_entropy(t.constant(p), y)
-                            for p, y in zip(probs, targets)])
+        batch = L.cross_entropy(t.constant(np.array(probs)), np.array(targets))
         expected = np.mean([oracles.cross_entropy_scalar(p, y)
                             for p, y in zip(probs, targets)])
         assert abs(float(batch.value) - expected) < 1e-12
@@ -213,6 +212,56 @@ class TestDiffLoss:
             return float(out.value), {"S": gm[S.idx], "H": gm[H.idx]}
 
         assert ad.finite_difference_check(loss_fn, params, 1e-5) < 1e-6
+
+
+class TestBatchedDiffLoss:
+    def test_sum_of_per_sentence_terms(self):
+        rng = np.random.default_rng(56)
+        S = rng.normal(size=(3, 5, 2))
+        H = rng.normal(size=(3, 5, 2))
+        t = Tape()
+        out = L.diff_loss(t.constant(S), t.constant(H))
+        want = sum(oracles.frobenius_sq_loops(S[b].tolist(), H[b].tolist()) for b in range(3))
+        assert abs(float(out.value) - want) < 1e-12 * max(1.0, want)
+        assert len(t) == 3  # two inputs and one loss node
+
+    def test_shape_mismatch_rejected(self):
+        t = Tape()
+        with pytest.raises(ShapeError):
+            L.diff_loss(t.constant(np.zeros((2, 4, 3))), t.constant(np.zeros((2, 5, 3))))
+        with pytest.raises(ShapeError):
+            L.diff_loss(t.constant(np.zeros((2, 4, 3))), t.constant(np.zeros((4, 3))))
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(78)
+        params = {"S": rng.normal(size=(2, 4, 3)), "H": rng.normal(size=(2, 4, 3))}
+
+        def loss_fn(p, with_grads):
+            t = Tape()
+            S, H = t.leaf(p["S"]), t.leaf(p["H"])
+            out = L.diff_loss(S, H)
+            if not with_grads:
+                return float(out.value), None
+            gm = ad.backward(t, out)
+            return float(out.value), {"S": gm[S.idx], "H": gm[H.idx]}
+
+        assert ad.finite_difference_check(loss_fn, params, 1e-5) < 1e-6
+
+
+class TestBatchedCrossEntropy:
+    def test_onehot_rows(self):
+        npt.assert_array_equal(L.onehot([2, 0], 3), [[0, 0, 1], [1, 0, 0]])
+        with pytest.raises(ConfigError):
+            L.onehot([0, 3], 3)
+
+    def test_gradient_is_the_mean_of_the_rows(self):
+        rng = np.random.default_rng(9)
+        P = np.array([rand_probs(rng, 3) for _ in range(4)])
+        Y = L.onehot([0, 2, 1, 2], 3)
+        t = Tape()
+        p = t.leaf(P)
+        g = ad.backward(t, L.cross_entropy(p, Y))[p.idx]
+        npt.assert_allclose(g, -Y / P / 4, rtol=1e-15, atol=0)
 
 
 class TestTotalLoss:

@@ -124,15 +124,37 @@ class TestEncode:
             ids = [int(v) for v in rng.integers(0, 12, size=int(rng.integers(1, 9)))]
             tape = Tape()
             res = M.forward(tape, params.bind(tape), cfg, ids, task)
-            enc = M.encode(params, cfg, ids, task)
+            enc = M.encode(params, cfg, [ids], task)
             for name in ("class_probs", "disc_probs", "s_T", "S", "h_T", "H"):
                 want, got = getattr(res, name), getattr(enc, name)
                 assert (want is None) == (got is None), name
                 if want is not None:
-                    assert got.tobytes() == want.value.tobytes(), name
-            shared_only = M.encode(params, cfg, ids)
-            assert shared_only.s_T.tobytes() == res.s_T.value.tobytes()
+                    assert got[0].tobytes() == want.value.tobytes(), name
+            shared_only = M.encode(params, cfg, [ids])
+            assert shared_only.s_T[0].tobytes() == res.s_T.value.tobytes()
             assert shared_only.class_probs is None and shared_only.H is None
+
+    @pytest.mark.parametrize("scheme", ["fs", "sp", "asp"])
+    def test_batch_equals_each_sentence_alone(self, scheme):
+        cfg = small_config(scheme, K=3, d=4, e=3, vocab=12)
+        params = M.init_model(cfg, seed=22)
+        rng = np.random.default_rng(6)
+        batch = [[int(v) for v in rng.integers(0, 12, size=n)] for n in (5, 1, 8, 3)]
+        for task in (None, 2):
+            enc = M.encode(params, cfg, batch, task)
+            assert enc.S.shape == (4, 8, cfg.hidden_size)
+            for k, ids in enumerate(batch):
+                alone = M.encode(params, cfg, [ids], task)
+                for name in ("class_probs", "disc_probs", "s_T", "h_T", "S", "H"):
+                    want, got = getattr(alone, name), getattr(enc, name)
+                    assert (want is None) == (got is None), name
+                    if want is None:
+                        continue
+                    got = got[k]
+                    if name in ("S", "H"):
+                        assert not got[len(ids):].any(), name  # zero past the length
+                        got = got[:len(ids)]
+                    npt.assert_allclose(got, want[0], rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("ids", [[], [9], [1, -1]])
     def test_bad_sentence_rejected(self, ids):
@@ -140,14 +162,14 @@ class TestEncode:
         params = M.init_model(cfg, seed=0)
         for task in (None, 0):
             with pytest.raises(InputError):
-                M.encode(params, cfg, ids, task)
+                M.encode(params, cfg, [ids], task)
 
     @pytest.mark.parametrize("task", [-1, 2])
     def test_unknown_task_rejected(self, task):
         cfg = small_config("sp")
         params = M.init_model(cfg, seed=0)
         with pytest.raises(InputError):
-            M.encode(params, cfg, [1, 2], task)
+            M.encode(params, cfg, [[1, 2]], task)
 
 
 class TestDiscriminate:
@@ -287,7 +309,9 @@ class TestCheckpoint:
                                             "tensor_without_name", "no_tensor_list",
                                             "trailing_bytes", "hidden_size", "embed_size",
                                             "vocab_size", "classes", "tensor_shape",
-                                            "nan_weight", "inf_weight", "frozen_not_a_list"])
+                                            "nan_weight", "inf_weight", "frozen_not_a_list",
+                                            "extra_not_an_object",
+                                            "trainable_not_a_bool"])
     def test_corrupt_checkpoint_is_a_format_error(self, tmp_path, corruption):
         import json
         from advmtl import cli
@@ -318,6 +342,13 @@ class TestCheckpoint:
         elif corruption == "frozen_not_a_list":
             manifest = json.loads(header)
             manifest["frozen"] = 5
+            header = json.dumps(manifest).encode()
+        elif corruption in ("extra_not_an_object", "trainable_not_a_bool"):
+            manifest = json.loads(header)
+            if corruption == "extra_not_an_object":
+                manifest["extra"] = 3
+            else:
+                manifest["embeddings_trainable"] = None
             header = json.dumps(manifest).encode()
         elif corruption == "tensor_shape":
             manifest = json.loads(header)

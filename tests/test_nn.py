@@ -88,41 +88,41 @@ class TestLstmEncode:
         W, b, xs = self._setup(5, T=1)
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
-        h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn)
+        h_T, all_h = nn.lstm_encode(t.constant(xs[None]), Wn, bn)
         d = b.shape[0] // 4
         h1, _ = oracles.lstm_step(t.constant(xs[0]), t.constant(np.zeros(d)),
                              t.constant(np.zeros(d)), Wn, bn)
-        npt.assert_allclose(h_T.value, h1.value, rtol=0, atol=1e-15)
+        npt.assert_allclose(h_T.value[0], h1.value, rtol=0, atol=1e-15)
 
     def test_zero_params_any_sequence(self):
         d, e, T = 4, 3, 5
         t = Tape()
         W, b = bind_lstm(t, np.zeros((4 * d, d + e)), np.zeros(4 * d))
-        h_T, _ = nn.lstm_encode(t.constant(np.random.default_rng(0).normal(size=(T, e))),
+        h_T, _ = nn.lstm_encode(t.constant(np.random.default_rng(0).normal(size=(1, T, e))),
                                 W, b)
-        npt.assert_array_equal(h_T.value, np.zeros(d))
+        npt.assert_array_equal(h_T.value[0], np.zeros(d))
 
     def test_chained_oracle_T3(self):
         W, b, xs = self._setup(77, T=3)
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
-        h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn)
+        h_T, all_h = nn.lstm_encode(t.constant(xs[None]), Wn, bn)
         oh, oall = oracles.lstm_encode_loops(xs.tolist(), W.tolist(), b.tolist())
-        npt.assert_allclose(h_T.value, oh, rtol=0, atol=1e-12)
-        npt.assert_allclose(all_h.value, oall, rtol=0, atol=1e-12)
+        npt.assert_allclose(h_T.value[0], oh, rtol=0, atol=1e-12)
+        npt.assert_allclose(all_h.value[0], oall, rtol=0, atol=1e-12)
 
     def test_last_row_equals_final_state(self):
         W, b, xs = self._setup(6, T=7)
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
-        h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn)
-        npt.assert_array_equal(all_h.value[-1], h_T.value)
+        h_T, all_h = nn.lstm_encode(t.constant(xs[None]), Wn, bn)
+        npt.assert_array_equal(all_h.value[0, -1], h_T.value[0])
 
     def test_empty_sequence_rejected(self):
         t = Tape()
         W, b = bind_lstm(t, np.zeros((12, 5)), np.zeros(12))
         with pytest.raises(InputError):
-            nn.lstm_encode(t.constant(np.zeros((0, 2))), W, b)
+            nn.lstm_encode(t.constant(np.zeros((1, 0, 2))), W, b)
 
     @pytest.mark.parametrize("T", [1, 3, 7])
     def test_gradients_match_finite_differences(self, T):
@@ -130,7 +130,7 @@ class TestLstmEncode:
         d, e = 3, 2
         params = {"W": rng.uniform(-0.7, 0.7, (4 * d, d + e)),
                   "b": rng.uniform(-0.7, 0.7, 4 * d),
-                  "xs": rng.uniform(-1, 1, (T, e))}
+                  "xs": rng.uniform(-1, 1, (1, T, e))}
 
         def loss_fn(p, with_grads):
             t = Tape()
@@ -149,9 +149,9 @@ class TestLstmEncode:
         d, e, T = 2, 2, 3
         params = {"W": rng.uniform(-0.7, 0.7, (4 * d, d + e)),
                   "b": rng.uniform(-0.7, 0.7, 4 * d),
-                  "xs": rng.uniform(-1, 1, (T, e)),
-                  "h0": rng.uniform(-1, 1, d),
-                  "c0": rng.uniform(-1, 1, d)}
+                  "xs": rng.uniform(-1, 1, (1, T, e)),
+                  "h0": rng.uniform(-1, 1, (1, d)),
+                  "c0": rng.uniform(-1, 1, (1, d))}
 
         def loss_fn(p, with_grads):
             t = Tape()
@@ -165,6 +165,85 @@ class TestLstmEncode:
             return float(out.value), {k: gm[n.idx] for k, n in nodes.items()}
 
         assert ad.finite_difference_check(loss_fn, params, 1e-5) < 1e-4
+
+
+class TestBatchedLstm:
+    LENGTHS = [3, 1, 5]  # ragged and unsorted
+
+    def _setup(self, seed, d=3, e=2):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(-0.8, 0.8, (4 * d, d + e)), rng.uniform(-0.8, 0.8, 4 * d),
+                rng.uniform(-1, 1, (len(self.LENGTHS), max(self.LENGTHS), e)))
+
+    def test_each_sentence_as_if_alone(self):
+        W, b, xs = self._setup(3)
+        H = nn.lstm_states(xs, W, b, self.LENGTHS)
+        for k, n in enumerate(self.LENGTHS):
+            alone = nn.lstm_states(xs[k:k + 1, :n], W, b)[0]
+            npt.assert_allclose(H[k, :n], alone, rtol=0, atol=1e-15)
+            _, oall = oracles.lstm_encode_loops(xs[k, :n].tolist(), W.tolist(), b.tolist())
+            npt.assert_allclose(H[k, :n], oall, rtol=0, atol=1e-12)
+            assert not H[k, n:].any()  # zero past the length
+
+    def test_final_state_at_each_length(self):
+        W, b, xs = self._setup(4)
+        t = Tape()
+        Wn, bn = bind_lstm(t, W, b)
+        h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn, self.LENGTHS)
+        for k, n in enumerate(self.LENGTHS):
+            assert h_T.value[k].tobytes() == all_h.value[k, n - 1].tobytes()
+
+    def test_padded_inputs_are_never_read(self):
+        W, b, xs = self._setup(5)
+        noisy = xs.copy()
+        for k, n in enumerate(self.LENGTHS):
+            noisy[k, n:] = 1e3
+        assert (nn.lstm_states(noisy, W, b, self.LENGTHS).tobytes()
+                == nn.lstm_states(xs, W, b, self.LENGTHS).tobytes())
+
+    def test_bad_lengths_rejected(self):
+        W, b, xs = self._setup(6)
+        with pytest.raises(ShapeError):
+            nn.lstm_states(xs, W, b, [3, 1, 6])  # longer than T
+        with pytest.raises(ShapeError):
+            nn.lstm_states(xs, W, b, [3, 1])
+        with pytest.raises(InputError):
+            nn.lstm_states(xs, W, b, [3, 0, 5])
+
+    def test_gradients_match_finite_differences(self):
+        W, b, xs = self._setup(7)
+        params = {"xs": xs, "W": W, "b": b}
+
+        def loss_fn(p, with_grads):
+            t = Tape()
+            nodes = {k: t.leaf(v) for k, v in p.items()}
+            h_T, all_h = nn.lstm_encode(nodes["xs"], nodes["W"], nodes["b"], self.LENGTHS)
+            out = ad.add(ad.sum_all(ad.mul(h_T, h_T)), ad.sum_all(ad.tanh(all_h)))
+            if not with_grads:
+                return float(out.value), None
+            gm = ad.backward(t, out)
+            return float(out.value), {k: gm[n.idx] for k, n in nodes.items()}
+
+        assert ad.finite_difference_check(loss_fn, params, 1e-5) < 1e-4
+        grads = loss_fn(params, True)[1]
+        for k, n in enumerate(self.LENGTHS):
+            assert not grads["xs"][k, n:].any()  # padded steps get exactly zero
+
+    def test_weight_gradient_is_the_sum_over_sentences(self):
+        W, b, xs = self._setup(8)
+
+        def grads(batch, lengths):
+            t = Tape()
+            Wn, bn = bind_lstm(t, W, b)
+            h_T, all_h = nn.lstm_encode(t.constant(batch), Wn, bn, lengths)
+            gm = ad.backward(t, ad.add(ad.sum_all(ad.mul(h_T, h_T)),
+                                       ad.sum_all(ad.tanh(all_h))))
+            return gm[Wn.idx], gm[bn.idx]
+
+        dW, db = grads(xs, self.LENGTHS)
+        alone = [grads(xs[k:k + 1, :n], None) for k, n in enumerate(self.LENGTHS)]
+        npt.assert_allclose(dW, sum(g for g, _ in alone), rtol=0, atol=1e-14)
+        npt.assert_allclose(db, sum(g for _, g in alone), rtol=0, atol=1e-14)
 
 
 class TestSoftmaxHead:
@@ -242,12 +321,25 @@ class TestEmbeddings:
     def test_lookup_and_oov_guard(self):
         t = Tape()
         table = t.leaf(np.arange(12, dtype=float).reshape(4, 3))
-        out = nn.embed_sequence(table, [1, 0, 1])
-        npt.assert_array_equal(out.value, [[3, 4, 5], [0, 1, 2], [3, 4, 5]])
+        out, lengths = nn.embed_batch(table, [[1, 0, 1]])
+        npt.assert_array_equal(out.value[0], [[3, 4, 5], [0, 1, 2], [3, 4, 5]])
         with pytest.raises(InputError):
-            nn.embed_sequence(table, [4])
+            nn.embed_batch(table, [[4]])
         with pytest.raises(InputError):
-            nn.embed_sequence(table, [])
+            nn.embed_batch(table, [[]])
+
+    def test_batch_looks_up_only_real_tokens(self):
+        t = Tape()
+        table = t.leaf(np.arange(12, dtype=float).reshape(4, 3))
+        xs, lengths = nn.embed_batch(table, [[2], [0, 3, 0]])
+        npt.assert_array_equal(lengths, [1, 3])
+        npt.assert_array_equal(xs.value[0], [[6, 7, 8], [0, 0, 0], [0, 0, 0]])
+        npt.assert_array_equal(xs.value[1], [[0, 1, 2], [9, 10, 11], [0, 1, 2]])
+        grad = ad.backward(t, ad.sum_all(xs))[table.idx]
+        npt.assert_array_equal(grad.ids, [0, 2, 3])
+        npt.assert_array_equal(grad.rows, np.repeat([[2.0], [1.0], [1.0]], 3, axis=1))
+        with pytest.raises(InputError):
+            nn.embed_batch(table, [])
 
     def test_load_embeddings_text(self, tmp_path):
         path = tmp_path / "vecs.txt"

@@ -8,17 +8,17 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _run_desk(trace):
+def _run(workload, trace):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload",
-         "desk-asp", "--seed", "1", "--seconds", "1", "--trace", str(trace)],
+         workload, "--seed", "1", "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc, json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_desk_workload_runs_correctly():
-    proc, result = _run_desk(trace=0)
+    proc, result = _run("desk-asp", trace=0)
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] > 0
     assert "probability check skipped" not in proc.stdout
@@ -26,6 +26,13 @@ def test_desk_workload_runs_correctly():
 
 def test_traced_desk_workload_reads_every_gradient():
     # the tracer reads nbytes, size, itemsize and count_nonzero of each gradient
-    _, result = _run_desk(trace=1)
+    _, result = _run("desk-asp", trace=1)
+    assert result["correct"] and result["failed"] == 0
+    assert result["attempted"] > 0
+
+
+def test_read_path_workload_runs_correctly():
+    # batched inference: evaluate's error rates equal the reference's
+    _, result = _run("eval-probe", trace=0)
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] > 0

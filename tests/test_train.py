@@ -10,6 +10,7 @@ from advmtl import train as T
 from advmtl.autodiff import Tape
 from advmtl.errors import ConfigError, ContractError, InputError, NumericError
 
+import oracles
 
 def toy_task(seed=0, n_train=200, n_dev=100, n_test=100, name="toy"):
     """Linearly separable single task: all tokens share the sentence's sign."""
@@ -170,7 +171,117 @@ class TestPrunedBackward:
         assert "embeddings" not in self._grads(freeze_embeddings=True)
         assert calls == []
         assert "embeddings" in self._grads(freeze_embeddings=False)
-        assert len(calls) == 4
+        assert len(calls) == 1  # one lookup for the whole batch
+
+
+def ragged_corpus(seed=2, unlabeled=0):
+    """Two synthetic tasks whose sentences have 4 to 9 tokens."""
+    spec = D.SynthSpec(tasks=2, sentences_per_task=40, unlabeled_per_task=unlabeled,
+                       min_len=4, max_len=9, seed=seed)
+    corpus, vocab = D.encode_corpus(D.generate_synthetic(spec)[0])
+    return corpus, vocab, tuple(sorted(corpus))
+
+
+class TestBatchedTerms:
+    """One graph per batch gives the per-sentence oracle's losses and gradients."""
+
+    def _model(self, scheme):
+        corpus, vocab, names = ragged_corpus()
+        config = M.ModelConfig(scheme=scheme, task_names=names, classes=(2, 2),
+                               hidden_size=4, embed_size=3, vocab_size=len(vocab))
+        return M.init_model(config, seed=3), config, corpus, names
+
+    def _batch(self, corpus, names, size, unlabeled):
+        train = corpus[names[1]].train
+        if size == "one":
+            seqs, labels = [train[0].tokens], [train[0].label]
+        else:  # ragged, with a one-token sentence in the middle
+            seqs = [e.tokens for e in train[:5]]
+            seqs.insert(2, train[5].tokens[:1])
+            labels = [e.label for e in train[:6]]
+        assert size == "one" or len({len(q) for q in seqs}) > 2
+        return D.Batch(task=1, sequences=seqs, labels=None if unlabeled else labels,
+                       is_unlabeled=unlabeled)
+
+    def _terms(self, build, params, config, batch, cfg):
+        tape = Tape()
+        bound = params.bind(tape)
+        terms = build(tape, bound, config, batch, cfg)
+        total = T._combine(tape, *terms, batch.task, cfg)
+        return terms, total, T._leaf_grads(tape, bound, total)
+
+    @pytest.mark.parametrize("size", ["ragged", "one"])
+    @pytest.mark.parametrize("unlabeled", [False, True])
+    @pytest.mark.parametrize("diff_mode", ["sentence", "batch"])
+    @pytest.mark.parametrize("scheme", ["fs", "sp", "asp"])
+    def test_matches_per_sentence_oracle(self, scheme, diff_mode, unlabeled, size):
+        params, config, corpus, names = self._model(scheme)
+        batch = self._batch(corpus, names, size, unlabeled)
+        cfg = T.TrainConfig(adv_weight=0.3, diff_weight=0.7, diff_mode=diff_mode, seed=0)
+        if unlabeled and scheme != "asp":
+            for build in (T._batch_terms, oracles.batch_terms):
+                with pytest.raises(ContractError):
+                    self._terms(build, params, config, batch, cfg)
+            return
+        terms, total, grads = self._terms(T._batch_terms, params, config, batch, cfg)
+        want_terms, want_total, want = self._terms(oracles.batch_terms, params, config,
+                                                   batch, cfg)
+        for got_t, want_t in zip(terms, want_terms):
+            assert (got_t is None) == (want_t is None)
+            if got_t is not None:
+                assert abs(float(got_t.value) - float(want_t.value)) < 1e-10
+        assert abs(float(total.value) - float(want_total.value)) < 1e-10
+        assert set(grads) == set(want)
+        for name, g in grads.items():
+            npt.assert_allclose(np.asarray(g), np.asarray(want[name]), rtol=0, atol=1e-10,
+                                err_msg=name)
+        npt.assert_array_equal(grads["embeddings"].ids, want["embeddings"].ids)
+
+    def test_one_graph_per_batch(self):
+        params, config, corpus, names = self._model("asp")
+        batch = self._batch(corpus, names, "ragged", False)
+        tape = Tape()
+        bound = params.bind(tape)
+        T._combine(tape, *T._batch_terms(tape, bound, config, batch, T.TrainConfig()), 1,
+                   T.TrainConfig())
+        assert len(tape) - len(bound) < 40  # per-sentence graphs took over 150 nodes
+
+    def test_padding_reaches_no_gradient(self):
+        params, config, corpus, names = self._model("asp")
+        batch = self._batch(corpus, names, "ragged", False)
+        real = np.unique(np.concatenate(batch.sequences))
+        assert D.PAD_ID not in real
+        terms, total, grads = self._terms(T._batch_terms, params, config, batch,
+                                          T.TrainConfig())
+        npt.assert_array_equal(grads["embeddings"].ids, real)
+        # the table row a padding token would read changes nothing
+        params.embeddings.matrix[D.PAD_ID] = 7.0
+        _, total2, grads2 = self._terms(T._batch_terms, params, config, batch,
+                                        T.TrainConfig())
+        assert total2.value.tobytes() == total.value.tobytes()
+        for name, g in grads.items():
+            assert np.asarray(grads2[name]).tobytes() == np.asarray(g).tobytes(), name
+        # id 0 is an ordinary token when a sentence holds it
+        batch.sequences[0] = [D.PAD_ID] + batch.sequences[0]
+        _, total3, grads3 = self._terms(T._batch_terms, params, config, batch,
+                                        T.TrainConfig())
+        assert D.PAD_ID in grads3["embeddings"].ids
+        assert total3.value != total.value
+
+    def test_ragged_training_is_bitwise_deterministic(self, tmp_path):
+        corpus, vocab, names = ragged_corpus(seed=4, unlabeled=20)
+
+        def run(path):
+            config = M.ModelConfig(scheme="asp", task_names=names, classes=(2, 2),
+                                   hidden_size=5, embed_size=4, vocab_size=len(vocab))
+            params = M.init_model(config, seed=2)
+            cfg = T.TrainConfig(learning_rate=0.2, max_epochs=2, patience=2, seed=4,
+                                batch_size=6, use_unlabeled=True)
+            best, _ = T.train_multitask(params, config, corpus, cfg)
+            M.save_checkpoint(path, best, config)
+            return path.read_bytes()
+
+        assert run(tmp_path / "a.bin") == run(tmp_path / "b.bin")
 
 
 class TestTrainingLoop:
@@ -225,6 +336,23 @@ class TestTrainingLoop:
         assert hist.best_epoch == int(np.argmin(per_epoch))
         err_now = T.evaluate(best, config, ds.dev, 0)
         assert abs(err_now - min(per_epoch)) < 1e-12
+
+    def test_best_checkpoint_is_a_refreshed_copy(self):
+        ds = toy_task()
+        cfg = T.TrainConfig(learning_rate=0.5, max_epochs=3, patience=3, seed=1)
+        params, config = toy_model()
+        best, hist = T.train_multitask(params, config, {"toy": ds}, cfg)
+        # improved after epoch 1, not after epoch 2: the copy is refreshed, then kept
+        assert hist.best_epoch == 1 and len(hist.records) == 3
+        for name, arr in best.named_tensors().items():
+            assert not np.shares_memory(arr, params.named_tensors()[name]), name
+        # the same bytes as the model trained up to the best epoch and no further
+        at_best, _ = toy_model()
+        T.train_multitask(at_best, config, {"toy": ds},
+                          T.TrainConfig(learning_rate=0.5, max_epochs=hist.best_epoch + 1,
+                                        patience=3, seed=1))
+        for name, arr in best.named_tensors().items():
+            assert arr.tobytes() == at_best.named_tensors()[name].tobytes(), name
 
     def test_divergence_aborts_retaining_checkpoint(self):
         # saturating gates and the clamped log keep honest runs finite, so
