@@ -31,6 +31,11 @@ CHECKPOINT_MAGIC = b"ADVMTL01"
 CHECKPOINT_VERSION = 1
 
 
+def _is_int(value) -> bool:
+    """A plain int: a float such as ``2.0`` or a bool compares equal to one but is no size."""
+    return type(value) is int
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     scheme: str
@@ -49,6 +54,12 @@ class ModelConfig:
             raise ConfigError("at least one task required")
         if self.scheme == "asp" and len(self.task_names) < 2:
             raise ConfigError("adversarial scheme needs at least 2 tasks")
+        sizes = {"hidden_size": self.hidden_size, "embed_size": self.embed_size,
+                 "vocab_size": self.vocab_size,
+                 **{f"classes[{k}]": c for k, c in enumerate(self.classes)}}
+        for name, value in sizes.items():
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if any(c < 2 for c in self.classes):
             raise ConfigError("each task needs at least 2 classes")
         if min(self.hidden_size, self.embed_size) < 1 or self.vocab_size < 2:
@@ -412,6 +423,8 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
                 specs.append((spec["name"], tuple(spec["shape"])))
             except (KeyError, TypeError):
                 raise DataFormatError(f"{path}: malformed tensor entry {spec!r}") from None
+            if not all(_is_int(n) for n in specs[-1][1]):
+                raise DataFormatError(f"{path}: non-integer shape in tensor entry {spec!r}")
         try:
             config = ModelConfig(scheme=manifest["scheme"],
                                  task_names=tuple(manifest["task_names"]),

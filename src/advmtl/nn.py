@@ -68,31 +68,36 @@ def init_lstm(rng: np.random.Generator, hidden: int, embed: int) -> LstmParams:
                       b=uniform_init(rng, 4 * hidden))
 
 
-def lstm_states(X: Tensor, W: Tensor, b: Tensor, lengths=None,
-                h0: Tensor | None = None, c0: Tensor | None = None) -> Tensor:
+def lstm_states(X: Tensor, W: Tensor, b: Tensor, lengths=None) -> Tensor:
     """Hidden states ``[B, T, d]`` of the LSTM folded over each sentence of ``X``.
 
     ``X`` is ``[B, T, e]``; sentence ``k`` is its first ``lengths[k]`` rows
-    (default: all ``T``). Past its length a sentence's state is frozen: its
-    output rows are zero and its final state, ``H[k, lengths[k] - 1]``, is
-    the state at its last real token. Initial states ``[B, d]`` default to
-    zeros. :func:`lstm_encode` records this fold as one tape node.
+    (default: all ``T``), and its initial state is zero. Past its length a
+    sentence's state is frozen: its output rows are zero and its final
+    state, ``H[k, lengths[k] - 1]``, is the state at its last real token.
+    :func:`lstm_encode` records this fold as one tape node.
     """
-    return _LstmFold(X, W, b, lengths, h0, c0).outputs()
+    return _LstmFold(X, W, b, lengths).outputs()
 
 
 class _LstmFold:
     """The forward values of one LSTM fold, kept for its backward rule.
 
-    The batch is folded sorted by length, longest first and in time-major
-    ``[T, B, ...]`` arrays, so the sentences still running at step ``t`` are
-    the first ``active[t]`` rows: each step computes only those, and the
-    rest stay as they are. Rows a step does not compute are zero in every
-    stored array and in the gate gradients, so they contribute nothing to
-    any product and the backward rule's whole-array factors stay finite.
+    The fold runs on packed rows, the layout of a packed sequence: the
+    batch sorted by length, longest first, then time-major, keeping only
+    the real tokens. Step ``t`` is the row slice ``offs[t] : offs[t] +
+    active[t]``, and the sentences still running at step ``t`` are the
+    first ``active[t]`` rows of step ``t - 1``, so each step's previous
+    state is a prefix of the previous slice. Every array the fold computes
+    has exactly ``sum(lengths)`` rows: no padded slot enters any product.
+
+    The three sigmoid blocks of every pre-activation are computed halved
+    (their columns of the recurrent weight and of the input term are scaled
+    by 0.5, which is exact), since ``sigm(x) = 0.5 * tanh(x / 2) + 0.5``:
+    each step then runs one ``tanh`` over all four gate blocks.
     """
 
-    def __init__(self, X, W, b, lengths, h0, c0):
+    def __init__(self, X, W, b, lengths):
         if X.ndim != 3:
             raise ShapeError(f"lstm_encode: expected [B, T, e] inputs, got {X.shape}")
         B, T, e = X.shape
@@ -106,107 +111,105 @@ class _LstmFold:
             raise ShapeError(f"lstm_encode: lengths {lengths} for inputs of shape {X.shape}")
         if lengths.min() < 1:
             raise InputError("lstm_encode: empty sequence")
-        h0 = np.zeros((B, d)) if h0 is None else h0
-        c0 = np.zeros((B, d)) if c0 is None else c0
-        if h0.shape != (B, d) or c0.shape != (B, d):
-            raise ShapeError(
-                f"lstm_encode: initial state shapes {h0.shape}/{c0.shape}, expected {(B, d)}")
 
-        self.lengths = lengths
-        self.order = np.argsort(-lengths, kind="stable")
-        self.unsort = np.argsort(self.order)
-        self.active = [int(n) for n in np.count_nonzero(lengths[:, None] > np.arange(T), axis=0)]
-        self.d, self.e, self.W = d, e, W
-        self.h0, self.c0 = h0[self.order], c0[self.order]
-        # time-major, sorted: the x half of every step's [x; h_prev] input
-        self.X = np.ascontiguousarray(X[self.order].transpose(1, 0, 2))
-        pre_x = self.X.reshape(T * B, e) @ W[:, :e].T
-        pre_x += b
-        pre_x = pre_x.reshape(T, B, 4 * d)
-        W_hT = W[:, e:].T
-        self.H = np.zeros((T, B, d))
-        self.C = np.zeros((T, B, d))
-        self.cbar = np.zeros((T, B, d))
-        self.gates = np.zeros((T, B, 3 * d))  # o, i, f
-        self.tanh_C = np.zeros((T, B, d))
-        h_prev, c_prev = self.h0, self.c0
+        order = np.argsort(-lengths, kind="stable")
+        steps = np.arange(lengths.max())[:, None]
+        running = lengths[order] > steps  # [step, sorted position]
+        self.lengths, self.shape, self.d, self.W = lengths, (B, T), d, W
+        self.active = [int(n) for n in running.sum(axis=1)]
+        self.offs = [0, *itertools.accumulate(self.active)]
+        # the flat [B * T] slot of each packed row
+        self.rows = (order * T + steps)[running]
+        self.X = X.reshape(B * T, e)[self.rows]
+        # gate pre-activations, then (in place, step by step) their activations
+        self.Z = self.X @ W[:, :e].T
+        self.Z += b
+        self.Z[:, d:] *= 0.5
+        W_hT = W[:, e:].T.copy()
+        W_hT[:, d:] *= 0.5
+        N = len(self.rows)
+        self.H, self.C, self.tanh_C = np.empty((N, d)), np.empty((N, d)), np.empty((N, d))
         for t, n in enumerate(self.active):
-            pre = pre_x[t, :n] + h_prev[:n] @ W_hT
-            cbar = np.tanh(pre[:, :d], out=self.cbar[t, :n])
-            gates = self.gates[t, :n]
-            gates[...] = ad._stable_sigmoid(pre[:, d:])
-            o, i, f = gates[:, :d], gates[:, d:2 * d], gates[:, 2 * d:]
-            c = np.multiply(cbar, i, out=self.C[t, :n])
-            c += c_prev[:n] * f
-            tc = np.tanh(c, out=self.tanh_C[t, :n])
-            np.multiply(o, tc, out=self.H[t, :n])
-            h_prev, c_prev = self.H[t], self.C[t]
+            r = slice(self.offs[t], self.offs[t + 1])
+            z = self.Z[r]
+            if t:  # the state at step 0 is zero
+                p = slice(self.offs[t - 1], self.offs[t - 1] + n)
+                z += self.H[p] @ W_hT
+            np.tanh(z, out=z)
+            gates = z[:, d:]
+            gates *= 0.5
+            gates += 0.5
+            cbar, o, i, f = (z[:, k * d:(k + 1) * d] for k in range(4))
+            c = np.multiply(cbar, i, out=self.C[r])
+            if t:
+                c += self.C[p] * f
+            tc = np.tanh(c, out=self.tanh_C[r])
+            np.multiply(o, tc, out=self.H[r])
+
+    def _scatter(self, packed: Tensor) -> Tensor:
+        """``[B, T, k]`` array holding the packed rows in their slots and zeros elsewhere."""
+        out = np.zeros((self.shape[0] * self.shape[1], packed.shape[1]))
+        out[self.rows] = packed
+        return out.reshape(*self.shape, packed.shape[1])
 
     def outputs(self) -> Tensor:
         """``[B, T, d]`` hidden states in the caller's sentence order."""
-        return self.H.transpose(1, 0, 2)[self.unsort]
+        return self._scatter(self.H)
 
     def backward(self, g: Tensor) -> tuple:
-        """Gradients of (inputs, W, b, h0, c0) from the gradient of :meth:`outputs`."""
-        d, e, W = self.d, self.e, self.W
-        T, B = self.H.shape[:2]
-        g = g[self.order].transpose(1, 0, 2)
-        zs = np.empty((T, B, e + d))  # the [x; h_prev] input of every step
-        zs[:, :, :e] = self.X
-        zs[0, :, e:] = self.h0
-        zs[1:, :, e:] = self.H[:-1]
-        o, i, f = (self.gates[:, :, k * d:(k + 1) * d] for k in range(3))
-        cbar, tc = self.cbar, self.tanh_C
-        c_prev = np.concatenate([self.c0[None], self.C[:-1]])
-        # each step's gate-gradient factors in block order cbar, o, i, f: the
+        """Gradients of (inputs, W, b) from the gradient of :meth:`outputs`."""
+        d, W, active, offs = self.d, self.W, self.active, self.offs
+        N, e = self.X.shape
+        g = g.reshape(-1, d)[self.rows]
+        # the [x; h_prev] input and c_prev of every row, zero at step 0; a
+        # row of step t > 0 follows its sentence's row by active[t - 1]
+        n0, counts = active[0], np.array(active)
+        prev = np.arange(n0, N) - np.repeat(counts[:-1], counts[1:])
+        zs = np.empty((N, e + d))
+        zs[:, :e] = self.X
+        zs[:n0, e:] = 0.0
+        zs[n0:, e:] = self.H[prev]
+        c_prev = np.zeros((N, d))
+        c_prev[n0:] = self.C[prev]
+        cbar, o, i, f = (self.Z[:, k * d:(k + 1) * d] for k in range(4))
+        tc = self.tanh_C
+        # each row's gate-gradient factors in block order cbar, o, i, f: the
         # o block scales the step's dh, the other three its dc
         local = np.stack([i * (1.0 - cbar * cbar), tc * o * (1.0 - o),
-                          cbar * i * (1.0 - i), c_prev * f * (1.0 - f)], axis=2)
+                          cbar * i * (1.0 - i), c_prev * f * (1.0 - f)], axis=1)
         dc_dh = o * (1.0 - tc * tc)
-        ga_all = np.zeros((T, B, 4, d))
-        dX = np.zeros((T, B, e))
-        dh = np.zeros((B, d))
-        dc = np.zeros((B, d))
-        for t in range(T - 1, -1, -1):
-            n = self.active[t]
-            dh_t = dh[:n] + g[t, :n]
-            gc = dc[:n] + dh_t * dc_dh[t, :n]
-            ga = np.multiply(local[t, :n], gc[:, None], out=ga_all[t, :n])
-            np.multiply(local[t, :n, 1], dh_t, out=ga[:, 1])
-            gz = ga.reshape(n, 4 * d) @ W
-            dX[t, :n] = gz[:, :e]
-            dh[:n] = gz[:, e:]
-            np.multiply(gc, f[t, :n], out=dc[:n])
-        ga_rows = ga_all.reshape(T * B, 4 * d)
-        dW = ga_rows.T @ zs.reshape(T * B, e + d)
+        W_h = np.ascontiguousarray(W[:, e:])
+        ga_all = np.empty((N, 4, d))
+        dh, dc = np.zeros((n0, d)), np.zeros((n0, d))
+        for t in range(len(active) - 1, -1, -1):
+            n, r = active[t], slice(offs[t], offs[t + 1])
+            dh_t = dh[:n] + g[r]
+            gc = dc[:n] + dh_t * dc_dh[r]
+            ga = np.multiply(local[r], gc[:, None], out=ga_all[r])
+            np.multiply(local[r, 1], dh_t, out=ga[:, 1])
+            if t:  # only dh is recurrent: dX is one product after the loop
+                np.matmul(ga.reshape(n, 4 * d), W_h, out=dh[:n])
+                np.multiply(gc, f[r], out=dc[:n])
+        ga_rows = ga_all.reshape(N, 4 * d)
+        dW = ga_rows.T @ zs
         db = ga_rows.sum(axis=0)
-        u = self.unsort
-        return dX.transpose(1, 0, 2)[u], dW, db, dh[u], dc[u]
+        return self._scatter(ga_rows @ W[:, :e]), dW, db
 
 
-def lstm_encode(xs: Node, W: Node, b: Node, lengths=None,
-                h0: Node | None = None, c0: Node | None = None) -> tuple[Node, Node]:
+def lstm_encode(xs: Node, W: Node, b: Node, lengths=None) -> tuple[Node, Node]:
     """Fold the LSTM over each sentence of ``xs`` ([B, T, e]); returns (h_T [B, d], all_h [B, T, d]).
 
     Sentence ``k`` is its first ``lengths[k]`` rows (default: all ``T``);
     ``h_T[k]`` is its state at its last real token, and ``all_h`` is zero
     past each length, as in :func:`lstm_states`. The whole batch is one tape
-    node whose backward rule runs one batched BPTT loop and accumulates the
-    weight gradient as a single matrix product over all B*T steps; padded
-    steps contribute exactly zero to every gradient. Initial states
-    ``[B, d]`` default to zeros. Its gradients are finite-difference checked
-    and agree with chaining single LSTM steps.
+    node whose backward rule runs one batched BPTT loop over the packed rows
+    that computes only the recurrent ``dh``; the input and weight gradients
+    are then one matrix product each over the ``sum(lengths)`` real steps,
+    and padded steps get exactly zero. Its gradients are finite-difference
+    checked and agree with chaining single LSTM steps.
     """
-    fold = _LstmFold(xs.value, W.value, b.value, lengths,
-                     None if h0 is None else h0.value, None if c0 is None else c0.value)
-    parents = (xs, W, b) + tuple(n for n in (h0, c0) if n is not None)
-    grads = (0, 1, 2) + tuple(k for k, n in ((3, h0), (4, c0)) if n is not None)
-
-    def vjp(g):
-        out = fold.backward(g)
-        return tuple(out[k] for k in grads)
-
-    all_h = xs.tape.record(fold.outputs(), parents, vjp)
+    fold = _LstmFold(xs.value, W.value, b.value, lengths)
+    all_h = xs.tape.record(fold.outputs(), (xs, W, b), fold.backward)
     return ad.take_along(all_h, fold.lengths - 1), all_h
 
 

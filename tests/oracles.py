@@ -5,6 +5,8 @@ deliberately written with explicit scalar loops and the math library,
 sharing no code with the package under test. :func:`lstm_step` is one LSTM
 timestep as a tape node with a hand-derived backward rule; the fused
 sequence encoder ``nn.lstm_encode`` is checked against it.
+:class:`PaddedLstmFold` is the padded ``[T, B]`` fold that the packed
+``nn._LstmFold`` replaced; the packed fold is checked against it.
 :func:`batch_terms` builds a batch's loss terms one sentence at a time;
 the batched ``train._batch_terms`` is checked against it.
 """
@@ -141,6 +143,83 @@ def lstm_step(x, h_prev, c_prev, W, b):
 
 def _mean(nodes):
     return ad.scale(ad.add_n(nodes), 1.0 / len(nodes))
+
+
+class PaddedLstmFold:
+    """The LSTM fold over a padded, length-sorted, time-major ``[T, B]`` batch.
+
+    Same contract as ``nn._LstmFold`` (zero initial state, zero rows past
+    each length): every step reads the full ``[T, B]`` arrays, padded slots
+    being zero, the recurrent weight is a strided view of ``W``, and the
+    BPTT loop computes the whole ``[x; h_prev]`` gradient at every step.
+    """
+
+    def __init__(self, X, W, b, lengths):
+        B, T, e = X.shape
+        d = b.shape[0] // 4
+        lengths = np.asarray(lengths, dtype=np.intp)
+        self.order = np.argsort(-lengths, kind="stable")
+        self.unsort = np.argsort(self.order)
+        self.active = [int(n) for n in np.count_nonzero(lengths[:, None] > np.arange(T), axis=0)]
+        self.d, self.e, self.W = d, e, W
+        self.X = np.ascontiguousarray(X[self.order].transpose(1, 0, 2))
+        pre_x = self.X.reshape(T * B, e) @ W[:, :e].T
+        pre_x += b
+        pre_x = pre_x.reshape(T, B, 4 * d)
+        W_hT = W[:, e:].T
+        self.H = np.zeros((T, B, d))
+        self.C = np.zeros((T, B, d))
+        self.cbar = np.zeros((T, B, d))
+        self.gates = np.zeros((T, B, 3 * d))  # o, i, f
+        self.tanh_C = np.zeros((T, B, d))
+        h_prev, c_prev = np.zeros((B, d)), np.zeros((B, d))
+        for t, n in enumerate(self.active):
+            pre = pre_x[t, :n] + h_prev[:n] @ W_hT
+            cbar = np.tanh(pre[:, :d], out=self.cbar[t, :n])
+            gates = self.gates[t, :n]
+            gates[...] = ad._stable_sigmoid(pre[:, d:])
+            o, i, f = gates[:, :d], gates[:, d:2 * d], gates[:, 2 * d:]
+            c = np.multiply(cbar, i, out=self.C[t, :n])
+            c += c_prev[:n] * f
+            tc = np.tanh(c, out=self.tanh_C[t, :n])
+            np.multiply(o, tc, out=self.H[t, :n])
+            h_prev, c_prev = self.H[t], self.C[t]
+
+    def outputs(self):
+        return self.H.transpose(1, 0, 2)[self.unsort]
+
+    def backward(self, g):
+        """Gradients of (inputs, W, b) from the gradient of :meth:`outputs`."""
+        d, e, W = self.d, self.e, self.W
+        T, B = self.H.shape[:2]
+        g = g[self.order].transpose(1, 0, 2)
+        zs = np.zeros((T, B, e + d))  # the [x; h_prev] input of every step
+        zs[:, :, :e] = self.X
+        zs[1:, :, e:] = self.H[:-1]
+        o, i, f = (self.gates[:, :, k * d:(k + 1) * d] for k in range(3))
+        cbar, tc = self.cbar, self.tanh_C
+        c_prev = np.concatenate([np.zeros((1, B, d)), self.C[:-1]])
+        local = np.stack([i * (1.0 - cbar * cbar), tc * o * (1.0 - o),
+                          cbar * i * (1.0 - i), c_prev * f * (1.0 - f)], axis=2)
+        dc_dh = o * (1.0 - tc * tc)
+        ga_all = np.zeros((T, B, 4, d))
+        dX = np.zeros((T, B, e))
+        dh = np.zeros((B, d))
+        dc = np.zeros((B, d))
+        for t in range(T - 1, -1, -1):
+            n = self.active[t]
+            dh_t = dh[:n] + g[t, :n]
+            gc = dc[:n] + dh_t * dc_dh[t, :n]
+            ga = np.multiply(local[t, :n], gc[:, None], out=ga_all[t, :n])
+            np.multiply(local[t, :n, 1], dh_t, out=ga[:, 1])
+            gz = ga.reshape(n, 4 * d) @ W
+            dX[t, :n] = gz[:, :e]
+            dh[:n] = gz[:, e:]
+            np.multiply(gc, f[t, :n], out=dc[:n])
+        ga_rows = ga_all.reshape(T * B, 4 * d)
+        dW = ga_rows.T @ zs.reshape(T * B, e + d)
+        db = ga_rows.sum(axis=0)
+        return dX.transpose(1, 0, 2)[self.unsort], dW, db
 
 
 def batch_terms(tape, bound, config, batch, cfg):

@@ -391,8 +391,9 @@ def _edit_manifest(src, dst, **changes):
                           + blob[16 + hlen:])
 
 
-@pytest.mark.parametrize("changes", [{"extra": 3}, {"embeddings_trainable": None}],
-                         ids=["extra", "embeddings_trainable"])
+@pytest.mark.parametrize("changes", [{"extra": 3}, {"embeddings_trainable": None},
+                                     {"hidden_size": 6.0}],
+                         ids=["extra", "embeddings_trainable", "float_hidden_size"])
 def test_mistyped_manifest_exits_2_without_traceback(corpus_dir, trained_dir, tmp_path,
                                                      changes):
     bad = tmp_path / "bad.bin"

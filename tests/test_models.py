@@ -1,6 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from advmtl import autodiff as ad
 from advmtl import models as M
@@ -34,6 +38,17 @@ class TestModelConfig:
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError):
             small_config("mtl")
+
+    @pytest.mark.parametrize("field,value", [("hidden_size", 2.0), ("embed_size", True),
+                                             ("vocab_size", "9"), ("classes", (2, 2.0)),
+                                             ("classes", (2, True))])
+    def test_sizes_must_be_plain_ints(self, field, value):
+        # 2.0 == 2 and True == 1, so without the type check these pass every range test
+        kwargs = dict(scheme="sp", task_names=("a", "b"), classes=(2, 2),
+                      hidden_size=2, embed_size=2, vocab_size=9)
+        M.ModelConfig(**kwargs)
+        with pytest.raises(ConfigError, match=field):
+            M.ModelConfig(**{**kwargs, field: value})
 
     def test_parameter_set_counts(self):
         for scheme, expected in (("fs", None), ("sp", 3), ("asp", 3)):
@@ -276,6 +291,44 @@ class TestCheckpoint:
             assert n1 == n2
             npt.assert_array_equal(a1, a2)
 
+    JSON = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+        | st.floats(allow_nan=False, allow_infinity=False),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+        max_leaves=8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_property(self, data):
+        scheme = data.draw(st.sampled_from(M.SCHEMES))
+        K = data.draw(st.integers(2 if scheme == "asp" else 1, 4))
+        cfg = M.ModelConfig(scheme=scheme, task_names=tuple(f"t{k}" for k in range(K)),
+                            classes=tuple(data.draw(st.lists(st.integers(2, 5), min_size=K,
+                                                             max_size=K))),
+                            hidden_size=data.draw(st.integers(1, 4)),
+                            embed_size=data.draw(st.integers(1, 4)),
+                            vocab_size=data.draw(st.integers(2, 12)))
+        params = M.init_model(cfg, seed=data.draw(st.integers(0, 2 ** 32 - 1)),
+                              freeze_embeddings=data.draw(st.booleans()))
+        # one drawn value, subnormals and -0.0 included, must survive bit for bit
+        params.embeddings.matrix[0, 0] = data.draw(
+            st.floats(allow_nan=False, allow_infinity=False))
+        names = [n for n in params.named_tensors() if n != "embeddings"]
+        params.frozen = frozenset(data.draw(st.lists(st.sampled_from(names), unique=True)))
+        extra = data.draw(st.dictionaries(st.text(max_size=8), self.JSON, max_size=4))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.bin"
+            M.save_checkpoint(path, params, cfg, extra=extra)
+            loaded, loaded_cfg, loaded_extra = M.load_checkpoint(path)
+        assert loaded_cfg == cfg
+        assert loaded_extra == extra
+        assert loaded.frozen_names() == params.frozen_names()
+        want, got = params.named_tensors(), loaded.named_tensors()
+        assert list(got) == list(want)
+        for name, arr in want.items():
+            assert got[name].shape == arr.shape and got[name].tobytes() == arr.tobytes(), name
+
     def test_byte_stable(self, tmp_path):
         cfg = small_config("sp", d=3)
         params = M.init_model(cfg, seed=2)
@@ -311,12 +364,14 @@ class TestCheckpoint:
                                             "vocab_size", "classes", "tensor_shape",
                                             "nan_weight", "inf_weight", "frozen_not_a_list",
                                             "extra_not_an_object",
-                                            "trainable_not_a_bool"])
+                                            "trainable_not_a_bool", "float_size",
+                                            "bool_size", "float_shape"])
     def test_corrupt_checkpoint_is_a_format_error(self, tmp_path, corruption):
         import json
         from advmtl import cli
         from advmtl.errors import DataFormatError
-        cfg = small_config("asp", K=2, d=3)
+        # bool_size needs a size of 1, which JSON's true equals
+        cfg = small_config("asp", K=2, d=3, e=1 if corruption == "bool_size" else 2)
         path = tmp_path / "model.bin"
         M.save_checkpoint(path, M.init_model(cfg, seed=2), cfg)
         blob = path.read_bytes()
@@ -349,6 +404,17 @@ class TestCheckpoint:
                 manifest["extra"] = 3
             else:
                 manifest["embeddings_trainable"] = None
+            header = json.dumps(manifest).encode()
+        elif corruption in ("float_size", "bool_size", "float_shape"):
+            # each value equals the true size, so only its type is wrong
+            manifest = json.loads(header)
+            if corruption == "float_size":
+                manifest["hidden_size"] = 3.0
+            elif corruption == "bool_size":
+                manifest["embed_size"] = True
+            else:
+                entry = next(t for t in manifest["tensors"] if t["name"] == "shared.W")
+                entry["shape"] = [12.0, 5.0]
             header = json.dumps(manifest).encode()
         elif corruption == "tensor_shape":
             manifest = json.loads(header)

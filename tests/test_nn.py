@@ -144,28 +144,6 @@ class TestLstmEncode:
 
         assert ad.finite_difference_check(loss_fn, params, 1e-5) < 1e-4
 
-    def test_custom_initial_state_gradients(self):
-        rng = np.random.default_rng(41)
-        d, e, T = 2, 2, 3
-        params = {"W": rng.uniform(-0.7, 0.7, (4 * d, d + e)),
-                  "b": rng.uniform(-0.7, 0.7, 4 * d),
-                  "xs": rng.uniform(-1, 1, (1, T, e)),
-                  "h0": rng.uniform(-1, 1, (1, d)),
-                  "c0": rng.uniform(-1, 1, (1, d))}
-
-        def loss_fn(p, with_grads):
-            t = Tape()
-            nodes = {k: t.leaf(v) for k, v in p.items()}
-            h_T, _ = nn.lstm_encode(nodes["xs"], nodes["W"], nodes["b"],
-                                    h0=nodes["h0"], c0=nodes["c0"])
-            out = ad.sum_all(ad.mul(h_T, h_T))
-            if not with_grads:
-                return float(out.value), None
-            gm = ad.backward(t, out)
-            return float(out.value), {k: gm[n.idx] for k, n in nodes.items()}
-
-        assert ad.finite_difference_check(loss_fn, params, 1e-5) < 1e-4
-
 
 class TestBatchedLstm:
     LENGTHS = [3, 1, 5]  # ragged and unsorted
@@ -244,6 +222,42 @@ class TestBatchedLstm:
         alone = [grads(xs[k:k + 1, :n], None) for k, n in enumerate(self.LENGTHS)]
         npt.assert_allclose(dW, sum(g for g, _ in alone), rtol=0, atol=1e-14)
         npt.assert_allclose(db, sum(g for _, g in alone), rtol=0, atol=1e-14)
+
+
+class TestPackedFold:
+    """The packed fold against the padded fold it replaced, ``oracles.PaddedLstmFold``."""
+
+    CASES = {  # lengths, T
+        "ragged_unsorted_ties": ([4, 2, 6, 2, 6, 1], 6),
+        "all_equal": ([5, 5, 5], 5),
+        "batch_of_one": ([7], 7),
+        "length_one": ([1, 3, 1], 3),
+        "T_past_longest": ([2, 4, 3], 7),
+    }
+
+    def _setup(self, lengths, T, d, e, seed=11):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(-1, 1, (len(lengths), T, e)), rng.uniform(-0.8, 0.8, (4 * d, d + e)),
+                rng.uniform(-0.8, 0.8, 4 * d), rng.normal(size=(len(lengths), T, d)))
+
+    @pytest.mark.parametrize("d,e", [(3, 2), (24, 16)])
+    @pytest.mark.parametrize("lengths,T", CASES.values(), ids=list(CASES))
+    def test_matches_padded_fold(self, lengths, T, d, e):
+        X, W, b, g = self._setup(lengths, T, d, e)  # g is nonzero on padded steps too
+        packed, padded = nn._LstmFold(X, W, b, lengths), oracles.PaddedLstmFold(X, W, b, lengths)
+        npt.assert_allclose(packed.outputs(), padded.outputs(), rtol=0, atol=1e-12)
+        for name, got, want in zip(("dX", "dW", "db"), packed.backward(g), padded.backward(g)):
+            assert got.shape == want.shape, name
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_stores_only_real_rows(self):
+        lengths, T = self.CASES["T_past_longest"]
+        X, W, b, _ = self._setup(lengths, T, 3, 2)
+        fold = nn._LstmFold(X, W, b, lengths)
+        stored = {k: v for k, v in vars(fold).items()
+                  if isinstance(v, np.ndarray) and v is not fold.W and v is not fold.lengths}
+        assert {"X", "Z", "H", "C", "tanh_C"} <= set(stored)
+        assert {k: v.shape[0] for k, v in stored.items()} == dict.fromkeys(stored, sum(lengths))
 
 
 class TestSoftmaxHead:

@@ -36,3 +36,11 @@ def test_read_path_workload_runs_correctly():
     _, result = _run("eval-probe", trace=0)
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_paper_workload_runs_correctly():
+    # the one tier-1 run of the LSTM kernel at d = 200, checked against reference.py
+    proc, result = _run("paper-asp", trace=0)
+    assert result["correct"] and result["failed"] == 0
+    assert result["attempted"] > 0
+    assert "probability check skipped" not in proc.stdout
