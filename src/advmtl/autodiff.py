@@ -16,7 +16,7 @@ all other shape mismatches raise :class:`~advmtl.errors.ShapeError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,50 +47,23 @@ def _add_rows_at(out: Tensor, at: np.ndarray, rows: Tensor) -> None:
 
 
 class RowGrad:
-    """Row-sparse gradient of a ``[V, e]`` table read by :func:`take_rows` lookups.
+    """Row-sparse gradient of a ``[V, e]`` table read by :func:`take_rows`.
 
-    It keeps each lookup's row indices and upstream rows, and sums them on
-    the first read of ``ids`` or ``rows``: ``ids`` are the distinct row ids,
-    and ``rows[k]`` is row ``ids[k]`` of the dense gradient, whose other rows
-    are zero. Each lookup's rows are summed first, then the lookups in the
-    order they were added, which is the order in which their dense
-    gradients would add. ``np.asarray`` gives the dense matrix; ``size``,
-    ``nbytes`` and ``itemsize`` describe the stored rows, as ``scipy.sparse``
-    does.
+    ``ids`` are the distinct row ids and ``rows[k]`` is row ``ids[k]`` of the
+    dense gradient, whose other rows are zero. The upstream rows of each id
+    are summed once, when the gradient is made, in the order
+    ``np.add.at`` would add them into a zero matrix. ``np.asarray`` gives the
+    dense matrix; ``size``, ``nbytes`` and ``itemsize`` describe the stored
+    rows, as ``scipy.sparse`` does.
     """
 
-    __slots__ = ("shape", "_lookups", "_ids", "_rows")
+    __slots__ = ("shape", "ids", "rows")
 
-    def __init__(self, lookups: list[tuple[np.ndarray, Tensor]], shape: tuple[int, int]):
+    def __init__(self, idx: np.ndarray, rows: Tensor, shape: tuple[int, int]):
         self.shape = shape
-        self._lookups = lookups
-        self._ids = self._rows = None
-
-    def _sum(self) -> None:
-        V, e = self.shape
-        idx = [i for i, _ in self._lookups]
-        lookup = np.repeat(np.arange(len(idx)), [len(i) for i in idx])
-        # one slot per (lookup, row id), sorted by lookup; np.add.at adds in index order
-        slots, slot_of = np.unique(lookup * V + np.concatenate(idx), return_inverse=True)
-        per_lookup = np.zeros((len(slots), e))
-        _add_rows_at(per_lookup, slot_of, np.concatenate([g for _, g in self._lookups]))
-        self._ids, id_of = np.unique(slots % V, return_inverse=True)
-        self._rows = np.zeros((len(self._ids), e))
-        _add_rows_at(self._rows, id_of, per_lookup)
-        # distinct ids make a lookup whose sum is itself, so a later + stays exact
-        self._lookups = [(self._ids, self._rows)]
-
-    @property
-    def ids(self) -> np.ndarray:
-        if self._ids is None:
-            self._sum()
-        return self._ids
-
-    @property
-    def rows(self) -> Tensor:
-        if self._rows is None:
-            self._sum()
-        return self._rows
+        self.ids, at = np.unique(idx, return_inverse=True)
+        self.rows = np.zeros((len(self.ids), shape[1]))
+        _add_rows_at(self.rows, at, rows)
 
     @property
     def size(self) -> int:
@@ -117,7 +90,9 @@ class RowGrad:
             out = np.asarray(self)
             out += other
             return out
-        return RowGrad(self._lookups + other._lookups, self.shape)
+        # each side holds an id at most once, so a shared id sums as (0 + a) + b
+        return RowGrad(np.concatenate([self.ids, other.ids]),
+                       np.concatenate([self.rows, other.rows]), self.shape)
 
 
 class Node:
@@ -272,27 +247,11 @@ def matmul(a: Node, b: Node) -> Node:
     raise ShapeError(f"matmul: unsupported ranks {va.shape} and {vb.shape}")
 
 
-def transpose(a: Node) -> Node:
-    if a.value.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {a.value.shape}")
-    return a.tape.record(a.value.T.copy(), (a,), lambda g: (g.T,))
-
-
-def _stable_sigmoid(x: Tensor) -> Tensor:
-    # overflow-free logistic via the tanh identity
-    return 0.5 * np.tanh(0.5 * x) + 0.5
-
-
 def _softmax(x: Tensor) -> Tensor:
     # stabilized by max subtraction; rows of a matrix are normalized separately
     z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def sigmoid(a: Node) -> Node:
-    y = _stable_sigmoid(a.value)
-    return a.tape.record(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def tanh(a: Node) -> Node:
@@ -374,20 +333,6 @@ def concat(parts: Sequence[Node], axis: int = 0) -> Node:
     return tape.record(out, parts, vjp)
 
 
-def stack_rows(rows: Sequence[Node]) -> Node:
-    """Stack T same-length vectors into a [T, d] matrix."""
-    if not rows:
-        raise ContractError("stack_rows of zero nodes")
-    tape = _same_tape(*rows)
-    d = rows[0].value.shape
-    for r in rows[1:]:
-        if r.value.shape != d:
-            raise ShapeError(f"stack_rows: mixed shapes {d} and {r.value.shape}")
-    out = np.stack([r.value for r in rows])
-    k = len(rows)
-    return tape.record(out, rows, lambda g: tuple(g[i] for i in range(k)))
-
-
 def row(a: Node, i: int) -> Node:
     """Extract row ``i`` of a matrix as a vector (slice ``i`` along the first axis)."""
     if a.value.ndim < 2:
@@ -419,7 +364,7 @@ def take_rows(a: Node, indices: Sequence[int]) -> Node:
             f"take_rows: index out of range for {a.value.shape[0]} rows")
 
     def vjp(g):
-        grad = RowGrad([(idx, g)], a.value.shape)
+        grad = RowGrad(idx, g, a.value.shape)
         return (grad if a.is_leaf else np.asarray(grad),)
 
     return a.tape.record(a.value[idx], (a,), vjp)

@@ -88,9 +88,6 @@ class Vocabulary:
         get = self.token_to_id.get
         return [get(t, UNK_ID) for t in tokens]
 
-    def decode(self, ids: Sequence[int]) -> list[str]:
-        return [self.id_to_token[i] for i in ids]
-
     def sha256(self) -> str:
         h = hashlib.sha256()
         for t in self.id_to_token:

@@ -16,14 +16,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
 from .autodiff import GradReversalSpec, Node, Tape, Tensor
-from .errors import ConfigError, ContractError, DataFormatError, InputError, ShapeError
+from .errors import ConfigError, DataFormatError, InputError, ShapeError
 
 SCHEMES = ("fs", "sp", "asp")
 CONCAT_ORDER = "private,shared"
@@ -54,6 +54,10 @@ class ModelConfig:
             raise ConfigError("at least one task required")
         if self.scheme == "asp" and len(self.task_names) < 2:
             raise ConfigError("adversarial scheme needs at least 2 tasks")
+        if (not all(isinstance(n, str) and n for n in self.task_names)
+                or len(set(self.task_names)) != len(self.task_names)):
+            raise ConfigError(f"task_names must be unique, non-empty strings, "
+                              f"got {self.task_names!r}")
         sizes = {"hidden_size": self.hidden_size, "embed_size": self.embed_size,
                  "vocab_size": self.vocab_size,
                  **{f"classes[{k}]": c for k, c in enumerate(self.classes)}}
@@ -115,10 +119,6 @@ class ModelParams:
         if not self.embeddings.trainable:
             names.add("embeddings")
         return frozenset(names)
-
-    def trainable_names(self) -> list[str]:
-        frozen = self.frozen_names()
-        return [n for n in self.named_tensors() if n not in frozen]
 
     def bind(self, tape: Tape) -> dict[str, Node]:
         """Register all tensors on a tape; frozen ones as constants."""
@@ -392,8 +392,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
     """Read a container written by :func:`save_checkpoint`.
 
     Every malformed file raises :class:`DataFormatError`: a bad header
-    (including an ``embeddings_trainable`` that is not a bool and an
-    ``extra`` that is not an object), tensor names or shapes that disagree
+    (including an ``embeddings_trainable`` that is not a bool, an ``extra``
+    that is not an object, a ``task_names`` that is not a list of unique,
+    non-empty strings and a ``frozen`` that is not a list of the model's
+    tensor names), tensor names or shapes that disagree
     with the manifest's sizes, a truncated or non-finite tensor, and bytes
     after the last tensor.
     """
@@ -425,6 +427,8 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
                 raise DataFormatError(f"{path}: malformed tensor entry {spec!r}") from None
             if not all(_is_int(n) for n in specs[-1][1]):
                 raise DataFormatError(f"{path}: non-integer shape in tensor entry {spec!r}")
+        if not isinstance(manifest.get("task_names", []), list):
+            raise DataFormatError(f"{path}: 'task_names' must be a list")
         try:
             config = ModelConfig(scheme=manifest["scheme"],
                                  task_names=tuple(manifest["task_names"]),
@@ -444,6 +448,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
         if len(specs) != len(expected) or dict(specs) != expected:
             raise DataFormatError(
                 f"{path}: tensor names or shapes disagree with the manifest's sizes")
+        frozen = manifest.get("frozen", [])
+        if not (isinstance(frozen, list)
+                and all(isinstance(n, str) and n in expected for n in frozen)):
+            raise DataFormatError(f"{path}: 'frozen' must be a list of the model's tensor names")
         arrays = {}
         for name, shape in specs:  # one tensor at a time: no second copy of any
             arr = np.empty(shape, dtype="<f8")
@@ -458,8 +466,6 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
         return _from_manifest(manifest, config, arrays)
     except KeyError as exc:
         raise DataFormatError(f"{path}: checkpoint has no {exc.args[0]!r}") from None
-    except TypeError as exc:  # e.g. a frozen-name list that is not a list
-        raise DataFormatError(f"{path}: bad checkpoint header: {exc}") from None
 
 
 def _from_manifest(manifest: dict, config: ModelConfig,

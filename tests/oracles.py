@@ -118,7 +118,7 @@ def lstm_step(x, h_prev, c_prev, W, b):
     z = np.concatenate([x.value, h_prev.value])
     pre = Wv @ z + bv
     cbar = np.tanh(pre[:d])
-    gates = ad._stable_sigmoid(pre[d:])
+    gates = 0.5 * np.tanh(0.5 * pre[d:]) + 0.5
     o, i, f = gates[:d], gates[d:2 * d], gates[2 * d:]
     c = cbar * i + c_prev.value * f
     tc = np.tanh(c)
@@ -143,6 +143,11 @@ def lstm_step(x, h_prev, c_prev, W, b):
 
 def _mean(nodes):
     return ad.scale(ad.add_n(nodes), 1.0 / len(nodes))
+
+
+def _stack_rows(rows):
+    """Same-length vector nodes as the rows of one matrix node."""
+    return rows[0].tape.record(np.stack([r.value for r in rows]), rows, lambda g: tuple(g))
 
 
 class PaddedLstmFold:
@@ -177,7 +182,7 @@ class PaddedLstmFold:
             pre = pre_x[t, :n] + h_prev[:n] @ W_hT
             cbar = np.tanh(pre[:, :d], out=self.cbar[t, :n])
             gates = self.gates[t, :n]
-            gates[...] = ad._stable_sigmoid(pre[:, d:])
+            gates[...] = 0.5 * np.tanh(0.5 * pre[:, d:]) + 0.5
             o, i, f = gates[:, :d], gates[:, d:2 * d], gates[:, 2 * d:]
             c = np.multiply(cbar, i, out=self.C[t, :n])
             c += c_prev[:n] * f
@@ -258,8 +263,8 @@ def batch_terms(tape, bound, config, batch, cfg):
     if diff_nodes:
         l_diff = _mean(diff_nodes)
     elif finals:
-        S = ad.stack_rows([s for s, _ in finals])
-        H = ad.stack_rows([h for _, h in finals])
+        S = _stack_rows([s for s, _ in finals])
+        H = _stack_rows([h for _, h in finals])
         l_diff = ad.scale(L.diff_loss(S, H), 1.0 / len(finals))
     else:
         l_diff = None

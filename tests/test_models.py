@@ -50,6 +50,12 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match=field):
             M.ModelConfig(**{**kwargs, field: value})
 
+    @pytest.mark.parametrize("names", [("a", "a"), ("a", ""), ("a", 2), ("a", ("b",))])
+    def test_task_names_must_be_unique_nonempty_strings(self, names):
+        with pytest.raises(ConfigError, match="task_names"):
+            M.ModelConfig(scheme="sp", task_names=names, classes=(2, 2),
+                          hidden_size=2, embed_size=2, vocab_size=9)
+
     def test_parameter_set_counts(self):
         for scheme, expected in (("fs", None), ("sp", 3), ("asp", 3)):
             params = M.init_model(small_config(scheme, K=3), seed=0)
@@ -365,7 +371,9 @@ class TestCheckpoint:
                                             "nan_weight", "inf_weight", "frozen_not_a_list",
                                             "extra_not_an_object",
                                             "trainable_not_a_bool", "float_size",
-                                            "bool_size", "float_shape"])
+                                            "bool_size", "float_shape", "task_names_string",
+                                            "task_names_ints", "task_names_repeated",
+                                            "frozen_string", "frozen_unknown"])
     def test_corrupt_checkpoint_is_a_format_error(self, tmp_path, corruption):
         import json
         from advmtl import cli
@@ -394,9 +402,16 @@ class TestCheckpoint:
             manifest = json.loads(header)
             manifest["classes"][0] += 1
             header = json.dumps(manifest).encode()
-        elif corruption == "frozen_not_a_list":
+        elif corruption.startswith(("frozen_", "task_names_")):
+            # "ab" and "shared.W" would load as tuples of single characters
+            key, value = {"frozen_not_a_list": ("frozen", 5),
+                          "frozen_string": ("frozen", "shared.W"),
+                          "frozen_unknown": ("frozen", ["bogus"]),
+                          "task_names_string": ("task_names", "ab"),
+                          "task_names_ints": ("task_names", [1, 2]),
+                          "task_names_repeated": ("task_names", ["a", "a"])}[corruption]
             manifest = json.loads(header)
-            manifest["frozen"] = 5
+            manifest[key] = value
             header = json.dumps(manifest).encode()
         elif corruption in ("extra_not_an_object", "trainable_not_a_bool"):
             manifest = json.loads(header)
