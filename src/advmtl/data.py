@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -475,14 +476,14 @@ def _synth_sentence(rng, spec: SynthSpec, pol_map, shared_pool, shared_cum,
         for _ in range(length):
             u = rng.random()
             if u < cuts[0] and shared_pool:
-                tokens.append(shared_pool[int(np.searchsorted(shared_cum, rng.random()))])
+                tokens.append(shared_pool[bisect_left(shared_cum, rng.random())])
                 continue
             elif u < cuts[1] and own_pool:
                 pool = own_pool
             elif u < cuts[2] and contam_pool:
                 pool = contam_pool
             elif filler_pool:
-                tokens.append(filler_pool[int(np.searchsorted(filler_cum, rng.random()))])
+                tokens.append(filler_pool[bisect_left(filler_cum, rng.random())])
                 continue
             else:
                 pool = polar_fallback
@@ -502,7 +503,7 @@ def _synth_sentence(rng, spec: SynthSpec, pol_map, shared_pool, shared_cum,
         tokens.append(extra)
         score += want
     if spec.domain_bias > 0 and filler_pool:
-        tokens.append(filler_pool[int(np.searchsorted(filler_cum, rng.random()))])
+        tokens.append(filler_pool[bisect_left(filler_cum, rng.random())])
     label = 1 if score > 0 else 0
     if spec.noise_rate > 0 and rng.random() < spec.noise_rate:
         label = 1 - label
@@ -540,12 +541,13 @@ def generate_synthetic(spec: SynthSpec) -> tuple[RawCorpus, list[tuple[str, str,
      filler_pool, provenance) = _synth_vocab(spec)
     corpus: RawCorpus = {}
 
-    def biased_cum(pool_len: int, task: int) -> np.ndarray:
+    def biased_cum(pool_len: int, task: int) -> list[float]:
+        """Cumulative draw weights, a list: ``bisect`` on it beats a per-token ``np.searchsorted``."""
         if pool_len == 0:
-            return np.zeros(0)
+            return []
         idx = np.arange(pool_len)
         weights = np.where(idx % spec.tasks == task, 1.0 + spec.domain_bias, 1.0)
-        return np.cumsum(weights / weights.sum())
+        return np.cumsum(weights / weights.sum()).tolist()
 
     for k, name in enumerate(task_names):
         rng = np.random.default_rng((spec.seed, k))

@@ -270,12 +270,17 @@ def build_transfer(shared: nn.LstmParams, mode: str, task_name: str,
 
 @dataclass
 class Encoding:
-    """Tape-free forward values of a batch of sentences; fields as in ForwardResult."""
+    """Tape-free forward values of a batch of sentences, one row per sentence.
+
+    ``s_T`` and ``h_T`` are the final shared and private states, and the
+    probabilities are those of the task head and the discriminator, as in
+    :class:`ForwardResult`. Fields that the scheme or the call does not
+    produce are None. Per-timestep states are not kept: see
+    :func:`dump_activations` for those of one sentence.
+    """
 
     s_T: Tensor
-    S: Tensor
     h_T: Tensor | None = None
-    H: Tensor | None = None
     class_probs: Tensor | None = None
     disc_probs: Tensor | None = None
 
@@ -292,23 +297,22 @@ def encode(params: ModelParams, config: ModelConfig,
 
     With no task only the shared encoder runs. With a task, that task's
     private encoder and head run too, and the discriminator when the
-    scheme has one. Every field has one row per sentence; ``S`` and ``H``
-    are ``[B, T, d]`` with zero rows past each sentence's length.
+    scheme has one. The embedding rows are gathered once, in packed order,
+    and every encoder folds over them keeping only its running state
+    (:func:`nn.lstm_final_states`).
     """
     if task is not None:
         _check_task(config, task)
     table = params.embeddings.matrix
     ids, lengths = nn.batch_token_ids(sentences, table.shape[0])
-    xs = ad._pad(table[ids], lengths)
-    last = (np.arange(len(lengths)), lengths - 1)
-    S = nn.lstm_states(xs, params.shared.W, params.shared.b, lengths)
-    out = Encoding(s_T=S[last], S=S)
+    packing = nn.pack(lengths)
+    X = table[ids[packing.rows]]
+    out = Encoding(s_T=nn.lstm_final_states(X, params.shared.W, params.shared.b, packing))
     if task is None:
         return out
     if config.has_private:
         p = params.private[task]
-        out.H = nn.lstm_states(xs, p.W, p.b, lengths)
-        out.h_T = out.H[last]
+        out.h_T = nn.lstm_final_states(X, p.W, p.b, packing)
     out.class_probs = _classify(params, task, out.s_T, out.h_T)
     if config.has_discriminator:
         out.disc_probs = ad._softmax(ad._affine(out.s_T, params.disc.W, params.disc.b))
@@ -323,9 +327,15 @@ def dump_activations(params: ModelParams, config: ModelConfig,
     that step and the class distribution the task head assigns to the
     prefix ending there; the last record matches ``forward``.
     """
-    enc = encode(params, config, [token_ids], task)
-    S = enc.S[0]
-    H = None if enc.H is None else enc.H[0]
+    _check_task(config, task)
+    table = params.embeddings.matrix
+    ids, _ = nn.batch_token_ids([token_ids], table.shape[0])
+    X = table[ids][None]
+    S = nn.lstm_states(X, params.shared.W, params.shared.b)[0]
+    H = None
+    if config.has_private:
+        p = params.private[task]
+        H = nn.lstm_states(X, p.W, p.b)[0]
     probs = _classify(params, task, S, H)
     return [{"t": t + 1,
              "token_id": int(token_ids[t]),
@@ -369,8 +379,8 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
         fh.write(CHECKPOINT_MAGIC)
         fh.write(len(header).to_bytes(8, "little"))
         fh.write(header)
-        for arr in params.named_tensors().values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for arr in params.named_tensors().values():  # no bytes copy of any tensor
+            fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
 
 
 def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

@@ -80,21 +80,114 @@ def lstm_states(X: Tensor, W: Tensor, b: Tensor, lengths=None) -> Tensor:
     return _LstmFold(X, W, b, lengths).outputs()
 
 
+@dataclass(frozen=True)
+class Packing:
+    """The packed-sequence layout of a batch of sentences.
+
+    The batch is sorted by length, longest first (``order[j]`` is the
+    sentence at sorted position ``j``), then laid out time-major, keeping
+    only the real tokens. Step ``t`` is the row slice ``offs[t] : offs[t] +
+    active[t]``, and the sentences still running at step ``t`` are the
+    first ``active[t]`` rows of step ``t - 1``. ``rows[r]`` is where packed
+    row ``r`` sits in the caller's layout of the tokens.
+    """
+
+    order: np.ndarray
+    active: list[int]
+    offs: list[int]
+    rows: np.ndarray
+
+
+def pack(lengths: np.ndarray, stride: int | None = None) -> Packing:
+    """The :class:`Packing` of sentences of ``lengths`` (each >= 1).
+
+    Token ``t`` of sentence ``k`` sits at row ``starts[k] + t`` of the
+    caller's layout: with no ``stride`` the sentences are concatenated, and
+    with one they are the rows of a ``[B, stride]`` padded array.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    steps = np.arange(lengths.max())[:, None]
+    running = lengths[order] > steps  # [step, sorted position]
+    active = [int(n) for n in running.sum(axis=1)]
+    starts = (np.arange(len(lengths)) * stride if stride is not None
+              else np.cumsum(lengths) - lengths)
+    return Packing(order, active, [0, *itertools.accumulate(active)],
+                   (starts[order] + steps)[running])
+
+
+def _input_term(X: Tensor, W: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+    """Gate pre-activations ``X @ W_x^T + b`` of packed rows ``X``, and ``W_h^T``.
+
+    The three sigmoid blocks of both are halved (their columns are scaled
+    by 0.5, which is exact), since ``sigm(x) = 0.5 * tanh(x / 2) + 0.5``:
+    each step then runs one ``tanh`` over all four gate blocks. ``W_h^T``
+    is a contiguous ``[d, 4d]`` copy.
+    """
+    e = X.shape[1]
+    d = b.shape[0] // 4
+    Z = X @ W[:, :e].T
+    Z += b
+    Z[:, d:] *= 0.5
+    W_hT = W[:, e:].T.copy()
+    W_hT[:, d:] *= 0.5
+    return Z, W_hT
+
+
+def _lstm_step(z: Tensor, W_hT: Tensor, h_prev: Tensor | None, c_prev: Tensor | None,
+               h: Tensor, c: Tensor, tanh_c: Tensor) -> None:
+    """One LSTM step over the rows of ``z``, written into ``h``, ``c`` and ``tanh_c``.
+
+    ``z`` holds the step's input term from :func:`_input_term` and is
+    overwritten with the gate activations in block order. The previous
+    state is ``(h_prev, c_prev)``, or zero when they are None. Both are read
+    before the step writes ``h`` and ``c``, so the outputs may alias them.
+    """
+    d = h.shape[1]
+    if h_prev is not None:
+        z += h_prev @ W_hT
+    np.tanh(z, out=z)
+    gates = z[:, d:]
+    gates *= 0.5
+    gates += 0.5
+    cbar, o, i, f = (z[:, k * d:(k + 1) * d] for k in range(4))
+    if c_prev is None:
+        np.multiply(cbar, i, out=c)
+    else:
+        np.add(cbar * i, c_prev * f, out=c)
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
+
+
+def lstm_final_states(X: Tensor, W: Tensor, b: Tensor, packing: Packing) -> Tensor:
+    """Final hidden state ``[B, d]`` of each sentence, in the caller's sentence order.
+
+    ``X`` holds the sentences' token inputs as packed rows, laid out by
+    ``packing``. The fold keeps only the running ``[B, d]`` state: a step
+    writes the first ``active[t]`` rows, so a sentence's row is last
+    written at its final token and then holds its final state. No
+    per-token state is stored, so this is the inference fold; the values
+    are those of :func:`lstm_states` at each sentence's last token.
+    """
+    Z, W_hT = _input_term(X, W, b)
+    d = W_hT.shape[0]
+    B = packing.active[0]
+    h, c, tanh_c = np.empty((B, d)), np.empty((B, d)), np.empty((B, d))
+    for t, n in enumerate(packing.active):
+        prev = (h[:n], c[:n]) if t else (None, None)
+        _lstm_step(Z[packing.offs[t]:packing.offs[t + 1]], W_hT, *prev,
+                   h[:n], c[:n], tanh_c[:n])
+    out = np.empty_like(h)
+    out[packing.order] = h
+    return out
+
+
 class _LstmFold:
     """The forward values of one LSTM fold, kept for its backward rule.
 
-    The fold runs on packed rows, the layout of a packed sequence: the
-    batch sorted by length, longest first, then time-major, keeping only
-    the real tokens. Step ``t`` is the row slice ``offs[t] : offs[t] +
-    active[t]``, and the sentences still running at step ``t`` are the
-    first ``active[t]`` rows of step ``t - 1``, so each step's previous
-    state is a prefix of the previous slice. Every array the fold computes
-    has exactly ``sum(lengths)`` rows: no padded slot enters any product.
-
-    The three sigmoid blocks of every pre-activation are computed halved
-    (their columns of the recurrent weight and of the input term are scaled
-    by 0.5, which is exact), since ``sigm(x) = 0.5 * tanh(x / 2) + 0.5``:
-    each step then runs one ``tanh`` over all four gate blocks.
+    The fold runs on the packed rows of the batch (see :class:`Packing`),
+    and every array it stores has exactly ``sum(lengths)`` rows: no padded
+    slot enters any product. It stores every step's gate activations,
+    ``h``, ``c`` and ``tanh(c)``, which the backward rule reads.
     """
 
     def __init__(self, X, W, b, lengths):
@@ -112,39 +205,19 @@ class _LstmFold:
         if lengths.min() < 1:
             raise InputError("lstm_encode: empty sequence")
 
-        order = np.argsort(-lengths, kind="stable")
-        steps = np.arange(lengths.max())[:, None]
-        running = lengths[order] > steps  # [step, sorted position]
+        packing = pack(lengths, stride=T)  # rows: the flat [B * T] slot of each packed row
         self.lengths, self.shape, self.d, self.W = lengths, (B, T), d, W
-        self.active = [int(n) for n in running.sum(axis=1)]
-        self.offs = [0, *itertools.accumulate(self.active)]
-        # the flat [B * T] slot of each packed row
-        self.rows = (order * T + steps)[running]
+        self.active, self.offs, self.rows = packing.active, packing.offs, packing.rows
         self.X = X.reshape(B * T, e)[self.rows]
         # gate pre-activations, then (in place, step by step) their activations
-        self.Z = self.X @ W[:, :e].T
-        self.Z += b
-        self.Z[:, d:] *= 0.5
-        W_hT = W[:, e:].T.copy()
-        W_hT[:, d:] *= 0.5
+        self.Z, W_hT = _input_term(self.X, W, b)
         N = len(self.rows)
         self.H, self.C, self.tanh_C = np.empty((N, d)), np.empty((N, d)), np.empty((N, d))
         for t, n in enumerate(self.active):
             r = slice(self.offs[t], self.offs[t + 1])
-            z = self.Z[r]
-            if t:  # the state at step 0 is zero
-                p = slice(self.offs[t - 1], self.offs[t - 1] + n)
-                z += self.H[p] @ W_hT
-            np.tanh(z, out=z)
-            gates = z[:, d:]
-            gates *= 0.5
-            gates += 0.5
-            cbar, o, i, f = (z[:, k * d:(k + 1) * d] for k in range(4))
-            c = np.multiply(cbar, i, out=self.C[r])
-            if t:
-                c += self.C[p] * f
-            tc = np.tanh(c, out=self.tanh_C[r])
-            np.multiply(o, tc, out=self.H[r])
+            p = slice(self.offs[t - 1], self.offs[t - 1] + n)
+            prev = (self.H[p], self.C[p]) if t else (None, None)
+            _lstm_step(self.Z[r], W_hT, *prev, self.H[r], self.C[r], self.tanh_C[r])
 
     def _scatter(self, packed: Tensor) -> Tensor:
         """``[B, T, k]`` array holding the packed rows in their slots and zeros elsewhere."""

@@ -12,7 +12,9 @@ An epoch is one pass over the largest task's training split; smaller
 tasks cycle. Early stopping watches mean dev error across tasks and
 returns the best-dev checkpoint. Evaluation and the probe and cosine
 diagnostics need no gradient, so they run the tape-free ``models.encode``
-on chunks of ``ENCODE_CHUNK`` sentences.
+on chunks of consecutive sentences of at most ``ENCODE_TOKENS`` tokens;
+its folds keep only each encoder's running state, so their memory is
+bounded by that budget, not by the split.
 """
 
 from __future__ import annotations
@@ -229,14 +231,24 @@ def _train_one_batch(params: M.ModelParams, config: M.ModelConfig, batch: Batch,
     return vals
 
 
-ENCODE_CHUNK = 16  # sentences per encode call in evaluation: bounds its memory
+ENCODE_TOKENS = 1024  # tokens per encode call in evaluation: bounds a fold's memory
 
 
 def _encode_split(params: M.ModelParams, config: M.ModelConfig,
                   sentences: Sequence[Sequence[int]], task: int | None = None):
-    """``M.encode`` over consecutive chunks of ``sentences``; yields each chunk's Encoding."""
-    for start in range(0, len(sentences), ENCODE_CHUNK):
-        yield M.encode(params, config, sentences[start:start + ENCODE_CHUNK], task)
+    """``M.encode`` over consecutive chunks of ``sentences``; yields each chunk's Encoding.
+
+    A chunk is consecutive sentences of at most ``ENCODE_TOKENS`` tokens in
+    all; a longer sentence is a chunk alone.
+    """
+    start, tokens = 0, 0
+    for end, sentence in enumerate(sentences):
+        if tokens + len(sentence) > ENCODE_TOKENS and end > start:
+            yield M.encode(params, config, sentences[start:end], task)
+            start, tokens = end, 0
+        tokens += len(sentence)
+    if start < len(sentences):
+        yield M.encode(params, config, sentences[start:], task)
 
 
 def _predictions(params: M.ModelParams, config: M.ModelConfig,

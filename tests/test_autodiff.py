@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -254,7 +255,7 @@ OPS = ["add", "add_bias", "mul", "matmul", "matvec", "tanh", "log", "softmax",
 
 @pytest.mark.parametrize("op", OPS)
 def test_every_op_matches_finite_differences(op):
-    rng = np.random.default_rng(hash(op) % (2 ** 32))
+    rng = np.random.default_rng(zlib.crc32(op.encode()))
 
     def build(p, with_grads):
         t = Tape()

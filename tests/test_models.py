@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -146,14 +147,14 @@ class TestEncode:
             tape = Tape()
             res = M.forward(tape, params.bind(tape), cfg, ids, task)
             enc = M.encode(params, cfg, [ids], task)
-            for name in ("class_probs", "disc_probs", "s_T", "S", "h_T", "H"):
+            for name in ("class_probs", "disc_probs", "s_T", "h_T"):
                 want, got = getattr(res, name), getattr(enc, name)
                 assert (want is None) == (got is None), name
                 if want is not None:
                     assert got[0].tobytes() == want.value.tobytes(), name
             shared_only = M.encode(params, cfg, [ids])
             assert shared_only.s_T[0].tobytes() == res.s_T.value.tobytes()
-            assert shared_only.class_probs is None and shared_only.H is None
+            assert shared_only.class_probs is None and shared_only.h_T is None
 
     @pytest.mark.parametrize("scheme", ["fs", "sp", "asp"])
     def test_batch_equals_each_sentence_alone(self, scheme):
@@ -163,19 +164,14 @@ class TestEncode:
         batch = [[int(v) for v in rng.integers(0, 12, size=n)] for n in (5, 1, 8, 3)]
         for task in (None, 2):
             enc = M.encode(params, cfg, batch, task)
-            assert enc.S.shape == (4, 8, cfg.hidden_size)
+            assert enc.s_T.shape == (4, cfg.hidden_size)
             for k, ids in enumerate(batch):
                 alone = M.encode(params, cfg, [ids], task)
-                for name in ("class_probs", "disc_probs", "s_T", "h_T", "S", "H"):
+                for name in ("class_probs", "disc_probs", "s_T", "h_T"):
                     want, got = getattr(alone, name), getattr(enc, name)
                     assert (want is None) == (got is None), name
-                    if want is None:
-                        continue
-                    got = got[k]
-                    if name in ("S", "H"):
-                        assert not got[len(ids):].any(), name  # zero past the length
-                        got = got[:len(ids)]
-                    npt.assert_allclose(got, want[0], rtol=0, atol=1e-12, err_msg=name)
+                    if want is not None:
+                        npt.assert_allclose(got[k], want[0], rtol=0, atol=1e-12, err_msg=name)
 
     @pytest.mark.parametrize("ids", [[], [9], [1, -1]])
     def test_bad_sentence_rejected(self, ids):
@@ -191,6 +187,8 @@ class TestEncode:
         params = M.init_model(cfg, seed=0)
         with pytest.raises(InputError):
             M.encode(params, cfg, [[1, 2]], task)
+        with pytest.raises(InputError):
+            M.dump_activations(params, cfg, [1, 2], task)
 
 
 class TestDiscriminate:
@@ -258,6 +256,46 @@ class TestTransfer:
 
 
 class TestDumpActivations:
+    @staticmethod
+    def _states(records):
+        private = [r["private"] for r in records]
+        return (np.stack([r["shared"] for r in records]),
+                None if private[0] is None else np.stack(private))
+
+    @pytest.mark.parametrize("scheme", ["fs", "sp", "asp"])
+    def test_states_bitwise_equal_to_tape_forward(self, scheme):
+        cfg = small_config(scheme, K=3, d=4, e=3, vocab=12)
+        params = M.init_model(cfg, seed=21)
+        rng = np.random.default_rng(5)
+        for task in range(3):
+            ids = [int(v) for v in rng.integers(0, 12, size=int(rng.integers(1, 9)))]
+            tape = Tape()
+            res = M.forward(tape, params.bind(tape), cfg, ids, task)
+            S, H = self._states(M.dump_activations(params, cfg, ids, task))
+            assert S.tobytes() == res.S.value.tobytes()
+            assert (H is None) == (res.H is None)
+            if H is not None:
+                assert H.tobytes() == res.H.value.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["fs", "sp", "asp"])
+    def test_batch_states_equal_each_sentence_alone(self, scheme):
+        cfg = small_config(scheme, K=3, d=4, e=3, vocab=12)
+        params = M.init_model(cfg, seed=22)
+        rng = np.random.default_rng(6)
+        batch = [[int(v) for v in rng.integers(0, 12, size=n)] for n in (5, 1, 8, 3)]
+        tape = Tape()
+        res = M.forward_batch(tape, params.bind(tape), cfg, batch, 2)
+        assert res.S.value.shape == (4, 8, cfg.hidden_size)
+        for k, ids in enumerate(batch):
+            alone = self._states(M.dump_activations(params, cfg, ids, 2))
+            for name, got, want in zip("SH", (res.S, res.H), alone):
+                assert (want is None) == (got is None), name
+                if want is None:
+                    continue
+                got = got.value[k]
+                assert not got[len(ids):].any(), name  # zero past the length
+                npt.assert_allclose(got[:len(ids)], want, rtol=0, atol=1e-12, err_msg=name)
+
     def test_record_count_and_consistency(self):
         cfg = small_config("sp", d=3, e=2)
         params = M.init_model(cfg, seed=5)
@@ -282,6 +320,22 @@ class TestDumpActivations:
 
 
 class TestCheckpoint:
+    def test_save_makes_no_copy_of_a_tensor(self, tmp_path):
+        cfg = M.ModelConfig(scheme="fs", task_names=("a",), classes=(2,), hidden_size=2,
+                            embed_size=128, vocab_size=5000)
+        params = M.init_model(cfg, seed=0)
+        size = params.embeddings.matrix.nbytes
+        assert size >= 4 * 2 ** 20
+        tracemalloc.start()
+        try:
+            M.save_checkpoint(tmp_path / "m.bin", params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size
+        loaded, _, _ = M.load_checkpoint(tmp_path / "m.bin")
+        assert loaded.embeddings.matrix.tobytes() == params.embeddings.matrix.tobytes()
+
     def test_roundtrip(self, tmp_path):
         cfg = small_config("asp", K=3, d=4, e=3, vocab=12)
         params = M.init_model(cfg, seed=9)

@@ -260,6 +260,52 @@ class TestPackedFold:
         assert {k: v.shape[0] for k, v in stored.items()} == dict.fromkeys(stored, sum(lengths))
 
 
+class TestFinalStates:
+    """``nn.lstm_final_states``, the inference fold, against the training fold."""
+
+    def _setup(self, lengths, d, e, seed=12):
+        rng = np.random.default_rng(seed)
+        return (rng.uniform(-1, 1, (len(lengths), max(lengths), e)),
+                rng.uniform(-0.8, 0.8, (4 * d, d + e)), rng.uniform(-0.8, 0.8, 4 * d))
+
+    @staticmethod
+    def _final(X, W, b, lengths):
+        """Final states of the padded batch ``X`` through the packed rows it holds."""
+        lengths = np.asarray(lengths, dtype=np.intp)
+        packing = nn.pack(lengths)
+        rows = np.concatenate([X[k, :n] for k, n in enumerate(lengths)])
+        return nn.lstm_final_states(rows[packing.rows], W, b, packing)
+
+    @pytest.mark.parametrize("d,e", [(3, 2), (24, 16)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_single_sentence_bitwise_equal_to_fold(self, n, d, e):
+        X, W, b = self._setup([n], d, e)
+        want = nn._LstmFold(X, W, b, None).outputs()[0, n - 1]
+        assert self._final(X, W, b, [n])[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d,e", [(3, 2), (24, 16)])
+    @pytest.mark.parametrize("lengths", [[4, 2, 6, 2, 6, 1], [5, 5, 5], [1, 3, 1], [2, 9, 3]])
+    def test_ragged_batch_matches_fold(self, lengths, d, e):
+        X, W, b = self._setup(lengths, d, e)
+        H = nn._LstmFold(X, W, b, lengths).outputs()
+        got = self._final(X, W, b, lengths)
+        assert got.shape == (len(lengths), d)
+        for k, n in enumerate(lengths):
+            npt.assert_allclose(got[k], H[k, n - 1], rtol=0, atol=1e-12)
+
+    def test_packing_indexes_both_layouts(self):
+        lengths, T = np.array([2, 4, 1, 4]), 5
+        starts = np.cumsum(lengths) - lengths
+        concat, padded = nn.pack(lengths), nn.pack(lengths, stride=T)
+        assert concat.active == padded.active == [4, 3, 2, 2]
+        assert concat.offs == padded.offs == [0, 4, 7, 9, 11]
+        npt.assert_array_equal(concat.order, [1, 3, 0, 2])
+        # the same (sentence, step) behind each packed row in both layouts
+        k, t = np.divmod(padded.rows, T)
+        npt.assert_array_equal(concat.rows, starts[k] + t)
+        assert (t < lengths[k]).all()
+
+
 class TestSoftmaxHead:
     def test_zero_head_uniform(self):
         t = Tape()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -458,6 +460,51 @@ class TestEvaluate:
         params, config = toy_model()
         with pytest.raises(InputError):
             T.evaluate(params, config, [], 0)
+
+    def test_token_chunks_equal_one_sentence_at_a_time(self, monkeypatch):
+        params, config = toy_model("asp", K=2, seed=4)
+        rng = np.random.default_rng(8)
+        lengths = [int(n) for n in rng.integers(1, 40, size=150)]
+        lengths[60] = T.ENCODE_TOKENS + 37
+        examples = [D.Example([int(v) for v in rng.integers(0, 12, size=n)],
+                              int(rng.integers(2))) for n in lengths]
+        chunks, encode = [], M.encode
+
+        def spy(params, config, sentences, task=None):
+            chunks.append([len(s) for s in sentences])
+            return encode(params, config, sentences, task)
+
+        monkeypatch.setattr(M, "encode", spy)
+        pred, disc = T._predictions(params, config, examples, 1)
+        err = T.evaluate(params, config, examples, 1)
+        monkeypatch.undo()
+        chunks = chunks[:len(chunks) // 2]  # the evaluate call chunks the same way
+        assert [n for c in chunks for n in c] == lengths
+        assert len(chunks) >= 4 and [lengths[60]] in chunks
+        for c, nxt in zip(chunks, chunks[1:]):
+            assert sum(c) <= T.ENCODE_TOKENS or len(c) == 1
+            assert sum(c) + nxt[0] > T.ENCODE_TOKENS  # a chunk ends only at the budget
+        for k, ex in enumerate(examples):
+            alone = M.encode(params, config, [ex.tokens], 1)
+            assert pred[k] == np.argmax(alone.class_probs[0])
+            assert disc[k] == np.argmax(alone.disc_probs[0])
+        assert err == np.mean(pred != [ex.label for ex in examples])
+
+    def test_memory_is_bounded_by_the_token_budget(self):
+        d = e = 16
+        params, config = toy_model("asp", K=2, d=d, seed=5, vocab=30)
+        rng = np.random.default_rng(9)
+        # short sentences, and a run of long ones whose tokens add up to 3x the budget
+        lengths = [5] * 1000 + [200] * 16 + [5] * 984
+        examples = [D.Example(rng.integers(0, 30, size=n).tolist(), 0) for n in lengths]
+        tracemalloc.start()
+        try:
+            T.evaluate(params, config, examples, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one fold's packed inputs and gate pre-activations, N x (e + 4d) floats, twice over
+        assert peak < 2 * T.ENCODE_TOKENS * (e + 4 * d) * 8
 
 
 class TestGridSearch:
