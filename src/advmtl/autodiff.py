@@ -333,8 +333,8 @@ def concat(parts: Sequence[Node], axis: int = 0) -> Node:
     return tape.record(out, parts, vjp)
 
 
-def row(a: Node, i: int) -> Node:
-    """Extract row ``i`` of a matrix as a vector (slice ``i`` along the first axis)."""
+def row(a: Node, i) -> Node:
+    """Slice ``i`` of the first axis: one row, or the rows at an array of distinct indices."""
     if a.value.ndim < 2:
         raise ShapeError(f"row: expected a matrix, got shape {a.value.shape}")
 
@@ -370,18 +370,6 @@ def take_rows(a: Node, indices: Sequence[int]) -> Node:
     return a.tape.record(a.value[idx], (a,), vjp)
 
 
-def _mask(lengths: np.ndarray) -> np.ndarray:
-    """``[B, T]`` booleans, true at the first ``lengths[k]`` positions of row ``k``."""
-    return np.arange(lengths.max()) < lengths[:, None]
-
-
-def _pad(rows: Tensor, lengths: np.ndarray) -> Tensor:
-    """The numpy value of :func:`pad_runs`."""
-    out = np.zeros((len(lengths), lengths.max()) + rows.shape[1:])
-    out[_mask(lengths)] = rows
-    return out
-
-
 def pad_runs(a: Node, lengths: Sequence[int]) -> Node:
     """Split the rows of ``a`` into consecutive runs and pad each run with zero rows.
 
@@ -394,26 +382,10 @@ def pad_runs(a: Node, lengths: Sequence[int]) -> Node:
     if a.value.ndim < 1 or int(lengths.sum()) != a.value.shape[0]:
         raise ShapeError(
             f"pad_runs: lengths add up to {int(lengths.sum())}, input has shape {a.value.shape}")
-    mask = _mask(lengths)
-    return a.tape.record(_pad(a.value, lengths), (a,), lambda g: (g[mask],))
-
-
-def take_along(a: Node, index: Sequence[int]) -> Node:
-    """Entry ``index[k]`` of slice ``k``: row ``k`` of the result is ``a[k, index[k]]``."""
-    idx = np.asarray(index, dtype=np.intp)
-    v = a.value
-    if v.ndim < 2 or idx.shape != (v.shape[0],):
-        raise ShapeError(f"take_along: {idx.shape} indices for an operand of shape {v.shape}")
-    if idx.min() < 0 or idx.max() >= v.shape[1]:
-        raise ShapeError(f"take_along: index out of range for {v.shape[1]} entries")
-    rows = np.arange(len(idx))
-
-    def vjp(g):
-        out = np.zeros_like(v)
-        out[rows, idx] = g
-        return (out,)
-
-    return a.tape.record(v[rows, idx], (a,), vjp)
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    out = np.zeros(mask.shape + a.value.shape[1:])
+    out[mask] = a.value
+    return a.tape.record(out, (a,), lambda g: (g[mask],))
 
 
 def sum_all(a: Node) -> Node:

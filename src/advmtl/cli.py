@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -154,9 +155,14 @@ def validate_train_config(cfg: dict) -> None:
     if cfg["gamma"] is None:
         cfg["gamma"] = 0.01 if scheme == "asp" else 0.0
     # every check that needs no corpus runs before the corpus loads
-    _train_config(cfg)
+    base = _train_config(cfg)
     if cfg["grid"]:
-        _parse_grid(cfg["grid"])
+        grid = _parse_grid(cfg["grid"])
+        for combo in itertools.product(*grid.values()):
+            try:
+                dataclasses.replace(base, **dict(zip(grid, combo)))
+            except ConfigError as exc:
+                raise ConfigError(f"grid: {exc}") from None
 
 
 def _train_config(cfg: dict, alpha=None) -> T.TrainConfig:
@@ -266,6 +272,8 @@ def _parse_alpha(cfg: dict, n_tasks: int):
 
 
 def _parse_grid(text: str) -> dict[str, list[float]]:
+    """The values of each swept setting, keyed by its ``TrainConfig`` field."""
+    fields = {"learning_rate": "learning_rate", "lambda": "adv_weight", "gamma": "diff_weight"}
     grid = {}
     for clause in text.split(";"):
         if not clause.strip():
@@ -274,10 +282,10 @@ def _parse_grid(text: str) -> dict[str, list[float]]:
             raise ConfigError(f"grid: expected 'key=v1,v2', got '{clause}'")
         key, values = clause.split("=", 1)
         key = key.strip()
-        if key not in ("learning_rate", "lambda", "gamma"):
+        if key not in fields:
             raise ConfigError(f"grid: unsupported key '{key}'")
         try:
-            grid[key] = [float(v) for v in values.split(",") if v.strip()]
+            grid[fields[key]] = [float(v) for v in values.split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from None
     if not grid:
@@ -325,10 +333,8 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if cfg["grid"]:
-        grid = {{"lambda": "adv_weight", "gamma": "diff_weight"}.get(k, k): v
-                for k, v in _parse_grid(cfg["grid"]).items()}
         result = T.grid_search(functools.partial(_fresh_model, params, config),
-                               datasets, grid, train_cfg, jobs=cfg["jobs"])
+                               datasets, _parse_grid(cfg["grid"]), train_cfg, jobs=cfg["jobs"])
         best, history = result.best_params, result.best_history
         grid_rows = ["cell,mean_dev_error," + ",".join(result.cells[0][0])]
         for i, (cell, err) in enumerate(result.cells):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -170,12 +170,13 @@ def init_model(config: ModelConfig, seed: int,
 
 @dataclass
 class ForwardResult:
-    """Tape nodes of a forward pass; a batch's have a leading batch axis.
+    """Tape nodes of a forward pass.
 
-    ``S`` and ``H`` hold every timestep's shared and private state, zero
-    past each sentence's length; ``s_T`` and ``h_T`` are the states at each
-    sentence's last token. Fields that the scheme or the call does not
-    produce are None.
+    ``S`` and ``H`` are ``[N, d]``: the shared and private state after each
+    of the batch's tokens, in the order of its concatenated token ids.
+    ``s_T`` and ``h_T`` are the states at each sentence's last token, and
+    they and the probabilities have one row per sentence. Fields that the
+    scheme or the call does not produce are None.
     """
 
     s_T: Node
@@ -205,7 +206,9 @@ def forward_batch(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
     if task is not None:
         _check_task(config, task)
     # one embedding node feeds both encoders, so its gradient is summed once
-    xs, lengths = nn.embed_batch(bound["embeddings"], sentences)
+    table = bound["embeddings"]
+    ids, lengths = nn.batch_token_ids(sentences, table.value.shape[0])
+    xs = ad.take_rows(table, ids)
     out = ForwardResult(*nn.lstm_encode(xs, bound["shared.W"], bound["shared.b"], lengths))
     if task is not None:
         feature = out.s_T
@@ -229,12 +232,13 @@ def forward(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
     """Run one sentence through the scheme's encoders and its task head.
 
     This is :func:`forward_batch` on a batch of one, with the batch axis
-    taken off every result.
+    taken off the per-sentence fields; ``S`` and ``H`` are already the
+    sentence's ``[T, d]`` states.
     """
     _check_task(config, task)
     res = forward_batch(tape, bound, config, [token_ids], task, rev_spec, want_disc)
-    nodes = {f.name: getattr(res, f.name) for f in fields(res)}
-    return ForwardResult(**{k: None if n is None else ad.row(n, 0) for k, n in nodes.items()})
+    return replace(res, **{k: ad.row(n, 0) for k, n in vars(res).items()
+                           if n is not None and k not in ("S", "H")})
 
 
 def discriminate(s: Node, W: Node, b: Node) -> Node:
@@ -330,12 +334,12 @@ def dump_activations(params: ModelParams, config: ModelConfig,
     _check_task(config, task)
     table = params.embeddings.matrix
     ids, _ = nn.batch_token_ids([token_ids], table.shape[0])
-    X = table[ids][None]
-    S = nn.lstm_states(X, params.shared.W, params.shared.b)[0]
+    X = table[ids]
+    S = nn.lstm_states(X, params.shared.W, params.shared.b)
     H = None
     if config.has_private:
         p = params.private[task]
-        H = nn.lstm_states(X, p.W, p.b)[0]
+        H = nn.lstm_states(X, p.W, p.b)
     probs = _classify(params, task, S, H)
     return [{"t": t + 1,
              "token_id": int(token_ids[t]),

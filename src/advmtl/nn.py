@@ -69,13 +69,13 @@ def init_lstm(rng: np.random.Generator, hidden: int, embed: int) -> LstmParams:
 
 
 def lstm_states(X: Tensor, W: Tensor, b: Tensor, lengths=None) -> Tensor:
-    """Hidden states ``[B, T, d]`` of the LSTM folded over each sentence of ``X``.
+    """Hidden states ``[N, d]`` of the LSTM folded over each sentence of ``X``.
 
-    ``X`` is ``[B, T, e]``; sentence ``k`` is its first ``lengths[k]`` rows
-    (default: all ``T``), and its initial state is zero. Past its length a
-    sentence's state is frozen: its output rows are zero and its final
-    state, ``H[k, lengths[k] - 1]``, is the state at its last real token.
-    :func:`lstm_encode` records this fold as one tape node.
+    ``X`` is ``[N, e]``: the sentences' token inputs, concatenated, so
+    sentence ``k`` is the next ``lengths[k]`` rows (default: one sentence
+    of all N). Each sentence starts from a zero state. Row ``r`` of the
+    result is the state after input row ``r``, so a sentence's final state
+    is its last row. :func:`lstm_encode` records this fold as one tape node.
     """
     return _LstmFold(X, W, b, lengths).outputs()
 
@@ -88,8 +88,8 @@ class Packing:
     sentence at sorted position ``j``), then laid out time-major, keeping
     only the real tokens. Step ``t`` is the row slice ``offs[t] : offs[t] +
     active[t]``, and the sentences still running at step ``t`` are the
-    first ``active[t]`` rows of step ``t - 1``. ``rows[r]`` is where packed
-    row ``r`` sits in the caller's layout of the tokens.
+    first ``active[t]`` rows of step ``t - 1``. ``rows[r]`` is the row of
+    the concatenated tokens that packed row ``r`` holds.
     """
 
     order: np.ndarray
@@ -98,19 +98,13 @@ class Packing:
     rows: np.ndarray
 
 
-def pack(lengths: np.ndarray, stride: int | None = None) -> Packing:
-    """The :class:`Packing` of sentences of ``lengths`` (each >= 1).
-
-    Token ``t`` of sentence ``k`` sits at row ``starts[k] + t`` of the
-    caller's layout: with no ``stride`` the sentences are concatenated, and
-    with one they are the rows of a ``[B, stride]`` padded array.
-    """
+def pack(lengths: np.ndarray) -> Packing:
+    """The :class:`Packing` of concatenated sentences of ``lengths`` (each >= 1)."""
     order = np.argsort(-lengths, kind="stable")
     steps = np.arange(lengths.max())[:, None]
     running = lengths[order] > steps  # [step, sorted position]
     active = [int(n) for n in running.sum(axis=1)]
-    starts = (np.arange(len(lengths)) * stride if stride is not None
-              else np.cumsum(lengths) - lengths)
+    starts = np.cumsum(lengths) - lengths
     return Packing(order, active, [0, *itertools.accumulate(active)],
                    (starts[order] + steps)[running])
 
@@ -191,27 +185,24 @@ class _LstmFold:
     """
 
     def __init__(self, X, W, b, lengths):
-        if X.ndim != 3:
-            raise ShapeError(f"lstm_encode: expected [B, T, e] inputs, got {X.shape}")
-        B, T, e = X.shape
-        if B < 1 or T < 1:
-            raise InputError("lstm_encode: empty sequence")
+        if X.ndim != 2:
+            raise ShapeError(f"lstm_encode: expected [N, e] inputs, got {X.shape}")
+        N, e = X.shape
         d = b.shape[0] // 4
         if e != W.shape[1] - d:
             raise ShapeError(f"lstm_encode: input width {e}, expected {W.shape[1] - d}")
-        lengths = np.full(B, T) if lengths is None else np.asarray(lengths, dtype=np.intp)
-        if lengths.shape != (B,) or lengths.max() > T:
-            raise ShapeError(f"lstm_encode: lengths {lengths} for inputs of shape {X.shape}")
+        lengths = np.array([N]) if lengths is None else np.asarray(lengths, dtype=np.intp)
+        if lengths.ndim != 1 or len(lengths) == 0 or lengths.sum() != N:
+            raise ShapeError(f"lstm_encode: lengths {lengths} for {N} input rows")
         if lengths.min() < 1:
             raise InputError("lstm_encode: empty sequence")
 
-        packing = pack(lengths, stride=T)  # rows: the flat [B * T] slot of each packed row
-        self.lengths, self.shape, self.d, self.W = lengths, (B, T), d, W
+        packing = pack(lengths)
+        self.lengths, self.d, self.W = lengths, d, W
         self.active, self.offs, self.rows = packing.active, packing.offs, packing.rows
-        self.X = X.reshape(B * T, e)[self.rows]
+        self.X = X[self.rows]
         # gate pre-activations, then (in place, step by step) their activations
         self.Z, W_hT = _input_term(self.X, W, b)
-        N = len(self.rows)
         self.H, self.C, self.tanh_C = np.empty((N, d)), np.empty((N, d)), np.empty((N, d))
         for t, n in enumerate(self.active):
             r = slice(self.offs[t], self.offs[t + 1])
@@ -219,21 +210,21 @@ class _LstmFold:
             prev = (self.H[p], self.C[p]) if t else (None, None)
             _lstm_step(self.Z[r], W_hT, *prev, self.H[r], self.C[r], self.tanh_C[r])
 
-    def _scatter(self, packed: Tensor) -> Tensor:
-        """``[B, T, k]`` array holding the packed rows in their slots and zeros elsewhere."""
-        out = np.zeros((self.shape[0] * self.shape[1], packed.shape[1]))
+    def _unpack(self, packed: Tensor) -> Tensor:
+        """The packed rows back in the caller's token order."""
+        out = np.empty_like(packed)
         out[self.rows] = packed
-        return out.reshape(*self.shape, packed.shape[1])
+        return out
 
     def outputs(self) -> Tensor:
-        """``[B, T, d]`` hidden states in the caller's sentence order."""
-        return self._scatter(self.H)
+        """``[N, d]`` hidden states, in the caller's token order."""
+        return self._unpack(self.H)
 
     def backward(self, g: Tensor) -> tuple:
         """Gradients of (inputs, W, b) from the gradient of :meth:`outputs`."""
         d, W, active, offs = self.d, self.W, self.active, self.offs
         N, e = self.X.shape
-        g = g.reshape(-1, d)[self.rows]
+        g = g[self.rows]
         # the [x; h_prev] input and c_prev of every row, zero at step 0; a
         # row of step t > 0 follows its sentence's row by active[t - 1]
         n0, counts = active[0], np.array(active)
@@ -266,24 +257,23 @@ class _LstmFold:
         ga_rows = ga_all.reshape(N, 4 * d)
         dW = ga_rows.T @ zs
         db = ga_rows.sum(axis=0)
-        return self._scatter(ga_rows @ W[:, :e]), dW, db
+        return self._unpack(ga_rows @ W[:, :e]), dW, db
 
 
 def lstm_encode(xs: Node, W: Node, b: Node, lengths=None) -> tuple[Node, Node]:
-    """Fold the LSTM over each sentence of ``xs`` ([B, T, e]); returns (h_T [B, d], all_h [B, T, d]).
+    """Fold the LSTM over each sentence of ``xs`` ([N, e]); returns (h_T [B, d], all_h [N, d]).
 
-    Sentence ``k`` is its first ``lengths[k]`` rows (default: all ``T``);
-    ``h_T[k]`` is its state at its last real token, and ``all_h`` is zero
-    past each length, as in :func:`lstm_states`. The whole batch is one tape
-    node whose backward rule runs one batched BPTT loop over the packed rows
-    that computes only the recurrent ``dh``; the input and weight gradients
-    are then one matrix product each over the ``sum(lengths)`` real steps,
-    and padded steps get exactly zero. Its gradients are finite-difference
+    The sentences are concatenated as in :func:`lstm_states`, and
+    ``all_h`` holds its values; ``h_T[k]`` is sentence ``k``'s state at its
+    last token. The whole batch is one tape node whose backward rule runs
+    one batched BPTT loop over the packed rows that computes only the
+    recurrent ``dh``; the input and weight gradients are then one matrix
+    product each over the N rows. Its gradients are finite-difference
     checked and agree with chaining single LSTM steps.
     """
     fold = _LstmFold(xs.value, W.value, b.value, lengths)
     all_h = xs.tape.record(fold.outputs(), (xs, W, b), fold.backward)
-    return ad.take_along(all_h, fold.lengths - 1), all_h
+    return ad.row(all_h, np.cumsum(fold.lengths) - 1), all_h
 
 
 @dataclass
@@ -347,30 +337,22 @@ def batch_token_ids(sentences, vocab_size: int) -> tuple[np.ndarray, np.ndarray]
     """
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
     if len(lengths) == 0 or lengths.min() == 0:
-        raise InputError("embed_batch: empty sentence")
+        raise InputError("batch_token_ids: empty sentence")
     ids = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.intp,
                       count=int(lengths.sum()))
     if ids.min() < 0 or ids.max() >= vocab_size:
         raise InputError(
-            f"embed_batch: token id out of range for vocabulary of {vocab_size}")
+            f"batch_token_ids: token id out of range for vocabulary of {vocab_size}")
     return ids, lengths
-
-
-def embed_batch(table_node: Node, sentences) -> tuple[Node, np.ndarray]:
-    """Look up a batch of sentences; returns the ``[B, T, e]`` node and the lengths.
-
-    Only the real tokens are looked up, as one :func:`~advmtl.autodiff.take_rows`;
-    the padding past each sentence's length is zero and gets no gradient.
-    """
-    ids, lengths = batch_token_ids(sentences, table_node.value.shape[0])
-    return ad.pad_runs(ad.take_rows(table_node, ids), lengths), lengths
 
 
 def load_embeddings_text(path, token_to_id: dict[str, int], matrix: Tensor) -> int:
     """Overwrite rows of ``matrix`` with vectors from a text embedding file.
 
     Format: one token per line followed by ``dim`` whitespace-separated
-    floats. Lines whose token is not in ``token_to_id`` are skipped.
+    floats. Lines whose token is not in ``token_to_id`` are skipped. A
+    line of a known token with the wrong width, a value that is not a
+    float, or a NaN or infinite value raises :class:`DataFormatError`.
     Returns the number of rows loaded.
     """
     dim = matrix.shape[1]
@@ -391,7 +373,9 @@ def load_embeddings_text(path, token_to_id: dict[str, int], matrix: Tensor) -> i
             try:
                 vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
             except ValueError as exc:
-                raise DataFormatError(f"{path}:{ln}: {exc}") from None
+                raise DataFormatError(f"{path}:{ln}: '{token}': {exc}") from None
+            if not np.isfinite(vec).all():
+                raise DataFormatError(f"{path}:{ln}: non-finite value for '{token}'")
             matrix[idx] = vec
             loaded += 1
     return loaded

@@ -51,19 +51,21 @@ class TrainConfig:
     alternating: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.adv_weight < 0 or self.diff_weight < 0:
-            raise ConfigError("adversarial and diff weights must be >= 0")
+        for name, w in (("adv_weight (lambda)", self.adv_weight),
+                        ("diff_weight (gamma)", self.diff_weight)):
+            if not (np.isfinite(w) and w >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {w}")
         if self.diff_mode not in ("sentence", "batch"):
             raise ConfigError(f"diff_mode must be 'sentence' or 'batch', got {self.diff_mode}")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:  # NaN fails too; inf means no clipping
             raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
         if not np.isfinite(self.unlabeled_ratio) or self.unlabeled_ratio <= 0:
             raise ConfigError(
@@ -154,9 +156,11 @@ def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
                  cfg: TrainConfig):
     """Per-batch loss nodes: (task CE, adversarial CE, diff) — None where n/a.
 
-    The whole batch is one graph. Each term is the mean over its sentences;
-    the diff term is over every timestep (``diff_mode="sentence"``) or over
-    the final states (``"batch"``).
+    The whole batch is one graph. Each term is the mean over its sentences.
+    The diff term is over the final states (``diff_mode="batch"``) or over
+    every timestep (``"sentence"``), for which the forward pass's ``[N, d]``
+    token rows are padded to ``[B, T, d]`` here; the padding adds nothing to
+    ``S^T H``.
     """
     adversarial = config.has_discriminator
     if batch.is_unlabeled and not adversarial:
@@ -174,7 +178,10 @@ def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
                            L.onehot(batch.labels, config.classes[batch.task]))
     l_diff = None
     if adversarial:
-        S, H = (res.S, res.H) if cfg.diff_mode == "sentence" else (res.s_T, res.h_T)
+        S, H = res.s_T, res.h_T
+        if cfg.diff_mode == "sentence":  # each sentence's states as one [T, d] block
+            lengths = [len(s) for s in batch.sequences]
+            S, H = ad.pad_runs(res.S, lengths), ad.pad_runs(res.H, lengths)
         l_diff = ad.scale(L.diff_loss(S, H), 1.0 / len(batch))
     return l_ce, l_adv, l_diff
 

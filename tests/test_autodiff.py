@@ -250,7 +250,7 @@ class TestFiniteDifferenceCheck:
 
 OPS = ["add", "add_bias", "mul", "matmul", "matvec", "tanh", "log", "softmax",
        "concat0", "concat1", "sum_all", "row", "take_rows", "softmax_rows", "affine",
-       "affine_vec", "pad_runs", "take_along"]
+       "affine_vec", "pad_runs", "row_indices"]
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -320,10 +320,10 @@ def test_every_op_matches_finite_differences(op):
             a = t.leaf(p["m1"])
             out = ad.pad_runs(a, [1, 2])
             nodes = {"m1": a}
-        elif op == "take_along":
-            a = t.leaf(p["t3"])
-            out = ad.take_along(a, [2, 0])
-            nodes = {"t3": a}
+        elif op == "row_indices":
+            a = t.leaf(p["m1"])
+            out = ad.row(a, np.array([2, 0]))
+            nodes = {"m1": a}
         loss = ad.sum_all(ad.mul(out, out)) if out.value.shape != () else out
         if not with_grads:
             return float(loss.value), None
@@ -335,8 +335,7 @@ def test_every_op_matches_finite_differences(op):
               "m1": rng.normal(size=(3, 4)), "m2": rng.normal(size=(4, 2)),
               "m3": rng.normal(size=(3, 2)),
               "v": rng.normal(size=4), "pos": rng.uniform(0.5, 2.0, 4),
-              "w": rng.normal(size=(2, 4)), "bias2": rng.normal(size=2),
-              "t3": rng.normal(size=(2, 3, 4))}
+              "w": rng.normal(size=(2, 4)), "bias2": rng.normal(size=2)}
     if op == "add_bias":
         params["a"] = rng.normal(size=(3, 4))
     used = {"add": ["a", "b"], "add_bias": ["a", "bias"], "mul": ["a", "b"],
@@ -345,7 +344,7 @@ def test_every_op_matches_finite_differences(op):
             "concat0": ["a", "b"], "concat1": ["m1", "m3"],
             "sum_all": ["m1"], "row": ["m1"], "take_rows": ["m1"], "softmax_rows": ["m1"],
             "affine": ["m1", "w", "bias2"], "affine_vec": ["a", "w", "bias2"],
-            "pad_runs": ["m1"], "take_along": ["t3"]}[op]
+            "pad_runs": ["m1"], "row_indices": ["m1"]}[op]
     err = ad.finite_difference_check(build, {k: params[k] for k in used}, 1e-5)
     assert err < 1e-4, f"{op}: max relative error {err}"
 
@@ -481,17 +480,16 @@ def test_softmax_is_distribution(n, seed):
     assert np.all(out.value >= 0)
 
 
-def test_pad_runs_and_take_along_values():
+def test_pad_runs_and_row_values():
     t = Tape()
     a = leaf(t, np.arange(8.0).reshape(4, 2))
     padded = ad.pad_runs(a, [1, 3])
     npt.assert_array_equal(padded.value, [[[0, 1], [0, 0], [0, 0]],
                                           [[2, 3], [4, 5], [6, 7]]])
-    npt.assert_array_equal(ad.take_along(padded, [0, 2]).value, [[0, 1], [6, 7]])
+    npt.assert_array_equal(ad.row(a, np.array([0, 3])).value, [[0, 1], [6, 7]])
+    npt.assert_array_equal(ad.row(a, 2).value, [4, 5])
     with pytest.raises(ShapeError):
         ad.pad_runs(a, [1, 2])  # lengths must cover every row
-    with pytest.raises(ShapeError):
-        ad.take_along(padded, [0, 3])
 
 
 def test_softmax_rows_are_independent_distributions():

@@ -130,8 +130,17 @@ class TestTrain:
         (["--scheme", "asp", "--unlabeled", "--unlabeled-ratio", "-1"], "unlabeled_ratio"),
         (["--scheme", "asp", "--unlabeled", "--unlabeled-ratio", "nan"], "unlabeled_ratio"),
         (["--scheme", "fs", "--max-len", "0"], "max_len"),
+        (["--scheme", "asp", "--clip-norm", "nan"], "clip_norm"),
+        (["--scheme", "asp", "--learning-rate", "nan"], "learning_rate"),
+        (["--scheme", "asp", "--learning-rate", "inf"], "learning_rate"),
+        (["--scheme", "asp", "--gamma", "nan"], "gamma"),
+        (["--scheme", "asp", "--lambda", "nan"], "lambda"),
+        (["--scheme", "asp", "--grid", "learning_rate=nan,0.1"], "learning_rate"),
+        (["--scheme", "asp", "--grid", "gamma=nan,0.01"], "gamma"),
     ], ids=["scheme", "diff_mode", "grid", "unlabeled_ratio_negative",
-            "unlabeled_ratio_nan", "max_len"])
+            "unlabeled_ratio_nan", "max_len", "clip_norm_nan", "learning_rate_nan",
+            "learning_rate_inf", "gamma_nan", "lambda_nan", "grid_learning_rate_nan",
+            "grid_gamma_nan"])
     def test_bad_value_exits_3(self, corpus_dir, tmp_path, capsys, flags, key):
         rc = cli.main(["train", *flags, "--data", str(corpus_dir),
                        "--out", str(tmp_path / "x")])
@@ -150,6 +159,17 @@ class TestTrain:
         assert rc == 3
         captured = capsys.readouterr()
         assert "diff_mode" in captured.err and "task " not in captured.out
+
+    def test_non_finite_embedding_exits_2(self, corpus_dir, tmp_path, capsys):
+        token = (corpus_dir / "task00" / "train.tsv").read_text().split("\t")[1].split()[0]
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(f"{token} nan 0.5\n")
+        rc = cli.main(["train", "--scheme", "sp", "--embed-size", "2", "--max-epochs", "1",
+                       "--embeddings", str(vectors), "--data", str(corpus_dir),
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "vectors.txt:1" in err and f"'{token}'" in err
 
     def test_missing_data_exits_2(self, tmp_path):
         rc = cli.main(["train", "--scheme", "fs", "--data",

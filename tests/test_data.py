@@ -96,8 +96,8 @@ class TestVocabulary:
 
     def test_vocab_is_pure_function_of_train_split(self, tmp_path):
         # identical training text, different dev text -> identical vocab
-        def build(dev_text):
-            root = tmp_path / f"c_{hash(dev_text) % 97}"
+        def build(name, dev_text):
+            root = tmp_path / name
             tdir = root / "t"
             tdir.mkdir(parents=True)
             (tdir / "train.tsv").write_text("1\talpha beta\n0\tgamma alpha\n")
@@ -105,7 +105,7 @@ class TestVocabulary:
             (tdir / "test.tsv").write_text("1\talpha\n")
             return D.load_corpus(root)[1]
 
-        assert build("1\tbeta\n").id_to_token == build("0\tzzz qqq\n").id_to_token
+        assert build("a", "1\tbeta\n").id_to_token == build("b", "0\tzzz qqq\n").id_to_token
 
 
 class TestBatches:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advmtl import autodiff as ad
+from advmtl import models as M
 from advmtl import nn
 from advmtl.autodiff import Tape
 from advmtl.errors import DataFormatError, InputError, ShapeError
@@ -88,7 +89,7 @@ class TestLstmEncode:
         W, b, xs = self._setup(5, T=1)
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
-        h_T, all_h = nn.lstm_encode(t.constant(xs[None]), Wn, bn)
+        h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn)
         d = b.shape[0] // 4
         h1, _ = oracles.lstm_step(t.constant(xs[0]), t.constant(np.zeros(d)),
                              t.constant(np.zeros(d)), Wn, bn)
@@ -98,7 +99,7 @@ class TestLstmEncode:
         d, e, T = 4, 3, 5
         t = Tape()
         W, b = bind_lstm(t, np.zeros((4 * d, d + e)), np.zeros(4 * d))
-        h_T, _ = nn.lstm_encode(t.constant(np.random.default_rng(0).normal(size=(1, T, e))),
+        h_T, _ = nn.lstm_encode(t.constant(np.random.default_rng(0).normal(size=(T, e))),
                                 W, b)
         npt.assert_array_equal(h_T.value[0], np.zeros(d))
 
@@ -106,23 +107,23 @@ class TestLstmEncode:
         W, b, xs = self._setup(77, T=3)
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
-        h_T, all_h = nn.lstm_encode(t.constant(xs[None]), Wn, bn)
+        h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn)
         oh, oall = oracles.lstm_encode_loops(xs.tolist(), W.tolist(), b.tolist())
         npt.assert_allclose(h_T.value[0], oh, rtol=0, atol=1e-12)
-        npt.assert_allclose(all_h.value[0], oall, rtol=0, atol=1e-12)
+        npt.assert_allclose(all_h.value, oall, rtol=0, atol=1e-12)
 
     def test_last_row_equals_final_state(self):
         W, b, xs = self._setup(6, T=7)
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
-        h_T, all_h = nn.lstm_encode(t.constant(xs[None]), Wn, bn)
-        npt.assert_array_equal(all_h.value[0, -1], h_T.value[0])
+        h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn)
+        npt.assert_array_equal(all_h.value[-1], h_T.value[0])
 
     def test_empty_sequence_rejected(self):
         t = Tape()
         W, b = bind_lstm(t, np.zeros((12, 5)), np.zeros(12))
         with pytest.raises(InputError):
-            nn.lstm_encode(t.constant(np.zeros((1, 0, 2))), W, b)
+            nn.lstm_encode(t.constant(np.zeros((0, 2))), W, b)
 
     @pytest.mark.parametrize("T", [1, 3, 7])
     def test_gradients_match_finite_differences(self, T):
@@ -130,7 +131,7 @@ class TestLstmEncode:
         d, e = 3, 2
         params = {"W": rng.uniform(-0.7, 0.7, (4 * d, d + e)),
                   "b": rng.uniform(-0.7, 0.7, 4 * d),
-                  "xs": rng.uniform(-1, 1, (1, T, e))}
+                  "xs": rng.uniform(-1, 1, (T, e))}
 
         def loss_fn(p, with_grads):
             t = Tape()
@@ -147,46 +148,49 @@ class TestLstmEncode:
 
 class TestBatchedLstm:
     LENGTHS = [3, 1, 5]  # ragged and unsorted
+    ENDS = np.cumsum(LENGTHS)
 
     def _setup(self, seed, d=3, e=2):
         rng = np.random.default_rng(seed)
         return (rng.uniform(-0.8, 0.8, (4 * d, d + e)), rng.uniform(-0.8, 0.8, 4 * d),
-                rng.uniform(-1, 1, (len(self.LENGTHS), max(self.LENGTHS), e)))
+                rng.uniform(-1, 1, (sum(self.LENGTHS), e)))
+
+    def _sentences(self):
+        """The row slice of each sentence in the concatenated inputs."""
+        return [slice(end - n, end) for n, end in zip(self.LENGTHS, self.ENDS)]
 
     def test_each_sentence_as_if_alone(self):
         W, b, xs = self._setup(3)
         H = nn.lstm_states(xs, W, b, self.LENGTHS)
-        for k, n in enumerate(self.LENGTHS):
-            alone = nn.lstm_states(xs[k:k + 1, :n], W, b)[0]
-            npt.assert_allclose(H[k, :n], alone, rtol=0, atol=1e-15)
-            _, oall = oracles.lstm_encode_loops(xs[k, :n].tolist(), W.tolist(), b.tolist())
-            npt.assert_allclose(H[k, :n], oall, rtol=0, atol=1e-12)
-            assert not H[k, n:].any()  # zero past the length
+        assert H.shape == (sum(self.LENGTHS), 3)
+        for rows in self._sentences():
+            alone = nn.lstm_states(xs[rows], W, b)
+            npt.assert_allclose(H[rows], alone, rtol=0, atol=1e-15)
+            _, oall = oracles.lstm_encode_loops(xs[rows].tolist(), W.tolist(), b.tolist())
+            npt.assert_allclose(H[rows], oall, rtol=0, atol=1e-12)
 
     def test_final_state_at_each_length(self):
         W, b, xs = self._setup(4)
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
         h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn, self.LENGTHS)
-        for k, n in enumerate(self.LENGTHS):
-            assert h_T.value[k].tobytes() == all_h.value[k, n - 1].tobytes()
-
-    def test_padded_inputs_are_never_read(self):
-        W, b, xs = self._setup(5)
-        noisy = xs.copy()
-        for k, n in enumerate(self.LENGTHS):
-            noisy[k, n:] = 1e3
-        assert (nn.lstm_states(noisy, W, b, self.LENGTHS).tobytes()
-                == nn.lstm_states(xs, W, b, self.LENGTHS).tobytes())
+        for k, end in enumerate(self.ENDS):
+            assert h_T.value[k].tobytes() == all_h.value[end - 1].tobytes()
 
     def test_bad_lengths_rejected(self):
         W, b, xs = self._setup(6)
         with pytest.raises(ShapeError):
-            nn.lstm_states(xs, W, b, [3, 1, 6])  # longer than T
+            nn.lstm_states(xs, W, b, [3, 1, 6])  # more rows than the input has
         with pytest.raises(ShapeError):
             nn.lstm_states(xs, W, b, [3, 1])
+        with pytest.raises(ShapeError):
+            nn.lstm_states(xs, W, b, [[3, 1, 5]])
         with pytest.raises(InputError):
-            nn.lstm_states(xs, W, b, [3, 0, 5])
+            nn.lstm_states(xs, W, b, [4, 0, 5])
+        with pytest.raises(ShapeError):
+            nn.lstm_states(xs[:, :1], W, b, self.LENGTHS)  # input width
+        with pytest.raises(ShapeError):
+            nn.lstm_states(xs[None], W, b, self.LENGTHS)  # not [N, e] rows
 
     def test_gradients_match_finite_differences(self):
         W, b, xs = self._setup(7)
@@ -203,9 +207,6 @@ class TestBatchedLstm:
             return float(out.value), {k: gm[n.idx] for k, n in nodes.items()}
 
         assert ad.finite_difference_check(loss_fn, params, 1e-5) < 1e-4
-        grads = loss_fn(params, True)[1]
-        for k, n in enumerate(self.LENGTHS):
-            assert not grads["xs"][k, n:].any()  # padded steps get exactly zero
 
     def test_weight_gradient_is_the_sum_over_sentences(self):
         W, b, xs = self._setup(8)
@@ -219,7 +220,7 @@ class TestBatchedLstm:
             return gm[Wn.idx], gm[bn.idx]
 
         dW, db = grads(xs, self.LENGTHS)
-        alone = [grads(xs[k:k + 1, :n], None) for k, n in enumerate(self.LENGTHS)]
+        alone = [grads(xs[rows], None) for rows in self._sentences()]
         npt.assert_allclose(dW, sum(g for g, _ in alone), rtol=0, atol=1e-14)
         npt.assert_allclose(db, sum(g for _, g in alone), rtol=0, atol=1e-14)
 
@@ -240,20 +241,29 @@ class TestPackedFold:
         return (rng.uniform(-1, 1, (len(lengths), T, e)), rng.uniform(-0.8, 0.8, (4 * d, d + e)),
                 rng.uniform(-0.8, 0.8, 4 * d), rng.normal(size=(len(lengths), T, d)))
 
+    @staticmethod
+    def _real(lengths, T):
+        """``[B, T]`` mask of the real tokens; a padded batch indexed by it is their rows."""
+        return np.arange(T) < np.array(lengths)[:, None]
+
     @pytest.mark.parametrize("d,e", [(3, 2), (24, 16)])
     @pytest.mark.parametrize("lengths,T", CASES.values(), ids=list(CASES))
     def test_matches_padded_fold(self, lengths, T, d, e):
         X, W, b, g = self._setup(lengths, T, d, e)  # g is nonzero on padded steps too
-        packed, padded = nn._LstmFold(X, W, b, lengths), oracles.PaddedLstmFold(X, W, b, lengths)
-        npt.assert_allclose(packed.outputs(), padded.outputs(), rtol=0, atol=1e-12)
-        for name, got, want in zip(("dX", "dW", "db"), packed.backward(g), padded.backward(g)):
+        real = self._real(lengths, T)
+        packed = nn._LstmFold(X[real], W, b, lengths)
+        padded = oracles.PaddedLstmFold(X, W, b, lengths)
+        npt.assert_allclose(packed.outputs(), padded.outputs()[real], rtol=0, atol=1e-12)
+        dX, dW, db = padded.backward(g)
+        for name, got, want in zip(("dX", "dW", "db"), packed.backward(g[real]),
+                                   (dX[real], dW, db)):
             assert got.shape == want.shape, name
             npt.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
 
     def test_stores_only_real_rows(self):
         lengths, T = self.CASES["T_past_longest"]
         X, W, b, _ = self._setup(lengths, T, 3, 2)
-        fold = nn._LstmFold(X, W, b, lengths)
+        fold = nn._LstmFold(X[self._real(lengths, T)], W, b, lengths)
         stored = {k: v for k, v in vars(fold).items()
                   if isinstance(v, np.ndarray) and v is not fold.W and v is not fold.lengths}
         assert {"X", "Z", "H", "C", "tanh_C"} <= set(stored)
@@ -265,22 +275,20 @@ class TestFinalStates:
 
     def _setup(self, lengths, d, e, seed=12):
         rng = np.random.default_rng(seed)
-        return (rng.uniform(-1, 1, (len(lengths), max(lengths), e)),
+        return (rng.uniform(-1, 1, (sum(lengths), e)),
                 rng.uniform(-0.8, 0.8, (4 * d, d + e)), rng.uniform(-0.8, 0.8, 4 * d))
 
     @staticmethod
     def _final(X, W, b, lengths):
-        """Final states of the padded batch ``X`` through the packed rows it holds."""
-        lengths = np.asarray(lengths, dtype=np.intp)
-        packing = nn.pack(lengths)
-        rows = np.concatenate([X[k, :n] for k, n in enumerate(lengths)])
-        return nn.lstm_final_states(rows[packing.rows], W, b, packing)
+        """Final states of the concatenated sentences ``X``, fed as packed rows."""
+        packing = nn.pack(np.asarray(lengths, dtype=np.intp))
+        return nn.lstm_final_states(X[packing.rows], W, b, packing)
 
     @pytest.mark.parametrize("d,e", [(3, 2), (24, 16)])
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_single_sentence_bitwise_equal_to_fold(self, n, d, e):
         X, W, b = self._setup([n], d, e)
-        want = nn._LstmFold(X, W, b, None).outputs()[0, n - 1]
+        want = nn._LstmFold(X, W, b, None).outputs()[n - 1]
         assert self._final(X, W, b, [n])[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d,e", [(3, 2), (24, 16)])
@@ -290,20 +298,21 @@ class TestFinalStates:
         H = nn._LstmFold(X, W, b, lengths).outputs()
         got = self._final(X, W, b, lengths)
         assert got.shape == (len(lengths), d)
-        for k, n in enumerate(lengths):
-            npt.assert_allclose(got[k], H[k, n - 1], rtol=0, atol=1e-12)
+        for k, end in enumerate(np.cumsum(lengths)):
+            npt.assert_allclose(got[k], H[end - 1], rtol=0, atol=1e-12)
 
     def test_packing_indexes_both_layouts(self):
         lengths, T = np.array([2, 4, 1, 4]), 5
         starts = np.cumsum(lengths) - lengths
-        concat, padded = nn.pack(lengths), nn.pack(lengths, stride=T)
-        assert concat.active == padded.active == [4, 3, 2, 2]
-        assert concat.offs == padded.offs == [0, 4, 7, 9, 11]
-        npt.assert_array_equal(concat.order, [1, 3, 0, 2])
-        # the same (sentence, step) behind each packed row in both layouts
-        k, t = np.divmod(padded.rows, T)
-        npt.assert_array_equal(concat.rows, starts[k] + t)
-        assert (t < lengths[k]).all()
+        packing = nn.pack(lengths)
+        assert packing.active == [4, 3, 2, 2]
+        assert packing.offs == [0, 4, 7, 9, 11]
+        npt.assert_array_equal(packing.order, [1, 3, 0, 2])
+        # the same (sentence, step) behind each packed row as in a padded
+        # [B, T] batch sorted longest first and read time-major
+        padded = [k * T + t for t in range(T) for k in packing.order if t < lengths[k]]
+        k, t = np.divmod(padded, T)
+        npt.assert_array_equal(packing.rows, starts[k] + t)
 
 
 class TestSoftmaxHead:
@@ -378,28 +387,32 @@ class TestInit:
 
 
 class TestEmbeddings:
+    @staticmethod
+    def _forward(sentences):
+        """An ``fs`` model whose table row ``i`` is ``[3i, 3i + 1, 3i + 2]``, run on a batch."""
+        config = M.ModelConfig("fs", ("a",), (2,), hidden_size=2, embed_size=3, vocab_size=4)
+        params = M.init_model(config, seed=0)
+        params.embeddings.matrix[:] = np.arange(12.0).reshape(4, 3)
+        tape = Tape()
+        bound = params.bind(tape)
+        res = M.forward_batch(tape, bound, config, sentences, 0)
+        return tape, bound["embeddings"], tape.nodes[res.S.parents[0]]  # the encoder's input
+
     def test_lookup_and_oov_guard(self):
-        t = Tape()
-        table = t.leaf(np.arange(12, dtype=float).reshape(4, 3))
-        out, lengths = nn.embed_batch(table, [[1, 0, 1]])
-        npt.assert_array_equal(out.value[0], [[3, 4, 5], [0, 1, 2], [3, 4, 5]])
-        with pytest.raises(InputError):
-            nn.embed_batch(table, [[4]])
-        with pytest.raises(InputError):
-            nn.embed_batch(table, [[]])
+        _, _, xs = self._forward([[1, 0, 1]])
+        npt.assert_array_equal(xs.value, [[3, 4, 5], [0, 1, 2], [3, 4, 5]])
+        for bad in ([[4]], [[]], [[1], []]):
+            with pytest.raises(InputError):
+                self._forward(bad)
 
     def test_batch_looks_up_only_real_tokens(self):
-        t = Tape()
-        table = t.leaf(np.arange(12, dtype=float).reshape(4, 3))
-        xs, lengths = nn.embed_batch(table, [[2], [0, 3, 0]])
-        npt.assert_array_equal(lengths, [1, 3])
-        npt.assert_array_equal(xs.value[0], [[6, 7, 8], [0, 0, 0], [0, 0, 0]])
-        npt.assert_array_equal(xs.value[1], [[0, 1, 2], [9, 10, 11], [0, 1, 2]])
-        grad = ad.backward(t, ad.sum_all(xs))[table.idx]
+        tape, table, xs = self._forward([[2], [0, 3, 0]])
+        npt.assert_array_equal(xs.value, [[6, 7, 8], [0, 1, 2], [9, 10, 11], [0, 1, 2]])
+        grad = ad.backward(tape, ad.sum_all(xs))[table.idx]
         npt.assert_array_equal(grad.ids, [0, 2, 3])
         npt.assert_array_equal(grad.rows, np.repeat([[2.0], [1.0], [1.0]], 3, axis=1))
         with pytest.raises(InputError):
-            nn.embed_batch(table, [])
+            self._forward([])
 
     def test_load_embeddings_text(self, tmp_path):
         path = tmp_path / "vecs.txt"
@@ -411,6 +424,52 @@ class TestEmbeddings:
         npt.assert_array_equal(matrix[0], [1.0, 2.0])
         npt.assert_array_equal(matrix[1], [0.0, 0.0])
         npt.assert_array_equal(matrix[2], [-1.0, 0.5])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_load_embeddings_non_finite(self, tmp_path, value):
+        path = tmp_path / "vecs.txt"
+        path.write_text(f"apple 1.0 2.0\nbanana {value} 0.5\n")
+        with pytest.raises(DataFormatError, match="vecs.txt:2: .*'banana'"):
+            nn.load_embeddings_text(path, {"apple": 0, "banana": 1}, np.zeros((2, 2)))
+
+    VALUE_TEXT = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(["nan", "-NaN", "inf", "-inf", "Infinity", "1e999", "1_0", "0x1p3",
+                         "1,5", "--1", "e"]),
+        st.text(alphabet="0123456789.eE+-nafit_", min_size=1, max_size=6))
+
+    @given(dim=st.integers(1, 3), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_load_embeddings_property(self, tmp_path_factory, dim, data):
+        """Every loaded row is finite and equals its line, or DataFormatError is raised."""
+        vocab = {"apple": 0, "banana": 1, "cherry": 2}
+        lines = data.draw(st.lists(st.tuples(
+            st.sampled_from([*vocab, "durian"]),
+            st.lists(self.VALUE_TEXT, min_size=max(dim - 1, 0), max_size=dim + 1)),
+            max_size=5))
+        path = tmp_path_factory.mktemp("vecs") / "vecs.txt"
+        path.write_text("".join(" ".join([tok, *vals]) + "\n" for tok, vals in lines))
+
+        def bad(vals):
+            if len(vals) != dim:
+                return True
+            try:
+                return not all(math.isfinite(float(v)) for v in vals)
+            except ValueError:
+                return True
+
+        matrix = np.zeros((len(vocab), dim))
+        if any(tok in vocab and bad(vals) for tok, vals in lines):
+            with pytest.raises(DataFormatError):
+                nn.load_embeddings_text(path, vocab, matrix)
+            return
+        known = [(tok, vals) for tok, vals in lines if tok in vocab]
+        assert nn.load_embeddings_text(path, vocab, matrix) == len(known)
+        want = np.zeros_like(matrix)
+        for tok, vals in known:  # a later line of a token wins
+            want[vocab[tok]] = [float(v) for v in vals]
+        assert np.isfinite(matrix).all()
+        assert matrix.tobytes() == want.tobytes()
 
     def test_load_embeddings_bad_width(self, tmp_path):
         path = tmp_path / "vecs.txt"

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,21 @@ def toy_model(scheme="fs", K=1, d=8, seed=0, vocab=12, emb_scale=1.0):
                            vocab_size=vocab)
     emb = np.random.default_rng(99).normal(0.0, emb_scale, (vocab, d))
     return M.init_model(config, seed=seed, embedding_matrix=emb), config
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", 0.0), ("adv_weight", float("nan")), ("adv_weight", float("inf")),
+        ("adv_weight", -0.1), ("diff_weight", float("nan")), ("diff_weight", float("inf")),
+        ("clip_norm", float("nan")), ("clip_norm", 0.0),
+    ])
+    def test_rejects(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            T.TrainConfig(**{field: value})
+
+    def test_infinite_clip_norm_means_no_clipping(self):
+        assert T.TrainConfig(clip_norm=float("inf")).clip_norm == float("inf")
 
 
 class TestSgdStep:
@@ -285,6 +301,50 @@ class TestBatchedTerms:
             return path.read_bytes()
 
         assert run(tmp_path / "a.bin") == run(tmp_path / "b.bin")
+
+
+class TestPinnedNumbers:
+    """Digests of a short training run, pinned from an earlier build.
+
+    A change that claims to leave every number as it was must keep them.
+    They are specific to the build they were taken on: another numpy or
+    BLAS may round a float64 sum differently in the last bit.
+    """
+
+    DIGESTS = {
+        "sentence": "a693d09f71d45fe779747411967c2d68df110df49775ec31020bd599ffcb02f2",
+        "batch": "0596a88590b675eeddcb6f2f0be6a0148d31960049991da9b2037859158b63e4",
+        "dump_activations": "23b49008b9438dfe388e0a422c7991a3ec73f4b755fc25a21412d7248bf6b676",
+    }
+
+    @staticmethod
+    def _train(diff_mode, path):
+        corpus, vocab, names = ragged_corpus(seed=4, unlabeled=20)
+        config = M.ModelConfig(scheme="asp", task_names=names, classes=(2, 2),
+                               hidden_size=6, embed_size=5, vocab_size=len(vocab))
+        cfg = T.TrainConfig(learning_rate=0.2, adv_weight=0.1, diff_weight=0.1, max_epochs=2,
+                            patience=2, seed=4, batch_size=6, use_unlabeled=True,
+                            diff_mode=diff_mode)
+        best, _ = T.train_multitask(M.init_model(config, seed=2), config, corpus, cfg)
+        M.save_checkpoint(path, best, config)
+        return best, config, corpus, names
+
+    def _check(self, key, data):
+        got = hashlib.sha256(data).hexdigest()
+        assert got == self.DIGESTS[key], f"{key} digest {got} under numpy {np.__version__}"
+
+    @pytest.mark.parametrize("diff_mode", ["sentence", "batch"])
+    def test_checkpoint(self, tmp_path, diff_mode):
+        self._train(diff_mode, tmp_path / "model.bin")
+        self._check(diff_mode, (tmp_path / "model.bin").read_bytes())
+
+    def test_dump_activations(self, tmp_path):
+        best, config, corpus, names = self._train("sentence", tmp_path / "model.bin")
+        records = [rec for task, name in enumerate(names) for ex in corpus[name].test[:3]
+                   for rec in M.dump_activations(best, config, ex.tokens, task)]
+        self._check("dump_activations", b"".join(
+            np.concatenate([r["shared"], r["private"], r["class_probs"]]).tobytes()
+            for r in records))
 
 
 class TestTrainingLoop:
