@@ -27,7 +27,8 @@ for tok, vec in D.synth_embedding_vectors(vocab.id_to_token[2:], d, seed=0).item
 
 config = M.ModelConfig(scheme="fs", task_names=(name,), classes=(2,),
                        hidden_size=d, embed_size=d, vocab_size=len(vocab))
-params = M.init_model(config, seed=7, embedding_matrix=emb)
+params = M.init_model(config, seed=7)
+params.tensors["embeddings"][...] = emb
 
 cfg = T.TrainConfig(learning_rate=0.2, max_epochs=15, patience=4, seed=7)
 best, history = T.train_multitask(params, config, {name: task}, cfg)

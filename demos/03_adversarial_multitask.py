@@ -34,7 +34,8 @@ for tok, vec in D.synth_embedding_vectors(vocab.id_to_token[2:], d, seed=1234).i
 def run(scheme):
     config = M.ModelConfig(scheme=scheme, task_names=names, classes=classes,
                            hidden_size=d, embed_size=d, vocab_size=len(vocab))
-    params = M.init_model(config, seed=11, embedding_matrix=emb)
+    params = M.init_model(config, seed=11)
+    params.tensors["embeddings"][...] = emb
     cfg = T.TrainConfig(learning_rate=0.15, adv_weight=0.1, diff_weight=0.01,
                         max_epochs=15, patience=4, batch_size=16, seed=11)
     best, history = T.train_multitask(params, config, corpus, cfg)

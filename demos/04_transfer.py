@@ -31,7 +31,8 @@ for tok, vec in D.synth_embedding_vectors(vocab.id_to_token[2:], d, seed=1234).i
 source_cfg = M.ModelConfig(scheme="asp", task_names=tuple(sources),
                            classes=tuple(corpus[n].n_classes for n in sources),
                            hidden_size=d, embed_size=d, vocab_size=len(vocab))
-source_params = M.init_model(source_cfg, seed=21, embedding_matrix=emb)
+source_params = M.init_model(source_cfg, seed=21)
+source_params.tensors["embeddings"][...] = emb
 train_cfg = T.TrainConfig(learning_rate=0.15, adv_weight=0.1, max_epochs=12,
                           patience=4, seed=21)
 source_model, _ = T.train_multitask(source_params, source_cfg,
@@ -41,8 +42,9 @@ print("source model trained; shared layer is now frozen knowledge")
 transfer_cfg = T.TrainConfig(learning_rate=0.15, max_epochs=12, patience=4, seed=22)
 for mode in ("sc", "bc"):
     trained, tconfig, history, err = T.train_transfer(
-        source_model.shared, corpus[target], mode, transfer_cfg,
+        source_model, corpus[target], mode, transfer_cfg,
         vocab_size=len(vocab), model_seed=22)
-    same = trained.shared.W.tobytes() == source_model.shared.W.tobytes()
+    same = all(trained.tensors[n].tobytes() == source_model.tensors[n].tobytes()
+               for n in ("shared.W", "shared.b"))
     print(f"{mode}: target test error {err:.3f} "
           f"(frozen layer bitwise unchanged: {same})")

@@ -16,8 +16,7 @@ from .models import (Encoding, ForwardResult, ModelConfig, ModelParams,
                      build_transfer, discriminate, dump_activations, encode,
                      forward, forward_batch, init_model, load_checkpoint,
                      save_checkpoint)
-from .nn import (EmbeddingTable, LstmParams, SoftmaxHead, lstm_encode,
-                 lstm_states, softmax_classify)
+from .nn import lstm_encode, lstm_states, softmax_classify
 from .train import (TrainConfig, TrainHistory, evaluate, grid_search, sgd_step,
                     train_multitask, train_transfer)
 

@@ -142,9 +142,10 @@ def validate_train_config(cfg: dict) -> None:
     if scheme not in M.SCHEMES:
         raise ConfigError(f"scheme: must be one of {M.SCHEMES}, got {scheme!r}")
     explicit = cfg["_explicit"]
+    grid = _parse_grid(cfg["grid"]) if cfg["grid"] else {}
     if scheme != "asp":
-        for key in ("lambda", "gamma"):
-            if key in explicit and cfg[key] not in (None, 0.0):
+        for key, field in (("lambda", "adv_weight"), ("gamma", "diff_weight")):
+            if field in grid or (key in explicit and cfg[key] not in (None, 0.0)):
                 raise ConfigError(
                     f"{key}: only meaningful for the adversarial scheme, not '{scheme}'")
         if cfg["unlabeled"]:
@@ -156,13 +157,11 @@ def validate_train_config(cfg: dict) -> None:
         cfg["gamma"] = 0.01 if scheme == "asp" else 0.0
     # every check that needs no corpus runs before the corpus loads
     base = _train_config(cfg)
-    if cfg["grid"]:
-        grid = _parse_grid(cfg["grid"])
-        for combo in itertools.product(*grid.values()):
-            try:
-                dataclasses.replace(base, **dict(zip(grid, combo)))
-            except ConfigError as exc:
-                raise ConfigError(f"grid: {exc}") from None
+    for combo in itertools.product(*grid.values()):
+        try:
+            dataclasses.replace(base, **dict(zip(grid, combo)))
+        except ConfigError as exc:
+            raise ConfigError(f"grid: {exc}") from None
 
 
 def _train_config(cfg: dict, alpha=None) -> T.TrainConfig:
@@ -327,7 +326,7 @@ def cmd_train(args) -> int:
     if cfg["embeddings"]:
         _require_file(cfg["embeddings"], "embeddings")
         loaded = nn.load_embeddings_text(cfg["embeddings"], vocab.token_to_id,
-                                         params.embeddings.matrix)
+                                         params.tensors["embeddings"])
         print(f"embeddings: loaded {loaded} of {len(vocab)} rows")
     train_cfg = _train_config(cfg, alpha)
     os.makedirs(args.out, exist_ok=True)
@@ -427,6 +426,12 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _shared_sha256(params: M.ModelParams) -> str:
+    """Hash of the shared layer's weights, which a transfer must leave unchanged."""
+    t = params.tensors
+    return hashlib.sha256(t["shared.W"].tobytes() + t["shared.b"].tobytes()).hexdigest()
+
+
 def cmd_transfer(args) -> int:
     started = time.time()
     _require_file(args.checkpoint, "--checkpoint")
@@ -446,19 +451,16 @@ def cmd_transfer(args) -> int:
         targets = sorted(datasets)
     else:
         raise ConfigError("--target or --all-targets: required")
-    frozen_before = hashlib.sha256(
-        source_params.shared.W.tobytes() + source_params.shared.b.tobytes()).hexdigest()
+    frozen_before = _shared_sha256(source_params)
     rows = []
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     for target in targets:
         trained, tconfig, history, err = T.train_transfer(
-            source_params.shared, datasets[target], args.mode, train_cfg,
+            source_params, datasets[target], args.mode, train_cfg,
             vocab_size=len(vocab), model_seed=cfg["seed"])
         rows.append((target, err))
-        frozen_after = hashlib.sha256(
-            trained.shared.W.tobytes() + trained.shared.b.tobytes()).hexdigest()
-        if frozen_after != frozen_before:
+        if _shared_sha256(trained) != frozen_before:
             raise AdvMtlError("frozen shared layer changed during transfer")
         ckpt = os.path.join(args.out, f"transfer_{args.mode}_{target}.bin")
         M.save_checkpoint(ckpt, trained, tconfig,

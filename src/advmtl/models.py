@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import GradReversalSpec, Node, Tape, Tensor
-from .errors import ConfigError, DataFormatError, InputError, ShapeError
+from .errors import ConfigError, DataFormatError, InputError
 
 SCHEMES = ("fs", "sp", "asp")
 CONCAT_ORDER = "private,shared"
@@ -86,86 +86,71 @@ class ModelConfig:
         return 2 * self.hidden_size if self.has_private else self.hidden_size
 
 
+def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor of a ``config`` model, in checkpoint order.
+
+    The one declaration of the parameter layout: initialization, the
+    checkpoint loader and every reader of a tensor take its name from here.
+    """
+    d, e = config.hidden_size, config.embed_size
+    lstm = ((4 * d, d + e), (4 * d,))
+    shapes = {"embeddings": (config.vocab_size, e), "shared.W": lstm[0], "shared.b": lstm[1]}
+    if config.has_private:
+        for k in range(config.n_tasks):
+            shapes[f"private.{k}.W"], shapes[f"private.{k}.b"] = lstm
+    for k, c in enumerate(config.classes):
+        shapes[f"head.{k}.W"], shapes[f"head.{k}.b"] = (c, config.head_input_size), (c,)
+    if config.has_discriminator:
+        shapes["disc.W"], shapes["disc.b"] = (config.n_tasks, d), (config.n_tasks,)
+    return shapes
+
+
+def _layer(tensors: Mapping, name: str) -> tuple:
+    """The ``W`` and ``b`` of layer ``name`` (``"shared"``, ``"private.0"``, ...) in ``tensors``."""
+    return tensors[f"{name}.W"], tensors[f"{name}.b"]
+
+
 @dataclass
 class ModelParams:
-    """All learnable tensors of one model, plus the set of frozen names."""
+    """All learnable tensors of one model, plus the set of frozen names.
 
-    embeddings: nn.EmbeddingTable
-    shared: nn.LstmParams
-    private: list[nn.LstmParams] | None
-    heads: list[nn.SoftmaxHead]
-    disc: nn.SoftmaxHead | None
+    ``tensors`` maps each checkpoint name (``embeddings``, ``shared.W``,
+    ``private.3.b``, ``head.0.W``, ``disc.b``, ...) to its array, in the
+    order of :func:`_tensor_shapes`. ``frozen`` names the tensors that
+    training holds fixed; a fixed embedding table is ``"embeddings"`` in it.
+    """
+
+    tensors: dict[str, Tensor]
     frozen: frozenset[str] = frozenset()
 
     def named_tensors(self) -> dict[str, Tensor]:
-        """Stable name -> array view of every parameter (checkpoint order)."""
-        out: dict[str, Tensor] = {"embeddings": self.embeddings.matrix,
-                                  "shared.W": self.shared.W,
-                                  "shared.b": self.shared.b}
-        if self.private is not None:
-            for k, p in enumerate(self.private):
-                out[f"private.{k}.W"] = p.W
-                out[f"private.{k}.b"] = p.b
-        for k, h in enumerate(self.heads):
-            out[f"head.{k}.W"] = h.W
-            out[f"head.{k}.b"] = h.b
-        if self.disc is not None:
-            out["disc.W"] = self.disc.W
-            out["disc.b"] = self.disc.b
-        return out
-
-    def frozen_names(self) -> frozenset[str]:
-        names = set(self.frozen)
-        if not self.embeddings.trainable:
-            names.add("embeddings")
-        return frozenset(names)
+        """Stable name -> array of every parameter (checkpoint order)."""
+        return self.tensors
 
     def bind(self, tape: Tape) -> dict[str, Node]:
         """Register all tensors on a tape; frozen ones as constants."""
-        frozen = self.frozen_names()
-        return {name: (tape.constant(arr, validate=False) if name in frozen
+        return {name: (tape.constant(arr, validate=False) if name in self.frozen
                        else tape.leaf(arr, validate=False))
-                for name, arr in self.named_tensors().items()}
+                for name, arr in self.tensors.items()}
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            embeddings=nn.EmbeddingTable(self.embeddings.matrix.copy(),
-                                         self.embeddings.trainable),
-            shared=nn.LstmParams(self.shared.W.copy(), self.shared.b.copy()),
-            private=None if self.private is None else
-            [nn.LstmParams(p.W.copy(), p.b.copy()) for p in self.private],
-            heads=[nn.SoftmaxHead(h.W.copy(), h.b.copy()) for h in self.heads],
-            disc=None if self.disc is None else
-            nn.SoftmaxHead(self.disc.W.copy(), self.disc.b.copy()),
-            frozen=self.frozen)
+        return ModelParams({name: arr.copy() for name, arr in self.tensors.items()},
+                           self.frozen)
 
 
 def init_model(config: ModelConfig, seed: int,
-               embedding_matrix: Tensor | None = None,
                freeze_embeddings: bool = False) -> ModelParams:
     """Fresh parameters, drawn uniform on [-0.1, 0.1] from ``seed``.
 
-    ``embedding_matrix`` (e.g. pretrained vectors) overrides the random
-    embedding init; the rng draw order is fixed so identical seeds give
-    identical models.
+    The tensors are drawn one after another in checkpoint order, so
+    identical seeds give identical models. Pretrained vectors are written
+    into ``tensors["embeddings"]`` afterwards; ``freeze_embeddings`` keeps
+    that table fixed in training.
     """
     rng = np.random.default_rng(seed)
-    d, e = config.hidden_size, config.embed_size
-    emb = nn.init_embeddings(rng, config.vocab_size, e)
-    if embedding_matrix is not None:
-        if embedding_matrix.shape != emb.matrix.shape:
-            raise ShapeError(
-                f"embedding matrix {embedding_matrix.shape} does not match "
-                f"(vocab, embed) = {emb.matrix.shape}")
-        emb.matrix = np.array(embedding_matrix, dtype=np.float64)
-    emb.trainable = not freeze_embeddings
-    shared = nn.init_lstm(rng, d, e)
-    private = ([nn.init_lstm(rng, d, e) for _ in range(config.n_tasks)]
-               if config.has_private else None)
-    heads = [nn.init_head(rng, c, config.head_input_size) for c in config.classes]
-    disc = nn.init_head(rng, config.n_tasks, d) if config.has_discriminator else None
-    return ModelParams(embeddings=emb, shared=shared, private=private,
-                       heads=heads, disc=disc)
+    tensors = {name: nn.uniform_init(rng, shape)
+               for name, shape in _tensor_shapes(config).items()}
+    return ModelParams(tensors, frozenset({"embeddings"} if freeze_embeddings else ()))
 
 
 @dataclass
@@ -209,19 +194,17 @@ def forward_batch(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
     table = bound["embeddings"]
     ids, lengths = nn.batch_token_ids(sentences, table.value.shape[0])
     xs = ad.take_rows(table, ids)
-    out = ForwardResult(*nn.lstm_encode(xs, bound["shared.W"], bound["shared.b"], lengths))
+    out = ForwardResult(*nn.lstm_encode(xs, *_layer(bound, "shared"), lengths))
     if task is not None:
         feature = out.s_T
         if config.has_private:
-            out.h_T, out.H = nn.lstm_encode(xs, bound[f"private.{task}.W"],
-                                            bound[f"private.{task}.b"], lengths)
+            out.h_T, out.H = nn.lstm_encode(xs, *_layer(bound, f"private.{task}"), lengths)
             feature = ad.concat([out.h_T, out.s_T], axis=1)
-        out.class_probs = nn.softmax_classify(feature, bound[f"head.{task}.W"],
-                                              bound[f"head.{task}.b"])
+        out.class_probs = nn.softmax_classify(feature, *_layer(bound, f"head.{task}"))
     if config.has_discriminator and want_disc:
         spec = rev_spec if rev_spec is not None else GradReversalSpec(1.0)
         rev = ad.gradient_reversal(out.s_T, spec)
-        out.disc_probs = discriminate(rev, bound["disc.W"], bound["disc.b"])
+        out.disc_probs = discriminate(rev, *_layer(bound, "disc"))
     return out
 
 
@@ -246,28 +229,25 @@ def discriminate(s: Node, W: Node, b: Node) -> Node:
     return ad.softmax(ad.affine(s, W, b))
 
 
-def build_transfer(shared: nn.LstmParams, mode: str, task_name: str,
-                   n_classes: int, vocab_size: int, seed: int,
-                   embed_size: int | None = None) -> tuple[ModelParams, ModelConfig]:
-    """Target-task model around a frozen copy of a trained shared layer.
+def build_transfer(source: ModelParams, mode: str, task_name: str,
+                   n_classes: int, vocab_size: int, seed: int) -> tuple[ModelParams, ModelConfig]:
+    """Target-task model around a frozen copy of ``source``'s trained shared layer.
 
     ``sc`` classifies on the frozen encoder's final state alone; ``bc``
     adds a fresh trainable LSTM and classifies on the concatenated pair.
-    Only the shared tensors are frozen; everything else is freshly
-    initialized.
+    The hidden and embedding sizes are those of ``source``'s ``shared.W``.
+    Only the copied ``shared.W`` and ``shared.b`` are frozen; everything
+    else, the embedding table included, is freshly initialized from ``seed``.
     """
     if mode not in ("sc", "bc"):
         raise ConfigError(f"transfer mode must be 'sc' or 'bc', got '{mode}'")
-    d = shared.hidden_size
-    e = shared.input_size if embed_size is None else embed_size
-    if e != shared.input_size:
-        raise ConfigError(
-            f"embed size {e} does not match transferred layer input {shared.input_size}")
+    W, b = _layer(source.tensors, "shared")
+    d = W.shape[0] // 4
     config = ModelConfig(scheme="fs" if mode == "sc" else "sp",
                          task_names=(task_name,), classes=(n_classes,),
-                         hidden_size=d, embed_size=e, vocab_size=vocab_size)
+                         hidden_size=d, embed_size=W.shape[1] - d, vocab_size=vocab_size)
     params = init_model(config, seed)
-    params.shared = nn.LstmParams(shared.W.copy(), shared.b.copy())
+    params.tensors.update({"shared.W": W.copy(), "shared.b": b.copy()})
     params.frozen = frozenset({"shared.W", "shared.b"})
     return params, config
 
@@ -289,10 +269,10 @@ class Encoding:
     disc_probs: Tensor | None = None
 
 
-def _classify(params: ModelParams, task: int, s: Tensor, h: Tensor | None) -> Tensor:
+def _classify(tensors: Mapping[str, Tensor], task: int, s: Tensor,
+              h: Tensor | None) -> Tensor:
     feature = s if h is None else np.concatenate([h, s], axis=1)
-    head = params.heads[task]
-    return ad._softmax(ad._affine(feature, head.W, head.b))
+    return ad._softmax(ad._affine(feature, *_layer(tensors, f"head.{task}")))
 
 
 def encode(params: ModelParams, config: ModelConfig,
@@ -307,19 +287,19 @@ def encode(params: ModelParams, config: ModelConfig,
     """
     if task is not None:
         _check_task(config, task)
-    table = params.embeddings.matrix
+    tensors = params.tensors
+    table = tensors["embeddings"]
     ids, lengths = nn.batch_token_ids(sentences, table.shape[0])
     packing = nn.pack(lengths)
     X = table[ids[packing.rows]]
-    out = Encoding(s_T=nn.lstm_final_states(X, params.shared.W, params.shared.b, packing))
+    out = Encoding(s_T=nn.lstm_final_states(X, *_layer(tensors, "shared"), packing))
     if task is None:
         return out
     if config.has_private:
-        p = params.private[task]
-        out.h_T = nn.lstm_final_states(X, p.W, p.b, packing)
-    out.class_probs = _classify(params, task, out.s_T, out.h_T)
+        out.h_T = nn.lstm_final_states(X, *_layer(tensors, f"private.{task}"), packing)
+    out.class_probs = _classify(tensors, task, out.s_T, out.h_T)
     if config.has_discriminator:
-        out.disc_probs = ad._softmax(ad._affine(out.s_T, params.disc.W, params.disc.b))
+        out.disc_probs = ad._softmax(ad._affine(out.s_T, *_layer(tensors, "disc")))
     return out
 
 
@@ -332,15 +312,15 @@ def dump_activations(params: ModelParams, config: ModelConfig,
     prefix ending there; the last record matches ``forward``.
     """
     _check_task(config, task)
-    table = params.embeddings.matrix
+    tensors = params.tensors
+    table = tensors["embeddings"]
     ids, _ = nn.batch_token_ids([token_ids], table.shape[0])
     X = table[ids]
-    S = nn.lstm_states(X, params.shared.W, params.shared.b)
+    S = nn.lstm_states(X, *_layer(tensors, "shared"))
     H = None
     if config.has_private:
-        p = params.private[task]
-        H = nn.lstm_states(X, p.W, p.b)
-    probs = _classify(params, task, S, H)
+        H = nn.lstm_states(X, *_layer(tensors, f"private.{task}"))
+    probs = _classify(tensors, task, S, H)
     return [{"t": t + 1,
              "token_id": int(token_ids[t]),
              "shared": S[t].copy(),
@@ -354,8 +334,7 @@ def dump_activations(params: ModelParams, config: ModelConfig,
 # ---------------------------------------------------------------------------
 
 def _manifest(params: ModelParams, config: ModelConfig, extra: dict | None) -> dict:
-    tensors = [{"name": n, "shape": list(a.shape)}
-               for n, a in params.named_tensors().items()]
+    tensors = [{"name": n, "shape": list(a.shape)} for n, a in params.tensors.items()]
     return {
         "format_version": CHECKPOINT_VERSION,
         "scheme": config.scheme,
@@ -367,8 +346,8 @@ def _manifest(params: ModelParams, config: ModelConfig, extra: dict | None) -> d
         "gate_block_order": nn.GATE_BLOCK_ORDER,
         "input_order": nn.INPUT_ORDER,
         "concat_order": CONCAT_ORDER,
-        "frozen": sorted(params.frozen_names()),
-        "embeddings_trainable": params.embeddings.trainable,
+        "frozen": sorted(params.frozen),
+        "embeddings_trainable": "embeddings" not in params.frozen,
         "tensors": tensors,
         "extra": extra or {},
     }
@@ -383,23 +362,8 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
         fh.write(CHECKPOINT_MAGIC)
         fh.write(len(header).to_bytes(8, "little"))
         fh.write(header)
-        for arr in params.named_tensors().values():  # no bytes copy of any tensor
+        for arr in params.tensors.values():  # no bytes copy of any tensor
             fh.write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
-
-
-def _tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every tensor of a ``config`` model, in checkpoint order."""
-    d, e = config.hidden_size, config.embed_size
-    lstm = ((4 * d, d + e), (4 * d,))
-    shapes = {"embeddings": (config.vocab_size, e), "shared.W": lstm[0], "shared.b": lstm[1]}
-    if config.has_private:
-        for k in range(config.n_tasks):
-            shapes[f"private.{k}.W"], shapes[f"private.{k}.b"] = lstm
-    for k, c in enumerate(config.classes):
-        shapes[f"head.{k}.W"], shapes[f"head.{k}.b"] = (c, config.head_input_size), (c,)
-    if config.has_discriminator:
-        shapes["disc.W"], shapes["disc.b"] = (config.n_tasks, d), (config.n_tasks,)
-    return shapes
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
@@ -408,8 +372,9 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
     Every malformed file raises :class:`DataFormatError`: a bad header
     (including an ``embeddings_trainable`` that is not a bool, an ``extra``
     that is not an object, a ``task_names`` that is not a list of unique,
-    non-empty strings and a ``frozen`` that is not a list of the model's
-    tensor names), tensor names or shapes that disagree
+    non-empty strings, a ``frozen`` that is not a list of the model's
+    tensor names, and a ``frozen`` and ``embeddings_trainable`` that
+    disagree about the table), tensor names, shapes or order that disagree
     with the manifest's sizes, a truncated or non-finite tensor, and bytes
     after the last tensor.
     """
@@ -459,13 +424,16 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
         if not isinstance(manifest.get("extra", {}), dict):
             raise DataFormatError(f"{path}: 'extra' must be a JSON object")
         expected = _tensor_shapes(config)
-        if len(specs) != len(expected) or dict(specs) != expected:
+        if specs != list(expected.items()):
             raise DataFormatError(
-                f"{path}: tensor names or shapes disagree with the manifest's sizes")
+                f"{path}: tensor names, shapes or order disagree with the manifest's sizes")
         frozen = manifest.get("frozen", [])
         if not (isinstance(frozen, list)
                 and all(isinstance(n, str) and n in expected for n in frozen)):
             raise DataFormatError(f"{path}: 'frozen' must be a list of the model's tensor names")
+        if ("embeddings" in frozen) == manifest["embeddings_trainable"]:
+            raise DataFormatError(
+                f"{path}: 'frozen' and 'embeddings_trainable' disagree about the embeddings")
         arrays = {}
         for name, shape in specs:  # one tensor at a time: no second copy of any
             arr = np.empty(shape, dtype="<f8")
@@ -476,27 +444,4 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
             arrays[name] = arr
         if fh.read(1):
             raise DataFormatError(f"{path}: unexpected bytes after the last tensor")
-    try:
-        return _from_manifest(manifest, config, arrays)
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: checkpoint has no {exc.args[0]!r}") from None
-
-
-def _from_manifest(manifest: dict, config: ModelConfig,
-                   arrays: dict) -> tuple[ModelParams, ModelConfig, dict]:
-    emb = nn.EmbeddingTable(arrays["embeddings"],
-                            trainable=manifest["embeddings_trainable"])
-    shared = nn.LstmParams(arrays["shared.W"], arrays["shared.b"])
-    private = None
-    if config.has_private:
-        private = [nn.LstmParams(arrays[f"private.{k}.W"], arrays[f"private.{k}.b"])
-                   for k in range(config.n_tasks)]
-    heads = [nn.SoftmaxHead(arrays[f"head.{k}.W"], arrays[f"head.{k}.b"])
-             for k in range(config.n_tasks)]
-    disc = None
-    if config.has_discriminator:
-        disc = nn.SoftmaxHead(arrays["disc.W"], arrays["disc.b"])
-    frozen = frozenset(manifest["frozen"]) - {"embeddings"}
-    params = ModelParams(embeddings=emb, shared=shared, private=private,
-                         heads=heads, disc=disc, frozen=frozen)
-    return params, config, manifest.get("extra", {})
+    return ModelParams(arrays, frozenset(frozen)), config, manifest.get("extra", {})

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, Tape, Tensor
+from .autodiff import Node, Tensor
 from .errors import DataFormatError, InputError, ShapeError
 
 INIT_RANGE = 0.1
@@ -31,41 +31,6 @@ INPUT_ORDER = "x,h"
 def uniform_init(rng: np.random.Generator, shape) -> Tensor:
     """Draw one parameter tensor i.i.d. uniform on [-INIT_RANGE, INIT_RANGE]."""
     return rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape)
-
-
-@dataclass
-class LstmParams:
-    """Weights of one LSTM layer: W is [4d, d+e], b is [4d]."""
-
-    W: Tensor
-    b: Tensor
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.W.ndim != 2 or self.b.ndim != 1:
-            raise ShapeError(
-                f"lstm params: want matrix W and vector b, got {self.W.shape}, {self.b.shape}")
-        if self.W.shape[0] != self.b.shape[0] or self.W.shape[0] % 4 != 0:
-            raise ShapeError(
-                f"lstm params: W rows {self.W.shape[0]} must equal len(b) "
-                f"{self.b.shape[0]} and be divisible by 4")
-        if self.W.shape[1] <= self.W.shape[0] // 4:
-            raise ShapeError(
-                f"lstm params: W of shape {self.W.shape} leaves no input columns")
-
-    @property
-    def hidden_size(self) -> int:
-        return self.W.shape[0] // 4
-
-    @property
-    def input_size(self) -> int:
-        return self.W.shape[1] - self.hidden_size
-
-
-def init_lstm(rng: np.random.Generator, hidden: int, embed: int) -> LstmParams:
-    return LstmParams(W=uniform_init(rng, (4 * hidden, hidden + embed)),
-                      b=uniform_init(rng, 4 * hidden))
 
 
 def lstm_states(X: Tensor, W: Tensor, b: Tensor, lengths=None) -> Tensor:
@@ -276,58 +241,9 @@ def lstm_encode(xs: Node, W: Node, b: Node, lengths=None) -> tuple[Node, Node]:
     return ad.row(all_h, np.cumsum(fold.lengths) - 1), all_h
 
 
-@dataclass
-class SoftmaxHead:
-    """Affine-softmax output layer: W is [C, d_in], b is [C]."""
-
-    W: Tensor
-    b: Tensor
-
-    def __post_init__(self):
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
-            raise ShapeError(
-                f"softmax head: incompatible W {self.W.shape} and b {self.b.shape}")
-
-    @property
-    def n_classes(self) -> int:
-        return self.W.shape[0]
-
-
-def init_head(rng: np.random.Generator, n_classes: int, d_in: int) -> SoftmaxHead:
-    return SoftmaxHead(W=uniform_init(rng, (n_classes, d_in)),
-                       b=uniform_init(rng, n_classes))
-
-
 def softmax_classify(h: Node, W: Node, b: Node) -> Node:
     """Class probabilities softmax(W h + b) of a feature vector, or of each row of ``h``."""
     return ad.softmax(ad.affine(h, W, b))
-
-
-@dataclass
-class EmbeddingTable:
-    """Token vectors, one row per vocabulary id."""
-
-    matrix: Tensor
-    trainable: bool = True
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if self.matrix.ndim != 2:
-            raise ShapeError(f"embedding table must be 2-D, got {self.matrix.shape}")
-
-    @property
-    def vocab_size(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-
-def init_embeddings(rng: np.random.Generator, vocab_size: int, dim: int) -> EmbeddingTable:
-    return EmbeddingTable(matrix=uniform_init(rng, (vocab_size, dim)))
 
 
 def batch_token_ids(sentences, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:

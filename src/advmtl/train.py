@@ -121,8 +121,7 @@ def sgd_step(params: M.ModelParams, grads: Mapping[str, Tensor | ad.RowGrad],
     adds only its stored rows to the norm, which is exact because its other
     rows are zero, and updates only those rows of the tensor.
     """
-    tensors = params.named_tensors()
-    frozen = params.frozen_names()
+    tensors, frozen = params.tensors, params.frozen
     sq = 0.0
     for name, g in grads.items():
         if name in frozen:
@@ -365,8 +364,7 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
         mean_err = float(np.mean(errors))
         if mean_err < best_err:
             best_err = mean_err
-            for dst, src in zip(best_params.named_tensors().values(),
-                                params.named_tensors().values()):
+            for dst, src in zip(best_params.tensors.values(), params.tensors.values()):
                 np.copyto(dst, src)
             best_epoch = epoch
             since_best = 0
@@ -503,11 +501,11 @@ def grid_search(factory: Callable[[], tuple[M.ModelParams, M.ModelConfig]],
 # transfer
 # ---------------------------------------------------------------------------
 
-def train_transfer(source_shared, target: TaskDataset, mode: str,
+def train_transfer(source: M.ModelParams, target: TaskDataset, mode: str,
                    cfg: TrainConfig, vocab_size: int, model_seed: int,
                    ) -> tuple[M.ModelParams, M.ModelConfig, TrainHistory, float]:
-    """Train an SC/BC model on the target task around a frozen shared layer."""
-    params, config = M.build_transfer(source_shared, mode, target.name,
+    """Train an SC/BC model on the target task around ``source``'s frozen shared layer."""
+    params, config = M.build_transfer(source, mode, target.name,
                                       target.n_classes, vocab_size, model_seed)
     trained, history = train_multitask(params, config, {target.name: target}, cfg)
     err = evaluate(trained, config, target.test, 0)

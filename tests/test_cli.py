@@ -137,10 +137,12 @@ class TestTrain:
         (["--scheme", "asp", "--lambda", "nan"], "lambda"),
         (["--scheme", "asp", "--grid", "learning_rate=nan,0.1"], "learning_rate"),
         (["--scheme", "asp", "--grid", "gamma=nan,0.01"], "gamma"),
+        (["--scheme", "fs", "--grid", "lambda=0.1,0.2"], "lambda"),
+        (["--scheme", "sp", "--grid", "gamma=0.5"], "gamma"),
     ], ids=["scheme", "diff_mode", "grid", "unlabeled_ratio_negative",
             "unlabeled_ratio_nan", "max_len", "clip_norm_nan", "learning_rate_nan",
             "learning_rate_inf", "gamma_nan", "lambda_nan", "grid_learning_rate_nan",
-            "grid_gamma_nan"])
+            "grid_gamma_nan", "grid_lambda_fs", "grid_gamma_sp"])
     def test_bad_value_exits_3(self, corpus_dir, tmp_path, capsys, flags, key):
         rc = cli.main(["train", *flags, "--data", str(corpus_dir),
                        "--out", str(tmp_path / "x")])
@@ -299,11 +301,12 @@ class TestTransfer:
                        "--mode", "sc", "--out", str(out), "--max-epochs", "1",
                        "--patience", "1"])
         assert rc == 0
-        src, _, _ = M.load_checkpoint(trained_dir / "checkpoint.bin")
-        want = hashlib.sha256(src.shared.W.tobytes() + src.shared.b.tobytes()).hexdigest()
-        params, _, extra = M.load_checkpoint(out / "transfer_sc_task00.bin")
-        got = hashlib.sha256(params.shared.W.tobytes() + params.shared.b.tobytes()).hexdigest()
-        assert got == want == extra["frozen_sha256"]
+        def shared_sha256(path):
+            t = M.load_checkpoint(path)[0].tensors
+            return hashlib.sha256(t["shared.W"].tobytes() + t["shared.b"].tobytes()).hexdigest()
+        extra = M.load_checkpoint(out / "transfer_sc_task00.bin")[2]
+        want = shared_sha256(trained_dir / "checkpoint.bin")
+        assert shared_sha256(out / "transfer_sc_task00.bin") == want == extra["frozen_sha256"]
 
     def test_unknown_target_exits_4(self, corpus_dir, trained_dir, tmp_path):
         rc = cli.main(["transfer", "--checkpoint", str(trained_dir / "checkpoint.bin"),

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from advmtl import autodiff as ad
 from advmtl import models as M
-from advmtl import nn
 from advmtl.autodiff import GradReversalSpec, Tape
 from advmtl.errors import ConfigError, InputError, ShapeError
 
@@ -58,13 +57,10 @@ class TestModelConfig:
                           hidden_size=2, embed_size=2, vocab_size=9)
 
     def test_parameter_set_counts(self):
-        for scheme, expected in (("fs", None), ("sp", 3), ("asp", 3)):
-            params = M.init_model(small_config(scheme, K=3), seed=0)
-            if expected is None:
-                assert params.private is None
-            else:
-                assert len(params.private) == 3
-            assert (params.disc is not None) == (scheme == "asp")
+        for scheme, expected in (("fs", 0), ("sp", 3), ("asp", 3)):
+            names = M.init_model(small_config(scheme, K=3), seed=0).tensors
+            assert sum(n.startswith("private.") for n in names) == 2 * expected
+            assert ("disc.W" in names) == ("disc.b" in names) == (scheme == "asp")
 
 
 class TestForward:
@@ -84,7 +80,7 @@ class TestForward:
         res = M.forward(tape, params.bind(tape), cfg, [1, 2], task=1)
         assert res.H is None and res.h_T is None and res.disc_probs is None
         assert res.S.value.shape == (2, cfg.hidden_size)
-        assert params.heads[0].W.shape == (2, cfg.hidden_size)
+        assert params.tensors["head.0.W"].shape == (2, cfg.hidden_size)
 
     def test_sp_forward_matches_composed_oracles(self):
         # private and shared chains through the loop oracle, then the
@@ -94,14 +90,14 @@ class TestForward:
         ids = [3, 1, 4]
         tape = Tape()
         res = M.forward(tape, params.bind(tape), cfg, ids, task=1)
-        xs = params.embeddings.matrix[ids]
-        s_T, _ = oracles.lstm_encode_loops(xs.tolist(), params.shared.W.tolist(),
-                                           params.shared.b.tolist())
-        h_T, _ = oracles.lstm_encode_loops(xs.tolist(), params.private[1].W.tolist(),
-                                           params.private[1].b.tolist())
+        xs = params.tensors["embeddings"][ids]
+        s_T, _ = oracles.lstm_encode_loops(xs.tolist(), params.tensors["shared.W"].tolist(),
+                                           params.tensors["shared.b"].tolist())
+        h_T, _ = oracles.lstm_encode_loops(xs.tolist(), params.tensors["private.1.W"].tolist(),
+                                           params.tensors["private.1.b"].tolist())
         feat = np.concatenate([h_T, s_T])
-        head = params.heads[1]
-        want = oracles.softmax_direct((head.W @ feat + head.b).tolist())
+        W, b = params.tensors["head.1.W"], params.tensors["head.1.b"]
+        want = oracles.softmax_direct((W @ feat + b).tolist())
         npt.assert_allclose(res.class_probs.value, want, rtol=0, atol=1e-12)
         npt.assert_allclose(res.s_T.value, s_T, rtol=0, atol=1e-12)
         npt.assert_allclose(res.h_T.value, h_T, rtol=0, atol=1e-12)
@@ -222,24 +218,31 @@ class TestDiscriminate:
 
 
 class TestTransfer:
+    @staticmethod
+    def _source():
+        """A 3-task sp model with d = 3 and e = 2 whose shared layer is transferred."""
+        return M.init_model(small_config("sp", K=3, d=3, e=2, vocab=7), seed=0)
+
     def test_head_widths(self):
-        shared = nn.init_lstm(np.random.default_rng(0), 3, 2)
-        sc, sc_cfg = M.build_transfer(shared, "sc", "tgt", 2, vocab_size=9, seed=1)
-        bc, bc_cfg = M.build_transfer(shared, "bc", "tgt", 2, vocab_size=9, seed=1)
-        assert sc.heads[0].W.shape == (2, 3)
-        assert bc.heads[0].W.shape == (2, 6)
+        source = self._source()
+        sc, sc_cfg = M.build_transfer(source, "sc", "tgt", 2, vocab_size=9, seed=1)
+        bc, bc_cfg = M.build_transfer(source, "bc", "tgt", 2, vocab_size=9, seed=1)
+        assert sc.tensors["head.0.W"].shape == (2, 3)
+        assert bc.tensors["head.0.W"].shape == (2, 6)
         assert sc_cfg.scheme == "fs" and bc_cfg.scheme == "sp"
+        assert (sc_cfg.hidden_size, sc_cfg.embed_size, sc_cfg.vocab_size) == (3, 2, 9)
+        assert list(bc.tensors) == list(M._tensor_shapes(bc_cfg))
 
     def test_shared_tensors_are_frozen_copies(self):
-        shared = nn.init_lstm(np.random.default_rng(0), 3, 2)
-        params, _ = M.build_transfer(shared, "sc", "tgt", 2, vocab_size=9, seed=1)
-        assert params.frozen_names() >= {"shared.W", "shared.b"}
-        npt.assert_array_equal(params.shared.W, shared.W)
-        assert params.shared.W is not shared.W
+        source = self._source()
+        params, _ = M.build_transfer(source, "sc", "tgt", 2, vocab_size=9, seed=1)
+        assert params.frozen == {"shared.W", "shared.b"}
+        for name in ("shared.W", "shared.b"):
+            npt.assert_array_equal(params.tensors[name], source.tensors[name])
+            assert not np.shares_memory(params.tensors[name], source.tensors[name])
 
     def test_frozen_not_in_gradient_map(self):
-        shared = nn.init_lstm(np.random.default_rng(0), 3, 2)
-        params, cfg = M.build_transfer(shared, "bc", "tgt", 2, vocab_size=9, seed=1)
+        params, cfg = M.build_transfer(self._source(), "bc", "tgt", 2, vocab_size=9, seed=1)
         tape = Tape()
         bound = params.bind(tape)
         res = M.forward(tape, bound, cfg, [1, 2], task=0)
@@ -250,9 +253,8 @@ class TestTransfer:
         assert "private.0.W" in leaf_names and "embeddings" in leaf_names
 
     def test_bad_mode_rejected(self):
-        shared = nn.init_lstm(np.random.default_rng(0), 3, 2)
         with pytest.raises(ConfigError):
-            M.build_transfer(shared, "tri", "tgt", 2, vocab_size=9, seed=1)
+            M.build_transfer(self._source(), "tri", "tgt", 2, vocab_size=9, seed=1)
 
 
 class TestDumpActivations:
@@ -324,7 +326,7 @@ class TestCheckpoint:
         cfg = M.ModelConfig(scheme="fs", task_names=("a",), classes=(2,), hidden_size=2,
                             embed_size=128, vocab_size=5000)
         params = M.init_model(cfg, seed=0)
-        size = params.embeddings.matrix.nbytes
+        size = params.tensors["embeddings"].nbytes
         assert size >= 4 * 2 ** 20
         tracemalloc.start()
         try:
@@ -334,7 +336,7 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < size
         loaded, _, _ = M.load_checkpoint(tmp_path / "m.bin")
-        assert loaded.embeddings.matrix.tobytes() == params.embeddings.matrix.tobytes()
+        assert loaded.tensors["embeddings"].tobytes() == params.tensors["embeddings"].tobytes()
 
     def test_roundtrip(self, tmp_path):
         cfg = small_config("asp", K=3, d=4, e=3, vocab=12)
@@ -345,7 +347,7 @@ class TestCheckpoint:
         loaded, loaded_cfg, extra = M.load_checkpoint(path)
         assert loaded_cfg == cfg
         assert extra == {"vocab_sha256": "abc"}
-        assert loaded.frozen_names() == params.frozen_names()
+        assert loaded.frozen == params.frozen
         for (n1, a1), (n2, a2) in zip(params.named_tensors().items(),
                                       loaded.named_tensors().items()):
             assert n1 == n2
@@ -369,13 +371,12 @@ class TestCheckpoint:
                             hidden_size=data.draw(st.integers(1, 4)),
                             embed_size=data.draw(st.integers(1, 4)),
                             vocab_size=data.draw(st.integers(2, 12)))
-        params = M.init_model(cfg, seed=data.draw(st.integers(0, 2 ** 32 - 1)),
-                              freeze_embeddings=data.draw(st.booleans()))
+        params = M.init_model(cfg, seed=data.draw(st.integers(0, 2 ** 32 - 1)))
         # one drawn value, subnormals and -0.0 included, must survive bit for bit
-        params.embeddings.matrix[0, 0] = data.draw(
+        params.tensors["embeddings"][0, 0] = data.draw(
             st.floats(allow_nan=False, allow_infinity=False))
-        names = [n for n in params.named_tensors() if n != "embeddings"]
-        params.frozen = frozenset(data.draw(st.lists(st.sampled_from(names), unique=True)))
+        params.frozen = frozenset(data.draw(st.lists(st.sampled_from(list(params.tensors)),
+                                                     unique=True)))
         extra = data.draw(st.dictionaries(st.text(max_size=8), self.JSON, max_size=4))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.bin"
@@ -383,7 +384,7 @@ class TestCheckpoint:
             loaded, loaded_cfg, loaded_extra = M.load_checkpoint(path)
         assert loaded_cfg == cfg
         assert loaded_extra == extra
-        assert loaded.frozen_names() == params.frozen_names()
+        assert loaded.frozen == params.frozen
         want, got = params.named_tensors(), loaded.named_tensors()
         assert list(got) == list(want)
         for name, arr in want.items():
@@ -427,7 +428,8 @@ class TestCheckpoint:
                                             "trainable_not_a_bool", "float_size",
                                             "bool_size", "float_shape", "task_names_string",
                                             "task_names_ints", "task_names_repeated",
-                                            "frozen_string", "frozen_unknown"])
+                                            "frozen_string", "frozen_unknown",
+                                            "trainable_true_frozen", "trainable_false_free"])
     def test_corrupt_checkpoint_is_a_format_error(self, tmp_path, corruption):
         import json
         from advmtl import cli
@@ -435,7 +437,8 @@ class TestCheckpoint:
         # bool_size needs a size of 1, which JSON's true equals
         cfg = small_config("asp", K=2, d=3, e=1 if corruption == "bool_size" else 2)
         path = tmp_path / "model.bin"
-        M.save_checkpoint(path, M.init_model(cfg, seed=2), cfg)
+        frozen_table = corruption == "trainable_true_frozen"
+        M.save_checkpoint(path, M.init_model(cfg, seed=2, freeze_embeddings=frozen_table), cfg)
         blob = path.read_bytes()
         hlen = int.from_bytes(blob[8:16], "little")
         header, body = blob[16:16 + hlen], blob[16 + hlen:]
@@ -473,6 +476,12 @@ class TestCheckpoint:
                 manifest["extra"] = 3
             else:
                 manifest["embeddings_trainable"] = None
+            header = json.dumps(manifest).encode()
+        elif corruption in ("trainable_true_frozen", "trainable_false_free"):
+            # only embeddings_trainable flips, so it and 'frozen' disagree
+            manifest = json.loads(header)
+            assert manifest["embeddings_trainable"] is not frozen_table
+            manifest["embeddings_trainable"] = frozen_table
             header = json.dumps(manifest).encode()
         elif corruption in ("float_size", "bool_size", "float_shape"):
             # each value equals the true size, so only its type is wrong

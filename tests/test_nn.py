@@ -375,11 +375,16 @@ class TestInit:
             arr = nn.uniform_init(rng, shape)
             assert np.all(arr >= -0.1) and np.all(arr <= 0.1)
 
-    def test_same_seed_identical(self):
-        a = nn.init_lstm(np.random.default_rng(3), 4, 5)
-        b = nn.init_lstm(np.random.default_rng(3), 4, 5)
-        npt.assert_array_equal(a.W, b.W)
-        npt.assert_array_equal(a.b, b.b)
+    @pytest.mark.parametrize("scheme", M.SCHEMES)
+    def test_init_model_same_seed_identical(self, scheme):
+        config = M.ModelConfig(scheme, ("a", "b", "c"), (2, 3, 2), hidden_size=4,
+                               embed_size=5, vocab_size=7)
+        a, b = M.init_model(config, seed=3), M.init_model(config, seed=3)
+        want = M._tensor_shapes(config)
+        assert [(n, t.shape) for n, t in a.tensors.items()] == list(want.items())
+        assert list(b.tensors) == list(want)
+        for name, arr in a.tensors.items():
+            assert arr.tobytes() == b.tensors[name].tobytes(), name
 
     def test_law_of_large_numbers(self):
         arr = nn.uniform_init(np.random.default_rng(123), 100_000)
@@ -392,7 +397,7 @@ class TestEmbeddings:
         """An ``fs`` model whose table row ``i`` is ``[3i, 3i + 1, 3i + 2]``, run on a batch."""
         config = M.ModelConfig("fs", ("a",), (2,), hidden_size=2, embed_size=3, vocab_size=4)
         params = M.init_model(config, seed=0)
-        params.embeddings.matrix[:] = np.arange(12.0).reshape(4, 3)
+        params.tensors["embeddings"][:] = np.arange(12.0).reshape(4, 3)
         tape = Tape()
         bound = params.bind(tape)
         res = M.forward_batch(tape, bound, config, sentences, 0)

@@ -26,9 +26,16 @@ def test_desk_workload_runs_correctly():
 
 def test_traced_desk_workload_reads_every_gradient():
     # the tracer reads nbytes, size, itemsize and count_nonzero of each gradient
-    _, result = _run("desk-asp", trace=1)
+    proc, result = _run("desk-asp", trace=1)
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] > 0
+    # only the three hooks known to be stale go unmeasured: a refactor that
+    # unhooks another (models.bind, models.copy, ...) fails here instead of
+    # quietly zeroing a per-layer metric
+    report = next(json.loads(line[len("report "):]) for line in proc.stdout.splitlines()
+                  if line.startswith("report "))
+    assert set(report["unmeasured"]) == {"losses.adversarial_loss", "models.forward_shared",
+                                         "nn.lstm_encode"}
 
 
 def test_read_path_workload_runs_correctly():

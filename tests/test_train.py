@@ -8,7 +8,6 @@ import pytest
 from advmtl import autodiff as ad
 from advmtl import data as D
 from advmtl import models as M
-from advmtl import nn
 from advmtl import train as T
 from advmtl.autodiff import Tape
 from advmtl.errors import ConfigError, ContractError, InputError, NumericError
@@ -38,8 +37,10 @@ def toy_model(scheme="fs", K=1, d=8, seed=0, vocab=12, emb_scale=1.0):
                            if K > 1 else ("toy",),
                            classes=(2,) * K, hidden_size=d, embed_size=d,
                            vocab_size=vocab)
-    emb = np.random.default_rng(99).normal(0.0, emb_scale, (vocab, d))
-    return M.init_model(config, seed=seed, embedding_matrix=emb), config
+    params = M.init_model(config, seed=seed)
+    params.tensors["embeddings"][...] = np.random.default_rng(99).normal(0.0, emb_scale,
+                                                                          (vocab, d))
+    return params, config
 
 
 class TestTrainConfig:
@@ -72,22 +73,22 @@ class TestSgdStep:
 
     def test_basic_arithmetic(self):
         params = self._params()
-        params.shared.b[...] = 1.0
-        grads = {"shared.b": np.full_like(params.shared.b, 0.5)}
+        params.tensors["shared.b"][...] = 1.0
+        grads = {"shared.b": np.full_like(params.tensors["shared.b"], 0.5)}
         T.sgd_step(params, grads, lr=0.01)
-        npt.assert_allclose(params.shared.b, 0.995, rtol=0, atol=1e-15)
+        npt.assert_allclose(params.tensors["shared.b"], 0.995, rtol=0, atol=1e-15)
 
     def test_global_norm_clipping_halves(self):
         params = self._params()
-        params.shared.b[...] = 0.0
-        g = np.zeros_like(params.shared.b)
+        params.tensors["shared.b"][...] = 0.0
+        g = np.zeros_like(params.tensors["shared.b"])
         g[0] = 10.0  # global norm 10, clip 5 -> effective gradient 5
         T.sgd_step(params, {"shared.b": g}, lr=1.0, clip_norm=5.0)
-        assert params.shared.b[0] == -5.0
+        assert params.tensors["shared.b"][0] == -5.0
 
     def test_nan_gradient_names_parameter(self):
         params = self._params()
-        g = np.zeros_like(params.shared.W)
+        g = np.zeros_like(params.tensors["shared.W"])
         g[0, 0] = np.nan
         with pytest.raises(NumericError, match="shared.W"):
             T.sgd_step(params, {"shared.W": g}, lr=0.1)
@@ -96,7 +97,7 @@ class TestSgdStep:
         params = self._params()
         params.frozen = frozenset({"shared.W"})
         with pytest.raises(ContractError, match="shared.W"):
-            T.sgd_step(params, {"shared.W": np.zeros_like(params.shared.W)}, lr=0.1)
+            T.sgd_step(params, {"shared.W": np.zeros_like(params.tensors["shared.W"])}, lr=0.1)
 
     def test_zero_lr_bitwise_unchanged(self):
         params = self._params()
@@ -112,7 +113,7 @@ class TestSgdStep:
         params = self._params()
         params.frozen = frozenset({"shared.W", "shared.b"})
         before = {n: a.tobytes() for n, a in params.named_tensors().items()}
-        trainable = set(params.named_tensors()) - params.frozen_names()
+        trainable = set(params.named_tensors()) - params.frozen
         grads = {n: np.ones_like(a) for n, a in params.named_tensors().items()
                  if n in trainable}
         T.sgd_step(params, grads, lr=0.1)
@@ -125,7 +126,7 @@ class TestRowSparseStep:
     def _grads(self, params):
         rng = np.random.default_rng(3)
         rows = ad.RowGrad(np.array([2, 5, 7]), rng.normal(size=(3, 8)), (12, 8))
-        return {"embeddings": rows, "shared.b": rng.normal(size=params.shared.b.shape)}
+        return {"embeddings": rows, "shared.b": rng.normal(size=params.tensors["shared.b"].shape)}
 
     def _step_both(self, clip_norm):
         sparse_params, dense_params = toy_model()[0], toy_model()[0]
@@ -142,7 +143,7 @@ class TestRowSparseStep:
 
     def test_equals_dense_step_when_clipping(self):
         sparse, dense = self._step_both(clip_norm=0.1)
-        assert not np.array_equal(sparse["embeddings"], toy_model()[0].embeddings.matrix)
+        assert not np.array_equal(sparse["embeddings"], toy_model()[0].tensors["embeddings"])
         for name in dense:
             npt.assert_allclose(sparse[name], dense[name], rtol=0, atol=1e-12, err_msg=name)
 
@@ -274,7 +275,7 @@ class TestBatchedTerms:
                                           T.TrainConfig())
         npt.assert_array_equal(grads["embeddings"].ids, real)
         # the table row a padding token would read changes nothing
-        params.embeddings.matrix[D.PAD_ID] = 7.0
+        params.tensors["embeddings"][D.PAD_ID] = 7.0
         _, total2, grads2 = self._terms(T._batch_terms, params, config, batch,
                                         T.TrainConfig())
         assert total2.value.tobytes() == total.value.tobytes()
@@ -422,7 +423,7 @@ class TestTrainingLoop:
         # inject the NaN directly (e.g. a corrupted warm-start checkpoint)
         ds = toy_task()
         params, config = toy_model()
-        params.shared.W[0, 0] = np.nan
+        params.tensors["shared.W"][0, 0] = np.nan
         cfg = T.TrainConfig(learning_rate=0.1, max_epochs=5, patience=5, seed=0)
         best, hist = T.train_multitask(params, config, {"toy": ds}, cfg)
         assert hist.diverged
@@ -432,7 +433,7 @@ class TestTrainingLoop:
         from advmtl.train import _train_one_batch
         ds = toy_task()
         params, config = toy_model()
-        params.embeddings.matrix[:, 0] = np.nan
+        params.tensors["embeddings"][:, 0] = np.nan
         batch = D.Batch(task=0, sequences=[ds.train[0].tokens],
                         labels=[ds.train[0].label])
         with pytest.raises(NumericError):
@@ -602,21 +603,22 @@ class TestGridSearch:
 class TestTransferTraining:
     def test_frozen_shared_bitwise_unchanged(self):
         ds = toy_task()
-        shared = nn.init_lstm(np.random.default_rng(8), 8, 8)
-        w_bytes, b_bytes = shared.W.tobytes(), shared.b.tobytes()
+        source, _ = toy_model(seed=8)
+        w_bytes = source.tensors["shared.W"].tobytes()
+        b_bytes = source.tensors["shared.b"].tobytes()
         cfg = T.TrainConfig(learning_rate=0.3, max_epochs=3, patience=3, seed=0)
         for mode in ("sc", "bc"):
             trained, tconfig, hist, err = T.train_transfer(
-                shared, ds, mode, cfg, vocab_size=12, model_seed=1)
-            assert trained.shared.W.tobytes() == w_bytes
-            assert trained.shared.b.tobytes() == b_bytes
+                source, ds, mode, cfg, vocab_size=12, model_seed=1)
+            assert trained.tensors["shared.W"].tobytes() == w_bytes
+            assert trained.tensors["shared.b"].tobytes() == b_bytes
             assert 0.0 <= err <= 1.0
 
     def test_bc_head_reads_both_channels(self):
         ds = toy_task()
-        shared = nn.init_lstm(np.random.default_rng(8), 8, 8)
+        source, _ = toy_model(seed=8)
         cfg = T.TrainConfig(learning_rate=0.3, max_epochs=1, patience=1, seed=0)
-        trained, tconfig, _, _ = T.train_transfer(shared, ds, "bc", cfg,
+        trained, tconfig, _, _ = T.train_transfer(source, ds, "bc", cfg,
                                                   vocab_size=12, model_seed=1)
         assert tconfig.head_input_size == 16
 
