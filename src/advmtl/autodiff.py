@@ -3,10 +3,18 @@
 Values are plain C-order ``numpy`` arrays; the tape records one node per
 operation with the ids of its inputs and a closure computing the
 vector-Jacobian product. A tape is single-use: build a forward graph,
-call :func:`backward` once (it frees each closure as it runs it), throw
-it away. Gradients are dense arrays, except that a leaf matrix read
-through :func:`take_rows` (the embedding table) gets a row-sparse
-:class:`RowGrad`.
+call :func:`backward` once, throw it away. The sweep releases the tape
+(:meth:`Tape.release`): it drops the node list and every closure, so a
+finished step's forward values are freed by reference counting, not left
+to the cycle collector. Gradients are dense arrays, except that a leaf
+matrix read through :func:`take_rows` (the embedding table) gets a
+row-sparse :class:`RowGrad`.
+
+A vjp must not write into the upstream gradient it is given: it may be
+the gradient another node received too (``add`` passes one array to both
+operands), and ``backward`` keeps a node's first gradient as the vjp
+returned it. For the same reason gradients that :func:`backward` returns
+may share memory with one another.
 
 Everything runs in double precision so finite-difference checks are
 meaningful. No broadcasting beyond adding a bias vector to matrix rows;
@@ -128,7 +136,11 @@ Vjp = Callable[[Tensor], tuple]
 
 
 class Tape:
-    """Append-only record of operations for one forward/backward pair."""
+    """Append-only record of operations for one forward/backward pair.
+
+    ``len(tape)`` is the number of nodes recorded, also after the tape has
+    been swept and released.
+    """
 
     def __init__(self):
         self.nodes: list[Node] = []
@@ -136,12 +148,29 @@ class Tape:
         self._leaf_ids: list[int] = []
         self.clamp_events = 0
         self.swept = False
+        self._released_len = 0
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self._released_len if self.swept else len(self.nodes)
+
+    def release(self) -> None:
+        """Drop the node list and every closure; later records are a :class:`ContractError`.
+
+        Each node points at its tape and a closure may point at nodes, so a
+        tape that keeps them is a reference cycle. Once released, a step's
+        graph is freed as soon as the caller drops its last node. The nodes
+        that the caller still holds keep their ``value``. Releasing twice
+        is harmless.
+        """
+        if not self.swept:
+            self._released_len = len(self.nodes)
+            self.swept = True
+        self.nodes, self._vjps, self._leaf_ids = [], [], []
 
     def _append(self, value: Tensor, parents: tuple[int, ...],
                 vjp: Vjp | None, is_leaf: bool, needs_grad: bool) -> Node:
+        if self.swept:
+            raise ContractError("this tape has been swept; record on a new tape")
         node = Node(self, len(self.nodes), value, parents, is_leaf, needs_grad)
         self.nodes.append(node)
         self._vjps.append(vjp)
@@ -423,12 +452,15 @@ def backward(tape: Tape, loss: Node) -> dict[int, Tensor | RowGrad]:
     none, and no vjp runs for a node with no leaf upstream (a lookup in a
     frozen table, a frozen layer fed only constants). A leaf read through
     :func:`take_rows` gets a :class:`RowGrad`, every other leaf a dense
-    array. Multiple uses of a node accumulate by summation.
+    array. Multiple uses of a node accumulate by summation: its first
+    gradient is kept as returned and each later one is added as
+    ``acc + pg``, a new array, so no gradient is written in place and the
+    returned gradients may share memory with one another.
 
     Each vjp is dropped once it has run, with the forward values it keeps
-    (an LSTM fold's gate activations): a tape is a reference cycle, so
-    they would otherwise live until the garbage collector finds it. A
-    second sweep of the same tape is a :class:`ContractError`.
+    (an LSTM fold's gate activations), and the sweep ends by releasing the
+    tape (:meth:`Tape.release`), also when a vjp raises. A second sweep of
+    the same tape is a :class:`ContractError`.
     """
     if loss.tape is not tape:
         raise ContractError("loss node does not belong to this tape")
@@ -438,30 +470,26 @@ def backward(tape: Tape, loss: Node) -> dict[int, Tensor | RowGrad]:
         raise ContractError(
             f"backward requires a scalar loss, got shape {loss.value.shape}")
 
-    tape.swept = True
     nodes, vjps = tape.nodes, tape._vjps
-    grads: list[Tensor | RowGrad | None] = [None] * len(nodes)
-    if loss.needs_grad:
-        grads[loss.idx] = np.asarray(1.0)
-    for idx in range(loss.idx, -1, -1):
-        g = grads[idx]
-        if g is None:
-            continue
-        vjp, vjps[idx] = vjps[idx], None
-        if vjp is None:
-            continue
-        for parent_idx, pg in zip(nodes[idx].parents, vjp(g)):
-            if pg is None or not nodes[parent_idx].needs_grad:
+    try:
+        grads: list[Tensor | RowGrad | None] = [None] * len(nodes)
+        if loss.needs_grad:
+            grads[loss.idx] = np.asarray(1.0)
+        for idx in range(loss.idx, -1, -1):
+            g = grads[idx]
+            if g is None:
                 continue
-            acc = grads[parent_idx]
-            if acc is None:
-                grads[parent_idx] = (pg if isinstance(pg, RowGrad)
-                                     else np.array(pg, dtype=np.float64, copy=True))
-            elif isinstance(acc, RowGrad):
-                grads[parent_idx] = acc + pg
-            else:
-                acc += pg
-    return {i: grads[i] for i in tape._leaf_ids if grads[i] is not None}
+            vjp, vjps[idx] = vjps[idx], None
+            if vjp is None:
+                continue
+            for parent_idx, pg in zip(nodes[idx].parents, vjp(g)):
+                if pg is None or not nodes[parent_idx].needs_grad:
+                    continue
+                acc = grads[parent_idx]
+                grads[parent_idx] = pg if acc is None else acc + pg
+        return {i: grads[i] for i in tape._leaf_ids if grads[i] is not None}
+    finally:
+        tape.release()
 
 
 def finite_difference_check(loss_fn: Callable[[Mapping[str, Tensor], bool], tuple],

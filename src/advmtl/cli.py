@@ -87,17 +87,19 @@ TRANSFER_KEYS = ("seed", "learning_rate", "max_epochs", "patience", "batch_size"
 
 
 def parse_flat_config(path) -> dict[str, str]:
-    """Read ``key = value`` lines; '#' starts a comment."""
+    """Read ``key = value`` lines; '#' starts a comment.
+
+    A line without ``=`` or that is not UTF-8 raises :class:`ConfigError`.
+    """
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{ln}: expected 'key = value'")
-            key, value = stripped.split("=", 1)
-            out[key.strip()] = value.strip()
+    for ln, line in D.text_lines(path, ConfigError):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{ln}: expected 'key = value'")
+        key, value = stripped.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -540,8 +542,7 @@ def cmd_dump_activations(args) -> int:
               + [f"private_{j}" for j in range(d)]
               + [f"prob_{c}" for c in range(n_classes)])
     lines = [",".join(header)]
-    with open(args.sentences, "r", encoding="utf-8") as fh:
-        sentences = [line.split() for line in fh if line.split()]
+    sentences = [line.split() for _, line in D.text_lines(args.sentences) if line.split()]
     if not sentences:
         raise InputError(f"{args.sentences}: no sentences")
     for si, tokens in enumerate(sentences):

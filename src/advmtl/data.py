@@ -126,39 +126,55 @@ class RawTask:
 RawCorpus = dict[str, RawTask]
 
 
+def text_lines(path, error: type[Exception] = DataFormatError):
+    """Yield ``(line_number, line)`` for each line of a UTF-8 text file, from 1.
+
+    A line that is not valid UTF-8 raises ``error`` naming the file and the
+    line. Bytes that do not decode become lone surrogates, which a valid
+    file cannot hold, so only a line that is not ASCII is checked.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for ln, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise error(f"{path}:{ln}: not UTF-8 text (byte "
+                                f"0x{ord(line[exc.start]) & 0xFF:02x})") from None
+            yield ln, line
+
+
 def read_labeled_file(path, max_len: int = DEFAULT_MAX_LEN) -> list[RawExample]:
     out: list[RawExample] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataFormatError(
-                    f"{path}:{ln}: expected 'label<TAB>text', got {len(parts)} fields")
-            label_text, text = parts
-            try:
-                label = int(label_text)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{ln}: label '{label_text}' is not an integer") from None
-            if label < 0:
-                raise DataFormatError(f"{path}:{ln}: negative label {label}")
-            tokens = text.split()
-            if not tokens:
-                raise DataFormatError(f"{path}:{ln}: empty token sequence")
-            out.append((tokens[:max_len], label))
+    for ln, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataFormatError(
+                f"{path}:{ln}: expected 'label<TAB>text', got {len(parts)} fields")
+        label_text, text = parts
+        try:
+            label = int(label_text)
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{ln}: label '{label_text}' is not an integer") from None
+        if label < 0:
+            raise DataFormatError(f"{path}:{ln}: negative label {label}")
+        tokens = text.split()
+        if not tokens:
+            raise DataFormatError(f"{path}:{ln}: empty token sequence")
+        out.append((tokens[:max_len], label))
     return out
 
 
 def read_unlabeled_file(path, max_len: int = DEFAULT_MAX_LEN) -> list[list[str]]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tokens = line.split()
-            if tokens:
-                out.append(tokens[:max_len])
+    for _, line in text_lines(path):
+        tokens = line.split()
+        if tokens:
+            out.append(tokens[:max_len])
     return out
 
 

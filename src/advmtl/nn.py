@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tensor
+from .data import text_lines
 from .errors import DataFormatError, InputError, ShapeError
 
 INIT_RANGE = 0.1
@@ -207,7 +208,7 @@ class _LstmFold:
         local = np.stack([i * (1.0 - cbar * cbar), tc * o * (1.0 - o),
                           cbar * i * (1.0 - i), c_prev * f * (1.0 - f)], axis=1)
         dc_dh = o * (1.0 - tc * tc)
-        W_h = np.ascontiguousarray(W[:, e:])
+        W_h = W[:, e:]  # a strided view: the product reads it in place
         ga_all = np.empty((N, 4, d))
         dh, dc = np.zeros((n0, d)), np.zeros((n0, d))
         for t in range(len(active) - 1, -1, -1):
@@ -268,30 +269,29 @@ def load_embeddings_text(path, token_to_id: dict[str, int], matrix: Tensor) -> i
     Format: one token per line followed by ``dim`` whitespace-separated
     floats. Lines whose token is not in ``token_to_id`` are skipped. A
     line of a known token with the wrong width, a value that is not a
-    float, or a NaN or infinite value raises :class:`DataFormatError`.
-    Returns the number of rows loaded.
+    float, a NaN or infinite value, or a line that is not UTF-8 raises
+    :class:`DataFormatError`. Returns the number of rows loaded.
     """
     dim = matrix.shape[1]
     loaded = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
-            if not parts:
-                continue
-            token = parts[0]
-            idx = token_to_id.get(token)
-            if idx is None:
-                continue
-            if len(parts) != dim + 1:
-                raise DataFormatError(
-                    f"{path}:{ln}: expected {dim} values for '{token}', "
-                    f"got {len(parts) - 1}")
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{ln}: '{token}': {exc}") from None
-            if not np.isfinite(vec).all():
-                raise DataFormatError(f"{path}:{ln}: non-finite value for '{token}'")
-            matrix[idx] = vec
-            loaded += 1
+    for ln, line in text_lines(path):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        token = parts[0]
+        idx = token_to_id.get(token)
+        if idx is None:
+            continue
+        if len(parts) != dim + 1:
+            raise DataFormatError(
+                f"{path}:{ln}: expected {dim} values for '{token}', "
+                f"got {len(parts) - 1}")
+        try:
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{ln}: '{token}': {exc}") from None
+        if not np.isfinite(vec).all():
+            raise DataFormatError(f"{path}:{ln}: non-finite value for '{token}'")
+        matrix[idx] = vec
+        loaded += 1
     return loaded

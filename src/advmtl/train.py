@@ -120,6 +120,11 @@ def sgd_step(params: M.ModelParams, grads: Mapping[str, Tensor | ad.RowGrad],
     NaN/Inf gradients abort naming the tensor. A :class:`~advmtl.autodiff.RowGrad`
     adds only its stored rows to the norm, which is exact because its other
     rows are zero, and updates only those rows of the tensor.
+
+    A NaN or inf element makes its tensor's sum of squares NaN or inf, so
+    the elementwise scan runs only for a tensor whose sum is not finite. A
+    finite gradient whose squares overflow is not an error: the global norm
+    is then inf and a finite ``clip_norm`` scales the step to zero.
     """
     tensors, frozen = params.tensors, params.frozen
     sq = 0.0
@@ -129,9 +134,10 @@ def sgd_step(params: M.ModelParams, grads: Mapping[str, Tensor | ad.RowGrad],
         if name not in tensors:
             raise ContractError(f"gradient for unknown parameter '{name}'")
         stored = g.rows if isinstance(g, ad.RowGrad) else g
-        if not np.all(np.isfinite(stored)):
+        g_sq = float((stored * stored).sum())
+        if not np.isfinite(g_sq) and not np.all(np.isfinite(stored)):
             raise NumericError(f"non-finite gradient for parameter '{name}'")
-        sq += float((stored * stored).sum())
+        sq += g_sq
     if lr == 0.0:
         return
     gnorm = float(np.sqrt(sq))
@@ -216,25 +222,31 @@ def _apply_step(params: M.ModelParams, tape: Tape, bound, total: ad.Node,
 
 def _train_one_batch(params: M.ModelParams, config: M.ModelConfig, batch: Batch,
                      cfg: TrainConfig):
-    """One optimization step; returns the term values for bookkeeping."""
-    def build():
-        tape = Tape()
-        bound = params.bind(tape)
-        l_ce, l_adv, l_diff = _batch_terms(tape, bound, config, batch, cfg)
-        total = _combine(tape, l_ce, l_adv, l_diff, batch.task, cfg)
-        return tape, bound, (l_ce, l_adv, l_diff), total
+    """One optimization step; returns the term values for bookkeeping.
 
-    tape, bound, parts, total = build()
-    if not np.isfinite(total.value):
-        raise NumericError("training loss is not finite")
+    Every tape is released when its step ends, also when the step raises
+    before ``backward`` released it, so no finished graph or the weights
+    its leaves point at wait for the cycle collector.
+    """
+    def step(subset, check_finite):
+        tape = Tape()
+        try:
+            bound = params.bind(tape)
+            parts = _batch_terms(tape, bound, config, batch, cfg)
+            total = _combine(tape, *parts, batch.task, cfg)
+            if check_finite and not np.isfinite(total.value):
+                raise NumericError("training loss is not finite")
+            _apply_step(params, tape, bound, total, cfg, subset)
+        finally:
+            tape.release()
+        return parts
+
     if cfg.alternating and config.has_discriminator:
-        _apply_step(params, tape, bound, total, cfg, subset="disc")
-        tape, bound, parts, total = build()
-        _apply_step(params, tape, bound, total, cfg, subset="nondisc")
+        step("disc", True)
+        parts = step("nondisc", False)
     else:
-        _apply_step(params, tape, bound, total, cfg)
-    vals = tuple(None if p is None else float(p.value) for p in parts)
-    return vals
+        parts = step(None, True)
+    return tuple(None if p is None else float(p.value) for p in parts)
 
 
 ENCODE_TOKENS = 1024  # tokens per encode call in evaluation: bounds a fold's memory
@@ -476,25 +488,36 @@ def grid_search(factory: Callable[[], tuple[M.ModelParams, M.ModelConfig]],
     """Train one model per grid cell; pick the lowest mean dev error.
 
     Cells are enumerated in deterministic key/value order; ties resolve
-    to the earliest cell. Divergent cells score inf and lose.
+    to the earliest cell. Divergent cells score inf and lose. Cells are
+    scored as they finish, in order, and only the best so far is kept, so
+    at most two trained models are alive at once.
     """
     keys = list(grid.keys())
     combos = list(itertools.product(*(grid[k] for k in keys)))
     if not combos:
         raise ConfigError("empty grid")
     cfgs = [replace(base_cfg, **dict(zip(keys, combo))) for combo in combos]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            outs = list(ex.map(_grid_cell, [factory] * len(cfgs),
-                               [datasets] * len(cfgs), cfgs))
-    else:
-        outs = [_grid_cell(factory, datasets, cfg) for cfg in cfgs]
-    errs = [o[2] for o in outs]
-    best_index = int(np.argmin(errs))
+
+    def outcomes():
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as ex:
+                yield from ex.map(_grid_cell, [factory] * len(cfgs),
+                                  [datasets] * len(cfgs), cfgs)
+        else:
+            for cfg in cfgs:
+                yield _grid_cell(factory, datasets, cfg)
+
+    # no enumerate: its cached result tuple would keep the last cell's model
+    # alive while the next cell trains
+    errs, best, best_index = [], None, 0
+    for out in outcomes():
+        if best is None or out[2] < best[2]:
+            best, best_index = out, len(errs)
+        errs.append(out[2])
+        del out  # unless it is the best, the next cell trains without this model
     cells = [(dict(zip(keys, combo)), err) for combo, err in zip(combos, errs)]
     return GridResult(best_config=cfgs[best_index], best_index=best_index,
-                      best_params=outs[best_index][0],
-                      best_history=outs[best_index][1], cells=cells)
+                      best_params=best[0], best_history=best[1], cells=cells)
 
 
 # ---------------------------------------------------------------------------

@@ -1,2 +1,20 @@
-import sys, os
+import gc
+import os
+import sys
+
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+@pytest.fixture
+def no_cycle_collector():
+    """Run the test with the cycle collector off: only reference counting frees objects."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

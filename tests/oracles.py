@@ -9,6 +9,9 @@ sequence encoder ``nn.lstm_encode`` is checked against it.
 ``nn._LstmFold`` replaced; the packed fold is checked against it.
 :func:`batch_terms` builds a batch's loss terms one sentence at a time;
 the batched ``train._batch_terms`` is checked against it.
+:func:`backward_copy_accumulate` is the reverse sweep with the gradient
+accumulation ``autodiff.backward`` used before it stopped copying first
+gradients; the new rule is checked bitwise against it.
 """
 
 import math
@@ -139,6 +142,36 @@ def lstm_step(x, h_prev, c_prev, W, b):
 
     pair = x.tape.record(np.stack([h, c]), (x, h_prev, c_prev, W, b), vjp)
     return ad.row(pair, 0), ad.row(pair, 1)
+
+
+def backward_copy_accumulate(tape, loss):
+    """``ad.backward``'s sweep with the copy-then-``+=`` accumulation rule.
+
+    A node's first gradient is copied into a fresh float64 array (a
+    ``RowGrad`` is kept) and later ones are added into that copy in place;
+    a ``RowGrad`` accumulator is summed with ``+``. The tape's closures are
+    run but neither dropped nor released, so the tape stays readable.
+    """
+    nodes, vjps = tape.nodes, tape._vjps
+    grads = [None] * len(nodes)
+    if loss.needs_grad:
+        grads[loss.idx] = np.asarray(1.0)
+    for idx in range(loss.idx, -1, -1):
+        g = grads[idx]
+        if g is None or vjps[idx] is None:
+            continue
+        for parent_idx, pg in zip(nodes[idx].parents, vjps[idx](g)):
+            if pg is None or not nodes[parent_idx].needs_grad:
+                continue
+            acc = grads[parent_idx]
+            if acc is None:
+                grads[parent_idx] = (pg if isinstance(pg, ad.RowGrad)
+                                     else np.array(pg, dtype=np.float64, copy=True))
+            elif isinstance(acc, ad.RowGrad):
+                grads[parent_idx] = acc + pg
+            else:
+                acc += pg
+    return {i: grads[i] for i in tape._leaf_ids if grads[i] is not None}
 
 
 def _mean(nodes):

@@ -163,6 +163,121 @@ class TestBackward:
         assert ad.finite_difference_check(loss_fn, params, eps=1e-5) < 1e-6
 
 
+class TestRelease:
+    @staticmethod
+    def _graph():
+        t = Tape()
+        p = leaf(t, [1.0, 2.0])
+        q = ad.tanh(p)
+        return t, p, q, ad.sum_all(ad.mul(q, q))
+
+    def test_swept_tape_keeps_only_its_length(self):
+        t, p, q, loss = self._graph()
+        n = len(t)
+        ad.backward(t, loss)
+        assert t.nodes == [] and t._vjps == [] and len(t) == n == 4
+        npt.assert_array_equal(q.value, np.tanh([1.0, 2.0]))
+        assert float(loss.value) == float((np.tanh([1.0, 2.0]) ** 2).sum())
+        for record in (lambda: t.leaf([1.0]), lambda: t.constant([1.0]),
+                       lambda: ad.tanh(q)):
+            with pytest.raises(ContractError):
+                record()
+        with pytest.raises(ContractError):
+            ad.backward(t, loss)
+
+    def test_a_sweep_that_raises_still_releases(self):
+        t = Tape()
+        p = leaf(t, [1.0, 2.0])
+
+        def broken(g):
+            raise ValueError("vjp failed")
+
+        loss = ad.sum_all(t.record(p.value * 2.0, (p,), broken))
+        with pytest.raises(ValueError):
+            ad.backward(t, loss)
+        assert t.nodes == [] and t._vjps == [] and len(t) == 3
+
+    @pytest.mark.parametrize("sweep", [True, False])
+    def test_released_graph_is_freed_by_reference_counting(self, sweep, no_cycle_collector):
+        import weakref
+
+        t, p, q, loss = self._graph()
+        refs = [weakref.ref(p.value), weakref.ref(q.value)]
+        if sweep:
+            ad.backward(t, loss)
+        else:
+            t.release()
+        assert all(r() is not None for r in refs)
+        del t, p, q, loss
+        assert all(r() is None for r in refs)
+
+
+def _random_graph(seed):
+    """A seeded graph whose vjps return shared and sliced upstream gradients.
+
+    Nodes are ``[3, 2]`` matrices made by ``add``, ``add_n`` and ``concat``
+    (whose vjps return ``g`` itself or views of it), ``tanh`` and table
+    lookups; each reads one to three earlier nodes picked at random,
+    possibly the same one twice. The table leaf is read by ``take_rows``
+    (a ``RowGrad``) and, in some graphs, densely through ``matmul``. The
+    loss sums ``n * n`` over the nodes nothing reads, so every other node's
+    first gradient is one its consumer's vjp shares or slices.
+    """
+    rng = np.random.default_rng(seed)
+    t = Tape()
+    table = t.leaf(rng.normal(size=(5, 2)))
+    pool = [t.leaf(rng.normal(size=(3, 2))) for _ in range(2)]
+    pool.append(ad.take_rows(table, rng.integers(0, 5, size=3)))
+    if rng.integers(2):
+        pool.append(ad.matmul(t.leaf(rng.normal(size=(3, 5))), table))
+    read = set()
+    for _ in range(int(rng.integers(3, 10))):
+        op = int(rng.integers(6))
+        ops = [pool[int(i)] for i in rng.integers(len(pool), size=(2, 2, 3, 2, 1, 1)[op])]
+        if op == 0:
+            node = ad.add(*ops)
+        elif op == 1:  # column slices of the upstream gradient
+            node = ad.matmul(ad.concat(ops, axis=1), t.leaf(rng.normal(size=(4, 2))))
+        elif op == 2:
+            node = ad.add_n(ops)
+        elif op == 3:  # row slices of the upstream gradient
+            node = ad.matmul(t.leaf(rng.normal(size=(3, 6))), ad.concat(ops, axis=0))
+        elif op == 4:
+            node = ad.tanh(ops[0])
+        else:
+            node = ad.add(ops[0], ad.take_rows(table, rng.integers(0, 5, size=3)))
+        pool.append(node)
+        read.update(n.idx for n in ops)
+    sinks = [n for n in pool if n.idx not in read]
+    return t, ad.add_n([ad.sum_all(ad.mul(n, n)) for n in sinks])
+
+
+class TestAccumulation:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_copy_then_add_in_place(self, seed):
+        t_new, loss_new = _random_graph(seed)
+        t_old, loss_old = _random_graph(seed)
+        new = ad.backward(t_new, loss_new)
+        old = oracles.backward_copy_accumulate(t_old, loss_old)
+        assert list(new) == list(old)
+        for i, g in new.items():
+            assert type(g) is type(old[i])
+            if isinstance(g, ad.RowGrad):
+                assert g.ids.tobytes() == old[i].ids.tobytes()
+                g, want = g.rows, old[i].rows
+            else:
+                want = old[i]
+            assert g.shape == want.shape and g.tobytes() == want.tobytes()
+
+    def test_graphs_mix_dense_and_row_sparse_table_gradients(self):
+        kinds = set()
+        for seed in range(40):
+            t, loss = _random_graph(seed)
+            kinds.add(type(ad.backward(t, loss)[0]))
+        assert kinds == {ad.RowGrad, np.ndarray}
+
+
 class TestGradientReversal:
     def test_forward_identity_bitwise(self):
         t = Tape()

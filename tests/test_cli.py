@@ -1,16 +1,19 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from advmtl import cli
 from advmtl import data as D
 from advmtl import models as M
+from advmtl.errors import ConfigError
 
 
 SYNTH_SPEC = """
@@ -445,3 +448,73 @@ def test_shape_and_contract_errors_exit_2(monkeypatch, tmp_path, capsys, error):
     spec.write_text(SYNTH_SPEC)
     assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "error: operands disagree\n"
+
+
+@pytest.mark.parametrize("target", ["train.tsv", "unlabeled.tsv", "embeddings", "config",
+                                    "sentences"])
+def test_non_utf8_input_exits_with_one_error_line(corpus_dir, trained_dir, tmp_path, capsys,
+                                                  target):
+    data = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, data)
+    out = str(tmp_path / "out")
+    train = ["train", "--scheme", "asp", "--max-epochs", "1", "--hidden-size", "4",
+             "--embed-size", "2", "--data", str(data), "--out", out]
+    code = 2
+    if target in ("train.tsv", "unlabeled.tsv"):
+        bad = data / "task00" / target
+        line = len(bad.read_bytes().splitlines()) + 1
+        with open(bad, "ab") as fh:
+            fh.write(b"1\tgood \xff token\n")
+        argv = train
+    elif target == "embeddings":
+        bad, line = tmp_path / "vectors.txt", 2
+        bad.write_bytes(b"zzz 0.1 0.2\n\xff 0.3 0.4\n")
+        argv = train + ["--embeddings", str(bad)]
+    elif target == "config":
+        bad, line, code = tmp_path / "run.cfg", 2, 3
+        bad.write_bytes(b"scheme = asp\nseed = 1  # \xff\n")
+        argv = ["train", "--config", str(bad), "--data", str(data), "--out", out]
+    else:
+        bad, line = tmp_path / "sentences.txt", 2
+        bad.write_bytes(b"good\n\xff\n")
+        argv = ["dump-activations", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                "--data", str(corpus_dir), "--sentences", str(bad), "--task", "task00",
+                "--out", str(tmp_path / "acts.csv")]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert f"{bad}:{line}: not UTF-8 text (byte 0xff)" in err
+
+
+CONFIG_SETTINGS = settings(max_examples=150, deadline=None,
+                           suppress_health_check=[HealthCheck.function_scoped_fixture])
+CONFIG_FRAGMENTS = st.sampled_from([b"key", b"=", b" ", b"#", b"\n", b"\r", b"\t", b"1.5",
+                                    b"\x00", b"\xc3\xa9", b"\xff", b"\xed\xa0\x80"])
+
+
+@CONFIG_SETTINGS
+@given(st.one_of(st.binary(max_size=200),
+                 st.lists(CONFIG_FRAGMENTS, max_size=40).map(b"".join)))
+def test_config_bytes_parse_or_raise_a_config_error(tmp_path, raw):
+    path = tmp_path / "any.cfg"
+    path.write_bytes(raw)
+    try:
+        out = cli.parse_flat_config(path)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}:")
+        return
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in out.items())
+
+
+@CONFIG_SETTINGS
+@given(st.dictionaries(
+    st.text(st.characters(blacklist_categories=("Z", "C"), blacklist_characters="=#"),
+            min_size=1, max_size=8),
+    st.text(st.characters(blacklist_categories=("C",), blacklist_characters="#"),
+            max_size=12),
+    max_size=8))
+def test_well_formed_config_round_trips(tmp_path, values):
+    path = tmp_path / "run.cfg"
+    path.write_text("# comment\n" + "".join(f"{k} = {v}  # note\n" for k, v in values.items()),
+                    encoding="utf-8")
+    assert cli.parse_flat_config(path) == {k: v.strip() for k, v in values.items()}

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from advmtl import data as D
 from advmtl.errors import ConfigError, DataFormatError, InputError
@@ -32,11 +32,62 @@ class TestFileParsing:
         with pytest.raises(DataFormatError, match="bad.tsv:1"):
             D.read_labeled_file(path)
 
+    def test_non_utf8_line_is_named(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(b"1\tok text\n0\tcaf\xc3\xa9 ok\n1\tgood \xff token\n")
+        for read in (D.read_labeled_file, D.read_unlabeled_file):
+            with pytest.raises(DataFormatError, match=r"bad.tsv:3: not UTF-8 text \(byte 0xff\)"):
+                read(path)
+
     def test_max_len_caps_sequence(self, tmp_path):
         path = tmp_path / "long.tsv"
         path.write_text("1\t" + " ".join(f"w{i}" for i in range(600)) + "\n")
         (tokens, _), = D.read_labeled_file(path, max_len=500)
         assert len(tokens) == 500
+
+
+# fragments that make near-miss TSV lines: bad labels, stray tabs, line
+# ends of every kind, invalid UTF-8 (a lone 0xff, an encoded surrogate)
+FRAGMENTS = st.sampled_from([b"0", b"1", b"-1", b"1_0", b"x", b"\t", b" ", b"tok", b"\n",
+                             b"\r", b"\r\n", b"\x00", b"\xc3\xa9", b"\xff",
+                             b"\xed\xa0\x80", b"\xe2\x80\xa8"])
+RAW_FILES = st.one_of(st.binary(max_size=200), st.lists(FRAGMENTS, max_size=40).map(b"".join))
+# characters a token may hold: no whitespace, line ends or control characters
+TOKENS = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=8)
+FILE_SETTINGS = settings(max_examples=150, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestFileProperties:
+    @FILE_SETTINGS
+    @given(RAW_FILES)
+    def test_arbitrary_bytes_parse_or_raise_a_format_error(self, tmp_path, raw):
+        path = tmp_path / "any.tsv"
+        path.write_bytes(raw)
+        try:
+            labeled = D.read_labeled_file(path)
+        except DataFormatError as exc:
+            assert str(exc).startswith(f"{path}:")
+        else:
+            assert all(tokens and label >= 0 for tokens, label in labeled)
+        try:
+            unlabeled = D.read_unlabeled_file(path)
+        except DataFormatError as exc:
+            assert str(exc).startswith(f"{path}:")
+        else:
+            assert all(unlabeled)
+
+    @FILE_SETTINGS
+    @given(st.lists(st.tuples(st.lists(TOKENS, min_size=1, max_size=6),
+                              st.integers(0, 10 ** 6)), max_size=10))
+    def test_well_formed_files_round_trip(self, tmp_path, examples):
+        path = tmp_path / "labeled.tsv"
+        path.write_text("".join(f"{label}\t{' '.join(tokens)}\n" for tokens, label in examples),
+                        encoding="utf-8")
+        assert D.read_labeled_file(path) == examples
+        path.write_text("".join(" ".join(tokens) + "\n" for tokens, _ in examples),
+                        encoding="utf-8")
+        assert D.read_unlabeled_file(path) == [tokens for tokens, _ in examples]
 
 
 class TestPartition:

@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -92,6 +93,29 @@ class TestSgdStep:
         g[0, 0] = np.nan
         with pytest.raises(NumericError, match="shared.W"):
             T.sgd_step(params, {"shared.W": g}, lr=0.1)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_gradient_names_the_first_bad_parameter(self, bad):
+        params = self._params()
+        before = {n: a.tobytes() for n, a in params.named_tensors().items()}
+        grads = {n: np.ones_like(params.tensors[n]) for n in ("shared.b", "shared.W", "head.0.b")}
+        grads["shared.W"][1, 2] = bad
+        grads["head.0.b"][0] = np.nan
+        with pytest.raises(NumericError, match="'shared.W'"):
+            T.sgd_step(params, grads, lr=0.1)
+        assert all(a.tobytes() == before[n] for n, a in params.named_tensors().items())
+
+    @pytest.mark.parametrize("clip_norm", [5.0, float("inf")])
+    def test_finite_gradient_whose_square_overflows_is_no_error(self, clip_norm):
+        params = self._params()
+        W = params.tensors["shared.W"]
+        g = np.zeros_like(W)
+        g[0, 0] = 1e200  # finite, but its square is inf: so is the global norm
+        # inf > 5 clips the step to 5 / inf = 0; inf > inf is false, so no clipping
+        want = W - (0.1 * (0.0 if clip_norm == 5.0 else 1.0)) * g
+        with np.errstate(over="ignore"):
+            T.sgd_step(params, {"shared.W": g}, lr=0.1, clip_norm=clip_norm)
+        assert W.tobytes() == want.tobytes()
 
     def test_frozen_gradient_rejected(self):
         params = self._params()
@@ -598,6 +622,55 @@ class TestGridSearch:
                                {"learning_rate": [1e9, 0.3]}, base)
         assert result.best_index == 1
         assert result.cells[1][1] < result.cells[0][1]
+
+
+class TestNoCycleCollectorNeeded:
+    """With the cycle collector off, reference counting alone frees finished training."""
+
+    @staticmethod
+    def _corpus():
+        return {f"t{k}": toy_task(seed=k, n_train=48, n_dev=16, n_test=8, name=f"t{k}")
+                for k in range(2)}
+
+    @pytest.mark.parametrize("case", ["joint", "alternating", "diverged"])
+    def test_a_trained_model_outlives_no_reference(self, case, no_cycle_collector):
+        params, config = toy_model("asp", K=2, d=16)
+        if case == "diverged":  # the loss is NaN: the step raises before backward
+            params.tensors["embeddings"][...] = np.nan
+        cfg = T.TrainConfig(learning_rate=0.1, max_epochs=2, patience=2, batch_size=16,
+                            alternating=case == "alternating")
+        ref = weakref.ref(params.tensors["shared.W"])
+        best, history = T.train_multitask(params, config, self._corpus(), cfg)
+        assert history.diverged == (case == "diverged")
+        assert ref() is params.tensors["shared.W"]
+        del params
+        assert ref() is None
+        assert best.tensors["shared.W"].shape == (64, 32)
+
+    def test_grid_keeps_only_the_running_best_cell(self, monkeypatch, no_cycle_collector):
+        train = T.train_multitask
+        started, trained, returned = [], [], []
+
+        def spy(params, *args):
+            started.append(sum(r() is not None for r in returned))
+            best, history = train(params, *args)
+            trained.append(weakref.ref(params.tensors["shared.W"]))
+            returned.append(weakref.ref(best.tensors["shared.W"]))
+            return best, history
+
+        monkeypatch.setattr(T, "train_multitask", spy)
+        base = T.TrainConfig(learning_rate=0.3, max_epochs=3, patience=3, seed=2,
+                             clip_norm=1e12)
+        ds = toy_task()
+        # the hopeless first cell is best until the second; the third ties the second
+        result = T.grid_search(lambda: toy_model(seed=5), {"toy": ds},
+                               {"learning_rate": [1e9, 0.3, 0.3, 1e9]}, base)
+        assert result.best_index == 1
+        assert result.cells[2][1] == result.cells[1][1] < result.cells[0][1]
+        assert started == [0, 1, 1, 1]  # each cell trains beside the best one so far
+        assert [r() is not None for r in returned] == [False, True, False, False]
+        assert returned[1]() is result.best_params.tensors["shared.W"]
+        assert all(r() is None for r in trained)
 
 
 class TestTransferTraining:
