@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import itertools
 import json
@@ -54,31 +53,36 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: '{text}'")
 
 
-# key -> (type caster, default, flag help); the one declaration of each setting
+# key -> (type caster, default, TrainConfig field it sets or None, flag help):
+# the one declaration of each setting
 CONFIG_KEYS: dict[str, tuple] = {
-    "scheme": (str, None, f"model scheme, one of {', '.join(M.SCHEMES)}"),
-    "seed": (int, 0, "random seed (on reload, the checkpoint's own seed wins)"),
-    "hidden_size": (int, 16, "LSTM hidden size"),
-    "embed_size": (int, 16, "word embedding size"),
-    "learning_rate": (float, 0.01, "SGD learning rate"),
-    "lambda": (float, None, "adversarial weight (asp only, default 0.05)"),
-    "gamma": (float, None, "orthogonality weight (asp only, default 0.01)"),
-    "batch_size": (int, 16, "sentences per batch"),
-    "max_epochs": (int, 50, "epoch limit"),
-    "patience": (int, 5, "epochs without dev improvement before stopping"),
-    "clip_norm": (float, 5.0, "global gradient-norm clip"),
-    "alpha": (str, None, "comma-separated task weights"),
-    "unlabeled": (_bool, False, "interleave unlabeled batches (asp only)"),
-    "unlabeled_ratio": (float, 1.0, "unlabeled batches per labeled batch"),
-    "diff_mode": (str, "sentence", "orthogonality penalty per 'sentence' or per 'batch'"),
-    "alternating": (_bool, False, "separate discriminator and model updates"),
-    "embeddings": (str, None, "pretrained vectors file"),
-    "freeze_embeddings": (_bool, False, "keep the embedding table fixed"),
-    "swap_dev_test": (_bool, False, "partition labeled.tsv 70/10/20, not 70/20/10"),
-    "max_len": (int, D.DEFAULT_MAX_LEN, "keep the first N tokens of each sentence"),
-    "grid": (str, None, "grid spec 'learning_rate=0.1,0.01;lambda=0.01,0.1'"),
-    "jobs": (int, 1, "parallel grid cells"),
+    "scheme": (str, None, None, f"model scheme, one of {', '.join(M.SCHEMES)}"),
+    "seed": (int, 0, "seed", "random seed (on reload, the checkpoint's own seed wins)"),
+    "hidden_size": (int, 16, None, "LSTM hidden size"),
+    "embed_size": (int, 16, None, "word embedding size"),
+    "learning_rate": (float, 0.01, "learning_rate", "SGD learning rate"),
+    "lambda": (float, None, "adv_weight", "adversarial weight (asp only, default 0.05)"),
+    "gamma": (float, None, "diff_weight", "orthogonality weight (asp only, default 0.01)"),
+    "batch_size": (int, 16, "batch_size", "sentences per batch"),
+    "max_epochs": (int, 50, "max_epochs", "epoch limit"),
+    "patience": (int, 5, "patience", "epochs without dev improvement before stopping"),
+    "clip_norm": (float, 5.0, "clip_norm", "global gradient-norm clip"),
+    "alpha": (str, None, None, "comma-separated task weights"),
+    "unlabeled": (_bool, False, "use_unlabeled", "interleave unlabeled batches (asp only)"),
+    "unlabeled_ratio": (float, 1.0, "unlabeled_ratio", "unlabeled batches per labeled batch"),
+    "diff_mode": (str, "sentence", "diff_mode",
+                  "orthogonality penalty per 'sentence' or per 'batch'"),
+    "alternating": (_bool, False, "alternating", "separate discriminator and model updates"),
+    "embeddings": (str, None, None, "pretrained vectors file"),
+    "freeze_embeddings": (_bool, False, None, "keep the embedding table fixed"),
+    "swap_dev_test": (_bool, False, None, "partition labeled.tsv 70/10/20, not 70/20/10"),
+    "max_len": (int, D.DEFAULT_MAX_LEN, None, "keep the first N tokens of each sentence"),
+    "grid": (str, None, None, "grid spec 'learning_rate=0.1,0.01;lambda=0.01,0.1'"),
+    "jobs": (int, 1, None, "parallel grid cells"),
 }
+
+GRID_KEYS = ("learning_rate", "lambda", "gamma")  # the settings --grid sweeps
+ASP_ONLY_KEYS = ("lambda", "gamma", "unlabeled")  # settings only the asp scheme reads
 
 # The settings ``transfer`` reads: its five flags, then three it takes only
 # from a config file or the environment.
@@ -105,37 +109,31 @@ def parse_flat_config(path) -> dict[str, str]:
 
 def resolve_config(file_values: dict[str, str], flag_values: dict[str, object],
                    environ=None, keys=CONFIG_KEYS) -> dict[str, object]:
-    """Merge defaults < file < environment < flags for ``keys``; track which were set.
+    """Merge defaults < file < environment < flags for ``keys``.
 
     A file may hold any ``CONFIG_KEYS`` entry; those outside ``keys`` are ignored.
     """
     environ = os.environ if environ is None else environ
     resolved = {}
-    explicit = set()
     for key in keys:
-        cast, default, _ = CONFIG_KEYS[key]
-        value = default
+        cast, value = CONFIG_KEYS[key][:2]
         if key in file_values:
             try:
                 value = cast(file_values[key])
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"config key '{key}': {exc}") from None
-            explicit.add(key)
         env_name = ENV_PREFIX + key.upper()
         if env_name in environ:
             try:
                 value = cast(environ[env_name])
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"environment {env_name}: {exc}") from None
-            explicit.add(key)
         if flag_values.get(key) is not None:
             value = flag_values[key]
-            explicit.add(key)
         resolved[key] = value
     unknown = set(file_values) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key '{sorted(unknown)[0]}'")
-    resolved["_explicit"] = explicit
     return resolved
 
 
@@ -143,16 +141,12 @@ def validate_train_config(cfg: dict) -> None:
     scheme = cfg.get("scheme")
     if scheme not in M.SCHEMES:
         raise ConfigError(f"scheme: must be one of {M.SCHEMES}, got {scheme!r}")
-    explicit = cfg["_explicit"]
     grid = _parse_grid(cfg["grid"]) if cfg["grid"] else {}
     if scheme != "asp":
-        for key, field in (("lambda", "adv_weight"), ("gamma", "diff_weight")):
-            if field in grid or (key in explicit and cfg[key] not in (None, 0.0)):
+        for key in ASP_ONLY_KEYS:  # unset they read None or false, and 0 is off too
+            if cfg[key] or CONFIG_KEYS[key][2] in grid:
                 raise ConfigError(
                     f"{key}: only meaningful for the adversarial scheme, not '{scheme}'")
-        if cfg["unlabeled"]:
-            raise ConfigError(
-                f"unlabeled: only meaningful for the adversarial scheme, not '{scheme}'")
     if cfg["lambda"] is None:
         cfg["lambda"] = 0.05 if scheme == "asp" else 0.0
     if cfg["gamma"] is None:
@@ -167,13 +161,9 @@ def validate_train_config(cfg: dict) -> None:
 
 
 def _train_config(cfg: dict, alpha=None) -> T.TrainConfig:
-    return T.TrainConfig(
-        learning_rate=cfg["learning_rate"], adv_weight=cfg["lambda"],
-        diff_weight=cfg["gamma"], batch_size=cfg["batch_size"],
-        max_epochs=cfg["max_epochs"], patience=cfg["patience"],
-        clip_norm=cfg["clip_norm"], seed=cfg["seed"], alpha=alpha,
-        use_unlabeled=cfg["unlabeled"], unlabeled_ratio=cfg["unlabeled_ratio"],
-        diff_mode=cfg["diff_mode"], alternating=cfg["alternating"])
+    """The ``TrainConfig`` the settings in ``cfg`` declare; other fields keep their defaults."""
+    return T.TrainConfig(alpha=alpha, **{CONFIG_KEYS[k][2]: v for k, v in cfg.items()
+                                         if CONFIG_KEYS[k][2] is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +196,7 @@ def write_manifest(out_dir, command: str, cfg: dict, inputs: dict[str, str],
                    outputs: list[str], started: float) -> str:
     manifest = {
         "command": command,
-        "config": {k: v for k, v in cfg.items() if not k.startswith("_")},
+        "config": cfg,
         "seed": cfg.get("seed"),
         "input_hashes": {path: sha256_tree(path) for path in inputs.values()
                          if path and os.path.exists(path)},
@@ -272,9 +262,8 @@ def _parse_alpha(cfg: dict, n_tasks: int):
         raise ConfigError(f"alpha: {exc}") from None
 
 
-def _parse_grid(text: str) -> dict[str, list[float]]:
+def _parse_grid(text: str) -> dict[str, list]:
     """The values of each swept setting, keyed by its ``TrainConfig`` field."""
-    fields = {"learning_rate": "learning_rate", "lambda": "adv_weight", "gamma": "diff_weight"}
     grid = {}
     for clause in text.split(";"):
         if not clause.strip():
@@ -283,10 +272,11 @@ def _parse_grid(text: str) -> dict[str, list[float]]:
             raise ConfigError(f"grid: expected 'key=v1,v2', got '{clause}'")
         key, values = clause.split("=", 1)
         key = key.strip()
-        if key not in fields:
+        if key not in GRID_KEYS:
             raise ConfigError(f"grid: unsupported key '{key}'")
+        cast, _, field, _ = CONFIG_KEYS[key]
         try:
-            grid[fields[key]] = [float(v) for v in values.split(",") if v.strip()]
+            grid[field] = [cast(v) for v in values.split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from None
     if not grid:
@@ -297,11 +287,6 @@ def _parse_grid(text: str) -> dict[str, list[float]]:
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-def _fresh_model(params: M.ModelParams, config: M.ModelConfig):
-    """A grid cell's starting model; module-level so ``--jobs`` can pickle it."""
-    return params.copy(), config
-
 
 def _error_table(rows: list) -> str:
     """Append the AVG row to ``rows``; print and return the ``task,error`` CSV."""
@@ -334,8 +319,8 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     if cfg["grid"]:
-        result = T.grid_search(functools.partial(_fresh_model, params, config),
-                               datasets, _parse_grid(cfg["grid"]), train_cfg, jobs=cfg["jobs"])
+        result = T.grid_search(params, config, datasets, _parse_grid(cfg["grid"]), train_cfg,
+                               jobs=cfg["jobs"])
         best, history = result.best_params, result.best_history
         grid_rows = ["cell,mean_dev_error," + ",".join(result.cells[0][0])]
         for i, (cell, err) in enumerate(result.cells):
@@ -440,10 +425,7 @@ def cmd_transfer(args) -> int:
     source_params, source_config, extra = M.load_checkpoint(args.checkpoint)
     cfg = resolve_config(parse_flat_config(args.config) if args.config else {},
                          vars(args), keys=TRANSFER_KEYS)
-    train_cfg = T.TrainConfig(
-        learning_rate=cfg["learning_rate"], batch_size=cfg["batch_size"],
-        max_epochs=cfg["max_epochs"], patience=cfg["patience"],
-        clip_norm=cfg["clip_norm"], seed=cfg["seed"])
+    train_cfg = _train_config(cfg)
     datasets, vocab = _load_datasets(cfg, args.data)
     if args.target:
         if args.target not in datasets:
@@ -519,7 +501,7 @@ def cmd_synth(args) -> int:
         vec_path = os.path.join(args.out, "vectors.txt")
         D.write_embeddings_text(vec_path, vectors)
         outputs.append(vec_path)
-    cfg = {"spec": args.spec, "seed": spec.seed, "_explicit": set()}
+    cfg = {"spec": args.spec, "seed": spec.seed}
     write_manifest(args.out, "synth", cfg, {"spec": args.spec}, outputs, started)
     for name in sorted(raw):
         c = {s: len(v) for s, v in raw[name].splits.items()}
@@ -577,7 +559,7 @@ def cmd_dump_activations(args) -> int:
 def _add_config_flags(p: argparse.ArgumentParser, keys) -> None:
     """One ``--key-with-dashes`` flag per ``CONFIG_KEYS`` entry; unset is None."""
     for key in keys:
-        cast, _, help_text = CONFIG_KEYS[key]
+        cast, _, _, help_text = CONFIG_KEYS[key]
         kind = dict(action="store_const", const=True) if cast is _bool else dict(type=cast)
         p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **kind)
 

@@ -15,9 +15,10 @@ negative in another, so a fully shared feature space is actively harmful.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -289,16 +290,13 @@ def write_corpus(out_dir, raw: RawCorpus,
 # batching
 # ---------------------------------------------------------------------------
 
-def _cut(items: list, size: int) -> list[list]:
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
 class TaskBatcher:
     """Per-task cycling batch streams for round-robin training.
 
-    Each task reshuffles at every pass with a seed derived from
-    (base seed, task, pass index), so runs are reproducible and smaller
-    tasks cycle seamlessly while the largest completes one pass per epoch.
+    Each (task, pool) is one endless stream of passes. Every pass
+    reshuffles with a seed derived from (base seed, task, pass index,
+    pool), so runs are reproducible and smaller tasks cycle seamlessly
+    while the largest completes one pass per epoch.
     """
 
     def __init__(self, datasets: Sequence[TaskDataset], size: int, seed: int,
@@ -309,24 +307,25 @@ class TaskBatcher:
         self.size = size
         self.seed = seed
         self.unlabeled_ratio = unlabeled_ratio
-        self._labeled = [self._pass_iter(t, 0, False) for t in range(len(self.datasets))]
-        self._unlabeled = [self._pass_iter(t, 0, True) for t in range(len(self.datasets))]
-        self._pass = [[0, 0] for _ in self.datasets]  # labeled, unlabeled pass counters
+        self._labeled = [self._passes(t, False) for t in range(len(self.datasets))]
+        self._unlabeled = [self._passes(t, True) for t in range(len(self.datasets))]
         self._credit = [0.0 for _ in self.datasets]
 
-    def _pass_iter(self, task: int, pass_idx: int, unlabeled: bool):
+    def _passes(self, task: int, unlabeled: bool):
+        """The batches of one pool, pass after pass; nothing for an empty pool."""
         ds = self.datasets[task]
         pool = ds.unlabeled if unlabeled else ds.train
         if not pool:
-            return iter(())
-        rng = np.random.default_rng((self.seed, task, pass_idx, int(unlabeled)))
-        order = rng.permutation(len(pool))
-        if unlabeled:
-            chunks = _cut([pool[i] for i in order], self.size)
-            return iter([Batch(task, seqs, None, True) for seqs in chunks])
-        items = [pool[i] for i in order]
-        return iter([Batch(task, [ex.tokens for ex in chunk],
-                           [ex.label for ex in chunk]) for chunk in _cut(items, self.size)])
+            return
+        for pass_idx in itertools.count():
+            rng = np.random.default_rng((self.seed, task, pass_idx, int(unlabeled)))
+            order = rng.permutation(len(pool))
+            for start in range(0, len(pool), self.size):
+                chunk = [pool[i] for i in order[start:start + self.size]]
+                if unlabeled:
+                    yield Batch(task, chunk, None, True)
+                else:
+                    yield Batch(task, [ex.tokens for ex in chunk], [ex.label for ex in chunk])
 
     def steps_per_epoch(self) -> int:
         """Batches in one pass over the largest task's training split."""
@@ -334,12 +333,7 @@ class TaskBatcher:
         return int(np.ceil(biggest / self.size))
 
     def next_labeled(self, task: int) -> Batch:
-        batch = next(self._labeled[task], None)
-        if batch is None:
-            self._pass[task][0] += 1
-            self._labeled[task] = self._pass_iter(task, self._pass[task][0], False)
-            batch = next(self._labeled[task])
-        return batch
+        return next(self._labeled[task])
 
     def next_unlabeled(self, task: int) -> list[Batch]:
         """Unlabeled batches owed after one labeled batch (credit scheme)."""
@@ -349,12 +343,7 @@ class TaskBatcher:
         self._credit[task] += self.unlabeled_ratio
         while self._credit[task] >= 1.0:
             self._credit[task] -= 1.0
-            batch = next(self._unlabeled[task], None)
-            if batch is None:
-                self._pass[task][1] += 1
-                self._unlabeled[task] = self._pass_iter(task, self._pass[task][1], True)
-                batch = next(self._unlabeled[task])
-            out.append(batch)
+            out.append(next(self._unlabeled[task]))
         return out
 
 
@@ -399,6 +388,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # before any check or property reads a NaN or inf
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.tasks < 2:
             raise ConfigError("synthetic benchmark needs at least 2 tasks")
         if self.shared_tokens <= 0 and self.private_tokens <= 0:
@@ -466,7 +459,6 @@ def _synth_vocab(spec: SynthSpec):
         filler_pool.append(tok)
         home = task_names[i % spec.tasks] if spec.domain_bias > 0 else "*"
         provenance.append((tok, "filler", home, 0))
-    own_pool = {name: sorted(polarity[name]) for name in task_names}
     own_only = {name: sorted(set(polarity[name]) - set(shared_pool))
                 for name in task_names}
     contam_pool = {}

@@ -370,11 +370,12 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
     """Read a container written by :func:`save_checkpoint`.
 
     Every malformed file raises :class:`DataFormatError`: a bad header
-    (including an ``embeddings_trainable`` that is not a bool, an ``extra``
-    that is not an object, a ``task_names`` that is not a list of unique,
-    non-empty strings, a ``frozen`` that is not a list of the model's
-    tensor names, and a ``frozen`` and ``embeddings_trainable`` that
-    disagree about the table), tensor names, shapes or order that disagree
+    (including a gate block, input or concatenation order that is missing
+    or not the library's, an ``embeddings_trainable`` that is not a bool,
+    an ``extra`` that is not an object, a ``task_names`` that is not a list
+    of unique, non-empty strings, a ``frozen`` that is not a list of the
+    model's tensor names, and a ``frozen`` and ``embeddings_trainable``
+    that disagree about the table), tensor names, shapes or order that disagree
     with the manifest's sizes, a truncated or non-finite tensor, and bytes
     after the last tensor.
     """
@@ -395,6 +396,11 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
         if manifest.get("format_version") != CHECKPOINT_VERSION:
             raise DataFormatError(
                 f"{path}: unsupported checkpoint version {manifest.get('format_version')}")
+        for key, want in (("gate_block_order", nn.GATE_BLOCK_ORDER),
+                          ("input_order", nn.INPUT_ORDER), ("concat_order", CONCAT_ORDER)):
+            if manifest.get(key) != want:
+                raise DataFormatError(
+                    f"{path}: '{key}' is {manifest.get(key)!r}; this library reads {want!r}")
         tensors = manifest.get("tensors")
         if not isinstance(tensors, list):
             raise DataFormatError(f"{path}: checkpoint header has no tensor list")

@@ -1,12 +1,15 @@
 """Training loop and evaluation.
 
-One optimization step draws one task's batch (strict round-robin),
-assembles the combined objective of the whole batch as one graph on a
-fresh tape, backpropagates once,
-and updates every trainable tensor jointly; the gradient-reversal node
-inside the adversarial term is what sends the shared encoder and the
-discriminator in opposing directions. Unlabeled batches (when enabled)
-contribute the adversarial term only.
+One optimization step draws one task's batch (strict round-robin) and
+is one call of ``_batch_grads``: it binds the parameters on a fresh
+tape, builds the combined objective of the whole batch as one graph
+(``_combine`` of ``_batch_terms``), rejects a non-finite loss,
+backpropagates once and releases the tape. ``sgd_step`` then updates
+every trainable tensor jointly; the gradient-reversal node inside the
+adversarial term is what sends the shared encoder and the discriminator
+in opposing directions. With ``alternating`` a step is two such calls:
+the first updates only the discriminator, the second everything else.
+Unlabeled batches (when enabled) contribute the adversarial term only.
 
 An epoch is one pass over the largest task's training split; smaller
 tasks cycle. Early stopping watches mean dev error across tasks and
@@ -22,7 +25,8 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -123,8 +127,9 @@ def sgd_step(params: M.ModelParams, grads: Mapping[str, Tensor | ad.RowGrad],
 
     A NaN or inf element makes its tensor's sum of squares NaN or inf, so
     the elementwise scan runs only for a tensor whose sum is not finite. A
-    finite gradient whose squares overflow is not an error: the global norm
-    is then inf and a finite ``clip_norm`` scales the step to zero.
+    finite gradient whose squares overflow is not an error: only then is the
+    global norm taken again over the entries divided by the largest
+    magnitude, so a finite ``clip_norm`` still bounds the step.
     """
     tensors, frozen = params.tensors, params.frozen
     sq = 0.0
@@ -141,6 +146,10 @@ def sgd_step(params: M.ModelParams, grads: Mapping[str, Tensor | ad.RowGrad],
     if lr == 0.0:
         return
     gnorm = float(np.sqrt(sq))
+    if not np.isfinite(gnorm):  # every entry is finite, but their squares overflow
+        rows = [g.rows if isinstance(g, ad.RowGrad) else g for g in grads.values()]
+        big = max(float(np.abs(r).max()) for r in rows if r.size)
+        gnorm = big * float(np.sqrt(sum(float(np.square(r / big).sum()) for r in rows)))
     factor = clip_norm / gnorm if gnorm > clip_norm else 1.0
     step = lr * factor
     for name, g in grads.items():
@@ -148,13 +157,6 @@ def sgd_step(params: M.ModelParams, grads: Mapping[str, Tensor | ad.RowGrad],
             tensors[name][g.ids] -= step * g.rows
         else:
             tensors[name] -= step * g
-
-
-def _leaf_grads(tape: Tape, bound: Mapping[str, ad.Node],
-                loss: ad.Node) -> dict[str, Tensor | ad.RowGrad]:
-    """Gradients by parameter name, for the parameters ``loss`` depends on."""
-    by_id = ad.backward(tape, loss)
-    return {name: by_id[node.idx] for name, node in bound.items() if node.idx in by_id}
 
 
 def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
@@ -210,43 +212,47 @@ def _combine(tape: Tape, l_ce, l_adv, l_diff, task: int, cfg: TrainConfig) -> ad
     return terms[0] if len(terms) == 1 else ad.add_n(terms)
 
 
-def _apply_step(params: M.ModelParams, tape: Tape, bound, total: ad.Node,
-                cfg: TrainConfig, subset: str | None = None) -> None:
-    grads = _leaf_grads(tape, bound, total)
-    if subset == "disc":
-        grads = {n: g for n, g in grads.items() if n.startswith("disc.")}
-    elif subset == "nondisc":
-        grads = {n: g for n, g in grads.items() if not n.startswith("disc.")}
-    sgd_step(params, grads, cfg.learning_rate, cfg.clip_norm)
+def _batch_grads(params: M.ModelParams, config: M.ModelConfig, batch: Batch,
+                 cfg: TrainConfig) -> tuple[tuple, dict[str, Tensor | ad.RowGrad]]:
+    """One batch's term values and its objective's gradients by parameter name.
+
+    The values are those of (task CE, adversarial CE, diff), None where
+    n/a; only the parameters the objective reaches get a gradient. A
+    non-finite loss raises :class:`NumericError` before ``backward``. The
+    tape is released on every exit, so no finished graph or the weights
+    its leaves point at wait for the cycle collector.
+    """
+    tape = Tape()
+    try:
+        bound = params.bind(tape)
+        parts = _batch_terms(tape, bound, config, batch, cfg)
+        total = _combine(tape, *parts, batch.task, cfg)
+        if not np.isfinite(total.value):
+            raise NumericError("training loss is not finite")
+        by_id = ad.backward(tape, total)
+    finally:
+        tape.release()
+    grads = {name: by_id[node.idx] for name, node in bound.items() if node.idx in by_id}
+    return tuple(None if p is None else float(p.value) for p in parts), grads
 
 
 def _train_one_batch(params: M.ModelParams, config: M.ModelConfig, batch: Batch,
                      cfg: TrainConfig):
     """One optimization step; returns the term values for bookkeeping.
 
-    Every tape is released when its step ends, also when the step raises
-    before ``backward`` released it, so no finished graph or the weights
-    its leaves point at wait for the cycle collector.
+    With ``alternating`` (adversarial schemes only) the discriminator's
+    tensors are updated first, then the others from a second pass that
+    sees the updated discriminator; the values are the second pass's.
     """
-    def step(subset, check_finite):
-        tape = Tape()
-        try:
-            bound = params.bind(tape)
-            parts = _batch_terms(tape, bound, config, batch, cfg)
-            total = _combine(tape, *parts, batch.task, cfg)
-            if check_finite and not np.isfinite(total.value):
-                raise NumericError("training loss is not finite")
-            _apply_step(params, tape, bound, total, cfg, subset)
-        finally:
-            tape.release()
-        return parts
-
-    if cfg.alternating and config.has_discriminator:
-        step("disc", True)
-        parts = step("nondisc", False)
-    else:
-        parts = step(None, True)
-    return tuple(None if p is None else float(p.value) for p in parts)
+    if not (cfg.alternating and config.has_discriminator):
+        values, grads = _batch_grads(params, config, batch, cfg)
+        sgd_step(params, grads, cfg.learning_rate, cfg.clip_norm)
+        return values
+    for disc in (True, False):
+        values, grads = _batch_grads(params, config, batch, cfg)
+        sgd_step(params, {n: g for n, g in grads.items() if n.startswith("disc.") == disc},
+                 cfg.learning_rate, cfg.clip_norm)
+    return values
 
 
 ENCODE_TOKENS = 1024  # tokens per encode call in evaluation: bounds a fold's memory
@@ -338,29 +344,21 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
     K = config.n_tasks
     for epoch in range(cfg.max_epochs):
         sums = {k: [0.0, 0.0, 0.0, 0] for k in range(K)}  # ce, adv, diff, batches
-        diverged = False
-        for _ in range(batcher.steps_per_epoch()):
-            for k in range(K):
-                work = [batcher.next_labeled(k)]
-                if use_unlabeled:
-                    work.extend(batcher.next_unlabeled(k))
-                for batch in work:
-                    try:
+        try:
+            for _ in range(batcher.steps_per_epoch()):
+                for k in range(K):
+                    work = [batcher.next_labeled(k)]
+                    if use_unlabeled:
+                        work.extend(batcher.next_unlabeled(k))
+                    for batch in work:
                         ce, adv, diff = _train_one_batch(params, config, batch, cfg)
-                    except NumericError:
-                        diverged = True
-                        break
-                    if not batch.is_unlabeled:
-                        s = sums[k]
-                        s[0] += ce
-                        s[1] += adv if adv is not None else 0.0
-                        s[2] += diff if diff is not None else 0.0
-                        s[3] += 1
-                if diverged:
-                    break
-            if diverged:
-                break
-        if diverged:
+                        if not batch.is_unlabeled:
+                            s = sums[k]
+                            s[0] += ce
+                            s[1] += adv if adv is not None else 0.0
+                            s[2] += diff if diff is not None else 0.0
+                            s[3] += 1
+        except NumericError:
             history.diverged = True
             break
         errors, disc_accs = _dev_stats(params, config, tasks)
@@ -467,45 +465,43 @@ def shared_private_cosine(params: M.ModelParams, config: M.ModelConfig,
 
 @dataclass
 class GridResult:
-    best_config: TrainConfig
     best_index: int
     best_params: M.ModelParams
     best_history: TrainHistory
     cells: list[tuple[dict, float]]
 
 
-def _grid_cell(factory, datasets, cfg: TrainConfig):
-    params, config = factory()
-    trained, history = train_multitask(params, config, datasets, cfg)
+def _grid_cell(params: M.ModelParams, config: M.ModelConfig, datasets, cfg: TrainConfig):
+    trained, history = train_multitask(params.copy(), config, datasets, cfg)
     if history.best_epoch < 0:
         return trained, history, float("inf")
     return trained, history, history.mean_dev_error(history.best_epoch)
 
 
-def grid_search(factory: Callable[[], tuple[M.ModelParams, M.ModelConfig]],
+def grid_search(params: M.ModelParams, config: M.ModelConfig,
                 datasets: Mapping[str, TaskDataset], grid: Mapping[str, Sequence],
                 base_cfg: TrainConfig, jobs: int = 1) -> GridResult:
-    """Train one model per grid cell; pick the lowest mean dev error.
+    """Train a copy of ``params`` per grid cell; pick the lowest mean dev error.
 
-    Cells are enumerated in deterministic key/value order; ties resolve
-    to the earliest cell. Divergent cells score inf and lose. Cells are
-    scored as they finish, in order, and only the best so far is kept, so
-    at most two trained models are alive at once.
+    ``grid`` maps ``TrainConfig`` fields to the values to sweep; ``params``
+    itself is left as it is. Cells are enumerated in deterministic key/value
+    order; ties resolve to the earliest cell. Divergent cells score inf and
+    lose. Cells are scored as they finish, in order, and only the best so
+    far is kept, so at most two trained models are alive at once.
     """
     keys = list(grid.keys())
     combos = list(itertools.product(*(grid[k] for k in keys)))
     if not combos:
         raise ConfigError("empty grid")
     cfgs = [replace(base_cfg, **dict(zip(keys, combo))) for combo in combos]
+    cell = partial(_grid_cell, params, config, datasets)
 
     def outcomes():
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as ex:
-                yield from ex.map(_grid_cell, [factory] * len(cfgs),
-                                  [datasets] * len(cfgs), cfgs)
+                yield from ex.map(cell, cfgs)
         else:
-            for cfg in cfgs:
-                yield _grid_cell(factory, datasets, cfg)
+            yield from map(cell, cfgs)
 
     # no enumerate: its cached result tuple would keep the last cell's model
     # alive while the next cell trains
@@ -516,8 +512,8 @@ def grid_search(factory: Callable[[], tuple[M.ModelParams, M.ModelConfig]],
         errs.append(out[2])
         del out  # unless it is the best, the next cell trains without this model
     cells = [(dict(zip(keys, combo)), err) for combo, err in zip(combos, errs)]
-    return GridResult(best_config=cfgs[best_index], best_index=best_index,
-                      best_params=best[0], best_history=best[1], cells=cells)
+    return GridResult(best_index=best_index, best_params=best[0], best_history=best[1],
+                      cells=cells)
 
 
 # ---------------------------------------------------------------------------

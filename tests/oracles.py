@@ -12,6 +12,9 @@ the batched ``train._batch_terms`` is checked against it.
 :func:`backward_copy_accumulate` is the reverse sweep with the gradient
 accumulation ``autodiff.backward`` used before it stopped copying first
 gradients; the new rule is checked bitwise against it.
+:class:`EagerTaskBatcher` builds each pass's batches as a list and refills
+a task's stream by hand when it runs dry; the generator streams of
+``data.TaskBatcher`` are checked against it.
 """
 
 import math
@@ -19,6 +22,7 @@ import math
 import numpy as np
 
 from advmtl import autodiff as ad
+from advmtl import data as D
 from advmtl import losses as L
 from advmtl import models as M
 from advmtl.autodiff import GradReversalSpec
@@ -302,3 +306,57 @@ def batch_terms(tape, bound, config, batch, cfg):
     else:
         l_diff = None
     return l_ce, l_adv, l_diff
+
+
+class EagerTaskBatcher:
+    """``data.TaskBatcher`` as it was: each pass's batches built at once, refilled by hand.
+
+    Each pass of a (task, pool) is shuffled with the seed
+    ``(seed, task, pass, unlabeled)`` and cut into ``size`` chunks; a pass
+    counter per pool names the next pass when the current one runs dry.
+    """
+
+    def __init__(self, datasets, size, seed, unlabeled_ratio=1.0):
+        self.datasets, self.size, self.seed = list(datasets), size, seed
+        self.unlabeled_ratio = unlabeled_ratio
+        self._labeled = [self._pass_iter(t, 0, False) for t in range(len(self.datasets))]
+        self._unlabeled = [self._pass_iter(t, 0, True) for t in range(len(self.datasets))]
+        self._pass = [[0, 0] for _ in self.datasets]  # labeled, unlabeled pass counters
+        self._credit = [0.0 for _ in self.datasets]
+
+    def _pass_iter(self, task, pass_idx, unlabeled):
+        ds = self.datasets[task]
+        pool = ds.unlabeled if unlabeled else ds.train
+        if not pool:
+            return iter(())
+        order = np.random.default_rng((self.seed, task, pass_idx, int(unlabeled))).permutation(
+            len(pool))
+        items = [pool[i] for i in order]
+        chunks = [items[i:i + self.size] for i in range(0, len(items), self.size)]
+        if unlabeled:
+            return iter([D.Batch(task, seqs, None, True) for seqs in chunks])
+        return iter([D.Batch(task, [ex.tokens for ex in chunk], [ex.label for ex in chunk])
+                     for chunk in chunks])
+
+    def next_labeled(self, task):
+        batch = next(self._labeled[task], None)
+        if batch is None:
+            self._pass[task][0] += 1
+            self._labeled[task] = self._pass_iter(task, self._pass[task][0], False)
+            batch = next(self._labeled[task])
+        return batch
+
+    def next_unlabeled(self, task):
+        if not self.datasets[task].unlabeled:
+            return []
+        out = []
+        self._credit[task] += self.unlabeled_ratio
+        while self._credit[task] >= 1.0:
+            self._credit[task] -= 1.0
+            batch = next(self._unlabeled[task], None)
+            if batch is None:
+                self._pass[task][1] += 1
+                self._unlabeled[task] = self._pass_iter(task, self._pass[task][1], True)
+                batch = next(self._unlabeled[task])
+            out.append(batch)
+        return out

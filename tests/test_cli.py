@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from advmtl import cli
 from advmtl import data as D
 from advmtl import models as M
+from advmtl import train as T
 from advmtl.errors import ConfigError
 
 
@@ -76,6 +77,16 @@ class TestSynth:
         assert cli.main(["synth", "--spec", str(spec), "--out",
                          str(tmp_path / "x")]) == 3
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(D.SynthSpec)
+                                     if isinstance(f.default, float)])
+    def test_non_finite_float_exits_3(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "bad.cfg"
+        spec.write_text(f"tasks = 2\n{key} = {value}\n")
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_key_exits_3(self, tmp_path):
         spec = tmp_path / "bad.cfg"
         spec.write_text("tasks = 2\nbananas = 4\n")
@@ -107,6 +118,11 @@ class TestTrain:
             assert (trained_dir / fname).is_file()
         header = (trained_dir / "history.csv").read_text().splitlines()[0]
         assert header == "epoch,task,train_loss,dev_error,disc_acc,l_adv,l_diff"
+
+    def test_config_keys_declare_every_train_config_field(self):
+        declared = [field for _, _, field, _ in cli.CONFIG_KEYS.values() if field]
+        assert len(declared) == len(set(declared))
+        assert set(declared) | {"alpha"} == {f.name for f in dataclasses.fields(T.TrainConfig)}
 
     def test_lambda_meaningless_for_fs_exits_3(self, corpus_dir, tmp_path, capsys):
         rc = cli.main(["train", "--scheme", "fs", "--lambda", "0.05",
@@ -406,20 +422,26 @@ def test_console_entry_point(tmp_path):
     assert rc.returncode == 3
 
 
+DROP = object()  # a manifest entry _edit_manifest removes
+
+
 def _edit_manifest(src, dst, **changes):
-    """Copy a checkpoint, replacing the given manifest entries."""
+    """Copy a checkpoint, replacing the given manifest entries (removing the DROP ones)."""
     blob = Path(src).read_bytes()
     hlen = int.from_bytes(blob[8:16], "little")
     manifest = json.loads(blob[16:16 + hlen])
     manifest.update(changes)
+    manifest = {k: v for k, v in manifest.items() if v is not DROP}
     header = json.dumps(manifest).encode()
     Path(dst).write_bytes(blob[:8] + len(header).to_bytes(8, "little") + header
                           + blob[16 + hlen:])
 
 
 @pytest.mark.parametrize("changes", [{"extra": 3}, {"embeddings_trainable": None},
-                                     {"hidden_size": 6.0}],
-                         ids=["extra", "embeddings_trainable", "float_hidden_size"])
+                                     {"hidden_size": 6.0}, {"gate_block_order": "i,f,o,cbar"},
+                                     {"input_order": DROP}, {"concat_order": "shared,private"}],
+                         ids=["extra", "embeddings_trainable", "float_hidden_size",
+                              "gate_block_order", "missing_input_order", "concat_order"])
 def test_mistyped_manifest_exits_2_without_traceback(corpus_dir, trained_dir, tmp_path,
                                                      changes):
     bad = tmp_path / "bad.bin"

@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from advmtl import data as D
 from advmtl.errors import ConfigError, DataFormatError, InputError
 
+import oracles
+
 
 class TestFileParsing:
     def test_toy_file_parsed_exactly(self, tmp_path):
@@ -201,6 +203,28 @@ class TestBatches:
         first, second = a[:7], a[7:]
         assert first != second  # reshuffled on the second pass
         assert sorted(s for b in first for s in b) == sorted(s for b in second for s in b)
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.5])
+    def test_streams_match_the_eager_pass_builder(self, ratio):
+        # two tasks of different sizes; no pool is a multiple of the batch size
+        datasets = [self._dataset(21, 13), self._dataset(35, 10)]
+        for k, ds in enumerate(datasets):
+            ds.unlabeled = [[k + 2, i + 2] for i in range(len(ds.unlabeled))]
+        size = 8
+        # three passes of the largest labeled pool draw more than three passes
+        # of every other pool, labeled and unlabeled, at either ratio
+        steps = 3 * int(np.ceil(35 / size))
+        assert int(steps * 0.5) >= 3 * int(np.ceil(13 / size))
+        got = D.TaskBatcher(datasets, size, seed=3, unlabeled_ratio=ratio)
+        want = oracles.EagerTaskBatcher(datasets, size, seed=3, unlabeled_ratio=ratio)
+        n_unlabeled = 0
+        for _ in range(steps):
+            for k in range(len(datasets)):
+                assert got.next_labeled(k) == want.next_labeled(k)
+                batches = got.next_unlabeled(k)
+                assert batches == want.next_unlabeled(k)
+                n_unlabeled += len(batches)
+        assert n_unlabeled == 2 * int(steps * ratio)
 
     def test_batcher_epoch_length_uses_largest_task(self):
         small = self._dataset(10)

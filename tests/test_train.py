@@ -109,13 +109,30 @@ class TestSgdStep:
     def test_finite_gradient_whose_square_overflows_is_no_error(self, clip_norm):
         params = self._params()
         W = params.tensors["shared.W"]
+        before = W.copy()
         g = np.zeros_like(W)
-        g[0, 0] = 1e200  # finite, but its square is inf: so is the global norm
-        # inf > 5 clips the step to 5 / inf = 0; inf > inf is false, so no clipping
-        want = W - (0.1 * (0.0 if clip_norm == 5.0 else 1.0)) * g
+        g[0, 0] = 1e200  # finite, but its square is inf
+        # the norm is still 1e200: 1e200 > 5 clips the step to norm lr * 5;
+        # 1e200 > inf is false, so no clipping
+        want = W - (0.1 * (5.0 / 1e200 if clip_norm == 5.0 else 1.0)) * g
         with np.errstate(over="ignore"):
             T.sgd_step(params, {"shared.W": g}, lr=0.1, clip_norm=clip_norm)
         assert W.tobytes() == want.tobytes()
+        if clip_norm == 5.0:
+            assert np.linalg.norm(before - W) == pytest.approx(0.1 * 5.0, rel=1e-12)
+
+    def test_sum_of_finite_squares_that_overflows_is_clipped(self):
+        params = self._params()
+        before = {n: a.copy() for n, a in params.named_tensors().items()}
+        grads = {"shared.W": np.full_like(params.tensors["shared.W"], 5.4e152),
+                 "shared.b": np.full_like(params.tensors["shared.b"], 2.1e153)}
+        grads["shared.b"][0] *= -1
+        # each tensor's sum of squares is finite, only their total overflows
+        assert all(np.isfinite(np.sum(np.square(g))) for g in grads.values())
+        with np.errstate(over="ignore"):
+            T.sgd_step(params, grads, lr=0.1, clip_norm=2.0)
+        moved = np.sqrt(sum(np.sum(np.square(before[n] - params.tensors[n])) for n in grads))
+        assert moved == pytest.approx(0.1 * 2.0, rel=1e-9)
 
     def test_frozen_gradient_rejected(self):
         params = self._params()
@@ -189,11 +206,7 @@ class TestPrunedBackward:
         params = M.init_model(config, seed=3, freeze_embeddings=freeze_embeddings)
         batch = D.Batch(task=1, sequences=[e.tokens for e in corpus[names[1]].train[:4]],
                         labels=[e.label for e in corpus[names[1]].train[:4]])
-        cfg = T.TrainConfig(seed=0)
-        tape = Tape()
-        bound = params.bind(tape)
-        total = T._combine(tape, *T._batch_terms(tape, bound, config, batch, cfg), 1, cfg)
-        return T._leaf_grads(tape, bound, total)
+        return T._batch_grads(params, config, batch, T.TrainConfig(seed=0))[1]
 
     def test_only_used_tensors_get_gradients(self):
         grads = self._grads(freeze_embeddings=False)
@@ -216,6 +229,12 @@ class TestPrunedBackward:
         assert calls == []
         assert "embeddings" in self._grads(freeze_embeddings=False)
         assert len(calls) == 1  # one lookup for the whole batch
+
+
+def named_grads(tape, bound, total):
+    """Gradients of ``total`` by parameter name, for the parameters it reaches."""
+    by_id = ad.backward(tape, total)
+    return {name: by_id[node.idx] for name, node in bound.items() if node.idx in by_id}
 
 
 def ragged_corpus(seed=2, unlabeled=0):
@@ -252,7 +271,7 @@ class TestBatchedTerms:
         bound = params.bind(tape)
         terms = build(tape, bound, config, batch, cfg)
         total = T._combine(tape, *terms, batch.task, cfg)
-        return terms, total, T._leaf_grads(tape, bound, total)
+        return terms, total, named_grads(tape, bound, total)
 
     @pytest.mark.parametrize("size", ["ragged", "one"])
     @pytest.mark.parametrize("unlabeled", [False, True])
@@ -380,15 +399,11 @@ class TestTrainingLoop:
                         labels=[e.label for e in ds.train[:16]])
         cfg = T.TrainConfig(learning_rate=0.001, max_epochs=1, seed=0)
         losses = []
-        from advmtl.train import _batch_terms, _combine, _leaf_grads
         for _ in range(50):
-            tape = Tape()
-            bound = params.bind(tape)
-            l_ce, l_adv, l_diff = _batch_terms(tape, bound, config, batch, cfg)
-            total = _combine(tape, l_ce, l_adv, l_diff, 0, cfg)
-            losses.append(float(total.value))
-            T.sgd_step(params, _leaf_grads(tape, bound, total),
-                       cfg.learning_rate, cfg.clip_norm)
+            (l_ce, l_adv, l_diff), grads = T._batch_grads(params, config, batch, cfg)
+            assert l_adv is None and l_diff is None  # fs: the loss is the task CE alone
+            losses.append(l_ce)
+            T.sgd_step(params, grads, cfg.learning_rate, cfg.clip_norm)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_toy_task_reaches_low_dev_error(self):
@@ -466,7 +481,6 @@ class TestTrainingLoop:
 
     def test_asp_lambda_gamma_zero_matches_sp_gradients(self):
         # same parameters and batch: gradients of every shared tensor agree
-        from advmtl.train import _batch_terms, _combine, _leaf_grads
         spec = D.SynthSpec(tasks=2, sentences_per_task=40, seed=2)
         raw, _ = D.generate_synthetic(spec)
         corpus, vocab = D.encode_corpus(raw)
@@ -479,11 +493,7 @@ class TestTrainingLoop:
                                    hidden_size=6, embed_size=6, vocab_size=len(vocab))
             params = M.init_model(config, seed=3)
             cfg = T.TrainConfig(adv_weight=0.0, diff_weight=0.0, seed=0)
-            tape = Tape()
-            bound = params.bind(tape)
-            l_ce, l_adv, l_diff = _batch_terms(tape, bound, config, batch, cfg)
-            total = _combine(tape, l_ce, l_adv, l_diff, batch.task, cfg)
-            return _leaf_grads(tape, bound, total)
+            return T._batch_grads(params, config, batch, cfg)[1]
 
         sp = grads_for("sp")
         asp = grads_for("asp")
@@ -596,12 +606,11 @@ class TestGridSearch:
     def test_single_cell_equals_plain_training(self):
         ds = toy_task()
         base = T.TrainConfig(learning_rate=0.3, max_epochs=3, patience=3, seed=2)
-
-        def factory():
-            return toy_model(seed=5)
-
-        result = T.grid_search(factory, {"toy": ds}, {"learning_rate": [0.3]}, base)
-        params, config = factory()
+        params, config = toy_model(seed=5)
+        result = T.grid_search(params, config, {"toy": ds}, {"learning_rate": [0.3]}, base)
+        # the grid trained a copy: params is still the untrained model
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(params.tensors.values(), toy_model(seed=5)[0].tensors.values()))
         best, hist = T.train_multitask(params, config, {"toy": ds}, base)
         assert result.cells == [({"learning_rate": 0.3},
                                  hist.mean_dev_error(hist.best_epoch))]
@@ -614,11 +623,8 @@ class TestGridSearch:
         ds = toy_task()
         base = T.TrainConfig(learning_rate=0.3, max_epochs=3, patience=3, seed=2,
                              clip_norm=1e12)
-
-        def factory():
-            return toy_model(seed=5)
-
-        result = T.grid_search(factory, {"toy": ds},
+        params, config = toy_model(seed=5)
+        result = T.grid_search(params, config, {"toy": ds},
                                {"learning_rate": [1e9, 0.3]}, base)
         assert result.best_index == 1
         assert result.cells[1][1] < result.cells[0][1]
@@ -663,7 +669,7 @@ class TestNoCycleCollectorNeeded:
                              clip_norm=1e12)
         ds = toy_task()
         # the hopeless first cell is best until the second; the third ties the second
-        result = T.grid_search(lambda: toy_model(seed=5), {"toy": ds},
+        result = T.grid_search(*toy_model(seed=5), {"toy": ds},
                                {"learning_rate": [1e9, 0.3, 0.3, 1e9]}, base)
         assert result.best_index == 1
         assert result.cells[2][1] == result.cells[1][1] < result.cells[0][1]
