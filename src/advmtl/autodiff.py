@@ -203,21 +203,13 @@ class Tape:
         return self._append(value, tuple(p.idx for p in parents), vjp, False, needs_grad)
 
 
-def _same_tape(*nodes: Node) -> Tape:
-    t = nodes[0].tape
-    for n in nodes[1:]:
-        if n.tape is not t:
-            raise ContractError("operands recorded on different tapes")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
 
 def add(a: Node, b: Node) -> Node:
     """Elementwise sum; also accepts matrix + row-vector (bias broadcast)."""
-    tape = _same_tape(a, b)
+    tape = a.tape
     va, vb = a.value, b.value
     if va.shape == vb.shape:
         return tape.record(va + vb, (a, b), lambda g: (g, g))
@@ -228,7 +220,7 @@ def add(a: Node, b: Node) -> Node:
 
 def mul(a: Node, b: Node) -> Node:
     """Elementwise (Hadamard) product of same-shaped operands."""
-    tape = _same_tape(a, b)
+    tape = a.tape
     va, vb = a.value, b.value
     if va.shape != vb.shape:
         raise ShapeError(f"mul: incompatible shapes {va.shape} and {vb.shape}")
@@ -245,7 +237,7 @@ def add_n(nodes: Sequence[Node]) -> Node:
     """Sum of same-shaped nodes; one tape entry regardless of count."""
     if not nodes:
         raise ContractError("add_n of zero nodes")
-    tape = _same_tape(*nodes)
+    tape = nodes[0].tape
     shape = nodes[0].value.shape
     for n in nodes[1:]:
         if n.value.shape != shape:
@@ -259,7 +251,7 @@ def add_n(nodes: Sequence[Node]) -> Node:
 
 def matmul(a: Node, b: Node) -> Node:
     """Matrix product: [m,k]@[k,n] -> [m,n] or [m,k]@[k] -> [m]."""
-    tape = _same_tape(a, b)
+    tape = a.tape
     va, vb = a.value, b.value
     if va.ndim == 2 and vb.ndim == 2:
         if va.shape[1] != vb.shape[0]:
@@ -316,7 +308,7 @@ def _affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
 
 def affine(x: Node, W: Node, b: Node) -> Node:
     """The rows of ``x`` (or the vector ``x``) through a linear layer: x @ W.T + b."""
-    tape = _same_tape(x, W, b)
+    tape = x.tape
     xv, Wv, bv = x.value, W.value, b.value
     if Wv.ndim != 2 or bv.shape != (Wv.shape[0],):
         raise ShapeError(f"affine: incompatible W {Wv.shape} and b {bv.shape}")
@@ -335,7 +327,7 @@ def concat(parts: Sequence[Node], axis: int = 0) -> Node:
     """Concatenate vectors (axis 0) or matrices (axis 0 or 1)."""
     if not parts:
         raise ContractError("concat of zero nodes")
-    tape = _same_tape(*parts)
+    tape = parts[0].tape
     vals = [p.value for p in parts]
     ndim = vals[0].ndim
     for v in vals[1:]:

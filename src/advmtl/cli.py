@@ -26,7 +26,6 @@ import numpy as np
 
 from . import data as D
 from . import models as M
-from . import nn
 from . import train as T
 from .errors import (AdvMtlError, ConfigError, ContractError, DataFormatError,
                      InputError, NumericError, ShapeError)
@@ -88,6 +87,9 @@ ASP_ONLY_KEYS = ("lambda", "gamma", "unlabeled")  # settings only the asp scheme
 # from a config file or the environment.
 TRANSFER_KEYS = ("seed", "learning_rate", "max_epochs", "patience", "batch_size",
                  "clip_norm", "swap_dev_test", "max_len")
+# The settings that rebuild a model's corpus: ``train`` stores them in the
+# checkpoint's ``extra`` and ``eval``/``dump-activations`` restore them.
+RELOAD_KEYS = ("seed", "swap_dev_test", "max_len")
 
 
 def parse_flat_config(path) -> dict[str, str]:
@@ -152,6 +154,9 @@ def validate_train_config(cfg: dict) -> None:
     if cfg["gamma"] is None:
         cfg["gamma"] = 0.01 if scheme == "asp" else 0.0
     # every check that needs no corpus runs before the corpus loads
+    for key in ("hidden_size", "embed_size", "jobs"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key}: must be >= 1, got {cfg[key]}")
     base = _train_config(cfg)
     for combo in itertools.product(*grid.values()):
         try:
@@ -312,8 +317,8 @@ def cmd_train(args) -> int:
                           freeze_embeddings=cfg["freeze_embeddings"])
     if cfg["embeddings"]:
         _require_file(cfg["embeddings"], "embeddings")
-        loaded = nn.load_embeddings_text(cfg["embeddings"], vocab.token_to_id,
-                                         params.tensors["embeddings"])
+        loaded = D.load_embeddings_text(cfg["embeddings"], vocab.token_to_id,
+                                        params.tensors["embeddings"])
         print(f"embeddings: loaded {loaded} of {len(vocab)} rows")
     train_cfg = _train_config(cfg, alpha)
     os.makedirs(args.out, exist_ok=True)
@@ -336,9 +341,7 @@ def cmd_train(args) -> int:
     hist_path = os.path.join(args.out, "history.csv")
     M.save_checkpoint(ckpt, best, config,
                       extra={"vocab_sha256": vocab.sha256(),
-                             "seed": cfg["seed"],
-                             "swap_dev_test": cfg["swap_dev_test"],
-                             "max_len": cfg["max_len"]})
+                             **{key: cfg[key] for key in RELOAD_KEYS}})
     history.to_csv(hist_path)
     resolved = write_resolved_config(args.out, cfg)
     outputs = [ckpt, hist_path, resolved]
@@ -374,14 +377,14 @@ def _check_compat(config: M.ModelConfig, datasets, vocab, extra: dict) -> None:
 def _reload(args):
     """Checkpoint, resolved config and corpus for eval and dump-activations.
 
-    The corpus is read with the seed, ``swap_dev_test`` and ``max_len`` the
-    checkpoint was trained with, so it rebuilds the same splits and
-    vocabulary; config values are only the fallback for older checkpoints.
+    The corpus is read with the ``RELOAD_KEYS`` settings the checkpoint was
+    trained with, so it rebuilds the same splits and vocabulary; config
+    values are only the fallback for older checkpoints.
     """
     _require_file(args.checkpoint, "--checkpoint")
     params, config, extra = M.load_checkpoint(args.checkpoint)
     cfg = resolve_config({}, vars(args))
-    for key in ("seed", "swap_dev_test", "max_len"):
+    for key in RELOAD_KEYS:
         cfg[key] = extra.get(key, cfg[key])
     datasets, vocab = _load_datasets(cfg, args.data)
     _check_compat(config, datasets, vocab, extra)
@@ -485,6 +488,11 @@ def cmd_synth(args) -> int:
             raise ConfigError(f"synth spec key '{key}': {exc}") from None
     emb_dim = kv.pop("embedding_dim", 0)
     emb_scale = kv.pop("embedding_scale", 1.0)
+    if emb_dim < 0:  # 0 writes no vectors
+        raise ConfigError(f"synth spec key 'embedding_dim': must be >= 0, got {emb_dim}")
+    if not 0 <= emb_scale < np.inf:
+        raise ConfigError(
+            f"synth spec key 'embedding_scale': must be finite and >= 0, got {emb_scale}")
     spec = D.SynthSpec(**kv)
     raw, provenance = D.generate_synthetic(spec)
     os.makedirs(args.out, exist_ok=True)

@@ -1,4 +1,4 @@
-"""Corpus ingestion, vocabulary, splits, batching, synthetic benchmark.
+"""Corpus ingestion, vocabulary, splits, batching, synthetic benchmark, embedding files.
 
 On-disk layout: one directory per task. Labeled files hold one example
 per line as ``label<TAB>token token token ...`` (text is pre-tokenized);
@@ -541,6 +541,40 @@ def write_embeddings_text(path, vectors: Mapping[str, np.ndarray]) -> None:
         for tok in sorted(vectors):
             vals = " ".join(repr(float(v)) for v in vectors[tok])
             fh.write(f"{tok} {vals}\n")
+
+
+def load_embeddings_text(path, token_to_id: dict[str, int], matrix: np.ndarray) -> int:
+    """Overwrite rows of ``matrix`` with vectors from a text embedding file.
+
+    Format: one token per line followed by ``dim`` whitespace-separated
+    floats. Lines whose token is not in ``token_to_id`` are skipped. A
+    line of a known token with the wrong width, a value that is not a
+    float, a NaN or infinite value, or a line that is not UTF-8 raises
+    :class:`DataFormatError`. Returns the number of rows loaded.
+    """
+    dim = matrix.shape[1]
+    loaded = 0
+    for ln, line in text_lines(path):
+        parts = line.rstrip("\n").split()
+        if not parts:
+            continue
+        token = parts[0]
+        idx = token_to_id.get(token)
+        if idx is None:
+            continue
+        if len(parts) != dim + 1:
+            raise DataFormatError(
+                f"{path}:{ln}: expected {dim} values for '{token}', "
+                f"got {len(parts) - 1}")
+        try:
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{ln}: '{token}': {exc}") from None
+        if not np.isfinite(vec).all():
+            raise DataFormatError(f"{path}:{ln}: non-finite value for '{token}'")
+        matrix[idx] = vec
+        loaded += 1
+    return loaded
 
 
 def generate_synthetic(spec: SynthSpec) -> tuple[RawCorpus, list[tuple[str, str, str, int]]]:

@@ -14,8 +14,11 @@ trainable one).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import zip_longest
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import GradReversalSpec, Node, Tape, Tensor
-from .errors import ConfigError, DataFormatError, InputError
+from .errors import ConfigError, ContractError, DataFormatError, InputError
 
 SCHEMES = ("fs", "sp", "asp")
 CONCAT_ORDER = "private,shared"
@@ -333,8 +336,12 @@ def dump_activations(params: ModelParams, config: ModelConfig,
 # checkpoint container
 # ---------------------------------------------------------------------------
 
-def _manifest(params: ModelParams, config: ModelConfig, extra: dict | None) -> dict:
-    tensors = [{"name": n, "shape": list(a.shape)} for n, a in params.tensors.items()]
+# The header's JSON form, one text per value: ``1`` is not ``true``, ``6`` is not ``6.0``.
+_canonical = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def _manifest(config: ModelConfig, frozen: frozenset[str], extra: dict | None) -> dict:
+    """The checkpoint header of a ``config`` model: the one declaration of its fields."""
     return {
         "format_version": CHECKPOINT_VERSION,
         "scheme": config.scheme,
@@ -346,18 +353,25 @@ def _manifest(params: ModelParams, config: ModelConfig, extra: dict | None) -> d
         "gate_block_order": nn.GATE_BLOCK_ORDER,
         "input_order": nn.INPUT_ORDER,
         "concat_order": CONCAT_ORDER,
-        "frozen": sorted(params.frozen),
-        "embeddings_trainable": "embeddings" not in params.frozen,
-        "tensors": tensors,
+        "frozen": sorted(frozen),
+        "embeddings_trainable": "embeddings" not in frozen,
+        "tensors": [{"name": n, "shape": list(s)} for n, s in _tensor_shapes(config).items()],
         "extra": extra or {},
     }
 
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     extra: dict | None = None) -> None:
-    """Write a byte-stable container: magic, JSON header, raw f64 blobs."""
-    header = json.dumps(_manifest(params, config, extra),
-                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Write a byte-stable container: magic, JSON header, raw f64 blobs.
+
+    Tensors or frozen names off the :func:`_tensor_shapes` layout raise
+    :class:`ContractError` before the file is opened.
+    """
+    shapes = _tensor_shapes(config)
+    if ([(n, a.shape) for n, a in params.tensors.items()] != list(shapes.items())
+            or not params.frozen <= shapes.keys()):
+        raise ContractError("the tensors or frozen names do not match the model's layout")
+    header = _canonical(_manifest(config, params.frozen, extra)).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(len(header).to_bytes(8, "little"))
@@ -369,22 +383,18 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
 def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
     """Read a container written by :func:`save_checkpoint`.
 
-    Every malformed file raises :class:`DataFormatError`: a bad header
-    (including a gate block, input or concatenation order that is missing
-    or not the library's, an ``embeddings_trainable`` that is not a bool,
-    an ``extra`` that is not an object, a ``task_names`` that is not a list
-    of unique, non-empty strings, a ``frozen`` that is not a list of the
-    model's tensor names, and a ``frozen`` and ``embeddings_trainable``
-    that disagree about the table), tensor names, shapes or order that disagree
-    with the manifest's sizes, a truncated or non-finite tensor, and bytes
-    after the last tensor.
+    The header must be the one :func:`save_checkpoint` writes for the model
+    it describes, field for field and type for type. Any other header, a
+    truncated or non-finite tensor, and bytes after the last tensor raise
+    :class:`DataFormatError` naming the first field or tensor at fault.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise DataFormatError(f"{path}: not a checkpoint file")
         header_len = int.from_bytes(fh.read(8), "little")
-        if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+        size = os.fstat(fh.fileno()).st_size
+        if header_len > size - fh.tell():
             raise DataFormatError(
                 f"{path}: header length {header_len} runs past the end of the file")
         try:
@@ -396,24 +406,6 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
         if manifest.get("format_version") != CHECKPOINT_VERSION:
             raise DataFormatError(
                 f"{path}: unsupported checkpoint version {manifest.get('format_version')}")
-        for key, want in (("gate_block_order", nn.GATE_BLOCK_ORDER),
-                          ("input_order", nn.INPUT_ORDER), ("concat_order", CONCAT_ORDER)):
-            if manifest.get(key) != want:
-                raise DataFormatError(
-                    f"{path}: '{key}' is {manifest.get(key)!r}; this library reads {want!r}")
-        tensors = manifest.get("tensors")
-        if not isinstance(tensors, list):
-            raise DataFormatError(f"{path}: checkpoint header has no tensor list")
-        specs = []
-        for spec in tensors:
-            try:
-                specs.append((spec["name"], tuple(spec["shape"])))
-            except (KeyError, TypeError):
-                raise DataFormatError(f"{path}: malformed tensor entry {spec!r}") from None
-            if not all(_is_int(n) for n in specs[-1][1]):
-                raise DataFormatError(f"{path}: non-integer shape in tensor entry {spec!r}")
-        if not isinstance(manifest.get("task_names", []), list):
-            raise DataFormatError(f"{path}: 'task_names' must be a list")
         try:
             config = ModelConfig(scheme=manifest["scheme"],
                                  task_names=tuple(manifest["task_names"]),
@@ -425,29 +417,35 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
             raise DataFormatError(f"{path}: checkpoint has no {exc.args[0]!r}") from None
         except (ConfigError, TypeError) as exc:
             raise DataFormatError(f"{path}: bad model settings: {exc}") from None
-        if not isinstance(manifest.get("embeddings_trainable"), bool):
-            raise DataFormatError(f"{path}: 'embeddings_trainable' must be true or false")
-        if not isinstance(manifest.get("extra", {}), dict):
-            raise DataFormatError(f"{path}: 'extra' must be a JSON object")
-        expected = _tensor_shapes(config)
-        if specs != list(expected.items()):
-            raise DataFormatError(
-                f"{path}: tensor names, shapes or order disagree with the manifest's sizes")
-        frozen = manifest.get("frozen", [])
+        shapes = _tensor_shapes(config)
+        frozen, extra = manifest.get("frozen"), manifest.get("extra")
         if not (isinstance(frozen, list)
-                and all(isinstance(n, str) and n in expected for n in frozen)):
+                and all(isinstance(n, str) and n in shapes for n in frozen)):
             raise DataFormatError(f"{path}: 'frozen' must be a list of the model's tensor names")
-        if ("embeddings" in frozen) == manifest["embeddings_trainable"]:
+        if not isinstance(extra, dict):
+            raise DataFormatError(f"{path}: 'extra' must be a JSON object")
+        want = _manifest(config, frozenset(frozen), extra)
+        for key in sorted(manifest.keys() | want.keys()):
+            got, exp = (_canonical(h[key]) if key in h else "nothing" for h in (manifest, want))
+            if got == exp:
+                continue
+            if key == "tensors" and isinstance(manifest.get(key), list):  # name the entry
+                pairs = zip_longest(map(_canonical, manifest[key]),
+                                    map(_canonical, want[key]), fillvalue="nothing")
+                key, (got, exp) = next((f"tensors[{i}]", p) for i, p in enumerate(pairs)
+                                       if p[0] != p[1])
             raise DataFormatError(
-                f"{path}: 'frozen' and 'embeddings_trainable' disagree about the embeddings")
+                f"{path}: header field '{key}': file has {got}, this library writes {exp}")
         arrays = {}
-        for name, shape in specs:  # one tensor at a time: no second copy of any
-            arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+        for name, shape in shapes.items():  # one tensor at a time: no second copy of any
+            # sizes are checked against the file before any buffer is allocated
+            if 8 * math.prod(shape) > size - fh.tell():
                 raise DataFormatError(f"{path}: truncated tensor '{name}'")
+            arr = np.empty(shape, dtype="<f8")
+            fh.readinto(memoryview(arr).cast("B"))
             if not np.isfinite(arr).all():
                 raise DataFormatError(f"{path}: non-finite values in tensor '{name}'")
             arrays[name] = arr
         if fh.read(1):
             raise DataFormatError(f"{path}: unexpected bytes after the last tensor")
-    return ModelParams(arrays, frozenset(frozen)), config, manifest.get("extra", {})
+    return ModelParams(arrays, frozenset(frozen)), config, extra

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, Tensor
-from .data import text_lines
-from .errors import DataFormatError, InputError, ShapeError
+from .errors import InputError, ShapeError
 
 INIT_RANGE = 0.1
 GATE_BLOCK_ORDER = "cbar,o,i,f"
@@ -261,37 +260,3 @@ def batch_token_ids(sentences, vocab_size: int) -> tuple[np.ndarray, np.ndarray]
         raise InputError(
             f"batch_token_ids: token id out of range for vocabulary of {vocab_size}")
     return ids, lengths
-
-
-def load_embeddings_text(path, token_to_id: dict[str, int], matrix: Tensor) -> int:
-    """Overwrite rows of ``matrix`` with vectors from a text embedding file.
-
-    Format: one token per line followed by ``dim`` whitespace-separated
-    floats. Lines whose token is not in ``token_to_id`` are skipped. A
-    line of a known token with the wrong width, a value that is not a
-    float, a NaN or infinite value, or a line that is not UTF-8 raises
-    :class:`DataFormatError`. Returns the number of rows loaded.
-    """
-    dim = matrix.shape[1]
-    loaded = 0
-    for ln, line in text_lines(path):
-        parts = line.rstrip("\n").split()
-        if not parts:
-            continue
-        token = parts[0]
-        idx = token_to_id.get(token)
-        if idx is None:
-            continue
-        if len(parts) != dim + 1:
-            raise DataFormatError(
-                f"{path}:{ln}: expected {dim} values for '{token}', "
-                f"got {len(parts) - 1}")
-        try:
-            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{ln}: '{token}': {exc}") from None
-        if not np.isfinite(vec).all():
-            raise DataFormatError(f"{path}:{ln}: non-finite value for '{token}'")
-        matrix[idx] = vec
-        loaded += 1
-    return loaded

@@ -579,10 +579,19 @@ def test_tape_determinism_bitwise():
     assert run() == run()
 
 
-def test_mixed_tapes_rejected():
+@pytest.mark.parametrize("op", [
+    lambda a, b: ad.add(a, b), lambda a, b: ad.mul(a, b), lambda a, b: ad.add_n([a, a, b]),
+    lambda a, b: ad.matmul(a, b), lambda a, b: ad.affine(a, a, ad.row(b, 0)),
+    lambda a, b: ad.concat([a, b], axis=1)],
+    ids=["add", "mul", "add_n", "matmul", "affine", "concat"])
+def test_mixed_tapes_rejected(op):
+    # the op records on its first operand's tape, which must reject the other
     t1, t2 = Tape(), Tape()
-    with pytest.raises(ContractError):
-        ad.add(t1.leaf([1.0]), t2.leaf([1.0]))
+    a, b = t1.leaf(np.eye(2)), t2.leaf(np.eye(2))
+    before = len(t1)
+    with pytest.raises(ContractError, match="different tapes"):
+        op(a, b)
+    assert len(t1) == before
 
 
 @given(st.integers(2, 6), st.integers(0, 2 ** 31 - 1))

@@ -87,6 +87,23 @@ class TestSynth:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key,value", [("embedding_scale", "nan"),
+                                           ("embedding_scale", "inf"),
+                                           ("embedding_scale", "-1"),
+                                           ("embedding_dim", "-3")])
+    def test_bad_embedding_key_exits_3(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "bad.cfg"
+        spec.write_text(f"tasks = 2\nembedding_dim = 3\n{key} = {value}\n")
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_zero_embedding_dim_writes_no_vectors(self, tmp_path):
+        spec = tmp_path / "synth.cfg"
+        spec.write_text(SYNTH_SPEC + "embedding_dim = 0\nembedding_scale = 0\n")
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 0
+        assert not (tmp_path / "x" / "vectors.txt").exists()
+
     def test_unknown_key_exits_3(self, tmp_path):
         spec = tmp_path / "bad.cfg"
         spec.write_text("tasks = 2\nbananas = 4\n")
@@ -158,10 +175,15 @@ class TestTrain:
         (["--scheme", "asp", "--grid", "gamma=nan,0.01"], "gamma"),
         (["--scheme", "fs", "--grid", "lambda=0.1,0.2"], "lambda"),
         (["--scheme", "sp", "--grid", "gamma=0.5"], "gamma"),
+        (["--scheme", "fs", "--hidden-size", "0"], "hidden_size"),
+        (["--scheme", "fs", "--embed-size", "-3"], "embed_size"),
+        (["--scheme", "asp", "--grid", "learning_rate=0.1,0.2", "--jobs", "0"], "jobs"),
+        (["--scheme", "fs", "--jobs", "-2"], "jobs"),
     ], ids=["scheme", "diff_mode", "grid", "unlabeled_ratio_negative",
             "unlabeled_ratio_nan", "max_len", "clip_norm_nan", "learning_rate_nan",
             "learning_rate_inf", "gamma_nan", "lambda_nan", "grid_learning_rate_nan",
-            "grid_gamma_nan", "grid_lambda_fs", "grid_gamma_sp"])
+            "grid_gamma_nan", "grid_lambda_fs", "grid_gamma_sp", "hidden_size_zero",
+            "embed_size_negative", "jobs_zero", "jobs_negative"])
     def test_bad_value_exits_3(self, corpus_dir, tmp_path, capsys, flags, key):
         rc = cli.main(["train", *flags, "--data", str(corpus_dir),
                        "--out", str(tmp_path / "x")])

@@ -349,12 +349,11 @@ class TestSynthetic:
         np.testing.assert_array_equal(a["tok2"], b["tok2"])
 
     def test_embeddings_file_roundtrip(self, tmp_path):
-        from advmtl import nn
         vecs = D.synth_embedding_vectors(["alpha", "beta"], 4, seed=2)
         path = tmp_path / "vectors.txt"
         D.write_embeddings_text(path, vecs)
         matrix = np.zeros((3, 4))
-        loaded = nn.load_embeddings_text(path, {"alpha": 1, "beta": 2}, matrix)
+        loaded = D.load_embeddings_text(path, {"alpha": 1, "beta": 2}, matrix)
         assert loaded == 2
         np.testing.assert_array_equal(matrix[1], vecs["alpha"])
 

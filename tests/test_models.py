@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -429,7 +430,11 @@ class TestCheckpoint:
                                             "bool_size", "float_shape", "task_names_string",
                                             "task_names_ints", "task_names_repeated",
                                             "frozen_string", "frozen_unknown",
-                                            "trainable_true_frozen", "trainable_false_free"])
+                                            "trainable_true_frozen", "trainable_false_free",
+                                            "unknown_field", "tensor_entry_field",
+                                            "frozen_missing", "extra_missing",
+                                            "float_version", "frozen_unsorted",
+                                            "sizes_past_the_end"])
     def test_corrupt_checkpoint_is_a_format_error(self, tmp_path, corruption):
         import json
         from advmtl import cli
@@ -451,6 +456,10 @@ class TestCheckpoint:
             header = b"{" + header[1:-1]
         elif corruption == "trailing_bytes":
             body += b"\0" * 8
+        elif corruption in self.HEADER_EDITS:
+            manifest = json.loads(header)
+            self.HEADER_EDITS[corruption][1](manifest)
+            header = json.dumps(manifest).encode()
         elif corruption in ("hidden_size", "embed_size", "vocab_size"):
             manifest = json.loads(header)
             manifest[corruption] += 1  # the tensors keep their sizes
@@ -494,6 +503,11 @@ class TestCheckpoint:
                 entry = next(t for t in manifest["tensors"] if t["name"] == "shared.W")
                 entry["shape"] = [12.0, 5.0]
             header = json.dumps(manifest).encode()
+        elif corruption == "sizes_past_the_end":
+            # a consistent header whose table could never be allocated
+            manifest = json.loads(header)
+            manifest["vocab_size"] = manifest["tensors"][0]["shape"][0] = 2 ** 62
+            header = json.dumps(manifest).encode()
         elif corruption == "tensor_shape":
             manifest = json.loads(header)
             entry = next(t for t in manifest["tensors"] if t["name"] == "shared.b")
@@ -516,6 +530,75 @@ class TestCheckpoint:
         if corruption != "huge_header_length":
             hlen = len(header)
         path.write_bytes(blob[:8] + hlen.to_bytes(8, "little") + header + body)
-        with pytest.raises(DataFormatError):
+        # each edit of a single field is named in the message
+        field = self.HEADER_EDITS.get(corruption, (None,))[0]
+        with pytest.raises(DataFormatError, match=field):
             M.load_checkpoint(path)
         assert cli.main(["eval", "--checkpoint", str(path), "--data", str(tmp_path)]) == 2
+
+    # headers that the library never writes, though every value in them is well typed
+    # (the field the message names, the edit)
+    HEADER_EDITS = {
+        "unknown_field": ("'dtype'", lambda m: m.update(dtype="float32")),
+        "tensor_entry_field": (r"'tensors\[1\]'",
+                               lambda m: m["tensors"][1].update(dtype="<f4")),
+        "frozen_missing": ("'frozen'", lambda m: m.pop("frozen")),
+        "extra_missing": ("'extra'", lambda m: m.pop("extra")),
+        "float_version": ("'format_version'", lambda m: m.update(format_version=1.0)),
+        "frozen_unsorted": ("'frozen'", lambda m: m.update(frozen=["shared.b", "embeddings"],
+                                                           embeddings_trainable=False)),
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_edited_header_field_is_rejected_or_saved_back(self, data):
+        """A saved header with one field replaced fails to load, or loads a model that saves it."""
+        import json
+        from advmtl.errors import DataFormatError
+        cfg = small_config("asp", K=2, d=3, e=2, vocab=5)
+        params = M.init_model(cfg, seed=3)
+        params.frozen = frozenset(data.draw(st.lists(st.sampled_from(list(params.tensors)),
+                                                     unique=True)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "model.bin", Path(tmp) / "again.bin"
+            M.save_checkpoint(path, params, cfg, extra={"seed": 1})
+            blob = path.read_bytes()
+            hlen = int.from_bytes(blob[8:16], "little")
+            manifest, body = json.loads(blob[16:16 + hlen]), blob[16 + hlen:]
+            key = data.draw(st.sampled_from(sorted(manifest) + ["dtype"]), label="field")
+            near = [*manifest.values(), 1.0, True, {}, ["disc.W", "disc.b"],
+                    ["embeddings", "shared.W"], ["shared.W", "embeddings"]]
+            manifest[key] = data.draw(self.JSON | st.sampled_from(near), label="value")
+            header = json.dumps(manifest).encode()
+            path.write_bytes(blob[:8] + len(header).to_bytes(8, "little") + header + body)
+            try:
+                loaded, loaded_cfg, extra = M.load_checkpoint(path)
+            except DataFormatError:
+                return
+            M.save_checkpoint(again, loaded, loaded_cfg, extra)
+            saved = again.read_bytes()
+        hlen = int.from_bytes(saved[8:16], "little")
+        resaved = json.loads(saved[16:16 + hlen])
+        assert sorted(resaved) == sorted(manifest)
+        text = partial(json.dumps, sort_keys=True)  # so 1 is not true or 1.0
+        for name, value in manifest.items():
+            assert text(resaved[name]) == text(value), name
+        assert saved[16 + hlen:] == body
+
+    @pytest.mark.parametrize("fault", ["missing", "reshaped", "reordered", "frozen_unknown"])
+    def test_save_rejects_tensors_off_the_layout(self, tmp_path, fault):
+        from advmtl.errors import ContractError
+        cfg = small_config("asp", K=2, d=3, e=2)
+        params = M.init_model(cfg, seed=2)
+        tensors = params.tensors
+        if fault == "missing":
+            del tensors["disc.b"]
+        elif fault == "reshaped":
+            tensors["shared.b"] = tensors["shared.b"].reshape(3, 4)
+        elif fault == "reordered":
+            params.tensors = {"shared.W": tensors.pop("shared.W"), **tensors}
+        else:
+            params.frozen = frozenset({"embeddings", "bogus"})
+        with pytest.raises(ContractError):
+            M.save_checkpoint(tmp_path / "m.bin", params, cfg)
+        assert not (tmp_path / "m.bin").exists()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advmtl import autodiff as ad
+from advmtl import data as D
 from advmtl import models as M
 from advmtl import nn
 from advmtl.autodiff import Tape
@@ -424,7 +425,7 @@ class TestEmbeddings:
         path.write_text("apple 1.0 2.0\nzebra 9.0 9.0\nbanana -1.0 0.5\n")
         vocab = {"apple": 0, "banana": 2}
         matrix = np.zeros((3, 2))
-        loaded = nn.load_embeddings_text(path, vocab, matrix)
+        loaded = D.load_embeddings_text(path, vocab, matrix)
         assert loaded == 2
         npt.assert_array_equal(matrix[0], [1.0, 2.0])
         npt.assert_array_equal(matrix[1], [0.0, 0.0])
@@ -435,7 +436,7 @@ class TestEmbeddings:
         path = tmp_path / "vecs.txt"
         path.write_text(f"apple 1.0 2.0\nbanana {value} 0.5\n")
         with pytest.raises(DataFormatError, match="vecs.txt:2: .*'banana'"):
-            nn.load_embeddings_text(path, {"apple": 0, "banana": 1}, np.zeros((2, 2)))
+            D.load_embeddings_text(path, {"apple": 0, "banana": 1}, np.zeros((2, 2)))
 
     VALUE_TEXT = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -466,10 +467,10 @@ class TestEmbeddings:
         matrix = np.zeros((len(vocab), dim))
         if any(tok in vocab and bad(vals) for tok, vals in lines):
             with pytest.raises(DataFormatError):
-                nn.load_embeddings_text(path, vocab, matrix)
+                D.load_embeddings_text(path, vocab, matrix)
             return
         known = [(tok, vals) for tok, vals in lines if tok in vocab]
-        assert nn.load_embeddings_text(path, vocab, matrix) == len(known)
+        assert D.load_embeddings_text(path, vocab, matrix) == len(known)
         want = np.zeros_like(matrix)
         for tok, vals in known:  # a later line of a token wins
             want[vocab[tok]] = [float(v) for v in vals]
@@ -480,4 +481,4 @@ class TestEmbeddings:
         path = tmp_path / "vecs.txt"
         path.write_text("apple 1.0 2.0 3.0\n")
         with pytest.raises(DataFormatError, match="vecs.txt:1"):
-            nn.load_embeddings_text(path, {"apple": 0}, np.zeros((1, 2)))
+            D.load_embeddings_text(path, {"apple": 0}, np.zeros((1, 2)))
