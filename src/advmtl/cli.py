@@ -3,9 +3,9 @@
 Configuration comes from four layers, later ones winning: built-in
 defaults, a flat ``key = value`` config file, ``ADVMTL_<KEY>`` environment
 variables, command-line flags. Every command writes a ``manifest.json``
-recording the resolved configuration, input content hashes, and output
-paths, plus a ``config.resolved.cfg`` that reproduces the run when passed
-back through ``--config``.
+recording the resolved configuration, input content hashes, output
+paths and the numeric environment, plus a ``config.resolved.cfg`` that
+reproduces the run when passed back through ``--config``.
 
 Exit codes: 0 ok, 2 missing/unreadable input, 3 config validation,
 4 checkpoint/data incompatibility, 5 numeric divergence.
@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 import os
+import platform
 import sys
 import time
 
@@ -197,10 +198,26 @@ def sha256_tree(root) -> str:
     return h.hexdigest()
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_environment() -> dict:
+    """Versions and BLAS settings a run's numbers can depend on.
+
+    At d = 200 the BLAS thread count changes the last bits of a trained
+    model, so each thread variable is recorded as set, or null when unset.
+    """
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+
+
 def write_manifest(out_dir, command: str, cfg: dict, inputs: dict[str, str],
                    outputs: list[str], started: float) -> str:
     manifest = {
         "command": command,
+        "environment": run_environment(),
         "config": cfg,
         "seed": cfg.get("seed"),
         "input_hashes": {path: sha256_tree(path) for path in inputs.values()

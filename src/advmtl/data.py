@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import os
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -74,10 +75,7 @@ class Vocabulary:
     @classmethod
     def build(cls, token_lists: Iterable[Sequence[str]]) -> "Vocabulary":
         """Canonical vocabulary over training text: by frequency, ties by token."""
-        counts: dict[str, int] = {}
-        for tokens in token_lists:
-            for tok in tokens:
-                counts[tok] = counts.get(tok, 0) + 1
+        counts = Counter(itertools.chain.from_iterable(token_lists))
         ordered = sorted(counts, key=lambda t: (-counts[t], t))
         id_to_token = [PAD_TOKEN, UNK_TOKEN] + ordered
         return cls(id_to_token=id_to_token,
@@ -87,8 +85,7 @@ class Vocabulary:
         return len(self.id_to_token)
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
-        get = self.token_to_id.get
-        return [get(t, UNK_ID) for t in tokens]
+        return list(map(self.token_to_id.get, tokens, itertools.repeat(UNK_ID)))
 
     def sha256(self) -> str:
         h = hashlib.sha256()
@@ -396,6 +393,12 @@ class SynthSpec:
             raise ConfigError("synthetic benchmark needs at least 2 tasks")
         if self.shared_tokens <= 0 and self.private_tokens <= 0:
             raise ConfigError("need shared or private tokens (both are zero)")
+        if self.private_tokens <= 0 and self.shared_tokens <= self.tasks:
+            # shared polarity alternates per window of `tasks` tokens
+            raise ConfigError(
+                f"without private tokens, shared_tokens must exceed tasks ({self.tasks}): "
+                "the first window of shared tokens is all positive, and a corpus "
+                "needs tokens of both polarities")
         if self.private_tokens > 0 and self.n_conflict < 1:
             raise ConfigError(
                 "conflict_fraction leaves no conflicting token; the benchmark "
@@ -470,33 +473,95 @@ def _synth_vocab(spec: SynthSpec):
     return task_names, polarity, shared_pool, own_only, contam_pool, filler_pool, provenance
 
 
-def _synth_sentence(rng, spec: SynthSpec, pol_map, shared_pool, shared_cum,
+_RAW_CHUNK = 4096  # PCG64 outputs drawn at once
+
+
+class _RawDraws:
+    """``Generator.random()`` and ``int(Generator.integers(n))`` from PCG64's raw outputs.
+
+    Returns what ``np.random.default_rng(seed)`` would, value for value and
+    in the same order, for 1 <= n <= 2**32. The stream is the 64-bit outputs
+    of ``np.random.PCG64(seed)``, drawn ``_RAW_CHUNK`` at a time:
+
+    - ``random()`` takes one output; its top 53 bits times 2**-53.
+    - ``integers(n)`` is Lemire's bounded draw over 32-bit words (Lemire,
+      "Fast Random Integer Generation in an Interval", ACM TOMACS 2019). A
+      word is the low half of a fresh output, or the high half the last
+      fresh output left; ``random()`` leaves that half in place. Word w
+      gives ``w * n >> 32`` unless ``w * n mod 2**32 < 2**32 mod n``; then
+      the next word is tried. ``n == 1`` consumes nothing.
+    """
+
+    __slots__ = ("_bitgen", "_raw", "_unit", "_pos", "_high")
+
+    def __init__(self, seed):
+        self._bitgen = np.random.PCG64(seed)
+        self._pos = _RAW_CHUNK  # the first draw fills the chunk
+        self._high: int | None = None
+
+    def _refill(self) -> None:
+        raw = self._bitgen.random_raw(_RAW_CHUNK)
+        self._raw = raw.tolist()
+        self._unit = ((raw >> np.uint64(11)) * 2.0 ** -53).tolist()
+        self._pos = 0
+
+    def random(self) -> float:
+        if self._pos == _RAW_CHUNK:
+            self._refill()
+        pos = self._pos
+        self._pos = pos + 1
+        return self._unit[pos]
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        if not 1 < n <= 1 << 32:
+            raise ValueError(f"bounded draw needs 1 <= n <= 2**32, got {n}")
+        threshold = (1 << 32) % n
+        while True:
+            word = self._high
+            if word is None:
+                if self._pos == _RAW_CHUNK:
+                    self._refill()
+                out = self._raw[self._pos]
+                self._pos += 1
+                word, self._high = out & 0xFFFFFFFF, out >> 32
+            else:
+                self._high = None
+            m = word * n
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+
+def _synth_sentence(rng: _RawDraws, spec: SynthSpec, pol_map, shared_pool, shared_cum,
                     own_pool, contam_pool, filler_pool, filler_cum
                     ) -> tuple[list[str], int]:
-    cuts = (spec.shared_rate,
-            spec.shared_rate + spec.own_rate,
-            spec.shared_rate + spec.own_rate + spec.contaminant_rate)
+    cut_shared = spec.shared_rate
+    cut_own = cut_shared + spec.own_rate
+    cut_contam = cut_own + spec.contaminant_rate
     polar_fallback = own_pool if own_pool else shared_pool
+    random, integers = rng.random, rng.integers
+    n_lengths = spec.max_len + 1 - spec.min_len
 
     def draw():
-        length = int(rng.integers(spec.min_len, spec.max_len + 1))
+        length = spec.min_len + integers(n_lengths)
         tokens = []
         for _ in range(length):
-            u = rng.random()
-            if u < cuts[0] and shared_pool:
-                tokens.append(shared_pool[bisect_left(shared_cum, rng.random())])
+            u = random()
+            if u < cut_shared and shared_pool:
+                tokens.append(shared_pool[bisect_left(shared_cum, random())])
                 continue
-            elif u < cuts[1] and own_pool:
+            elif u < cut_own and own_pool:
                 pool = own_pool
-            elif u < cuts[2] and contam_pool:
+            elif u < cut_contam and contam_pool:
                 pool = contam_pool
             elif filler_pool:
-                tokens.append(filler_pool[bisect_left(filler_cum, rng.random())])
+                tokens.append(filler_pool[bisect_left(filler_cum, random())])
                 continue
             else:
                 pool = polar_fallback
-            tokens.append(pool[int(rng.integers(len(pool)))])
-        return tokens, sum(pol_map.get(t, 0) for t in tokens)
+            tokens.append(pool[integers(len(pool))])
+        return tokens, sum(map(pol_map.get, tokens, itertools.repeat(0)))
 
     # rejection-sample for a clear class margin, then pad as a last resort
     tokens, score = draw()
@@ -505,15 +570,15 @@ def _synth_sentence(rng, spec: SynthSpec, pol_map, shared_pool, shared_cum,
             break
         tokens, score = draw()
     while abs(score) < spec.min_margin:
-        want = 1 if (score > 0 or (score == 0 and rng.random() < 0.5)) else -1
+        want = 1 if (score > 0 or (score == 0 and random() < 0.5)) else -1
         pool = [t for t in polar_fallback if pol_map[t] == want]
-        extra = pool[int(rng.integers(len(pool)))]
+        extra = pool[integers(len(pool))]
         tokens.append(extra)
         score += want
     if spec.domain_bias > 0 and filler_pool:
-        tokens.append(filler_pool[bisect_left(filler_cum, rng.random())])
+        tokens.append(filler_pool[bisect_left(filler_cum, random())])
     label = 1 if score > 0 else 0
-    if spec.noise_rate > 0 and rng.random() < spec.noise_rate:
+    if spec.noise_rate > 0 and random() < spec.noise_rate:
         label = 1 - label
     return tokens, label
 
@@ -578,7 +643,12 @@ def load_embeddings_text(path, token_to_id: dict[str, int], matrix: np.ndarray) 
 
 
 def generate_synthetic(spec: SynthSpec) -> tuple[RawCorpus, list[tuple[str, str, str, int]]]:
-    """Deterministic K-task corpus with provenance for every vocabulary token."""
+    """Deterministic K-task corpus with provenance for every vocabulary token.
+
+    Task k draws every value from one ``_RawDraws((spec.seed, k))`` stream,
+    so the corpus is a function of the spec, seed included, through PCG64's
+    raw outputs alone.
+    """
     (task_names, polarity, shared_pool, own_only, contam_pool,
      filler_pool, provenance) = _synth_vocab(spec)
     corpus: RawCorpus = {}
@@ -592,7 +662,7 @@ def generate_synthetic(spec: SynthSpec) -> tuple[RawCorpus, list[tuple[str, str,
         return np.cumsum(weights / weights.sum()).tolist()
 
     for k, name in enumerate(task_names):
-        rng = np.random.default_rng((spec.seed, k))
+        rng = _RawDraws((spec.seed, k))
         shared_cum = biased_cum(len(shared_pool), k)
         filler_cum = biased_cum(len(filler_pool), k)
         make = lambda: _synth_sentence(rng, spec, polarity[name], shared_pool,

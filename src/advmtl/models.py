@@ -406,6 +406,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ModelConfig, dict]:
         if manifest.get("format_version") != CHECKPOINT_VERSION:
             raise DataFormatError(
                 f"{path}: unsupported checkpoint version {manifest.get('format_version')}")
+        for key in ("task_names", "classes"):  # before tuple() reads one as an iterable
+            if key in manifest and not isinstance(manifest[key], list):
+                raise DataFormatError(f"{path}: header field '{key}': file has "
+                                      f"{_canonical(manifest[key])}, not a list")
         try:
             config = ModelConfig(scheme=manifest["scheme"],
                                  task_names=tuple(manifest["task_names"]),

@@ -15,9 +15,14 @@ gradients; the new rule is checked bitwise against it.
 :class:`EagerTaskBatcher` builds each pass's batches as a list and refills
 a task's stream by hand when it runs dry; the generator streams of
 ``data.TaskBatcher`` are checked against it.
+:func:`generate_synthetic_scalar` is the synthetic corpus generator that
+calls ``Generator.random()`` and ``Generator.integers`` once per value;
+``data.generate_synthetic``, which rebuilds those values from PCG64's raw
+outputs, is checked against it.
 """
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -360,3 +365,76 @@ class EagerTaskBatcher:
                 batch = next(self._unlabeled[task])
             out.append(batch)
         return out
+
+
+def _synth_sentence_scalar(rng, spec, pol_map, shared_pool, shared_cum,
+                           own_pool, contam_pool, filler_pool, filler_cum):
+    cuts = (spec.shared_rate,
+            spec.shared_rate + spec.own_rate,
+            spec.shared_rate + spec.own_rate + spec.contaminant_rate)
+    polar_fallback = own_pool if own_pool else shared_pool
+
+    def draw():
+        length = int(rng.integers(spec.min_len, spec.max_len + 1))
+        tokens = []
+        for _ in range(length):
+            u = rng.random()
+            if u < cuts[0] and shared_pool:
+                tokens.append(shared_pool[bisect_left(shared_cum, rng.random())])
+                continue
+            elif u < cuts[1] and own_pool:
+                pool = own_pool
+            elif u < cuts[2] and contam_pool:
+                pool = contam_pool
+            elif filler_pool:
+                tokens.append(filler_pool[bisect_left(filler_cum, rng.random())])
+                continue
+            else:
+                pool = polar_fallback
+            tokens.append(pool[int(rng.integers(len(pool)))])
+        return tokens, sum(pol_map.get(t, 0) for t in tokens)
+
+    tokens, score = draw()
+    for _ in range(50):
+        if abs(score) >= spec.min_margin:
+            break
+        tokens, score = draw()
+    while abs(score) < spec.min_margin:
+        want = 1 if (score > 0 or (score == 0 and rng.random() < 0.5)) else -1
+        pool = [t for t in polar_fallback if pol_map[t] == want]
+        tokens.append(pool[int(rng.integers(len(pool)))])
+        score += want
+    if spec.domain_bias > 0 and filler_pool:
+        tokens.append(filler_pool[bisect_left(filler_cum, rng.random())])
+    label = 1 if score > 0 else 0
+    if spec.noise_rate > 0 and rng.random() < spec.noise_rate:
+        label = 1 - label
+    return tokens, label
+
+
+def generate_synthetic_scalar(spec):
+    """``data.generate_synthetic`` with one ``Generator`` call per drawn value."""
+    (task_names, polarity, shared_pool, own_only, contam_pool,
+     filler_pool, provenance) = D._synth_vocab(spec)
+    corpus = {}
+
+    def biased_cum(pool_len, task):
+        if pool_len == 0:
+            return []
+        idx = np.arange(pool_len)
+        weights = np.where(idx % spec.tasks == task, 1.0 + spec.domain_bias, 1.0)
+        return np.cumsum(weights / weights.sum()).tolist()
+
+    for k, name in enumerate(task_names):
+        rng = np.random.default_rng((spec.seed, k))
+        args = (spec, polarity[name], shared_pool, biased_cum(len(shared_pool), k),
+                own_only[name], contam_pool[name], filler_pool,
+                biased_cum(len(filler_pool), k))
+        labeled = [_synth_sentence_scalar(rng, *args) for _ in range(spec.sentences_per_task)]
+        unlabeled = [_synth_sentence_scalar(rng, *args)[0]
+                     for _ in range(spec.unlabeled_per_task)]
+        train, dev, test = D.partition(labeled, seed=spec.seed)
+        corpus[name] = D.RawTask(name=name, n_classes=2,
+                                 splits={"train": train, "dev": dev, "test": test},
+                                 unlabeled=unlabeled)
+    return corpus, provenance

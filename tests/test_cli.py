@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -76,6 +77,16 @@ class TestSynth:
         spec.write_text("tasks = 1\n")
         assert cli.main(["synth", "--spec", str(spec), "--out",
                          str(tmp_path / "x")]) == 3
+
+    def test_one_polarity_spec_exits_3(self, tmp_path, capsys):
+        # one positive shared token, and sentences too short to reach the margin:
+        # padding once wanted a negative token that does not exist
+        spec = tmp_path / "bad.cfg"
+        spec.write_text("tasks = 2\nshared_tokens = 1\nprivate_tokens = 0\nfiller_tokens = 1\n"
+                        "min_len = 1\nmax_len = 1\nmin_margin = 2\ncontaminant_rate = 0.0\n")
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 3
+        assert "both polarities" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(D.SynthSpec)
@@ -243,6 +254,22 @@ class TestTrain:
         assert rc == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+    def test_manifest_records_the_environment(self, corpus_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "env"
+        assert cli.main(["train", "--scheme", "fs", "--data", str(corpus_dir),
+                         "--out", str(out), "--max-epochs", "1", "--patience", "1",
+                         "--hidden-size", "4", "--embed-size", "4"]) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "blas", "blas_threads"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                       "MKL_NUM_THREADS": None}
 
     def test_resolved_config_replays_bitwise(self, corpus_dir, tmp_path):
         first = tmp_path / "first"

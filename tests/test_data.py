@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from advmtl import data as D
 from advmtl.errors import ConfigError, DataFormatError, InputError
@@ -235,6 +235,28 @@ class TestBatches:
             assert len(batcher.next_labeled(0)) >= 1
 
 
+@st.composite
+def synth_specs(draw):
+    """Small valid ``SynthSpec``s over every generator branch."""
+    private = draw(st.integers(0, 5))
+    filler = draw(st.integers(0, 5))
+    shared_rate, own_rate = draw(st.sampled_from([(0.5, 0.25), (0.0, 0.6), (0.3, 0.0)]))
+    # without filler tokens the three rates must leave nothing for filler
+    contaminant_rate = (1.0 - shared_rate - own_rate if not filler
+                        else draw(st.sampled_from([0.0, 0.1])))
+    min_len, tasks = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    return D.SynthSpec(
+        tasks=tasks, private_tokens=private,
+        shared_tokens=draw(st.integers(0 if private else tasks + 1, 9)),
+        conflict_fraction=1.0, filler_tokens=filler,
+        sentences_per_task=draw(st.integers(10, 20)),
+        unlabeled_per_task=draw(st.integers(0, 4)),
+        min_len=min_len, max_len=min_len + draw(st.integers(0, 3)),
+        min_margin=draw(st.integers(1, 5)), noise_rate=draw(st.sampled_from([0.0, 0.2])),
+        shared_rate=shared_rate, own_rate=own_rate, contaminant_rate=contaminant_rate,
+        domain_bias=draw(st.sampled_from([0.0, 3.0])), seed=draw(st.integers(0, 2 ** 40)))
+
+
 class TestSynthetic:
     GOLDEN = {  # sha256 of each corpus and its provenance, as generated before any speed-up
         "three_tasks_biased": (
@@ -243,6 +265,10 @@ class TestSynthetic:
         "two_tasks_unbiased": (
             dict(tasks=2, sentences_per_task=40, domain_bias=0.0, seed=3),
             "cad516610a9165f4592c34ae1ebd5a4fe41a0ecfe4ec6f5e8ef2501b488946dc"),
+        # two drawn tokens can never reach margin 3, so every sentence is padded
+        "fixed_length_padded": (
+            dict(tasks=2, sentences_per_task=30, min_len=2, max_len=2, min_margin=3, seed=4),
+            "d202298b154573084fadc81e3c358f049ec1d8c19fe6223533b9113e2a3e3f7e"),
     }
 
     @pytest.mark.parametrize("fields,digest", GOLDEN.values(), ids=list(GOLDEN))
@@ -252,6 +278,47 @@ class TestSynthetic:
                                  "unlabeled": t.unlabeled} for name, t in raw.items()},
                "provenance": prov}
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+    # bounded-draw sizes at the edges of the 32-bit words: no word consumed
+    # (1), rejection never (2) or most often (2**31 + 1), a whole word (2**32)
+    EDGE_N = (1, 2, 3, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32)
+
+    @staticmethod
+    def _replay(seed, ops):
+        """Run ``ops`` (None: ``random()``, n: ``integers(n)``) on both generators."""
+        ours, numpy = D._RawDraws(seed), np.random.default_rng(seed)
+        got = [ours.random() if n is None else ours.integers(n) for n in ops]
+        want = [numpy.random() if n is None else int(numpy.integers(n)) for n in ops]
+        return got, want
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), data=st.data())
+    def test_raw_draws_match_generator(self, seed, data):
+        ops = data.draw(st.lists(st.none() | st.integers(1, 2 ** 32), max_size=60))
+        ops = data.draw(st.permutations(ops + list(self.EDGE_N)), label="ops")
+        got, want = self._replay(seed, ops)
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert got == want
+
+    def test_raw_draws_match_generator_across_chunks(self):
+        ops = [None, 2 ** 31 + 1, 7, None, 2 ** 32] * (3 * D._RAW_CHUNK // 4)
+        got, want = self._replay((5, 1), ops)
+        assert got == want
+
+    @pytest.mark.parametrize("n", [0, -3, 2 ** 32 + 1])
+    def test_raw_draws_reject_a_size_off_the_32_bit_range(self, n):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            D._RawDraws(0).integers(n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=synth_specs())
+    @example(spec=D.SynthSpec(tasks=2, private_tokens=0, shared_tokens=6, filler_tokens=0,
+                              shared_rate=0.6, own_rate=0.3, contaminant_rate=0.1,
+                              sentences_per_task=12, noise_rate=0.0, seed=1))
+    @example(spec=D.SynthSpec(tasks=3, sentences_per_task=12, min_len=2, max_len=2,
+                              min_margin=4, domain_bias=8.0, unlabeled_per_task=5, seed=2))
+    def test_generated_corpus_matches_scalar_oracle(self, spec):
+        assert D.generate_synthetic(spec) == oracles.generate_synthetic_scalar(spec)
 
     def test_reproducible(self):
         spec = D.SynthSpec(tasks=3, sentences_per_task=40, seed=5)
@@ -311,6 +378,8 @@ class TestSynthetic:
     def test_degenerate_specs_rejected(self):
         with pytest.raises(ConfigError):
             D.SynthSpec(tasks=2, shared_tokens=0, private_tokens=0)
+        with pytest.raises(ConfigError, match="both polarities"):
+            D.SynthSpec(tasks=3, shared_tokens=3, private_tokens=0)
         with pytest.raises(ConfigError):
             D.SynthSpec(tasks=1)
         with pytest.raises(ConfigError):

@@ -434,7 +434,9 @@ class TestCheckpoint:
                                             "unknown_field", "tensor_entry_field",
                                             "frozen_missing", "extra_missing",
                                             "float_version", "frozen_unsorted",
-                                            "sizes_past_the_end"])
+                                            "sizes_past_the_end", "task_names_int",
+                                            "task_names_null", "task_names_float",
+                                            "classes_int", "classes_null", "classes_float"])
     def test_corrupt_checkpoint_is_a_format_error(self, tmp_path, corruption):
         import json
         from advmtl import cli
@@ -547,6 +549,12 @@ class TestCheckpoint:
         "float_version": ("'format_version'", lambda m: m.update(format_version=1.0)),
         "frozen_unsorted": ("'frozen'", lambda m: m.update(frozen=["shared.b", "embeddings"],
                                                            embeddings_trainable=False)),
+        "task_names_int": ("'task_names'", lambda m: m.update(task_names=5)),
+        "task_names_null": ("'task_names'", lambda m: m.update(task_names=None)),
+        "task_names_float": ("'task_names'", lambda m: m.update(task_names=2.5)),
+        "classes_int": ("'classes'", lambda m: m.update(classes=5)),
+        "classes_null": ("'classes'", lambda m: m.update(classes=None)),
+        "classes_float": ("'classes'", lambda m: m.update(classes=2.5)),
     }
 
     @settings(max_examples=100, deadline=None)
