@@ -32,8 +32,6 @@ from .errors import ConfigError, ContractError, ShapeError
 
 Tensor = np.ndarray
 
-LOG_CLAMP = 1e-12
-
 
 def tensor(data) -> Tensor:
     """Coerce ``data`` to a finite, C-ordered float64 array (0-d allowed)."""
@@ -146,7 +144,6 @@ class Tape:
         self.nodes: list[Node] = []
         self._vjps: list[Vjp | None] = []
         self._leaf_ids: list[int] = []
-        self.clamp_events = 0
         self.swept = False
         self._released_len = 0
 
@@ -278,16 +275,6 @@ def _softmax(x: Tensor) -> Tensor:
 def tanh(a: Node) -> Node:
     y = np.tanh(a.value)
     return a.tape.record(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def log(a: Node) -> Node:
-    """Natural log, clamped below at LOG_CLAMP; clamps are counted on the tape."""
-    v = a.value
-    clamped = np.maximum(v, LOG_CLAMP)
-    n_clamped = int(np.count_nonzero(v < LOG_CLAMP))
-    if n_clamped:
-        a.tape.clamp_events += n_clamped
-    return a.tape.record(np.log(clamped), (a,), lambda g: (g / clamped,))
 
 
 def softmax(a: Node) -> Node:

@@ -614,11 +614,12 @@ def load_embeddings_text(path, token_to_id: dict[str, int], matrix: np.ndarray) 
     Format: one token per line followed by ``dim`` whitespace-separated
     floats. Lines whose token is not in ``token_to_id`` are skipped. A
     line of a known token with the wrong width, a value that is not a
-    float, a NaN or infinite value, or a line that is not UTF-8 raises
-    :class:`DataFormatError`. Returns the number of rows loaded.
+    float, a NaN or infinite value, a second line of the same known token,
+    or a line that is not UTF-8 raises :class:`DataFormatError`. Returns
+    the number of rows loaded.
     """
     dim = matrix.shape[1]
-    loaded = 0
+    seen: dict[str, int] = {}  # line of each known token
     for ln, line in text_lines(path):
         parts = line.rstrip("\n").split()
         if not parts:
@@ -627,6 +628,10 @@ def load_embeddings_text(path, token_to_id: dict[str, int], matrix: np.ndarray) 
         idx = token_to_id.get(token)
         if idx is None:
             continue
+        if token in seen:
+            raise DataFormatError(
+                f"{path}:{ln}: '{token}' already has a vector on line {seen[token]}")
+        seen[token] = ln
         if len(parts) != dim + 1:
             raise DataFormatError(
                 f"{path}:{ln}: expected {dim} values for '{token}', "
@@ -638,8 +643,7 @@ def load_embeddings_text(path, token_to_id: dict[str, int], matrix: np.ndarray) 
         if not np.isfinite(vec).all():
             raise DataFormatError(f"{path}:{ln}: non-finite value for '{token}'")
         matrix[idx] = vec
-        loaded += 1
-    return loaded
+    return len(seen)
 
 
 def generate_synthetic(spec: SynthSpec) -> tuple[RawCorpus, list[tuple[str, str, str, int]]]:

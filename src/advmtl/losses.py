@@ -9,31 +9,40 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Node, Tensor
+from .autodiff import Node
 from .errors import ConfigError, ShapeError
 
 
-def onehot(index, size: int) -> Tensor:
-    """One-hot vector of ``index``, or one row per entry of a sequence of indices."""
-    idx = np.asarray(index, dtype=np.intp)
-    if np.any(idx < 0) or np.any(idx >= size):
-        raise ConfigError(f"one-hot index {index} out of range for size {size}")
-    return np.eye(size)[idx]
+def cross_entropy(probs: Node, labels) -> Node:
+    """-log p[label] of one sample, or its mean over the rows of a batch, as one tape node.
 
-
-def cross_entropy(probs: Node, target) -> Node:
-    """-sum(y * log(p)) of one sample, or its mean over the rows of a batch.
-
-    The log is clamped at 1e-12.
+    ``probs`` is a probability vector with a scalar label, or a ``[B, C]``
+    matrix with one label per row. The value is ``-(1/rows)`` times the sum
+    of a ``[B, C]`` array that holds ``log p[r, y_r]`` at the label entries
+    and zero elsewhere; the vjp of ``g`` is ``(g * -(1/rows)) / p[r, y_r]``
+    at the label entries. Both are exact while every ``p[r, y_r]`` is a
+    normal float.
     """
-    t = target if isinstance(target, Node) else probs.tape.constant(target)
-    if t.value.shape != probs.value.shape:
+    p = probs.value
+    y = np.asarray(labels, dtype=np.intp)
+    if p.ndim not in (1, 2) or y.shape != p.shape[:-1]:
         raise ShapeError(
-            f"cross_entropy: target shape {t.value.shape} does not match "
-            f"probs shape {probs.value.shape}")
-    rows = probs.value.shape[0] if probs.value.ndim == 2 else 1
-    return ad.scale(ad.sum_all(ad.mul(t, ad.log(probs))), -1.0 / rows)
+            f"cross_entropy: labels of shape {y.shape} do not match probs of shape {p.shape}")
+    if np.any(y < 0) or np.any(y >= p.shape[-1]):
+        raise ConfigError(
+            f"cross_entropy: label {labels} out of range for {p.shape[-1]} classes")
+    at = (np.arange(len(y)), y) if p.ndim == 2 else y
+    c = -1.0 / y.size  # y.size is the row count, 1 for one sample
+    terms = np.zeros_like(p)  # the full array: a sum of only the B label terms rounds otherwise
+    terms[at] = np.log(p[at])
+
+    def vjp(g):
+        gc = g * c
+        out = np.full(p.shape, gc * 0.0)  # zeros signed as gc, like the gc * 0 / p of a one-hot
+        out[at] = gc / p[at]
+        return (out,)
+
+    return probs.tape.record(np.asarray(terms.sum() * c), (probs,), vjp)
 
 
 def diff_loss(S: Node, H: Node) -> Node:

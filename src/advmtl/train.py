@@ -176,13 +176,11 @@ def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
     task = None if batch.is_unlabeled else batch.task
     res = M.forward_batch(tape, bound, config, batch.sequences, task,
                           rev_spec=rev, want_disc=adversarial)
-    l_adv = (L.cross_entropy(res.disc_probs, L.onehot([batch.task] * len(batch),
-                                                      config.n_tasks))
+    l_adv = (L.cross_entropy(res.disc_probs, [batch.task] * len(batch))
              if adversarial else None)
     if batch.is_unlabeled:
         return None, l_adv, None
-    l_ce = L.cross_entropy(res.class_probs,
-                           L.onehot(batch.labels, config.classes[batch.task]))
+    l_ce = L.cross_entropy(res.class_probs, batch.labels)
     l_diff = None
     if adversarial:
         S, H = res.s_T, res.h_T
@@ -301,10 +299,6 @@ def _dev_stats(params: M.ModelParams, config: M.ModelConfig,
     """Per-task dev error and (for adversarial models) dev discriminator accuracy."""
     errors, disc_accs = [], []
     for k, ds in enumerate(tasks):
-        if not ds.dev:
-            errors.append(0.0)
-            disc_accs.append(0.0)
-            continue
         pred, disc = _predictions(params, config, ds.dev, k)
         wrong = int(np.count_nonzero(pred != [ex.label for ex in ds.dev]))
         errors.append(wrong / len(ds.dev))
@@ -317,8 +311,10 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
                     cfg: TrainConfig) -> tuple[M.ModelParams, TrainHistory]:
     """Joint min-max training; returns the best-dev checkpoint and history.
 
-    On divergence (non-finite loss or gradient) training stops and the
-    best checkpoint so far is returned with ``history.diverged`` set.
+    A task with an empty dev split raises :class:`InputError` before the
+    first step. On divergence (non-finite loss or gradient) training
+    stops and the best checkpoint so far is returned with
+    ``history.diverged`` set.
     """
     tasks = []
     for k, name in enumerate(config.task_names):
@@ -334,6 +330,9 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
         missing = [k for k in range(config.n_tasks) if k not in cfg.alpha]
         if missing:
             raise ConfigError(f"alpha: no task weight for task {missing[0]}")
+    for ds in tasks:
+        if not ds.dev:  # early stopping would read its error as 0
+            raise InputError(f"task '{ds.name}': empty dev split")
     use_unlabeled = (cfg.use_unlabeled and config.has_discriminator)
     batcher = TaskBatcher(tasks, cfg.batch_size, cfg.seed, cfg.unlabeled_ratio)
     history = TrainHistory()

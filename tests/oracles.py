@@ -15,6 +15,9 @@ gradients; the new rule is checked bitwise against it.
 :class:`EagerTaskBatcher` builds each pass's batches as a list and refills
 a task's stream by hand when it runs dry; the generator streams of
 ``data.TaskBatcher`` are checked against it.
+:func:`cross_entropy_composed` is the cross-entropy as the five-node
+chain ``losses.cross_entropy`` replaced, with an unclamped log; the one
+node is checked bitwise against it.
 :func:`generate_synthetic_scalar` is the synthetic corpus generator that
 calls ``Generator.random()`` and ``Generator.integers`` once per value;
 ``data.generate_synthetic``, which rebuilds those values from PCG64's raw
@@ -89,12 +92,27 @@ def softmax_direct(logits):
     return np.array([v / s for v in e])
 
 
-def cross_entropy_scalar(probs, onehot):
-    total = 0.0
-    for p, y in zip(probs, onehot):
-        if y != 0.0:
-            total -= y * math.log(max(p, 1e-12))
-    return total
+def cross_entropy_scalar(probs, label):
+    return -math.log(probs[label])
+
+
+def log_node(a):
+    """Natural log as a tape node, with no clamp."""
+    v = a.value
+    return a.tape.record(np.log(v), (a,), lambda g: (g / v,))
+
+
+def cross_entropy_composed(probs, labels):
+    """``losses.cross_entropy`` as the chain of five nodes it replaced.
+
+    A one-hot constant, the log, their product, the sum and the scale by
+    ``-1/rows``; with ``log_node`` in place of the old clamped log, the two
+    agree wherever no probability is below 1e-12.
+    """
+    p = probs.value
+    rows = p.shape[0] if p.ndim == 2 else 1
+    onehot = probs.tape.constant(np.eye(p.shape[-1])[labels])
+    return ad.scale(ad.sum_all(ad.mul(onehot, log_node(probs))), -1.0 / rows)
 
 
 def frobenius_sq_loops(S, H):
@@ -277,8 +295,6 @@ def batch_terms(tape, bound, config, batch, cfg):
     """
     adversarial = config.has_discriminator
     rev = GradReversalSpec(cfg.adv_weight) if adversarial else None
-    n_classes = config.classes[batch.task]
-    task_target = L.onehot(batch.task, config.n_tasks) if adversarial else None
     ce_nodes, adv_nodes, diff_nodes = [], [], []
     finals = []
     if batch.is_unlabeled:
@@ -288,14 +304,14 @@ def batch_terms(tape, bound, config, batch, cfg):
             res = M.forward_batch(tape, bound, config, [seq], None, want_disc=False)
             disc_probs = M.discriminate(ad.gradient_reversal(ad.row(res.s_T, 0), rev),
                                         bound["disc.W"], bound["disc.b"])
-            adv_nodes.append(L.cross_entropy(disc_probs, task_target))
+            adv_nodes.append(L.cross_entropy(disc_probs, batch.task))
         return None, _mean(adv_nodes), None
     for seq, label in zip(batch.sequences, batch.labels):
         res = M.forward(tape, bound, config, seq, batch.task,
                         rev_spec=rev, want_disc=adversarial)
-        ce_nodes.append(L.cross_entropy(res.class_probs, L.onehot(label, n_classes)))
+        ce_nodes.append(L.cross_entropy(res.class_probs, label))
         if adversarial:
-            adv_nodes.append(L.cross_entropy(res.disc_probs, task_target))
+            adv_nodes.append(L.cross_entropy(res.disc_probs, batch.task))
             if cfg.diff_mode == "sentence":
                 diff_nodes.append(L.diff_loss(res.S, res.H))
             else:

@@ -225,6 +225,17 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "vectors.txt:1" in err and f"'{token}'" in err
 
+    def test_empty_dev_split_exits_2(self, corpus_dir, tmp_path, capsys):
+        data = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, data)
+        for task in ("task00", "task01"):
+            (data / task / "dev.tsv").write_text("")
+        rc = cli.main(["train", "--scheme", "sp", "--data", str(data), "--out",
+                       str(tmp_path / "x"), "--max-epochs", "6", "--patience", "2"])
+        assert rc == 2
+        assert "task 'task00': empty dev split" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "checkpoint.bin").exists()
+
     def test_missing_data_exits_2(self, tmp_path):
         rc = cli.main(["train", "--scheme", "fs", "--data",
                        str(tmp_path / "nowhere"), "--out", str(tmp_path / "x")])

@@ -25,47 +25,40 @@ def rand_probs(rng, n):
 class TestCrossEntropy:
     def test_perfect_prediction_is_zero(self):
         t = Tape()
-        onehot = np.array([0.0, 1.0, 0.0])
-        out = L.cross_entropy(t.constant(onehot), onehot)
+        out = L.cross_entropy(t.constant([0.0, 1.0, 0.0]), 1)
         assert float(out.value) == 0.0
 
     def test_uniform_two_classes(self):
         t = Tape()
-        out = L.cross_entropy(t.constant([0.5, 0.5]), np.array([1.0, 0.0]))
+        out = L.cross_entropy(t.constant([0.5, 0.5]), 0)
         assert abs(float(out.value) - math.log(2.0)) < 1e-12
 
     def test_batch_mean_equals_per_sample_oracle(self):
         rng = np.random.default_rng(8)
         probs = [rand_probs(rng, 3) for _ in range(4)]
-        targets = [L.onehot(int(rng.integers(3)), 3) for _ in range(4)]
+        labels = [int(rng.integers(3)) for _ in range(4)]
         t = Tape()
-        batch = L.cross_entropy(t.constant(np.array(probs)), np.array(targets))
+        batch = L.cross_entropy(t.constant(np.array(probs)), labels)
         expected = np.mean([oracles.cross_entropy_scalar(p, y)
-                            for p, y in zip(probs, targets)])
+                            for p, y in zip(probs, labels)])
         assert abs(float(batch.value) - expected) < 1e-12
-
-    def test_zero_probability_clamped_not_crash(self):
-        t = Tape()
-        out = L.cross_entropy(t.constant([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert float(out.value) == -math.log(1e-12)
-        assert t.clamp_events == 1
 
     def test_nonnegative_and_zero_only_at_match(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             p = rand_probs(rng, 4)
-            y = L.onehot(int(rng.integers(4)), 4)
+            y = int(rng.integers(4))
             t = Tape()
             val = float(L.cross_entropy(t.constant(p), y).value)
             assert val >= 0.0
-            if not np.array_equal(p, y):
+            if not np.array_equal(p, np.eye(4)[y]):
                 assert val > 0.0
 
 
-def adversarial_ce(s, task, n_tasks, disc_W, disc_b, spec):
+def adversarial_ce(s, task, disc_W, disc_b, spec):
     """The training step's adversarial term for one sentence."""
     probs = M.discriminate(ad.gradient_reversal(s, spec), disc_W, disc_b)
-    return L.cross_entropy(probs, L.onehot(task, n_tasks))
+    return L.cross_entropy(probs, task)
 
 
 class TestTaskLoss:
@@ -109,7 +102,7 @@ class TestAdversarialLoss:
     def test_uniform_discriminator_gives_log_k(self):
         t = Tape()
         for s in ([1.0, -2.0, 0.3], [0.0, 0.0, 0.0]):
-            out = adversarial_ce(t.constant(np.array(s)), task=2, n_tasks=4,
+            out = adversarial_ce(t.constant(np.array(s)), task=2,
                                  disc_W=t.leaf(np.zeros((4, 3))),
                                  disc_b=t.leaf(np.zeros(4)),
                                  spec=GradReversalSpec(1.0))
@@ -122,7 +115,7 @@ class TestAdversarialLoss:
                           hidden_size=3, embed_size=3, vocab_size=4)
         t = Tape()
         with pytest.raises(ConfigError):
-            adversarial_ce(t.constant(np.zeros(3)), 1, 1,
+            adversarial_ce(t.constant(np.zeros(3)), 1,
                            t.leaf(np.zeros((1, 3))), t.leaf(np.zeros(1)),
                            GradReversalSpec(1.0))
 
@@ -140,9 +133,9 @@ class TestAdversarialLoss:
             s = t.leaf(s_val)
             if spec is None:
                 probs = M.discriminate(s, t.constant(U), t.constant(bD))
-                out = L.cross_entropy(probs, L.onehot(1, K))
+                out = L.cross_entropy(probs, 1)
             else:
-                out = adversarial_ce(s, 1, K, t.constant(U), t.constant(bD), spec)
+                out = adversarial_ce(s, 1, t.constant(U), t.constant(bD), spec)
             return ad.backward(t, out)[s.idx]
 
         reversed_g = encoder_grad(GradReversalSpec(lam))
@@ -249,19 +242,77 @@ class TestBatchedDiffLoss:
 
 
 class TestBatchedCrossEntropy:
-    def test_onehot_rows(self):
-        npt.assert_array_equal(L.onehot([2, 0], 3), [[0, 0, 1], [1, 0, 0]])
-        with pytest.raises(ConfigError):
-            L.onehot([0, 3], 3)
-
     def test_gradient_is_the_mean_of_the_rows(self):
         rng = np.random.default_rng(9)
         P = np.array([rand_probs(rng, 3) for _ in range(4)])
-        Y = L.onehot([0, 2, 1, 2], 3)
+        labels = [0, 2, 1, 2]
+        Y = np.eye(3)[labels]
         t = Tape()
         p = t.leaf(P)
-        g = ad.backward(t, L.cross_entropy(p, Y))[p.idx]
+        g = ad.backward(t, L.cross_entropy(p, labels))[p.idx]
         npt.assert_allclose(g, -Y / P / 4, rtol=1e-15, atol=0)
+
+    def test_one_tape_node(self):
+        t = Tape()
+        p = t.leaf(np.array([[0.25, 0.75], [0.5, 0.5]]))
+        before = len(t)
+        L.cross_entropy(p, [1, 0])
+        assert len(t) == before + 1
+
+    @pytest.mark.parametrize("rows, labels, err", [
+        (2, [0, -1], ConfigError), (2, [0, 3], ConfigError), (2, [0, 1, 2], ShapeError),
+        (2, [1], ShapeError), (2, 1, ShapeError),
+        (None, -1, ConfigError), (None, 3, ConfigError), (None, [0], ShapeError)])
+    def test_bad_labels_rejected(self, rows, labels, err):
+        # a negative label would wrap under numpy indexing
+        t = Tape()
+        probs = np.full(3 if rows is None else (rows, 3), 1 / 3)
+        with pytest.raises(err):
+            L.cross_entropy(t.constant(probs), labels)
+
+    @pytest.mark.parametrize("gap", [27.0, 30.0, 40.0, 60.0, 700.0])
+    def test_exact_at_large_logit_gaps(self, gap):
+        # the true class trails by `gap`; the exact gradient is p - onehot
+        t = Tape()
+        z = t.leaf(np.array([[gap, 0.0]]))
+        p = ad.softmax(z)
+        out = L.cross_entropy(p, [1])
+        assert np.isfinite(out.value) and abs(float(out.value) - gap) < 1e-12 * gap
+        g = ad.backward(t, out)[z.idx]
+        npt.assert_allclose(g, p.value - [[0.0, 1.0]], rtol=0, atol=1e-12)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 5), st.integers(2, 5),
+           st.booleans(), st.sampled_from([1.0, 0.0, 0.3, 2.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_the_composed_chain(self, seed, rows, C, batched, alpha):
+        # logits within 20 of each other keep every probability above 1e-12
+        rng = np.random.default_rng(seed)
+        Z = rng.uniform(-10.0, 10.0, (rows, C) if batched else C)
+        labels = rng.integers(C, size=rows) if batched else int(rng.integers(C))
+
+        def run(ce, on_logits):
+            t = Tape()
+            z = t.leaf(Z if on_logits else ad._softmax(Z))
+            out = ce(ad.softmax(z) if on_logits else z, labels)
+            g = ad.backward(t, ad.scale(out, alpha))[z.idx]
+            return np.asarray(out.value).tobytes(), g.tobytes()
+
+        for on_logits in (True, False):
+            assert run(L.cross_entropy, on_logits) == run(oracles.cross_entropy_composed,
+                                                         on_logits)
+
+    def test_softmax_then_cross_entropy_matches_finite_differences(self):
+        rng = np.random.default_rng(10)
+        for z0, labels in ((rng.normal(size=(3, 4)), [0, 3, 1]), (rng.normal(size=4), 2)):
+            def loss_fn(p, with_grads):
+                t = Tape()
+                z = t.leaf(p["z"])
+                out = L.cross_entropy(ad.softmax(z), labels)
+                if not with_grads:
+                    return float(out.value), None
+                return float(out.value), {"z": ad.backward(t, out)[z.idx]}
+
+            assert ad.finite_difference_check(loss_fn, {"z": z0}, 1e-5) < 1e-6
 
 
 class TestTotalLoss:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advmtl import autodiff as ad
+from advmtl import losses as L
 from advmtl import models as M
 from advmtl.autodiff import GradReversalSpec, Tape
 from advmtl.errors import ConfigError, InputError, ShapeError
@@ -247,7 +248,7 @@ class TestTransfer:
         tape = Tape()
         bound = params.bind(tape)
         res = M.forward(tape, bound, cfg, [1, 2], task=0)
-        loss = ad.sum_all(ad.log(res.class_probs))
+        loss = L.cross_entropy(res.class_probs, 0)
         grads = ad.backward(tape, loss)
         leaf_names = {n for n, node in bound.items() if node.idx in grads and node.is_leaf}
         assert "shared.W" not in leaf_names and "shared.b" not in leaf_names

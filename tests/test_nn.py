@@ -465,17 +465,25 @@ class TestEmbeddings:
                 return True
 
         matrix = np.zeros((len(vocab), dim))
-        if any(tok in vocab and bad(vals) for tok, vals in lines):
+        known = [(tok, vals) for tok, vals in lines if tok in vocab]
+        if (any(bad(vals) for _, vals in known)
+                or len({tok for tok, _ in known}) < len(known)):  # a known token repeats
             with pytest.raises(DataFormatError):
                 D.load_embeddings_text(path, vocab, matrix)
             return
-        known = [(tok, vals) for tok, vals in lines if tok in vocab]
         assert D.load_embeddings_text(path, vocab, matrix) == len(known)
         want = np.zeros_like(matrix)
-        for tok, vals in known:  # a later line of a token wins
+        for tok, vals in known:
             want[vocab[tok]] = [float(v) for v in vals]
         assert np.isfinite(matrix).all()
         assert matrix.tobytes() == want.tobytes()
+
+    def test_load_embeddings_repeated_token(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("a 1 2\nzebra 0 0\nb 3 4\nzebra 0 0\na 5 6\n")
+        matrix = np.zeros((2, 2))
+        with pytest.raises(DataFormatError, match="vecs.txt:5: 'a' .*line 1"):
+            D.load_embeddings_text(path, {"a": 0, "b": 1}, matrix)
 
     def test_load_embeddings_bad_width(self, tmp_path):
         path = tmp_path / "vecs.txt"

@@ -458,8 +458,8 @@ class TestTrainingLoop:
             assert arr.tobytes() == at_best.named_tensors()[name].tobytes(), name
 
     def test_divergence_aborts_retaining_checkpoint(self):
-        # saturating gates and the clamped log keep honest runs finite, so
-        # inject the NaN directly (e.g. a corrupted warm-start checkpoint)
+        # saturating gates keep honest runs finite, so inject the NaN
+        # directly (e.g. a corrupted warm-start checkpoint)
         ds = toy_task()
         params, config = toy_model()
         params.tensors["shared.W"][0, 0] = np.nan
@@ -467,6 +467,37 @@ class TestTrainingLoop:
         best, hist = T.train_multitask(params, config, {"toy": ds}, cfg)
         assert hist.diverged
         assert hist.records == [] and hist.best_epoch == -1
+
+    @staticmethod
+    def _trailing_by(gap):
+        """A one-sentence batch whose true class trails the other by about ``gap`` logits."""
+        params, config = toy_model()
+        params.tensors["head.0.b"][:] = [gap, 0.0]
+        return params, config, D.Batch(task=0, sequences=[[2, 3, 4]], labels=[1])
+
+    def test_logit_gap_past_the_float_range_is_a_non_finite_loss(self):
+        # exp(-1000) is 0, so the true class's log-probability is -inf
+        params, config, batch = self._trailing_by(1000.0)
+        with np.errstate(divide="ignore"), pytest.raises(NumericError, match="not finite"):
+            T._batch_grads(params, config, batch, T.TrainConfig(seed=0))
+
+    def test_subnormal_true_class_probability_is_a_non_finite_gradient(self):
+        # exp(-740) is subnormal: the loss is finite, 1 / p overflows
+        params, config, batch = self._trailing_by(740.0)
+        cfg = T.TrainConfig(seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (l_ce, _, _), grads = T._batch_grads(params, config, batch, cfg)
+            assert np.isfinite(l_ce)
+            with pytest.raises(NumericError, match="non-finite gradient"):
+                T.sgd_step(params, grads, cfg.learning_rate, cfg.clip_norm)
+
+    def test_empty_dev_split_rejected_before_the_first_step(self):
+        ds = toy_task(n_dev=0)
+        params, config = toy_model()
+        before = {n: a.tobytes() for n, a in params.named_tensors().items()}
+        with pytest.raises(InputError, match="task 'toy': empty dev split"):
+            T.train_multitask(params, config, {"toy": ds}, T.TrainConfig(seed=0))
+        assert {n: a.tobytes() for n, a in params.named_tensors().items()} == before
 
     def test_nan_loss_raises_numeric_error(self):
         from advmtl.train import _train_one_batch
@@ -618,14 +649,15 @@ class TestGridSearch:
             npt.assert_array_equal(a, result.best_params.named_tensors()[n])
 
     def test_hopeless_cell_loses(self):
-        # an absurd learning rate saturates the model near chance; the
-        # selection rule must pick the sane cell
+        # an absurd learning rate gives a true class probability 0, so that
+        # cell diverges (-log 0 is inf); the selection rule must pick the sane cell
         ds = toy_task()
         base = T.TrainConfig(learning_rate=0.3, max_epochs=3, patience=3, seed=2,
                              clip_norm=1e12)
         params, config = toy_model(seed=5)
-        result = T.grid_search(params, config, {"toy": ds},
-                               {"learning_rate": [1e9, 0.3]}, base)
+        with np.errstate(divide="ignore"):
+            result = T.grid_search(params, config, {"toy": ds},
+                                   {"learning_rate": [1e9, 0.3]}, base)
         assert result.best_index == 1
         assert result.cells[1][1] < result.cells[0][1]
 
@@ -668,9 +700,11 @@ class TestNoCycleCollectorNeeded:
         base = T.TrainConfig(learning_rate=0.3, max_epochs=3, patience=3, seed=2,
                              clip_norm=1e12)
         ds = toy_task()
-        # the hopeless first cell is best until the second; the third ties the second
-        result = T.grid_search(*toy_model(seed=5), {"toy": ds},
-                               {"learning_rate": [1e9, 0.3, 0.3, 1e9]}, base)
+        # the hopeless first cell (it diverges) is best until the second;
+        # the third ties the second
+        with np.errstate(divide="ignore"):
+            result = T.grid_search(*toy_model(seed=5), {"toy": ds},
+                                   {"learning_rate": [1e9, 0.3, 0.3, 1e9]}, base)
         assert result.best_index == 1
         assert result.cells[2][1] == result.cells[1][1] < result.cells[0][1]
         assert started == [0, 1, 1, 1]  # each cell trains beside the best one so far
