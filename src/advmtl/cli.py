@@ -2,13 +2,17 @@
 
 Configuration comes from four layers, later ones winning: built-in
 defaults, a flat ``key = value`` config file, ``ADVMTL_<KEY>`` environment
-variables, command-line flags. Every command writes a ``manifest.json``
-recording the resolved configuration, input content hashes, output
-paths and the numeric environment, plus a ``config.resolved.cfg`` that
-reproduces the run when passed back through ``--config``.
+variables, command-line flags. A command returns a :class:`Run`: the
+settings it read, its inputs, the files it wrote (each written through
+the record) and its exit code. ``main`` times the call and writes the
+``manifest.json`` of that record: the settings, input content hashes,
+output paths and the numeric environment. ``train`` also writes a
+``config.resolved.cfg`` that reproduces the run when passed back through
+``--config``.
 
-Exit codes: 0 ok, 2 missing/unreadable input, 3 config validation,
-4 checkpoint/data incompatibility, 5 numeric divergence.
+Exit codes: 0 ok, 2 missing/unreadable input (and any other package
+error), 3 config validation, 4 checkpoint/data incompatibility,
+5 numeric divergence.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ import numpy as np
 from . import data as D
 from . import models as M
 from . import train as T
-from .errors import (AdvMtlError, ConfigError, ContractError, DataFormatError,
-                     InputError, NumericError, ShapeError)
+from .errors import AdvMtlError, ConfigError, InputError, NumericError
 
 ENV_PREFIX = "ADVMTL_"
 
@@ -82,14 +85,16 @@ CONFIG_KEYS: dict[str, tuple] = {
 }
 
 GRID_KEYS = ("learning_rate", "lambda", "gamma")  # the settings --grid sweeps
-ASP_ONLY_KEYS = ("lambda", "gamma", "unlabeled")  # settings only the asp scheme reads
+# settings only the asp scheme reads
+ASP_ONLY_KEYS = ("lambda", "gamma", "unlabeled", "unlabeled_ratio", "diff_mode", "alternating")
 
 # The settings ``transfer`` reads: its five flags, then three it takes only
 # from a config file or the environment.
 TRANSFER_KEYS = ("seed", "learning_rate", "max_epochs", "patience", "batch_size",
                  "clip_norm", "swap_dev_test", "max_len")
 # The settings that rebuild a model's corpus: ``train`` stores them in the
-# checkpoint's ``extra`` and ``eval``/``dump-activations`` restore them.
+# checkpoint's ``extra``, ``transfer`` in each of its checkpoints', and
+# ``eval``/``dump-activations`` read only these.
 RELOAD_KEYS = ("seed", "swap_dev_test", "max_len")
 
 
@@ -140,14 +145,18 @@ def resolve_config(file_values: dict[str, str], flag_values: dict[str, object],
     return resolved
 
 
-def validate_train_config(cfg: dict) -> None:
+def validate_train_config(cfg: dict) -> T.TrainConfig:
+    """Check every setting that needs no corpus; return the ``TrainConfig`` they declare.
+
+    Only the number of ``alpha`` weights waits for the corpus.
+    """
     scheme = cfg.get("scheme")
     if scheme not in M.SCHEMES:
         raise ConfigError(f"scheme: must be one of {M.SCHEMES}, got {scheme!r}")
     grid = _parse_grid(cfg["grid"]) if cfg["grid"] else {}
     if scheme != "asp":
-        for key in ASP_ONLY_KEYS:  # unset they read None or false, and 0 is off too
-            if cfg[key] or CONFIG_KEYS[key][2] in grid:
+        for key in ASP_ONLY_KEYS:  # unset (None), off (false, 0) or the default is no setting
+            if cfg[key] not in (None, False, CONFIG_KEYS[key][1]) or CONFIG_KEYS[key][2] in grid:
                 raise ConfigError(
                     f"{key}: only meaningful for the adversarial scheme, not '{scheme}'")
     if cfg["lambda"] is None:
@@ -158,12 +167,13 @@ def validate_train_config(cfg: dict) -> None:
     for key in ("hidden_size", "embed_size", "jobs"):
         if cfg[key] < 1:
             raise ConfigError(f"{key}: must be >= 1, got {cfg[key]}")
-    base = _train_config(cfg)
+    base = _train_config(cfg, _parse_alpha(cfg["alpha"]))
     for combo in itertools.product(*grid.values()):
         try:
             dataclasses.replace(base, **dict(zip(grid, combo)))
         except ConfigError as exc:
             raise ConfigError(f"grid: {exc}") from None
+    return base
 
 
 def _train_config(cfg: dict, alpha=None) -> T.TrainConfig:
@@ -213,36 +223,59 @@ def run_environment() -> dict:
             "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
 
 
-def write_manifest(out_dir, command: str, cfg: dict, inputs: dict[str, str],
-                   outputs: list[str], started: float) -> str:
+@dataclasses.dataclass
+class Run:
+    """What one command read and wrote, and its exit code.
+
+    Every output file goes through :meth:`path` (or :meth:`write`), which
+    creates its directory and lists it, so ``outputs`` is the files the
+    command wrote. ``config`` is the settings it read and ``inputs`` the
+    paths it read. With ``out`` None nothing is written, no manifest either.
+    """
+    out: str | None
+    config: dict
+    inputs: list
+    outputs: list = dataclasses.field(default_factory=list)
+    code: int = EXIT_OK
+
+    def path(self, name: str) -> str:
+        path = os.path.join(self.out, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        self.outputs.append(path)
+        return path
+
+    def write(self, name: str, text: str) -> str:
+        path = self.path(name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return path
+
+
+def write_manifest(run: Run, command: str, started: float) -> None:
     manifest = {
         "command": command,
         "environment": run_environment(),
-        "config": cfg,
-        "seed": cfg.get("seed"),
-        "input_hashes": {path: sha256_tree(path) for path in inputs.values()
+        "config": run.config,
+        "seed": run.config.get("seed"),
+        "input_hashes": {path: sha256_tree(path) for path in run.inputs
                          if path and os.path.exists(path)},
-        "outputs": sorted(outputs),
+        "outputs": sorted(run.outputs),
         "duration_sec": round(time.time() - started, 3),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(run.out, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
-def write_resolved_config(out_dir, cfg: dict) -> str:
-    path = os.path.join(out_dir, "config.resolved.cfg")
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in CONFIG_KEYS:
-            value = cfg.get(key)
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            fh.write(f"{key} = {value}\n")
-    return path
+def resolved_config(cfg: dict) -> str:
+    """The ``key = value`` lines that replay ``cfg`` through ``--config``."""
+    lines = []
+    for key, value in cfg.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        if value is not None:
+            lines.append(f"{key} = {value}\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +297,13 @@ def _load_datasets(cfg: dict, data_root):
     return datasets, vocab
 
 
+def _nonempty_split(ds: D.TaskDataset, split: str):
+    examples = ds.split(split)
+    if not examples:
+        raise InputError(f"task '{ds.name}': empty {split} split")
+    return examples
+
+
 def _model_config(cfg: dict, datasets, vocab) -> M.ModelConfig:
     names = tuple(sorted(datasets))
     return M.ModelConfig(scheme=cfg["scheme"], task_names=names,
@@ -272,14 +312,12 @@ def _model_config(cfg: dict, datasets, vocab) -> M.ModelConfig:
                          embed_size=cfg["embed_size"], vocab_size=len(vocab))
 
 
-def _parse_alpha(cfg: dict, n_tasks: int):
-    if cfg["alpha"] is None:
+def _parse_alpha(text: str | None):
+    """Task weights by task index from a comma-separated list, or None."""
+    if text is None:
         return None
-    parts = [p for p in cfg["alpha"].split(",") if p.strip()]
-    if len(parts) != n_tasks:
-        raise ConfigError(f"alpha: expected {n_tasks} weights, got {len(parts)}")
     try:
-        return {k: float(p) for k, p in enumerate(parts)}
+        return {k: float(p) for k, p in enumerate(p for p in text.split(",") if p.strip())}
     except ValueError as exc:
         raise ConfigError(f"alpha: {exc}") from None
 
@@ -318,18 +356,18 @@ def _error_table(rows: list) -> str:
     return table
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+def cmd_train(args) -> Run:
     cfg = resolve_config(parse_flat_config(args.config) if args.config else {},
                          vars(args))
-    validate_train_config(cfg)
+    train_cfg = validate_train_config(cfg)
     datasets, vocab = _load_datasets(cfg, args.data)
     for name, ds in datasets.items():
         c = ds.counts()
         print(f"task {name}: train={c['train']} dev={c['dev']} "
               f"test={c['test']} unlabeled={c['unlabeled']}")
     config = _model_config(cfg, datasets, vocab)
-    alpha = _parse_alpha(cfg, config.n_tasks)
+    if train_cfg.alpha is not None and len(train_cfg.alpha) != config.n_tasks:
+        raise ConfigError(f"alpha: expected {config.n_tasks} weights, got {len(train_cfg.alpha)}")
     params = M.init_model(config, seed=cfg["seed"],
                           freeze_embeddings=cfg["freeze_embeddings"])
     if cfg["embeddings"]:
@@ -337,8 +375,7 @@ def cmd_train(args) -> int:
         loaded = D.load_embeddings_text(cfg["embeddings"], vocab.token_to_id,
                                         params.tensors["embeddings"])
         print(f"embeddings: loaded {loaded} of {len(vocab)} rows")
-    train_cfg = _train_config(cfg, alpha)
-    os.makedirs(args.out, exist_ok=True)
+    run = Run(args.out, cfg, [args.data, args.config, cfg["embeddings"]])
 
     if cfg["grid"]:
         result = T.grid_search(params, config, datasets, _parse_grid(cfg["grid"]), train_cfg,
@@ -347,33 +384,25 @@ def cmd_train(args) -> int:
         grid_rows = ["cell,mean_dev_error," + ",".join(result.cells[0][0])]
         for i, (cell, err) in enumerate(result.cells):
             grid_rows.append(f"{i},{err!r}," + ",".join(repr(v) for v in cell.values()))
-        with open(os.path.join(args.out, "grid.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(grid_rows) + "\n")
+        run.write("grid.csv", "\n".join(grid_rows) + "\n")
         print(f"grid: best cell {result.best_index} -> "
               f"{result.cells[result.best_index][0]}")
     else:
         best, history = T.train_multitask(params, config, datasets, train_cfg)
 
-    ckpt = os.path.join(args.out, "checkpoint.bin")
-    hist_path = os.path.join(args.out, "history.csv")
-    M.save_checkpoint(ckpt, best, config,
+    M.save_checkpoint(run.path("checkpoint.bin"), best, config,
                       extra={"vocab_sha256": vocab.sha256(),
                              **{key: cfg[key] for key in RELOAD_KEYS}})
-    history.to_csv(hist_path)
-    resolved = write_resolved_config(args.out, cfg)
-    outputs = [ckpt, hist_path, resolved]
-    write_manifest(args.out, "train", cfg,
-                   {"data": args.data, "config": args.config or "",
-                    "embeddings": cfg["embeddings"] or ""},
-                   outputs, started)
+    history.to_csv(run.path("history.csv"))
+    run.write("config.resolved.cfg", resolved_config(cfg))
     if history.best_epoch >= 0:
         print(f"best epoch {history.best_epoch}: "
               f"mean dev error {history.mean_dev_error(history.best_epoch):.4f}")
     if history.diverged:
         print("training diverged; best checkpoint before divergence retained",
               file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+        run.code = EXIT_NUMERIC
+    return run
 
 
 def _check_compat(config: M.ModelConfig, datasets, vocab, extra: dict) -> None:
@@ -392,45 +421,34 @@ def _check_compat(config: M.ModelConfig, datasets, vocab, extra: dict) -> None:
 
 
 def _reload(args):
-    """Checkpoint, resolved config and corpus for eval and dump-activations.
+    """Checkpoint, corpus and run record for eval and dump-activations.
 
-    The corpus is read with the ``RELOAD_KEYS`` settings the checkpoint was
-    trained with, so it rebuilds the same splits and vocabulary; config
-    values are only the fallback for older checkpoints.
+    They read only the ``RELOAD_KEYS`` settings, and the values stored in
+    the checkpoint win, so the corpus is rebuilt with the splits and
+    vocabulary the model was trained on; resolved values are only the
+    fallback for older checkpoints.
     """
     _require_file(args.checkpoint, "--checkpoint")
     params, config, extra = M.load_checkpoint(args.checkpoint)
-    cfg = resolve_config({}, vars(args))
+    cfg = resolve_config({}, vars(args), keys=RELOAD_KEYS)
     for key in RELOAD_KEYS:
         cfg[key] = extra.get(key, cfg[key])
     datasets, vocab = _load_datasets(cfg, args.data)
     _check_compat(config, datasets, vocab, extra)
-    return params, config, cfg, datasets, vocab
+    return params, config, datasets, vocab, Run(args.out, cfg, [args.checkpoint, args.data])
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
-    params, config, cfg, datasets, _ = _reload(args)
-    rows = [(name, T.evaluate(params, config, datasets[name].split(args.split), k))
+def cmd_eval(args) -> Run:
+    params, config, datasets, _, run = _reload(args)
+    rows = [(name, T.evaluate(params, config, _nonempty_split(datasets[name], args.split), k))
             for k, name in enumerate(config.task_names)]
     table = _error_table(rows)
-    outputs = []
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        table_path = os.path.join(args.out, f"eval_{args.split}.csv")
-        with open(table_path, "w", encoding="utf-8") as fh:
-            fh.write(table)
+        run.write(f"eval_{args.split}.csv", table)
         if args.format == "json":
-            jpath = os.path.join(args.out, f"eval_{args.split}.json")
-            with open(jpath, "w", encoding="utf-8") as fh:
-                json.dump({n: e for n, e in rows}, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            outputs.append(jpath)
-        outputs.append(table_path)
-        write_manifest(args.out, "eval", cfg,
-                       {"data": args.data, "checkpoint": args.checkpoint},
-                       outputs, started)
-    return EXIT_OK
+            run.write(f"eval_{args.split}.json",
+                      json.dumps({n: e for n, e in rows}, indent=2, sort_keys=True) + "\n")
+    return run
 
 
 def _shared_sha256(params: M.ModelParams) -> str:
@@ -439,10 +457,9 @@ def _shared_sha256(params: M.ModelParams) -> str:
     return hashlib.sha256(t["shared.W"].tobytes() + t["shared.b"].tobytes()).hexdigest()
 
 
-def cmd_transfer(args) -> int:
-    started = time.time()
+def cmd_transfer(args) -> Run:
     _require_file(args.checkpoint, "--checkpoint")
-    source_params, source_config, extra = M.load_checkpoint(args.checkpoint)
+    source_params, source_config, _ = M.load_checkpoint(args.checkpoint)
     cfg = resolve_config(parse_flat_config(args.config) if args.config else {},
                          vars(args), keys=TRANSFER_KEYS)
     train_cfg = _train_config(cfg)
@@ -455,10 +472,11 @@ def cmd_transfer(args) -> int:
         targets = sorted(datasets)
     else:
         raise ConfigError("--target or --all-targets: required")
+    for target in targets:  # each target is scored on its test split once trained
+        _nonempty_split(datasets[target], "test")
+    run = Run(args.out, cfg, [args.data, args.checkpoint])
     frozen_before = _shared_sha256(source_params)
     rows = []
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
     for target in targets:
         trained, tconfig, history, err = T.train_transfer(
             source_params, datasets[target], args.mode, train_cfg,
@@ -466,32 +484,22 @@ def cmd_transfer(args) -> int:
         rows.append((target, err))
         if _shared_sha256(trained) != frozen_before:
             raise AdvMtlError("frozen shared layer changed during transfer")
-        ckpt = os.path.join(args.out, f"transfer_{args.mode}_{target}.bin")
-        M.save_checkpoint(ckpt, trained, tconfig,
+        M.save_checkpoint(run.path(f"transfer_{args.mode}_{target}.bin"), trained, tconfig,
                           extra={"vocab_sha256": vocab.sha256(),
                                  "transfer_mode": args.mode,
                                  "source_scheme": source_config.scheme,
                                  "frozen_sha256": frozen_before,
                                  "head_input_size": tconfig.head_input_size,
-                                 "seed": cfg["seed"]})
-        outputs.append(ckpt)
-    table = _error_table(rows)
-    table_path = os.path.join(args.out, f"transfer_{args.mode}.csv")
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write(table)
-    outputs.append(table_path)
-    write_manifest(args.out, "transfer", cfg,
-                   {"data": args.data, "checkpoint": args.checkpoint},
-                   outputs, started)
-    return EXIT_OK
+                                 **{key: cfg[key] for key in RELOAD_KEYS}})
+    run.write(f"transfer_{args.mode}.csv", _error_table(rows))
+    return run
 
 
 SYNTH_KEYS = {**{f.name: type(f.default) for f in dataclasses.fields(D.SynthSpec)},
               "embedding_dim": int, "embedding_scale": float}
 
 
-def cmd_synth(args) -> int:
-    started = time.time()
+def cmd_synth(args) -> Run:
     _require_file(args.spec, "--spec")
     raw_kv = parse_flat_config(args.spec)
     unknown = set(raw_kv) - set(SYNTH_KEYS)
@@ -512,33 +520,25 @@ def cmd_synth(args) -> int:
             f"synth spec key 'embedding_scale': must be finite and >= 0, got {emb_scale}")
     spec = D.SynthSpec(**kv)
     raw, provenance = D.generate_synthetic(spec)
-    os.makedirs(args.out, exist_ok=True)
-    D.write_corpus(args.out, raw, provenance)
-    outputs = [os.path.join(args.out, D.PROVENANCE_FILE)]
-    for name in sorted(raw):
-        outputs.extend(os.path.join(args.out, name, f)
-                       for f in sorted(D.SPLIT_FILES.values()))
+    run = Run(args.out, {"spec": args.spec, "seed": spec.seed}, [args.spec])
+    run.outputs += D.write_corpus(args.out, raw, provenance)
     if emb_dim > 0:
         tokens = sorted({tok for _, task in raw.items() for split in task.splits.values()
                          for toks, _ in split for tok in toks})
         vectors = D.synth_embedding_vectors(tokens, emb_dim, seed=spec.seed,
                                             scale=emb_scale)
-        vec_path = os.path.join(args.out, "vectors.txt")
-        D.write_embeddings_text(vec_path, vectors)
-        outputs.append(vec_path)
-    cfg = {"spec": args.spec, "seed": spec.seed}
-    write_manifest(args.out, "synth", cfg, {"spec": args.spec}, outputs, started)
+        D.write_embeddings_text(run.path("vectors.txt"), vectors)
     for name in sorted(raw):
         c = {s: len(v) for s, v in raw[name].splits.items()}
         print(f"task {name}: train={c['train']} dev={c['dev']} test={c['test']} "
               f"unlabeled={len(raw[name].unlabeled)}")
-    return EXIT_OK
+    return run
 
 
-def cmd_dump_activations(args) -> int:
-    started = time.time()
+def cmd_dump_activations(args) -> Run:
     _require_file(args.sentences, "--sentences")
-    params, config, cfg, _, vocab = _reload(args)
+    params, config, _, vocab, run = _reload(args)
+    run.inputs.append(args.sentences)
     if args.task not in config.task_names:
         raise CompatibilityError(f"task '{args.task}' not in checkpoint tasks")
     task = config.task_names.index(args.task)
@@ -562,19 +562,9 @@ def cmd_dump_activations(args) -> int:
                    + [repr(float(v)) for v in private]
                    + [repr(float(v)) for v in rec["class_probs"]])
             lines.append(",".join(row))
-    table = "\n".join(lines) + "\n"
-    outputs = []
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "activations.csv")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(table)
-    outputs.append(out_path)
-    write_manifest(args.out, "dump-activations", cfg,
-                   {"checkpoint": args.checkpoint, "sentences": args.sentences,
-                    "data": args.data},
-                   outputs, started)
+    out_path = run.write("activations.csv", "\n".join(lines) + "\n")
     print(f"wrote {out_path} ({len(lines) - 1} rows)")
-    return EXIT_OK
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -642,24 +632,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# error class -> exit code; an error takes the code of its nearest listed class
+EXIT_CODES = {ConfigError: EXIT_CONFIG, CompatibilityError: EXIT_COMPAT,
+              NumericError: EXIT_NUMERIC, AdvMtlError: EXIT_IO, OSError: EXIT_IO}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        run = args.func(args)
+        if run.out:
+            write_manifest(run, args.command, started)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CompatibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPAT
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (FileNotFoundError, OSError, DataFormatError, InputError, ShapeError,
-            ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES)
+    return run.code
 
 
 if __name__ == "__main__":

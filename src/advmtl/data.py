@@ -262,25 +262,29 @@ def load_corpus(root, seed: int = 0, swap_dev_test: bool = False,
 
 
 def write_corpus(out_dir, raw: RawCorpus,
-                 provenance: list[tuple[str, str, str, int]] | None = None) -> None:
-    """Write text-level datasets in the loadable directory layout."""
-    os.makedirs(out_dir, exist_ok=True)
+                 provenance: list[tuple[str, str, str, int]] | None = None) -> list[str]:
+    """Write text-level datasets in the loadable directory layout; return the paths written."""
+    written = []
+
+    def write(path, lines):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        written.append(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+
     for name in sorted(raw):
-        task = raw[name]
-        tdir = os.path.join(out_dir, name)
-        os.makedirs(tdir, exist_ok=True)
+        task, tdir = raw[name], os.path.join(out_dir, name)
         for split, fname in SPLIT_FILES.items():
-            with open(os.path.join(tdir, fname), "w", encoding="utf-8") as fh:
-                for tokens, label in task.splits[split]:
-                    fh.write(f"{label}\t{' '.join(tokens)}\n")
+            write(os.path.join(tdir, fname),
+                  (f"{label}\t{' '.join(tokens)}\n" for tokens, label in task.splits[split]))
         if task.unlabeled:
-            with open(os.path.join(tdir, UNLABELED_FILE), "w", encoding="utf-8") as fh:
-                for tokens in task.unlabeled:
-                    fh.write(" ".join(tokens) + "\n")
+            write(os.path.join(tdir, UNLABELED_FILE),
+                  (" ".join(tokens) + "\n" for tokens in task.unlabeled))
     if provenance is not None:
-        with open(os.path.join(out_dir, PROVENANCE_FILE), "w", encoding="utf-8") as fh:
-            for token, kind, task_name, polarity in provenance:
-                fh.write(f"{token}\t{kind}\t{task_name}\t{polarity}\n")
+        write(os.path.join(out_dir, PROVENANCE_FILE),
+              (f"{token}\t{kind}\t{task_name}\t{polarity}\n"
+               for token, kind, task_name, polarity in provenance))
+    return written
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,7 @@ class TrainHistory:
                          f"{opt(r.l_adv)},{opt(r.l_diff)}\n")
 
 
+@np.errstate(all="ignore")  # a non-finite value is reported as a NumericError, not a warning
 def sgd_step(params: M.ModelParams, grads: Mapping[str, Tensor | ad.RowGrad],
              lr: float, clip_norm: float = float("inf")) -> None:
     """Global-norm clipping then an in-place descent step.
@@ -210,6 +211,7 @@ def _combine(tape: Tape, l_ce, l_adv, l_diff, task: int, cfg: TrainConfig) -> ad
     return terms[0] if len(terms) == 1 else ad.add_n(terms)
 
 
+@np.errstate(all="ignore")  # a non-finite value is reported as a NumericError, not a warning
 def _batch_grads(params: M.ModelParams, config: M.ModelConfig, batch: Batch,
                  cfg: TrainConfig) -> tuple[tuple, dict[str, Tensor | ad.RowGrad]]:
     """One batch's term values and its objective's gradients by parameter name.

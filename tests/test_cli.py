@@ -31,6 +31,13 @@ seed = 11
 """
 
 
+def _child_env(**extra):
+    """This process's environment with the package on PYTHONPATH, plus ``extra``."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])), **extra)
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -168,11 +175,21 @@ class TestTrain:
         rc = cli.main(["train", "--scheme", "sp", "--alpha", alpha,
                        "--data", str(corpus_dir), "--out", str(tmp_path / "x")])
         assert rc == 3
-        assert "alpha" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "alpha" in captured.err
+        # only the number of weights waits for the corpus
+        assert "task " not in captured.out
+
+    def test_alpha_count_checked_against_the_corpus(self, corpus_dir, tmp_path, capsys):
+        rc = cli.main(["train", "--scheme", "sp", "--alpha", "1,1,1",
+                       "--data", str(corpus_dir), "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: alpha: expected 2 weights, got 3\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flags,key", [
         (["--scheme", "bogus"], "scheme"),
-        (["--scheme", "sp", "--diff-mode", "bogus"], "diff_mode"),
+        (["--scheme", "asp", "--diff-mode", "bogus"], "diff_mode"),
         (["--scheme", "sp", "--grid", "learning_rate=0.1,x"], "grid"),
         (["--scheme", "asp", "--unlabeled", "--unlabeled-ratio", "-1"], "unlabeled_ratio"),
         (["--scheme", "asp", "--unlabeled", "--unlabeled-ratio", "nan"], "unlabeled_ratio"),
@@ -190,11 +207,15 @@ class TestTrain:
         (["--scheme", "fs", "--embed-size", "-3"], "embed_size"),
         (["--scheme", "asp", "--grid", "learning_rate=0.1,0.2", "--jobs", "0"], "jobs"),
         (["--scheme", "fs", "--jobs", "-2"], "jobs"),
+        (["--scheme", "sp", "--alternating"], "alternating"),
+        (["--scheme", "sp", "--diff-mode", "batch"], "diff_mode"),
+        (["--scheme", "fs", "--unlabeled-ratio", "0.5"], "unlabeled_ratio"),
     ], ids=["scheme", "diff_mode", "grid", "unlabeled_ratio_negative",
             "unlabeled_ratio_nan", "max_len", "clip_norm_nan", "learning_rate_nan",
             "learning_rate_inf", "gamma_nan", "lambda_nan", "grid_learning_rate_nan",
             "grid_gamma_nan", "grid_lambda_fs", "grid_gamma_sp", "hidden_size_zero",
-            "embed_size_negative", "jobs_zero", "jobs_negative"])
+            "embed_size_negative", "jobs_zero", "jobs_negative", "alternating_sp",
+            "diff_mode_sp", "unlabeled_ratio_fs"])
     def test_bad_value_exits_3(self, corpus_dir, tmp_path, capsys, flags, key):
         rc = cli.main(["train", *flags, "--data", str(corpus_dir),
                        "--out", str(tmp_path / "x")])
@@ -306,6 +327,17 @@ class TestTrain:
         lines = (out / "grid.csv").read_text().splitlines()
         assert len(lines) == 3 and lines[0].startswith("cell,mean_dev_error")
 
+    def test_diverging_run_reports_one_line(self, corpus_dir, tmp_path):
+        # the step's own checks report the failure; no numpy warning escapes
+        proc = subprocess.run(
+            [sys.executable, "-m", "advmtl", "train", "--scheme", "sp", "--data",
+             str(corpus_dir), "--out", str(tmp_path / "div"), "--learning-rate", "1e9",
+             "--max-epochs", "2", "--patience", "2", "--hidden-size", "4",
+             "--embed-size", "4"], env=_child_env(), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 5
+        assert proc.stderr == "training diverged; best checkpoint before divergence retained\n"
+
 
 class TestEval:
     def test_table_shape_and_avg(self, corpus_dir, trained_dir, tmp_path, capsys):
@@ -336,6 +368,30 @@ class TestEval:
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "none.bin"),
                        "--data", str(corpus_dir)])
         assert rc == 2
+
+    def test_empty_split_named(self, corpus_dir, trained_dir, tmp_path, capsys):
+        data = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, data)
+        (data / "task01" / "test.tsv").write_text("")
+        rc = cli.main(["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                       "--data", str(data), "--split", "test"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: task 'task01': empty test split\n"
+
+    @pytest.mark.parametrize("command", ["eval", "dump-activations"])
+    def test_reads_only_the_reload_keys(self, corpus_dir, trained_dir, tmp_path,
+                                        monkeypatch, command):
+        monkeypatch.setenv("ADVMTL_LEARNING_RATE", "fast")  # a setting neither reads
+        monkeypatch.setenv("ADVMTL_SCHEME", "fs")
+        sentences = tmp_path / "sents.txt"
+        sentences.write_text("sh000 sh001\n")
+        extra = (["--sentences", str(sentences), "--task", "task00"]
+                 if command == "dump-activations" else [])
+        out = tmp_path / "out"
+        assert cli.main([command, "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                         "--data", str(corpus_dir), "--out", str(out), *extra]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert set(config) == set(cli.RELOAD_KEYS)
 
 
 class TestTransfer:
@@ -386,6 +442,41 @@ class TestTransfer:
         extra = M.load_checkpoint(out / "transfer_sc_task00.bin")[2]
         want = shared_sha256(trained_dir / "checkpoint.bin")
         assert shared_sha256(out / "transfer_sc_task00.bin") == want == extra["frozen_sha256"]
+
+    def test_eval_reproduces_the_transfer_error(self, corpus_dir, trained_dir, tmp_path,
+                                                monkeypatch, capsys):
+        # a labeled.tsv corpus, which --swap-dev-test partitions differently
+        data = tmp_path / "labeled"
+        for task in ("task00", "task01"):
+            (data / task).mkdir(parents=True)
+            (data / task / "labeled.tsv").write_text("".join(
+                (corpus_dir / task / f).read_text() for f in ("train.tsv", "dev.tsv",
+                                                              "test.tsv")))
+        monkeypatch.setenv("ADVMTL_SWAP_DEV_TEST", "true")
+        out = tmp_path / "tr"
+        assert cli.main(["transfer", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                         "--data", str(data), "--target", "task01", "--mode", "sc",
+                         "--out", str(out), "--max-epochs", "2", "--patience", "2"]) == 0
+        transferred = capsys.readouterr().out
+        ckpt = out / "transfer_sc_task01.bin"
+        monkeypatch.delenv("ADVMTL_SWAP_DEV_TEST")
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
+        assert capsys.readouterr().out == transferred
+        extra = M.load_checkpoint(ckpt)[2]
+        assert {k: extra[k] for k in cli.RELOAD_KEYS} == {
+            "seed": 0, "swap_dev_test": True, "max_len": D.DEFAULT_MAX_LEN}
+
+    def test_empty_test_split_fails_before_training(self, corpus_dir, trained_dir,
+                                                    tmp_path, capsys):
+        data = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, data)
+        (data / "task01" / "test.tsv").write_text("")
+        rc = cli.main(["transfer", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                       "--data", str(data), "--all-targets", "--mode", "sc",
+                       "--out", str(tmp_path / "tr"), "--max-epochs", "1", "--patience", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: task 'task01': empty test split\n"
+        assert not (tmp_path / "tr").exists()  # task00 was not trained either
 
     def test_unknown_target_exits_4(self, corpus_dir, trained_dir, tmp_path):
         rc = cli.main(["transfer", "--checkpoint", str(trained_dir / "checkpoint.bin"),
@@ -456,16 +547,41 @@ def test_flags_nothing_reads_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "train", "grid", "eval", "transfer",
+                                     "dump-activations"])
+def test_manifest_outputs_are_the_files_written(corpus_dir, trained_dir, tmp_path, command):
+    if command in ("synth", "train"):  # the module's fixtures ran these two
+        out = corpus_dir if command == "synth" else trained_dir
+    else:
+        out = tmp_path / "out"
+        sentences = tmp_path / "sents.txt"
+        sentences.write_text("sh000 sh001\n")
+        reload = ["--checkpoint", str(trained_dir / "checkpoint.bin"), "--data",
+                  str(corpus_dir)]
+        argv = {"grid": ["train", "--scheme", "sp", "--data", str(corpus_dir),
+                         "--max-epochs", "1", "--hidden-size", "4", "--embed-size", "4",
+                         "--grid", "learning_rate=0.3,0.05"],
+                "eval": ["eval", *reload, "--format", "json"],
+                "transfer": ["transfer", *reload, "--all-targets", "--mode", "sc",
+                             "--max-epochs", "1", "--patience", "1"],
+                "dump-activations": ["dump-activations", *reload, "--task", "task00",
+                                     "--sentences", str(sentences)]}[command]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == ("train" if command == "grid" else command)
+    written = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert {os.path.relpath(p, out) for p in manifest["outputs"]} == \
+        written - {"manifest.json"}
+
+
 def test_cli_demo_runs(tmp_path):
     repo = Path(__file__).resolve().parents[1]
-    src = Path(cli.__file__).resolve().parents[1]
     shim = tmp_path / "bin" / "advmtl"
     shim.parent.mkdir()
     shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m advmtl "$@"\n')
     shim.chmod(0o755)
-    env = dict(os.environ, PATH=f"{shim.parent}{os.pathsep}{os.environ['PATH']}",
-               PYTHONPATH=os.pathsep.join(filter(None, [str(src),
-                                                        os.environ.get("PYTHONPATH")])))
+    env = _child_env(PATH=f"{shim.parent}{os.pathsep}{os.environ['PATH']}",
+                     PYTHONWARNINGS="error::RuntimeWarning")
     proc = subprocess.run(["bash", str(repo / "demos" / "05_cli_workflow.sh")],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=600)
@@ -506,11 +622,8 @@ def test_mistyped_manifest_exits_2_without_traceback(corpus_dir, trained_dir, tm
                                                      changes):
     bad = tmp_path / "bad.bin"
     _edit_manifest(trained_dir / "checkpoint.bin", bad, **changes)
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "advmtl", "eval", "--checkpoint", str(bad),
-                           "--data", str(corpus_dir)], env=env, capture_output=True,
+                           "--data", str(corpus_dir)], env=_child_env(), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -518,7 +631,7 @@ def test_mistyped_manifest_exits_2_without_traceback(corpus_dir, trained_dir, tm
     assert next(iter(changes)) in proc.stderr
 
 
-@pytest.mark.parametrize("error", ["ShapeError", "ContractError"])
+@pytest.mark.parametrize("error", ["ShapeError", "ContractError", "AdvMtlError"])
 def test_shape_and_contract_errors_exit_2(monkeypatch, tmp_path, capsys, error):
     from advmtl import errors
 

@@ -16,7 +16,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize("demo", ["01_tape_basics.py", "02_lstm_sentiment.py",
                                   "03_adversarial_multitask.py", "04_transfer.py"])
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               PYTHONWARNINGS="error::RuntimeWarning")
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

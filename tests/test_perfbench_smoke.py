@@ -12,7 +12,8 @@ def _run(workload, trace):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload",
          workload, "--seed", "1", "--seconds", "1", "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+        cwd=ROOT, env=dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning"),
+        capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc, json.loads(proc.stdout.strip().splitlines()[-1])
 

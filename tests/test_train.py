@@ -115,8 +115,7 @@ class TestSgdStep:
         # the norm is still 1e200: 1e200 > 5 clips the step to norm lr * 5;
         # 1e200 > inf is false, so no clipping
         want = W - (0.1 * (5.0 / 1e200 if clip_norm == 5.0 else 1.0)) * g
-        with np.errstate(over="ignore"):
-            T.sgd_step(params, {"shared.W": g}, lr=0.1, clip_norm=clip_norm)
+        T.sgd_step(params, {"shared.W": g}, lr=0.1, clip_norm=clip_norm)
         assert W.tobytes() == want.tobytes()
         if clip_norm == 5.0:
             assert np.linalg.norm(before - W) == pytest.approx(0.1 * 5.0, rel=1e-12)
@@ -129,8 +128,7 @@ class TestSgdStep:
         grads["shared.b"][0] *= -1
         # each tensor's sum of squares is finite, only their total overflows
         assert all(np.isfinite(np.sum(np.square(g))) for g in grads.values())
-        with np.errstate(over="ignore"):
-            T.sgd_step(params, grads, lr=0.1, clip_norm=2.0)
+        T.sgd_step(params, grads, lr=0.1, clip_norm=2.0)
         moved = np.sqrt(sum(np.sum(np.square(before[n] - params.tensors[n])) for n in grads))
         assert moved == pytest.approx(0.1 * 2.0, rel=1e-9)
 
@@ -478,18 +476,17 @@ class TestTrainingLoop:
     def test_logit_gap_past_the_float_range_is_a_non_finite_loss(self):
         # exp(-1000) is 0, so the true class's log-probability is -inf
         params, config, batch = self._trailing_by(1000.0)
-        with np.errstate(divide="ignore"), pytest.raises(NumericError, match="not finite"):
+        with pytest.raises(NumericError, match="not finite"):
             T._batch_grads(params, config, batch, T.TrainConfig(seed=0))
 
     def test_subnormal_true_class_probability_is_a_non_finite_gradient(self):
         # exp(-740) is subnormal: the loss is finite, 1 / p overflows
         params, config, batch = self._trailing_by(740.0)
         cfg = T.TrainConfig(seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            (l_ce, _, _), grads = T._batch_grads(params, config, batch, cfg)
-            assert np.isfinite(l_ce)
-            with pytest.raises(NumericError, match="non-finite gradient"):
-                T.sgd_step(params, grads, cfg.learning_rate, cfg.clip_norm)
+        (l_ce, _, _), grads = T._batch_grads(params, config, batch, cfg)
+        assert np.isfinite(l_ce)
+        with pytest.raises(NumericError, match="non-finite gradient"):
+            T.sgd_step(params, grads, cfg.learning_rate, cfg.clip_norm)
 
     def test_empty_dev_split_rejected_before_the_first_step(self):
         ds = toy_task(n_dev=0)
@@ -655,9 +652,8 @@ class TestGridSearch:
         base = T.TrainConfig(learning_rate=0.3, max_epochs=3, patience=3, seed=2,
                              clip_norm=1e12)
         params, config = toy_model(seed=5)
-        with np.errstate(divide="ignore"):
-            result = T.grid_search(params, config, {"toy": ds},
-                                   {"learning_rate": [1e9, 0.3]}, base)
+        result = T.grid_search(params, config, {"toy": ds},
+                               {"learning_rate": [1e9, 0.3]}, base)
         assert result.best_index == 1
         assert result.cells[1][1] < result.cells[0][1]
 
@@ -702,9 +698,8 @@ class TestNoCycleCollectorNeeded:
         ds = toy_task()
         # the hopeless first cell (it diverges) is best until the second;
         # the third ties the second
-        with np.errstate(divide="ignore"):
-            result = T.grid_search(*toy_model(seed=5), {"toy": ds},
-                                   {"learning_rate": [1e9, 0.3, 0.3, 1e9]}, base)
+        result = T.grid_search(*toy_model(seed=5), {"toy": ds},
+                               {"learning_rate": [1e9, 0.3, 0.3, 1e9]}, base)
         assert result.best_index == 1
         assert result.cells[2][1] == result.cells[1][1] < result.cells[0][1]
         assert started == [0, 1, 1, 1]  # each cell trains beside the best one so far
