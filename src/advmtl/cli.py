@@ -2,7 +2,9 @@
 
 Configuration comes from four layers, later ones winning: built-in
 defaults, a flat ``key = value`` config file, ``ADVMTL_<KEY>`` environment
-variables, command-line flags. A command returns a :class:`Run`: the
+variables, command-line flags. Each setting's text, from any of these,
+from a checkpoint's ``extra`` or from a synth spec, becomes its value in
+one place, :func:`_typed`. A command returns a :class:`Run`: the
 settings it read, its inputs, the files it wrote (each written through
 the record) and its exit code. ``main`` times the call and writes the
 ``manifest.json`` of that record: the settings, input content hashes,
@@ -32,7 +34,7 @@ import numpy as np
 from . import data as D
 from . import models as M
 from . import train as T
-from .errors import AdvMtlError, ConfigError, InputError, NumericError
+from .errors import AdvMtlError, ConfigError, DataFormatError, InputError, NumericError
 
 ENV_PREFIX = "ADVMTL_"
 
@@ -56,13 +58,22 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: '{text}'")
 
 
+def _at_least(low: int):
+    """The caster of an integer setting that must be ``low`` or more."""
+    def cast(text: str) -> int:
+        if int(text) < low:
+            raise ConfigError(f"must be >= {low}, got {text}")
+        return int(text)
+    return cast
+
+
 # key -> (type caster, default, TrainConfig field it sets or None, flag help):
 # the one declaration of each setting
 CONFIG_KEYS: dict[str, tuple] = {
     "scheme": (str, None, None, f"model scheme, one of {', '.join(M.SCHEMES)}"),
-    "seed": (int, 0, "seed", "random seed (on reload, the checkpoint's own seed wins)"),
-    "hidden_size": (int, 16, None, "LSTM hidden size"),
-    "embed_size": (int, 16, None, "word embedding size"),
+    "seed": (_at_least(0), 0, "seed", "random seed (on reload, the checkpoint's own seed wins)"),
+    "hidden_size": (_at_least(1), 16, None, "LSTM hidden size"),
+    "embed_size": (_at_least(1), 16, None, "word embedding size"),
     "learning_rate": (float, 0.01, "learning_rate", "SGD learning rate"),
     "lambda": (float, None, "adv_weight", "adversarial weight (asp only, default 0.05)"),
     "gamma": (float, None, "diff_weight", "orthogonality weight (asp only, default 0.01)"),
@@ -79,9 +90,9 @@ CONFIG_KEYS: dict[str, tuple] = {
     "embeddings": (str, None, None, "pretrained vectors file"),
     "freeze_embeddings": (_bool, False, None, "keep the embedding table fixed"),
     "swap_dev_test": (_bool, False, None, "partition labeled.tsv 70/10/20, not 70/20/10"),
-    "max_len": (int, D.DEFAULT_MAX_LEN, None, "keep the first N tokens of each sentence"),
+    "max_len": (_at_least(1), D.DEFAULT_MAX_LEN, None, "keep the first N tokens of each sentence"),
     "grid": (str, None, None, "grid spec 'learning_rate=0.1,0.01;lambda=0.01,0.1'"),
-    "jobs": (int, 1, None, "parallel grid cells"),
+    "jobs": (_at_least(1), 1, None, "parallel grid cells"),
 }
 
 GRID_KEYS = ("learning_rate", "lambda", "gamma")  # the settings --grid sweeps
@@ -96,6 +107,18 @@ TRANSFER_KEYS = ("seed", "learning_rate", "max_epochs", "patience", "batch_size"
 # checkpoint's ``extra``, ``transfer`` in each of its checkpoints', and
 # ``eval``/``dump-activations`` read only these.
 RELOAD_KEYS = ("seed", "swap_dev_test", "max_len")
+
+
+def _typed(key: str, value, source: str, cast=None, error=ConfigError):
+    """``key``'s caster (``CONFIG_KEYS``' unless given) applied to ``value``'s text.
+
+    The one conversion of a setting from any source; a failure raises
+    ``error`` naming the source and the key.
+    """
+    try:
+        return (cast or CONFIG_KEYS[key][0])(str(value))
+    except (ValueError, ConfigError) as exc:
+        raise error(f"{key} from {source}: {exc}") from None
 
 
 def parse_flat_config(path) -> dict[str, str]:
@@ -115,38 +138,34 @@ def parse_flat_config(path) -> dict[str, str]:
     return out
 
 
-def resolve_config(file_values: dict[str, str], flag_values: dict[str, object],
+def resolve_config(config_path, flag_values: dict[str, object],
                    environ=None, keys=CONFIG_KEYS) -> dict[str, object]:
-    """Merge defaults < file < environment < flags for ``keys``.
+    """Merge defaults < file < environment < flags for ``keys``, each through :func:`_typed`.
 
-    A file may hold any ``CONFIG_KEYS`` entry; those outside ``keys`` are ignored.
+    The config file (None for none) may hold any ``CONFIG_KEYS`` entry;
+    those outside ``keys`` are ignored.
     """
+    file_values = parse_flat_config(config_path) if config_path else {}
     environ = os.environ if environ is None else environ
     resolved = {}
     for key in keys:
-        cast, value = CONFIG_KEYS[key][:2]
-        if key in file_values:
-            try:
-                value = cast(file_values[key])
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"config key '{key}': {exc}") from None
         env_name = ENV_PREFIX + key.upper()
-        if env_name in environ:
-            try:
-                value = cast(environ[env_name])
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"environment {env_name}: {exc}") from None
-        if flag_values.get(key) is not None:
-            value = flag_values[key]
-        resolved[key] = value
+        resolved[key] = CONFIG_KEYS[key][1]
+        for source, text in ((f"config {config_path}", file_values.get(key)),
+                             (env_name, environ.get(env_name)),
+                             ("--" + key.replace("_", "-"), flag_values.get(key))):
+            if text is not None:
+                resolved[key] = _typed(key, text, source)
     unknown = set(file_values) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key '{sorted(unknown)[0]}'")
     return resolved
 
 
-def validate_train_config(cfg: dict) -> T.TrainConfig:
-    """Check every setting that needs no corpus; return the ``TrainConfig`` they declare.
+def validate_train_config(cfg: dict) -> tuple[T.TrainConfig, dict[str, list]]:
+    """Check every setting that needs no corpus.
+
+    Returns the ``TrainConfig`` they declare and the parsed ``--grid`` ({} without one).
 
     Only the number of ``alpha`` weights waits for the corpus.
     """
@@ -164,16 +183,13 @@ def validate_train_config(cfg: dict) -> T.TrainConfig:
     if cfg["gamma"] is None:
         cfg["gamma"] = 0.01 if scheme == "asp" else 0.0
     # every check that needs no corpus runs before the corpus loads
-    for key in ("hidden_size", "embed_size", "jobs"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key}: must be >= 1, got {cfg[key]}")
     base = _train_config(cfg, _parse_alpha(cfg["alpha"]))
     for combo in itertools.product(*grid.values()):
         try:
             dataclasses.replace(base, **dict(zip(grid, combo)))
         except ConfigError as exc:
             raise ConfigError(f"grid: {exc}") from None
-    return base
+    return base, grid
 
 
 def _train_config(cfg: dict, alpha=None) -> T.TrainConfig:
@@ -195,13 +211,18 @@ def sha256_file(path) -> str:
 
 
 def sha256_tree(root) -> str:
-    """Content hash of a directory: sorted relative paths plus file bytes."""
+    """Content hash of a directory: sorted relative paths plus file bytes.
+
+    A ``manifest.json`` records a run (its duration varies), not content: it is skipped.
+    """
     h = hashlib.sha256()
     if os.path.isfile(root):
         return sha256_file(root)
     for dirpath, dirnames, filenames in sorted(os.walk(root)):
         dirnames.sort()
         for fname in sorted(filenames):
+            if fname == "manifest.json":
+                continue
             full = os.path.join(dirpath, fname)
             h.update(os.path.relpath(full, root).encode("utf-8"))
             h.update(bytes.fromhex(sha256_file(full)))
@@ -316,10 +337,8 @@ def _parse_alpha(text: str | None):
     """Task weights by task index from a comma-separated list, or None."""
     if text is None:
         return None
-    try:
-        return {k: float(p) for k, p in enumerate(p for p in text.split(",") if p.strip())}
-    except ValueError as exc:
-        raise ConfigError(f"alpha: {exc}") from None
+    return {k: _typed(f"weight {k}", p, "alpha", float)
+            for k, p in enumerate(p for p in text.split(",") if p.strip())}
 
 
 def _parse_grid(text: str) -> dict[str, list]:
@@ -334,11 +353,8 @@ def _parse_grid(text: str) -> dict[str, list]:
         key = key.strip()
         if key not in GRID_KEYS:
             raise ConfigError(f"grid: unsupported key '{key}'")
-        cast, _, field, _ = CONFIG_KEYS[key]
-        try:
-            grid[field] = [cast(v) for v in values.split(",") if v.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from None
+        grid[CONFIG_KEYS[key][2]] = [_typed(key, v, "grid") for v in values.split(",")
+                                     if v.strip()]
     if not grid:
         raise ConfigError("grid: empty specification")
     return grid
@@ -349,17 +365,14 @@ def _parse_grid(text: str) -> dict[str, list]:
 # ---------------------------------------------------------------------------
 
 def _error_table(rows: list) -> str:
-    """Append the AVG row to ``rows``; print and return the ``task,error`` CSV."""
+    """Append the AVG row to ``rows``; return the ``task,error`` CSV."""
     rows.append(("AVG", float(np.mean([e for _, e in rows]))))
-    table = "\n".join(["task,error"] + [f"{n},{e!r}" for n, e in rows]) + "\n"
-    print(table, end="")
-    return table
+    return "\n".join(["task,error"] + [f"{n},{e!r}" for n, e in rows]) + "\n"
 
 
 def cmd_train(args) -> Run:
-    cfg = resolve_config(parse_flat_config(args.config) if args.config else {},
-                         vars(args))
-    train_cfg = validate_train_config(cfg)
+    cfg = resolve_config(args.config, vars(args))
+    train_cfg, grid = validate_train_config(cfg)
     datasets, vocab = _load_datasets(cfg, args.data)
     for name, ds in datasets.items():
         c = ds.counts()
@@ -377,9 +390,8 @@ def cmd_train(args) -> Run:
         print(f"embeddings: loaded {loaded} of {len(vocab)} rows")
     run = Run(args.out, cfg, [args.data, args.config, cfg["embeddings"]])
 
-    if cfg["grid"]:
-        result = T.grid_search(params, config, datasets, _parse_grid(cfg["grid"]), train_cfg,
-                               jobs=cfg["jobs"])
+    if grid:
+        result = T.grid_search(params, config, datasets, grid, train_cfg, jobs=cfg["jobs"])
         best, history = result.best_params, result.best_history
         grid_rows = ["cell,mean_dev_error," + ",".join(result.cells[0][0])]
         for i, (cell, err) in enumerate(result.cells):
@@ -430,9 +442,11 @@ def _reload(args):
     """
     _require_file(args.checkpoint, "--checkpoint")
     params, config, extra = M.load_checkpoint(args.checkpoint)
-    cfg = resolve_config({}, vars(args), keys=RELOAD_KEYS)
+    cfg = resolve_config(None, vars(args), keys=RELOAD_KEYS)
     for key in RELOAD_KEYS:
-        cfg[key] = extra.get(key, cfg[key])
+        if key in extra:
+            cfg[key] = _typed(key, extra[key], f"checkpoint {args.checkpoint}",
+                              error=DataFormatError)
     datasets, vocab = _load_datasets(cfg, args.data)
     _check_compat(config, datasets, vocab, extra)
     return params, config, datasets, vocab, Run(args.out, cfg, [args.checkpoint, args.data])
@@ -443,11 +457,13 @@ def cmd_eval(args) -> Run:
     rows = [(name, T.evaluate(params, config, _nonempty_split(datasets[name], args.split), k))
             for k, name in enumerate(config.task_names)]
     table = _error_table(rows)
+    as_json = json.dumps(dict(rows), indent=2, sort_keys=True) + "\n"
+    # without --out, stdout is the only output, so it takes the asked format
+    print(as_json if args.format == "json" and not args.out else table, end="")
     if args.out:
         run.write(f"eval_{args.split}.csv", table)
         if args.format == "json":
-            run.write(f"eval_{args.split}.json",
-                      json.dumps({n: e for n, e in rows}, indent=2, sort_keys=True) + "\n")
+            run.write(f"eval_{args.split}.json", as_json)
     return run
 
 
@@ -460,8 +476,7 @@ def _shared_sha256(params: M.ModelParams) -> str:
 def cmd_transfer(args) -> Run:
     _require_file(args.checkpoint, "--checkpoint")
     source_params, source_config, _ = M.load_checkpoint(args.checkpoint)
-    cfg = resolve_config(parse_flat_config(args.config) if args.config else {},
-                         vars(args), keys=TRANSFER_KEYS)
+    cfg = resolve_config(args.config, vars(args), keys=TRANSFER_KEYS)
     train_cfg = _train_config(cfg)
     datasets, vocab = _load_datasets(cfg, args.data)
     if args.target:
@@ -491,12 +506,14 @@ def cmd_transfer(args) -> Run:
                                  "frozen_sha256": frozen_before,
                                  "head_input_size": tconfig.head_input_size,
                                  **{key: cfg[key] for key in RELOAD_KEYS}})
-    run.write(f"transfer_{args.mode}.csv", _error_table(rows))
+    table = _error_table(rows)
+    print(table, end="")
+    run.write(f"transfer_{args.mode}.csv", table)
     return run
 
 
 SYNTH_KEYS = {**{f.name: type(f.default) for f in dataclasses.fields(D.SynthSpec)},
-              "embedding_dim": int, "embedding_scale": float}
+              "embedding_dim": _at_least(0), "embedding_scale": float}  # dim 0: no vectors
 
 
 def cmd_synth(args) -> Run:
@@ -505,16 +522,10 @@ def cmd_synth(args) -> Run:
     unknown = set(raw_kv) - set(SYNTH_KEYS)
     if unknown:
         raise ConfigError(f"synth spec: unknown key '{sorted(unknown)[0]}'")
-    kv = {}
-    for key, text in raw_kv.items():
-        try:
-            kv[key] = SYNTH_KEYS[key](text)
-        except ValueError as exc:
-            raise ConfigError(f"synth spec key '{key}': {exc}") from None
+    kv = {key: _typed(key, text, f"spec {args.spec}", SYNTH_KEYS[key])
+          for key, text in raw_kv.items()}
     emb_dim = kv.pop("embedding_dim", 0)
     emb_scale = kv.pop("embedding_scale", 1.0)
-    if emb_dim < 0:  # 0 writes no vectors
-        raise ConfigError(f"synth spec key 'embedding_dim': must be >= 0, got {emb_dim}")
     if not 0 <= emb_scale < np.inf:
         raise ConfigError(
             f"synth spec key 'embedding_scale': must be finite and >= 0, got {emb_scale}")
@@ -575,7 +586,7 @@ def _add_config_flags(p: argparse.ArgumentParser, keys) -> None:
     """One ``--key-with-dashes`` flag per ``CONFIG_KEYS`` entry; unset is None."""
     for key in keys:
         cast, _, _, help_text = CONFIG_KEYS[key]
-        kind = dict(action="store_const", const=True) if cast is _bool else dict(type=cast)
+        kind = dict(action="store_const", const="true") if cast is _bool else {}
         p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **kind)
 
 
@@ -596,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("train", "dev", "test"), default="test")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="json: print JSON without --out, also write eval_<split>.json with it")
     p.add_argument("--out", default=None)
     _add_config_flags(p, ("seed",))
     p.set_defaults(func=cmd_eval)

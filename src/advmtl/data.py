@@ -423,6 +423,8 @@ class SynthSpec:
             raise ConfigError("filler rate is positive but there are no filler tokens")
         if self.sentences_per_task < 10:
             raise ConfigError("need at least 10 sentences per task to split")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_conflict(self) -> int:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -128,6 +129,28 @@ class TestSynth:
         assert cli.main(["synth", "--spec", str(spec), "--out",
                          str(tmp_path / "x")]) == 3
 
+    def test_negative_seed_exits_3(self, tmp_path, capsys):
+        spec = tmp_path / "bad.cfg"
+        spec.write_text("tasks = 2\nseed = -1\n")
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_corpus_hash_ignores_its_manifest(self, tmp_path):
+        # synth's manifest.json records the run (its duration), not the corpus
+        spec = tmp_path / "synth.cfg"
+        spec.write_text(SYNTH_SPEC)
+        hashes = []
+        for name in ("c1", "c2"):
+            corpus, out = tmp_path / name, tmp_path / f"run_{name}"
+            assert cli.main(["synth", "--spec", str(spec), "--out", str(corpus)]) == 0
+            assert cli.main(["train", "--scheme", "fs", "--data", str(corpus), "--out", str(out),
+                             "--max-epochs", "1", "--patience", "1", "--hidden-size", "2",
+                             "--embed-size", "2"]) == 0
+            hashes.append(json.loads((out / "manifest.json").read_text())
+                          ["input_hashes"][str(corpus)])
+        assert hashes[0] == hashes[1]
+
     def test_every_synthspec_field_accepted(self, tmp_path):
         values = dict(tasks=2, shared_tokens=24, private_tokens=6,
                       conflict_fraction=0.5, filler_tokens=12,
@@ -210,12 +233,16 @@ class TestTrain:
         (["--scheme", "sp", "--alternating"], "alternating"),
         (["--scheme", "sp", "--diff-mode", "batch"], "diff_mode"),
         (["--scheme", "fs", "--unlabeled-ratio", "0.5"], "unlabeled_ratio"),
+        (["--scheme", "fs", "--seed", "-1"], "seed"),
+        (["--scheme", "fs", "--learning-rate", "abc"], "learning_rate"),
+        (["--scheme", "fs", "--batch-size", "x"], "batch_size"),
     ], ids=["scheme", "diff_mode", "grid", "unlabeled_ratio_negative",
             "unlabeled_ratio_nan", "max_len", "clip_norm_nan", "learning_rate_nan",
             "learning_rate_inf", "gamma_nan", "lambda_nan", "grid_learning_rate_nan",
             "grid_gamma_nan", "grid_lambda_fs", "grid_gamma_sp", "hidden_size_zero",
             "embed_size_negative", "jobs_zero", "jobs_negative", "alternating_sp",
-            "diff_mode_sp", "unlabeled_ratio_fs"])
+            "diff_mode_sp", "unlabeled_ratio_fs", "seed_negative", "learning_rate_text",
+            "batch_size_text"])
     def test_bad_value_exits_3(self, corpus_dir, tmp_path, capsys, flags, key):
         rc = cli.main(["train", *flags, "--data", str(corpus_dir),
                        "--out", str(tmp_path / "x")])
@@ -378,6 +405,31 @@ class TestEval:
         assert rc == 2
         assert capsys.readouterr().err == "error: task 'task01': empty test split\n"
 
+    def test_json_without_out_prints_the_json_file(self, corpus_dir, trained_dir, tmp_path,
+                                                   capsys):
+        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                "--data", str(corpus_dir), "--format", "json"]
+        assert cli.main(argv + ["--out", str(tmp_path / "ev")]) == 0
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed == (tmp_path / "ev" / "eval_test.json").read_text()
+        assert set(json.loads(printed)) == {"task00", "task01", "AVG"}
+
+    @pytest.mark.parametrize("key,value", [("max_len", 2.5), ("seed", "x"), ("seed", 1.5),
+                                           ("seed", -1), ("swap_dev_test", "maybe")],
+                             ids=["max_len_float", "seed_text", "seed_float", "seed_negative",
+                                  "swap_dev_test_text"])
+    def test_malformed_stored_setting_exits_2(self, corpus_dir, trained_dir, tmp_path, capsys,
+                                              key, value):
+        params, config, extra = M.load_checkpoint(trained_dir / "checkpoint.bin")
+        bad = tmp_path / "bad.bin"
+        M.save_checkpoint(bad, params, config, extra={**extra, key: value})
+        assert cli.main(["eval", "--checkpoint", str(bad), "--data", str(corpus_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} from checkpoint {bad}: ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("command", ["eval", "dump-activations"])
     def test_reads_only_the_reload_keys(self, corpus_dir, trained_dir, tmp_path,
                                         monkeypatch, command):
@@ -477,6 +529,14 @@ class TestTransfer:
         assert rc == 2
         assert capsys.readouterr().err == "error: task 'task01': empty test split\n"
         assert not (tmp_path / "tr").exists()  # task00 was not trained either
+
+    def test_negative_seed_exits_3(self, corpus_dir, trained_dir, tmp_path, capsys):
+        rc = cli.main(["transfer", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                       "--data", str(corpus_dir), "--target", "task00", "--mode", "sc",
+                       "--out", str(tmp_path / "tr"), "--seed", "-1"])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: seed from --seed: must be >= 0, got -1\n"
+        assert not (tmp_path / "tr").exists()
 
     def test_unknown_target_exits_4(self, corpus_dir, trained_dir, tmp_path):
         rc = cli.main(["transfer", "--checkpoint", str(trained_dir / "checkpoint.bin"),
@@ -587,6 +647,20 @@ def test_cli_demo_runs(tmp_path):
                           timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert len(list((tmp_path / "demo_run").rglob("manifest.json"))) == 5
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "transfer", "synth", "dump-activations"])
+def test_help_lists_the_readme_flags(command):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    row = re.search(rf"^\| `{command}` \| (.*) \|$", readme, re.M).group(1)
+    want = set(re.findall(r"--[a-z-]+", row))
+    if "one flag per key" in row:
+        want |= {"--" + key.replace("_", "-") for key in cli.CONFIG_KEYS}
+    proc = subprocess.run([sys.executable, "-m", "advmtl", command, "--help"],
+                          env=_child_env(PYTHONWARNINGS="error"), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(re.findall(r"--[a-z-]+", proc.stdout)) - {"--help"} == want
 
 
 def test_console_entry_point(tmp_path):
@@ -713,3 +787,32 @@ def test_well_formed_config_round_trips(tmp_path, values):
     path.write_text("# comment\n" + "".join(f"{k} = {v}  # note\n" for k, v in values.items()),
                     encoding="utf-8")
     assert cli.parse_flat_config(path) == {k: v.strip() for k, v in values.items()}
+
+
+NON_BOOLEAN_KEYS = [key for key, (cast, *_) in cli.CONFIG_KEYS.items() if cast is not cli._bool]
+SETTING_TEXT = st.one_of(
+    st.sampled_from(["", "nan", "-inf", "0", "-1", "7", "2.5", "1e-3", "abc", "0x10", "1_000",
+                     "true", "asp", "learning_rate=0.1,0.2"]),
+    st.from_regex(r"-?[0-9]{1,4}(\.[0-9]{0,3})?(e-?[0-9])?", fullmatch=True),
+    st.text(st.characters(blacklist_categories=("C", "Z"), blacklist_characters="#"),
+            max_size=8))
+
+
+@CONFIG_SETTINGS
+@given(st.sampled_from(NON_BOOLEAN_KEYS), SETTING_TEXT)
+def test_flag_file_and_environment_cast_alike(tmp_path, key, text):
+    def outcome(flag_values, config_path, environ):
+        try:
+            return repr(cli.resolve_config(config_path, flag_values, environ)[key])
+        except ConfigError as exc:
+            assert key in str(exc)
+            return ConfigError
+
+    flag = "--" + key.replace("_", "-")
+    args = cli.build_parser().parse_args(["train", "--data", "d", "--out", "o", f"{flag}={text}"])
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {text}\n", encoding="utf-8")
+    outcomes = {outcome(vars(args), None, {}),
+                outcome({}, config, {}),
+                outcome({}, {}, {cli.ENV_PREFIX + key.upper(): text})}
+    assert len(outcomes) == 1
