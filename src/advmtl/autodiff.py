@@ -272,42 +272,14 @@ def _softmax(x: Tensor) -> Tensor:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def tanh(a: Node) -> Node:
-    y = np.tanh(a.value)
-    return a.tape.record(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def softmax(a: Node) -> Node:
-    """Stable softmax over a vector of logits, or over each row of a matrix."""
-    if a.value.ndim not in (1, 2):
-        raise ShapeError(f"softmax: expected a vector or matrix, got shape {a.value.shape}")
-    y = _softmax(a.value)
-
-    def vjp(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return a.tape.record(y, (a,), vjp)
-
-
 def _affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """The rows of ``x`` (or the vector ``x``) through a linear layer: x @ W.T + b."""
     return x @ W.T + b
 
 
-def affine(x: Node, W: Node, b: Node) -> Node:
-    """The rows of ``x`` (or the vector ``x``) through a linear layer: x @ W.T + b."""
-    tape = x.tape
-    xv, Wv, bv = x.value, W.value, b.value
-    if Wv.ndim != 2 or bv.shape != (Wv.shape[0],):
-        raise ShapeError(f"affine: incompatible W {Wv.shape} and b {bv.shape}")
-    if xv.ndim not in (1, 2) or xv.shape[-1] != Wv.shape[1]:
-        raise ShapeError(f"affine: input shape {xv.shape} does not match W {Wv.shape}")
-
-    def vjp(g):
-        if xv.ndim == 1:
-            return (g @ Wv, np.outer(g, xv), g)
-        return (g @ Wv, g.T @ xv, g.sum(axis=0))
-
-    return tape.record(_affine(xv, Wv, bv), (x, W, b), vjp)
+def tanh(a: Node) -> Node:
+    y = np.tanh(a.value)
+    return a.tape.record(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def concat(parts: Sequence[Node], axis: int = 0) -> Node:

@@ -229,7 +229,7 @@ def forward(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
 
 def discriminate(s: Node, W: Node, b: Node) -> Node:
     """Task probabilities softmax(W s + b) of a shared representation, or of each row of ``s``."""
-    return ad.softmax(ad.affine(s, W, b))
+    return nn.softmax_classify(s, W, b)
 
 
 def build_transfer(source: ModelParams, mode: str, task_name: str,

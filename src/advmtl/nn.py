@@ -242,8 +242,26 @@ def lstm_encode(xs: Node, W: Node, b: Node, lengths=None) -> tuple[Node, Node]:
 
 
 def softmax_classify(h: Node, W: Node, b: Node) -> Node:
-    """Class probabilities softmax(W h + b) of a feature vector, or of each row of ``h``."""
-    return ad.softmax(ad.affine(h, W, b))
+    """Class probabilities softmax(W h + b) of a feature vector, or of each row of ``h``.
+
+    One tape node: its vjp is the softmax rule followed by the affine rule,
+    the same operations in the same order as a softmax node over an affine
+    node, so the gradients are bitwise those of the two-node chain.
+    """
+    hv, Wv, bv = h.value, W.value, b.value
+    if Wv.ndim != 2 or bv.shape != (Wv.shape[0],):
+        raise ShapeError(f"softmax_classify: incompatible W {Wv.shape} and b {bv.shape}")
+    if hv.ndim not in (1, 2) or hv.shape[-1] != Wv.shape[1]:
+        raise ShapeError(f"softmax_classify: input shape {hv.shape} does not match W {Wv.shape}")
+    y = ad._softmax(ad._affine(hv, Wv, bv))
+
+    def vjp(g):
+        gz = y * (g - (g * y).sum(axis=-1, keepdims=True))
+        if hv.ndim == 1:
+            return (gz @ Wv, np.outer(gz, hv), gz)
+        return (gz @ Wv, gz.T @ hv, gz.sum(axis=0))
+
+    return h.tape.record(y, (h, W, b), vjp)
 
 
 def batch_token_ids(sentences, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:

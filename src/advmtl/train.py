@@ -63,6 +63,8 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:  # numpy's generators reject it only at the first batch
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name, w in (("adv_weight (lambda)", self.adv_weight),
                         ("diff_weight (gamma)", self.diff_weight)):
             if not (np.isfinite(w) and w >= 0):

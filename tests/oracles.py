@@ -18,6 +18,10 @@ a task's stream by hand when it runs dry; the generator streams of
 :func:`cross_entropy_composed` is the cross-entropy as the five-node
 chain ``losses.cross_entropy`` replaced, with an unclamped log; the one
 node is checked bitwise against it.
+:func:`softmax_classify_composed` is the classifier as the affine node
+and softmax node that ``nn.softmax_classify`` replaced; the one node is
+checked bitwise against it, and :func:`softmax_node` is the softmax alone
+as that one node.
 :func:`generate_synthetic_scalar` is the synthetic corpus generator that
 calls ``Generator.random()`` and ``Generator.integers`` once per value;
 ``data.generate_synthetic``, which rebuilds those values from PCG64's raw
@@ -33,6 +37,7 @@ from advmtl import autodiff as ad
 from advmtl import data as D
 from advmtl import losses as L
 from advmtl import models as M
+from advmtl import nn
 from advmtl.autodiff import GradReversalSpec
 from advmtl.errors import ContractError, ShapeError
 
@@ -113,6 +118,30 @@ def cross_entropy_composed(probs, labels):
     rows = p.shape[0] if p.ndim == 2 else 1
     onehot = probs.tape.constant(np.eye(p.shape[-1])[labels])
     return ad.scale(ad.sum_all(ad.mul(onehot, log_node(probs))), -1.0 / rows)
+
+
+def softmax_classify_composed(h, W, b):
+    """``nn.softmax_classify`` as the two nodes it replaced: an affine map, then a softmax."""
+    hv, Wv = h.value, W.value
+
+    def affine_vjp(g):
+        if hv.ndim == 1:
+            return (g @ Wv, np.outer(g, hv), g)
+        return (g @ Wv, g.T @ hv, g.sum(axis=0))
+
+    z = h.tape.record(hv @ Wv.T + b.value, (h, W, b), affine_vjp)
+    y = ad._softmax(z.value)
+    return h.tape.record(y, (z,), lambda g: (y * (g - (g * y).sum(axis=-1, keepdims=True)),))
+
+
+def softmax_node(z):
+    """The softmax of ``z`` (a vector, or each row of a matrix) as one tape node.
+
+    It is ``nn.softmax_classify`` with identity weights and a zero bias, whose
+    value and gradient into ``z`` are bitwise the softmax's own.
+    """
+    n = z.value.shape[-1]
+    return nn.softmax_classify(z, z.tape.constant(np.eye(n)), z.tape.constant(np.zeros(n)))
 
 
 def frobenius_sq_loops(S, H):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from advmtl import autodiff as ad
+from advmtl import nn
 from advmtl.autodiff import GradReversalSpec, Tape
 from advmtl.errors import ConfigError, ContractError, ShapeError
 
@@ -356,6 +357,9 @@ class TestFiniteDifferenceCheck:
         assert ad.finite_difference_check(loss_fn, {"x": np.array([1.0])}, 1e-5) == float("inf")
 
 
+# softmax, softmax_rows, affine and affine_vec check the two halves of the one
+# classifier node nn.softmax_classify, for vector and matrix input: its softmax
+# through identity weights and a zero bias, its affine map through general ones
 OPS = ["add", "add_bias", "mul", "matmul", "matvec", "tanh", "softmax",
        "concat0", "concat1", "sum_all", "row", "take_rows", "softmax_rows", "affine",
        "affine_vec", "pad_runs", "row_indices"]
@@ -387,10 +391,10 @@ def test_every_op_matches_finite_differences(op):
             a = t.leaf(p["a"])
             out = ad.tanh(a)
             nodes = {"a": a}
-        elif op == "softmax":
-            a = t.leaf(p["v"])
-            out = ad.softmax(a)
-            nodes = {"v": a}
+        elif op in ("softmax", "softmax_rows"):
+            a = t.leaf(p["v" if op == "softmax" else "m1"])
+            out = oracles.softmax_node(a)
+            nodes = {"v" if op == "softmax" else "m1": a}
         elif op == "concat0":
             a, b = t.leaf(p["a"]), t.leaf(p["b"])
             out = ad.concat([a, b], axis=0)
@@ -411,14 +415,10 @@ def test_every_op_matches_finite_differences(op):
             a = t.leaf(p["m1"])
             out = ad.take_rows(a, [0, 2, 0])
             nodes = {"m1": a}
-        elif op == "softmax_rows":
-            a = t.leaf(p["m1"])
-            out = ad.softmax(a)
-            nodes = {"m1": a}
         elif op in ("affine", "affine_vec"):
             x = t.leaf(p["m1" if op == "affine" else "a"])
             W, b = t.leaf(p["w"]), t.leaf(p["bias2"])
-            out = ad.affine(x, W, b)
+            out = nn.softmax_classify(x, W, b)
             nodes = {"m1" if op == "affine" else "a": x, "w": W, "bias2": b}
         elif op == "pad_runs":
             a = t.leaf(p["m1"])
@@ -570,9 +570,9 @@ def test_tape_determinism_bitwise():
 
 @pytest.mark.parametrize("op", [
     lambda a, b: ad.add(a, b), lambda a, b: ad.mul(a, b), lambda a, b: ad.add_n([a, a, b]),
-    lambda a, b: ad.matmul(a, b), lambda a, b: ad.affine(a, a, ad.row(b, 0)),
+    lambda a, b: ad.matmul(a, b), lambda a, b: nn.softmax_classify(a, a, ad.row(b, 0)),
     lambda a, b: ad.concat([a, b], axis=1)],
-    ids=["add", "mul", "add_n", "matmul", "affine", "concat"])
+    ids=["add", "mul", "add_n", "matmul", "softmax_classify", "concat"])
 def test_mixed_tapes_rejected(op):
     # the op records on its first operand's tape, which must reject the other
     t1, t2 = Tape(), Tape()
@@ -588,7 +588,7 @@ def test_mixed_tapes_rejected(op):
 def test_softmax_is_distribution(n, seed):
     rng = np.random.default_rng(seed)
     t = Tape()
-    out = ad.softmax(t.leaf(rng.uniform(-1e3, 1e3, n)))
+    out = oracles.softmax_node(t.leaf(rng.uniform(-1e3, 1e3, n)))
     assert abs(out.value.sum() - 1.0) < 1e-9
     assert np.all(out.value >= 0)
 
@@ -609,7 +609,7 @@ def test_softmax_rows_are_independent_distributions():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(3, 4))
     t = Tape()
-    out = ad.softmax(leaf(t, m))
+    out = oracles.softmax_node(leaf(t, m))
     for i in range(3):
         npt.assert_allclose(out.value[i], oracles.softmax_direct(m[i].tolist()),
                             rtol=0, atol=1e-15)

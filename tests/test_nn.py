@@ -368,6 +368,56 @@ class TestSoftmaxHead:
             nn.softmax_classify(t.constant(np.zeros(3)), t.leaf(np.zeros((2, 4))),
                                 t.leaf(np.zeros(2)))
 
+    @pytest.mark.parametrize("h_shape, W_shape, b_shape", [
+        ((5, 3), (2, 4), (2,)), ((3,), (2, 3), (3,)), ((3,), (2, 3), (2, 1)),
+        ((3,), (6,), (2,)), ((1, 2, 3), (2, 3), (2,))])
+    def test_shape_checks(self, h_shape, W_shape, b_shape):
+        t = Tape()
+        h, W, b = (t.leaf(np.zeros(shape)) for shape in (h_shape, W_shape, b_shape))
+        with pytest.raises(ShapeError, match="softmax_classify"):
+            nn.softmax_classify(h, W, b)
+        assert len(t) == 3  # nothing is recorded for the rejected classifier
+
+    def test_one_tape_node(self):
+        t = Tape()
+        h, W, b = t.leaf(np.ones((2, 3))), t.leaf(np.ones((4, 3))), t.leaf(np.zeros(4))
+        before = len(t)
+        nn.softmax_classify(h, W, b)
+        assert len(t) == before + 1
+
+    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([None, 1, 4]), st.integers(1, 5),
+           st.integers(2, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_the_two_node_chain(self, seed, rows, n_in, C):
+        # rows None is one feature vector; the upstream gradient is a random weighting
+        rng = np.random.default_rng(seed)
+        h0 = rng.normal(size=n_in if rows is None else (rows, n_in))
+        W0, b0 = rng.normal(size=(C, n_in)) * 3, rng.normal(size=C)
+        c = rng.normal(size=h0.shape[:-1] + (C,))
+
+        def run(classify):
+            t = Tape()
+            h, W, b = t.leaf(h0), t.leaf(W0), t.leaf(b0)
+            out = classify(h, W, b)
+            grads = ad.backward(t, ad.sum_all(ad.mul(out, t.constant(c))))
+            return [out.value.tobytes()] + [grads[n.idx].tobytes() for n in (h, W, b)]
+
+        assert run(nn.softmax_classify) == run(oracles.softmax_classify_composed)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4)])
+    def test_identity_weights_give_the_softmax_of_the_input(self, shape):
+        # the probabilities and the gradient into z are bitwise the softmax's own,
+        # which is what the tests that need a softmax node rely on
+        rng = np.random.default_rng(6)
+        z0, c = rng.normal(size=shape) * 5, rng.normal(size=shape)
+        t = Tape()
+        z = t.leaf(z0)
+        out = oracles.softmax_node(z)
+        g = ad.backward(t, ad.sum_all(ad.mul(out, t.constant(c))))[z.idx]
+        y = ad._softmax(z0)
+        assert out.value.tobytes() == y.tobytes()
+        assert g.tobytes() == (y * (c - (c * y).sum(axis=-1, keepdims=True))).tobytes()
+
 
 class TestInit:
     def test_values_in_documented_range(self):

@@ -49,7 +49,7 @@ class TestTrainConfig:
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("learning_rate", 0.0), ("adv_weight", float("nan")), ("adv_weight", float("inf")),
         ("adv_weight", -0.1), ("diff_weight", float("nan")), ("diff_weight", float("inf")),
-        ("clip_norm", float("nan")), ("clip_norm", 0.0),
+        ("clip_norm", float("nan")), ("clip_norm", 0.0), ("seed", -1),
     ])
     def test_rejects(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -227,6 +227,40 @@ class TestPrunedBackward:
         assert calls == []
         assert "embeddings" in self._grads(freeze_embeddings=False)
         assert len(calls) == 1  # one lookup for the whole batch
+
+
+class TestStepGraph:
+    """The number of tape nodes one asp training step records, pinned.
+
+    A K = 2 asp model binds 13 tensors: the table, the shared, both private
+    and both head layers, and the discriminator. A labeled step adds the
+    lookup, two LSTM folds (each a fold node and a final-row node), the
+    concatenation, the head's classifier, the reversal, the discriminator's
+    classifier, two cross-entropies, the two padded state blocks, the diff
+    loss and its 1/B scale, and _combine's two scales and sum: 31 nodes. An
+    unlabeled step adds the lookup, the shared fold, the reversal, the
+    discriminator and its cross-entropy, and _combine returns that term: 19.
+    A classifier split into an affine and a softmax node changes both.
+    """
+
+    @pytest.mark.parametrize("unlabeled, nodes", [(False, 31), (True, 19)])
+    def test_nodes_per_step(self, monkeypatch, unlabeled, nodes):
+        corpus, vocab, names = ragged_corpus()
+        config = M.ModelConfig(scheme="asp", task_names=names, classes=(2, 2),
+                               hidden_size=4, embed_size=3, vocab_size=len(vocab))
+        train = corpus[names[1]].train[:4]
+        batch = D.Batch(task=1, sequences=[e.tokens for e in train],
+                        labels=None if unlabeled else [e.label for e in train],
+                        is_unlabeled=unlabeled)
+        lengths, backward = [], ad.backward
+
+        def spy(tape, loss):
+            lengths.append(len(tape))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(ad, "backward", spy)
+        T._batch_grads(M.init_model(config, seed=3), config, batch, T.TrainConfig(seed=0))
+        assert lengths == [nodes]
 
 
 def named_grads(tape, bound, total):
