@@ -12,12 +12,17 @@ the first updates only the discriminator, the second everything else.
 Unlabeled batches (when enabled) contribute the adversarial term only.
 
 An epoch is one pass over the largest task's training split; smaller
-tasks cycle. Early stopping watches mean dev error across tasks and
-returns the best-dev checkpoint. Evaluation and the probe and cosine
-diagnostics need no gradient, so they run the tape-free ``models.encode``
-on chunks of consecutive sentences of at most ``ENCODE_TOKENS`` tokens;
-its folds keep only each encoder's running state, so their memory is
-bounded by that budget, not by the split.
+tasks cycle. Early stopping watches mean dev error across tasks.
+``train_multitask`` trains the caller's model in place and returns that
+same object, rewound to its best epoch: an undo journal keeps the prior
+value of every tensor, or embedding row, that a step changed since the
+last best epoch, and writes it back on return.
+
+Evaluation and the probe and cosine diagnostics need no gradient, so
+they run the tape-free ``models.encode`` on chunks of consecutive
+sentences of at most ``ENCODE_TOKENS`` tokens; its folds keep only each
+encoder's running state, so their memory is bounded by that budget, not
+by the split.
 """
 
 from __future__ import annotations
@@ -238,22 +243,66 @@ def _batch_grads(params: M.ModelParams, config: M.ModelConfig, batch: Batch,
     return tuple(None if p is None else float(p.value) for p in parts), grads
 
 
+class _UndoJournal:
+    """Prior values of what the steps since the last best epoch changed.
+
+    ``record`` runs before each ``sgd_step`` and keeps, once per tensor, a
+    copy of each tensor that a dense gradient is about to change; for a
+    :class:`~advmtl.autodiff.RowGrad` it keeps only the rows of ``ids`` it
+    has not kept yet, found through a ``bool`` mask per table. ``restore``
+    writes them back, so the model returns to its bytes at the last
+    ``clear``.
+    """
+
+    def __init__(self, params: M.ModelParams):
+        self.tensors = params.tensors
+        self.dense: dict[str, Tensor] = {}
+        self.rows: dict[str, tuple[np.ndarray, list[tuple[np.ndarray, Tensor]]]] = {}
+
+    def record(self, grads: Mapping[str, Tensor | ad.RowGrad]) -> None:
+        for name, g in grads.items():
+            if name in self.dense:
+                continue
+            arr = self.tensors[name]
+            if isinstance(g, ad.RowGrad):
+                seen, kept = self.rows.setdefault(name, (np.zeros(len(arr), bool), []))
+                ids = g.ids[~seen[g.ids]]
+                if ids.size:
+                    seen[ids] = True
+                    kept.append((ids, arr[ids]))
+            else:
+                self.dense[name] = arr.copy()
+
+    def clear(self) -> None:
+        self.dense.clear()
+        self.rows.clear()
+
+    def restore(self) -> None:
+        # whole copies first: a row kept before its table's whole copy is older
+        for name, saved in self.dense.items():
+            np.copyto(self.tensors[name], saved)
+        for name, (_, kept) in self.rows.items():
+            for ids, rows in kept:
+                self.tensors[name][ids] = rows
+
+
 def _train_one_batch(params: M.ModelParams, config: M.ModelConfig, batch: Batch,
-                     cfg: TrainConfig):
+                     cfg: TrainConfig, journal: _UndoJournal | None = None):
     """One optimization step; returns the term values for bookkeeping.
 
     With ``alternating`` (adversarial schemes only) the discriminator's
     tensors are updated first, then the others from a second pass that
     sees the updated discriminator; the values are the second pass's.
+    ``journal``, if given, records what each ``sgd_step`` is about to change.
     """
-    if not (cfg.alternating and config.has_discriminator):
+    passes = (True, False) if cfg.alternating and config.has_discriminator else (None,)
+    for disc in passes:
         values, grads = _batch_grads(params, config, batch, cfg)
+        if disc is not None:
+            grads = {n: g for n, g in grads.items() if n.startswith("disc.") == disc}
+        if journal is not None:
+            journal.record(grads)
         sgd_step(params, grads, cfg.learning_rate, cfg.clip_norm)
-        return values
-    for disc in (True, False):
-        values, grads = _batch_grads(params, config, batch, cfg)
-        sgd_step(params, {n: g for n, g in grads.items() if n.startswith("disc.") == disc},
-                 cfg.learning_rate, cfg.clip_norm)
     return values
 
 
@@ -313,11 +362,16 @@ def _dev_stats(params: M.ModelParams, config: M.ModelConfig,
 def train_multitask(params: M.ModelParams, config: M.ModelConfig,
                     datasets: Mapping[str, TaskDataset],
                     cfg: TrainConfig) -> tuple[M.ModelParams, TrainHistory]:
-    """Joint min-max training; returns the best-dev checkpoint and history.
+    """Joint min-max training of ``params`` in place; returns it at its best epoch.
 
-    A task with an empty dev split raises :class:`InputError` before the
-    first step. On divergence (non-finite loss or gradient) training
-    stops and the best checkpoint so far is returned with
+    The returned model is ``params`` itself, holding the bytes it had at
+    the end of the epoch with the lowest mean dev error (its starting
+    weights if no epoch finished). An undo journal
+    (:class:`_UndoJournal`) keeps what the steps since that epoch changed
+    and writes it back on return, so no copy of the model is made.
+    A task with an empty training or dev split raises :class:`InputError`
+    before the first step. On divergence (non-finite loss or gradient)
+    training stops and the model is returned at its best epoch so far with
     ``history.diverged`` set.
     """
     tasks = []
@@ -335,13 +389,15 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
         if missing:
             raise ConfigError(f"alpha: no task weight for task {missing[0]}")
     for ds in tasks:
+        if not ds.train:  # the batcher would have no batch to draw
+            raise InputError(f"task '{ds.name}': empty training split")
         if not ds.dev:  # early stopping would read its error as 0
             raise InputError(f"task '{ds.name}': empty dev split")
     use_unlabeled = (cfg.use_unlabeled and config.has_discriminator)
     batcher = TaskBatcher(tasks, cfg.batch_size, cfg.seed, cfg.unlabeled_ratio)
     history = TrainHistory()
     best_err = float("inf")
-    best_params = params.copy()
+    journal = _UndoJournal(params)
     best_epoch = -1
     since_best = 0
     K = config.n_tasks
@@ -354,7 +410,7 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
                     if use_unlabeled:
                         work.extend(batcher.next_unlabeled(k))
                     for batch in work:
-                        ce, adv, diff = _train_one_batch(params, config, batch, cfg)
+                        ce, adv, diff = _train_one_batch(params, config, batch, cfg, journal)
                         if not batch.is_unlabeled:
                             s = sums[k]
                             s[0] += ce
@@ -377,16 +433,16 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
         mean_err = float(np.mean(errors))
         if mean_err < best_err:
             best_err = mean_err
-            for dst, src in zip(best_params.tensors.values(), params.tensors.values()):
-                np.copyto(dst, src)
+            journal.clear()
             best_epoch = epoch
             since_best = 0
         else:
             since_best += 1
             if since_best >= cfg.patience:
                 break
+    journal.restore()
     history.best_epoch = best_epoch
-    return best_params, history
+    return params, history
 
 
 def shared_features(params: M.ModelParams, config: M.ModelConfig,

@@ -241,6 +241,78 @@ class TestBatchedDiffLoss:
         assert ad.finite_difference_check(loss_fn, params, 1e-5) < 1e-6
 
 
+def diff_loss_and_grads(S, H):
+    t = Tape()
+    s, h = t.leaf(S), t.leaf(H)
+    out = L.diff_loss(s, h)
+    g = ad.backward(t, out)
+    return float(out.value), g[s.idx], g[h.idx]
+
+
+class TestDiffLossOrders:
+    """The [d, d] product S^T H when 4T >= 3d, the [T, T] Gram matrices when 4T < 3d."""
+
+    SHAPES = [(2, 7), (7, 3), (6, 8), (5, 7), (3, 4, 9), (3, 9, 4), (2, 1, 2)]
+
+    @staticmethod
+    def _gram(shape):
+        return 4 * shape[-2] < 3 * shape[-1]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_value_matches_the_loop_oracle(self, shape):
+        assert {self._gram(s) for s in self.SHAPES if len(s) == len(shape)} == {True, False}
+        rng = np.random.default_rng(sum(shape))
+        S, H = rng.normal(size=shape), rng.normal(size=shape)
+        t = Tape()
+        got = float(L.diff_loss(t.constant(S), t.constant(H)).value)
+        blocks = [(S, H)] if S.ndim == 2 else list(zip(S, H))
+        want = sum(oracles.frobenius_sq_loops(s.tolist(), h.tolist()) for s, h in blocks)
+        assert abs(got - want) <= 1e-12 * want
+        # the order taken, to the bit
+        swap = lambda a: np.swapaxes(a, -1, -2)
+        if self._gram(shape):
+            assert got == float(((S @ swap(S)) * (H @ swap(H))).sum())
+        else:
+            m = swap(S) @ H
+            assert got == float((m * m).sum())
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gradients_match_finite_differences(self, shape):
+        rng = np.random.default_rng(100 + sum(shape))
+        params = {"S": rng.normal(size=shape), "H": rng.normal(size=shape)}
+
+        def loss_fn(p, with_grads):
+            value, gS, gH = diff_loss_and_grads(p["S"], p["H"])
+            return value, {"S": gS, "H": gH} if with_grads else None
+
+        assert ad.finite_difference_check(loss_fn, params, 1e-5) < 1e-6
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12), st.integers(1, 12),
+           st.sampled_from([None, 1, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_the_two_orders_agree(self, seed, T, d, B):
+        # zero rows push a pair to the product order and zero columns to the
+        # Gram order; neither changes S^T H's nonzero entries
+        rng = np.random.default_rng(seed)
+        shape = (T, d) if B is None else (B, T, d)
+        S, H = rng.normal(size=shape), rng.normal(size=shape)
+        rows, cols = max(0, -(-3 * d // 4) - T), max(0, 4 * T // 3 + 1 - d)
+        pad = [(0, 0)] * (S.ndim - 2)
+        tall = [np.pad(a, pad + [(0, rows), (0, 0)]) for a in (S, H)]
+        wide = [np.pad(a, pad + [(0, 0), (0, cols)]) for a in (S, H)]
+        assert not self._gram(tall[0].shape) and self._gram(wide[0].shape)
+        v_prod, gS_prod, gH_prod = diff_loss_and_grads(*tall)
+        v_gram, gS_gram, gH_gram = diff_loss_and_grads(*wide)
+        nS, nH = np.linalg.norm(S), np.linalg.norm(H)
+        assert abs(v_prod - v_gram) <= 1e-12 * nS ** 2 * nH ** 2
+        # ||2 H H^T S|| <= 2 ||H||^2 ||S||, and the same with S and H swapped
+        npt.assert_allclose(gS_prod[..., :T, :], gS_gram[..., :d], rtol=0,
+                            atol=1e-12 * 2 * nH ** 2 * nS)
+        npt.assert_allclose(gH_prod[..., :T, :], gH_gram[..., :d], rtol=0,
+                            atol=1e-12 * 2 * nS ** 2 * nH)
+        assert not np.any(gS_prod[..., T:, :]) and not np.any(gS_gram[..., d:])
+
+
 class TestBatchedCrossEntropy:
     def test_gradient_is_the_mean_of_the_rows(self):
         rng = np.random.default_rng(9)

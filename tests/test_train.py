@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -472,15 +473,14 @@ class TestTrainingLoop:
         err_now = T.evaluate(best, config, ds.dev, 0)
         assert abs(err_now - min(per_epoch)) < 1e-12
 
-    def test_best_checkpoint_is_a_refreshed_copy(self):
+    def test_best_checkpoint_is_the_model_rewound_to_its_best_epoch(self):
         ds = toy_task()
         cfg = T.TrainConfig(learning_rate=0.5, max_epochs=3, patience=3, seed=1)
         params, config = toy_model()
         best, hist = T.train_multitask(params, config, {"toy": ds}, cfg)
-        # improved after epoch 1, not after epoch 2: the copy is refreshed, then kept
+        # improved after epoch 1, not after epoch 2: epoch 2's steps are undone
         assert hist.best_epoch == 1 and len(hist.records) == 3
-        for name, arr in best.named_tensors().items():
-            assert not np.shares_memory(arr, params.named_tensors()[name]), name
+        assert best is params
         # the same bytes as the model trained up to the best epoch and no further
         at_best, _ = toy_model()
         T.train_multitask(at_best, config, {"toy": ds},
@@ -528,6 +528,14 @@ class TestTrainingLoop:
         before = {n: a.tobytes() for n, a in params.named_tensors().items()}
         with pytest.raises(InputError, match="task 'toy': empty dev split"):
             T.train_multitask(params, config, {"toy": ds}, T.TrainConfig(seed=0))
+        assert {n: a.tobytes() for n, a in params.named_tensors().items()} == before
+
+    def test_empty_training_split_rejected_before_the_first_step(self):
+        corpus = {"t0": toy_task(seed=0, name="t0"), "t1": toy_task(seed=1, n_train=0, name="t1")}
+        params, config = toy_model("sp", K=2)
+        before = {n: a.tobytes() for n, a in params.named_tensors().items()}
+        with pytest.raises(InputError, match="task 't1': empty training split"):
+            T.train_multitask(params, config, corpus, T.TrainConfig(seed=0))
         assert {n: a.tobytes() for n, a in params.named_tensors().items()} == before
 
     def test_nan_loss_raises_numeric_error(self):
@@ -594,6 +602,93 @@ class TestTrainingLoop:
         cfg = T.TrainConfig(max_epochs=1, patience=1, seed=1, alternating=True)
         best, hist = T.train_multitask(params, config, corpus, cfg)
         assert len(hist.records) == 2
+
+
+class TestUndoJournal:
+    """The returned model holds the bytes of a run stopped at its best epoch."""
+
+    @staticmethod
+    def _script_dev_errors(monkeypatch, errors, dev_stats=T._dev_stats):
+        """Make epoch i's mean dev error ``errors[i]``; return the list of finished epochs."""
+        done = []
+
+        def scripted(params, config, tasks):
+            _, disc_accs = dev_stats(params, config, tasks)
+            err = errors[len(done)]
+            done.append(err)
+            return [err] * len(tasks), disc_accs
+
+        monkeypatch.setattr(T, "_dev_stats", scripted)
+        return done
+
+    @staticmethod
+    def _setup(case):
+        corpus, vocab, names = ragged_corpus(seed=3, unlabeled=12 if case == "unlabeled" else 0)
+        config = M.ModelConfig(scheme="asp", task_names=names, classes=(2, 2),
+                               hidden_size=5, embed_size=4, vocab_size=len(vocab) + 20)
+        cfg = T.TrainConfig(learning_rate=0.3, adv_weight=0.1, diff_weight=0.1, max_epochs=6,
+                            patience=2, batch_size=6, seed=3,
+                            alternating=case == "alternating",
+                            use_unlabeled=case == "unlabeled")
+
+        def model():
+            return M.init_model(config, seed=4, freeze_embeddings=case == "frozen")
+
+        return corpus, config, cfg, model
+
+    @staticmethod
+    def _bytes(params):
+        return {n: a.tobytes() for n, a in params.named_tensors().items()}
+
+    @pytest.mark.parametrize("case", ["joint", "alternating", "frozen", "unlabeled"])
+    def test_best_epoch_before_the_last(self, case, monkeypatch):
+        corpus, config, cfg, model = self._setup(case)
+        # best after epoch 1; epochs 2 and 3 do not improve and patience stops the run
+        done = self._script_dev_errors(monkeypatch, [0.5, 0.3, 0.4, 0.3])
+        params = model()
+        best, hist = T.train_multitask(params, config, corpus, cfg)
+        assert best is params and len(done) == 4 and hist.best_epoch == 1
+        # the same run stopped by max_epochs right after its best epoch
+        self._script_dev_errors(monkeypatch, [0.5, 0.3])
+        stopped, short = T.train_multitask(model(), config, corpus, replace(cfg, max_epochs=2))
+        assert short.best_epoch == 1 and short.records == hist.records[:4]
+        assert self._bytes(best) == self._bytes(stopped)
+        if case == "frozen":
+            assert best.tensors["embeddings"].tobytes() == model().tensors["embeddings"].tobytes()
+
+    def test_divergence_restores_the_best_epoch(self, monkeypatch):
+        corpus, config, cfg, model = self._setup("joint")
+        done = self._script_dev_errors(monkeypatch, [0.3, 0.4, 0.2])
+        batch_grads, calls = T._batch_grads, []
+
+        def diverge_in_epoch_2(*args):
+            calls.append(len(done))
+            if calls.count(2) == 3:  # two steps of epoch 2 have changed the model
+                raise NumericError("injected")
+            return batch_grads(*args)
+
+        monkeypatch.setattr(T, "_batch_grads", diverge_in_epoch_2)
+        best, hist = T.train_multitask(model(), config, corpus, cfg)
+        assert hist.diverged and hist.best_epoch == 0 and hist.epochs() == [0, 1]
+        monkeypatch.setattr(T, "_batch_grads", batch_grads)
+        self._script_dev_errors(monkeypatch, [0.3])
+        epoch0, _ = T.train_multitask(model(), config, corpus, replace(cfg, max_epochs=1))
+        assert self._bytes(best) == self._bytes(epoch0)
+
+    def test_memory_stays_below_one_embedding_table(self):
+        corpus = {f"t{k}": toy_task(seed=k, n_train=48, n_dev=16, n_test=8, name=f"t{k}")
+                  for k in range(2)}
+        params, config = toy_model("asp", K=2, d=4, vocab=200_000)
+        table = params.tensors["embeddings"].nbytes
+        assert table == 6_400_000
+        cfg = T.TrainConfig(learning_rate=0.3, max_epochs=3, patience=3, seed=0)
+        tracemalloc.start()
+        try:
+            T.train_multitask(params, config, corpus, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table
 
 
 class TestEvaluate:
@@ -710,19 +805,19 @@ class TestNoCycleCollectorNeeded:
         ref = weakref.ref(params.tensors["shared.W"])
         best, history = T.train_multitask(params, config, self._corpus(), cfg)
         assert history.diverged == (case == "diverged")
-        assert ref() is params.tensors["shared.W"]
-        del params
-        assert ref() is None
+        assert best is params and ref() is params.tensors["shared.W"]
         assert best.tensors["shared.W"].shape == (64, 32)
+        del params, best
+        assert ref() is None
 
     def test_grid_keeps_only_the_running_best_cell(self, monkeypatch, no_cycle_collector):
         train = T.train_multitask
-        started, trained, returned = [], [], []
+        started, returned = [], []
 
         def spy(params, *args):
             started.append(sum(r() is not None for r in returned))
             best, history = train(params, *args)
-            trained.append(weakref.ref(params.tensors["shared.W"]))
+            assert best is params  # the cell's copy, trained in place
             returned.append(weakref.ref(best.tensors["shared.W"]))
             return best, history
 
@@ -739,7 +834,6 @@ class TestNoCycleCollectorNeeded:
         assert started == [0, 1, 1, 1]  # each cell trains beside the best one so far
         assert [r() is not None for r in returned] == [False, True, False, False]
         assert returned[1]() is result.best_params.tensors["shared.W"]
-        assert all(r() is None for r in trained)
 
 
 class TestTransferTraining:
