@@ -323,7 +323,7 @@ def row(a: Node, i) -> Node:
         out[i] = g
         return (out,)
 
-    return a.tape.record(a.value[i].copy(), (a,), vjp)
+    return a.tape.record(a.value.take(i, axis=0), (a,), vjp)
 
 
 def take_rows(a: Node, indices: Sequence[int]) -> Node:
@@ -350,22 +350,17 @@ def take_rows(a: Node, indices: Sequence[int]) -> Node:
     return a.tape.record(a.value[idx], (a,), vjp)
 
 
-def pad_runs(a: Node, lengths: Sequence[int]) -> Node:
-    """Split the rows of ``a`` into consecutive runs and pad each run with zero rows.
+def scatter_rows(a: Node, at: np.ndarray, shape: tuple[int, ...]) -> Node:
+    """Row ``r`` of ``a`` at flat slot ``at[r]`` of a zero array whose leading axes are ``shape``.
 
-    Run ``k`` has ``lengths[k]`` rows; the result is ``[B, T, ...]`` with
-    ``T = max(lengths)``. The padding is constant: no gradient reaches it.
+    The slots are distinct. Those no row fills are constant: no gradient reaches them.
     """
-    lengths = np.asarray(lengths, dtype=np.intp)
-    if lengths.ndim != 1 or len(lengths) == 0 or lengths.min() < 1:
-        raise ShapeError("pad_runs: lengths must be a non-empty list of positive counts")
-    if a.value.ndim < 1 or int(lengths.sum()) != a.value.shape[0]:
-        raise ShapeError(
-            f"pad_runs: lengths add up to {int(lengths.sum())}, input has shape {a.value.shape}")
-    mask = np.arange(lengths.max()) < lengths[:, None]
-    out = np.zeros(mask.shape + a.value.shape[1:])
-    out[mask] = a.value
-    return a.tape.record(out, (a,), lambda g: (g[mask],))
+    at, n, rest = np.asarray(at, dtype=np.intp), int(np.prod(shape)), a.value.shape[1:]
+    if at.size == 0 or at.shape != a.value.shape[:1] or at.min() < 0 or at.max() >= n:
+        raise ShapeError(f"scatter_rows: slots {at} for {a.value.shape} rows into {shape}")
+    out = np.zeros((n, *rest))
+    out[at] = a.value
+    return a.tape.record(out.reshape(*shape, *rest), (a,), lambda g: (g.reshape(n, *rest)[at],))
 
 
 def sum_all(a: Node) -> Node:

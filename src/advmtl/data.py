@@ -100,7 +100,10 @@ class Batch:
     task: int
     sequences: list[list[int]]
     labels: list[int] | None
-    is_unlabeled: bool = False
+
+    @property
+    def is_unlabeled(self) -> bool:
+        return self.labels is None
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -324,7 +327,7 @@ class TaskBatcher:
             for start in range(0, len(pool), self.size):
                 chunk = [pool[i] for i in order[start:start + self.size]]
                 if unlabeled:
-                    yield Batch(task, chunk, None, True)
+                    yield Batch(task, chunk, None)
                 else:
                     yield Batch(task, [ex.tokens for ex in chunk], [ex.label for ex in chunk])
 
@@ -395,6 +398,11 @@ class SynthSpec:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.tasks < 2:
             raise ConfigError("synthetic benchmark needs at least 2 tasks")
+        for name in ("shared_tokens", "private_tokens", "filler_tokens", "unlabeled_per_task"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 <= self.conflict_fraction <= 1:
+            raise ConfigError(f"conflict_fraction must be in [0, 1], got {self.conflict_fraction}")
         if self.shared_tokens <= 0 and self.private_tokens <= 0:
             raise ConfigError("need shared or private tokens (both are zero)")
         if self.private_tokens <= 0 and self.shared_tokens <= self.tasks:

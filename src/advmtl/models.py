@@ -158,15 +158,16 @@ def init_model(config: ModelConfig, seed: int,
 
 @dataclass
 class ForwardResult:
-    """Tape nodes of a forward pass.
+    """Tape nodes of a forward pass, and the batch's packed layout.
 
     ``S`` and ``H`` are ``[N, d]``: the shared and private state after each
-    of the batch's tokens, in the order of its concatenated token ids.
-    ``s_T`` and ``h_T`` are the states at each sentence's last token, and
-    they and the probabilities have one row per sentence. Fields that the
+    token, as packed rows laid out by ``packing`` (one sentence's are in
+    token order). ``s_T`` and ``h_T``, the states at each sentence's last
+    token, and the probabilities have one row per sentence. Fields that the
     scheme or the call does not produce are None.
     """
 
+    packing: nn.Packing
     s_T: Node
     S: Node
     h_T: Node | None = None
@@ -193,15 +194,16 @@ def forward_batch(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
     """
     if task is not None:
         _check_task(config, task)
-    # one embedding node feeds both encoders, so its gradient is summed once
+    # one lookup, permuted once into packed order, feeds both encoders: its gradient sums by token
     table = bound["embeddings"]
     ids, lengths = nn.batch_token_ids(sentences, table.value.shape[0])
-    xs = ad.take_rows(table, ids)
-    out = ForwardResult(*nn.lstm_encode(xs, *_layer(bound, "shared"), lengths))
+    packing = nn.pack(lengths)
+    xs = ad.row(ad.take_rows(table, ids), packing.rows)
+    out = ForwardResult(packing, *nn.lstm_encode(xs, *_layer(bound, "shared"), packing))
     if task is not None:
         feature = out.s_T
         if config.has_private:
-            out.h_T, out.H = nn.lstm_encode(xs, *_layer(bound, f"private.{task}"), lengths)
+            out.h_T, out.H = nn.lstm_encode(xs, *_layer(bound, f"private.{task}"), packing)
             feature = ad.concat([out.h_T, out.s_T], axis=1)
         out.class_probs = nn.softmax_classify(feature, *_layer(bound, f"head.{task}"))
     if config.has_discriminator and want_disc:
@@ -221,10 +223,9 @@ def forward(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
     taken off the per-sentence fields; ``S`` and ``H`` are already the
     sentence's ``[T, d]`` states.
     """
-    _check_task(config, task)
     res = forward_batch(tape, bound, config, [token_ids], task, rev_spec, want_disc)
     return replace(res, **{k: ad.row(n, 0) for k, n in vars(res).items()
-                           if n is not None and k not in ("S", "H")})
+                           if isinstance(n, Node) and k not in ("S", "H")})
 
 
 def discriminate(s: Node, W: Node, b: Node) -> Node:
@@ -320,9 +321,7 @@ def dump_activations(params: ModelParams, config: ModelConfig,
     ids, _ = nn.batch_token_ids([token_ids], table.shape[0])
     X = table[ids]
     S = nn.lstm_states(X, *_layer(tensors, "shared"))
-    H = None
-    if config.has_private:
-        H = nn.lstm_states(X, *_layer(tensors, f"private.{task}"))
+    H = nn.lstm_states(X, *_layer(tensors, f"private.{task}")) if config.has_private else None
     probs = _classify(tensors, task, S, H)
     return [{"t": t + 1,
              "token_id": int(token_ids[t]),

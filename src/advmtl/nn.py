@@ -40,9 +40,22 @@ def lstm_states(X: Tensor, W: Tensor, b: Tensor, lengths=None) -> Tensor:
     sentence ``k`` is the next ``lengths[k]`` rows (default: one sentence
     of all N). Each sentence starts from a zero state. Row ``r`` of the
     result is the state after input row ``r``, so a sentence's final state
-    is its last row. :func:`lstm_encode` records this fold as one tape node.
+    is its last row. This is :func:`lstm_encode`'s fold, laid back out in
+    token order.
     """
-    return _LstmFold(X, W, b, lengths).outputs()
+    if X.ndim != 2:
+        raise ShapeError(f"lstm_states: expected [N, e] inputs, got {X.shape}")
+    N, e = X.shape
+    d = b.shape[0] // 4
+    if e != W.shape[1] - d:
+        raise ShapeError(f"lstm_states: input width {e}, expected {W.shape[1] - d}")
+    lengths = np.array([N]) if lengths is None else np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or len(lengths) == 0 or lengths.sum() != N:
+        raise ShapeError(f"lstm_states: lengths {lengths} for {N} input rows")
+    packing = pack(lengths)
+    out = np.empty((N, d))
+    out[packing.rows] = _LstmFold(X[packing.rows], W, b, packing).H
+    return out
 
 
 @dataclass(frozen=True)
@@ -53,25 +66,33 @@ class Packing:
     sentence at sorted position ``j``), then laid out time-major, keeping
     only the real tokens. Step ``t`` is the row slice ``offs[t] : offs[t] +
     active[t]``, and the sentences still running at step ``t`` are the
-    first ``active[t]`` rows of step ``t - 1``. ``rows[r]`` is the row of
-    the concatenated tokens that packed row ``r`` holds.
+    first ``active[t]`` rows of step ``t - 1``. Packed row ``r`` holds token
+    ``rows[r]`` of the concatenated sentences, in cell ``slots[r]`` of the flat
+    (sentence, step) grid ``[B, T]``; ``last[k]`` is sentence ``k``'s final row.
     """
 
     order: np.ndarray
     active: list[int]
     offs: list[int]
     rows: np.ndarray
+    slots: np.ndarray
+    last: np.ndarray
 
 
 def pack(lengths: np.ndarray) -> Packing:
-    """The :class:`Packing` of concatenated sentences of ``lengths`` (each >= 1)."""
+    """The :class:`Packing` of concatenated sentences of ``lengths``; an empty one raises."""
+    if lengths.min() < 1:
+        raise InputError("pack: empty sentence")
     order = np.argsort(-lengths, kind="stable")
     steps = np.arange(lengths.max())[:, None]
     running = lengths[order] > steps  # [step, sorted position]
     active = [int(n) for n in running.sum(axis=1)]
+    offs = [0, *itertools.accumulate(active)]
     starts = np.cumsum(lengths) - lengths
-    return Packing(order, active, [0, *itertools.accumulate(active)],
-                   (starts[order] + steps)[running])
+    last = np.empty_like(order)
+    last[order] = np.asarray(offs)[lengths[order] - 1] + np.arange(len(order))
+    return Packing(order, active, offs, (starts[order] + steps)[running],
+                   (order * len(steps) + steps)[running], last)
 
 
 def _input_term(X: Tensor, W: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
@@ -135,39 +156,23 @@ def lstm_final_states(X: Tensor, W: Tensor, b: Tensor, packing: Packing) -> Tens
         prev = (h[:n], c[:n]) if t else (None, None)
         _lstm_step(Z[packing.offs[t]:packing.offs[t + 1]], W_hT, *prev,
                    h[:n], c[:n], tanh_c[:n])
-    out = np.empty_like(h)
-    out[packing.order] = h
-    return out
+    return h[np.argsort(packing.order)]
 
 
 class _LstmFold:
     """The forward values of one LSTM fold, kept for its backward rule.
 
-    The fold runs on the packed rows of the batch (see :class:`Packing`),
-    and every array it stores has exactly ``sum(lengths)`` rows: no padded
-    slot enters any product. It stores every step's gate activations,
-    ``h``, ``c`` and ``tanh(c)``, which the backward rule reads.
+    The fold runs on packed rows ``X`` laid out by ``packing``, and every
+    array it stores has one row per packed row: no padded slot enters any
+    product. It stores every step's gate activations, ``h`` (as ``H``),
+    ``c`` and ``tanh(c)``, which the backward rule reads.
     """
 
-    def __init__(self, X, W, b, lengths):
-        if X.ndim != 2:
-            raise ShapeError(f"lstm_encode: expected [N, e] inputs, got {X.shape}")
-        N, e = X.shape
-        d = b.shape[0] // 4
-        if e != W.shape[1] - d:
-            raise ShapeError(f"lstm_encode: input width {e}, expected {W.shape[1] - d}")
-        lengths = np.array([N]) if lengths is None else np.asarray(lengths, dtype=np.intp)
-        if lengths.ndim != 1 or len(lengths) == 0 or lengths.sum() != N:
-            raise ShapeError(f"lstm_encode: lengths {lengths} for {N} input rows")
-        if lengths.min() < 1:
-            raise InputError("lstm_encode: empty sequence")
-
-        packing = pack(lengths)
-        self.lengths, self.d, self.W = lengths, d, W
-        self.active, self.offs, self.rows = packing.active, packing.offs, packing.rows
-        self.X = X[self.rows]
+    def __init__(self, X, W, b, packing: Packing):
+        N, d = X.shape[0], b.shape[0] // 4
+        self.d, self.W, self.X, self.active, self.offs = d, W, X, packing.active, packing.offs
         # gate pre-activations, then (in place, step by step) their activations
-        self.Z, W_hT = _input_term(self.X, W, b)
+        self.Z, W_hT = _input_term(X, W, b)
         self.H, self.C, self.tanh_C = np.empty((N, d)), np.empty((N, d)), np.empty((N, d))
         for t, n in enumerate(self.active):
             r = slice(self.offs[t], self.offs[t + 1])
@@ -175,21 +180,10 @@ class _LstmFold:
             prev = (self.H[p], self.C[p]) if t else (None, None)
             _lstm_step(self.Z[r], W_hT, *prev, self.H[r], self.C[r], self.tanh_C[r])
 
-    def _unpack(self, packed: Tensor) -> Tensor:
-        """The packed rows back in the caller's token order."""
-        out = np.empty_like(packed)
-        out[self.rows] = packed
-        return out
-
-    def outputs(self) -> Tensor:
-        """``[N, d]`` hidden states, in the caller's token order."""
-        return self._unpack(self.H)
-
     def backward(self, g: Tensor) -> tuple:
-        """Gradients of (inputs, W, b) from the gradient of :meth:`outputs`."""
+        """Gradients of (inputs, W, b) from the gradient of ``H``, all in packed order."""
         d, W, active, offs = self.d, self.W, self.active, self.offs
         N, e = self.X.shape
-        g = g[self.rows]
         # the [x; h_prev] input and c_prev of every row, zero at step 0; a
         # row of step t > 0 follows its sentence's row by active[t - 1]
         n0, counts = active[0], np.array(active)
@@ -222,23 +216,25 @@ class _LstmFold:
         ga_rows = ga_all.reshape(N, 4 * d)
         dW = ga_rows.T @ zs
         db = ga_rows.sum(axis=0)
-        return self._unpack(ga_rows @ W[:, :e]), dW, db
+        return ga_rows @ W[:, :e], dW, db
 
 
-def lstm_encode(xs: Node, W: Node, b: Node, lengths=None) -> tuple[Node, Node]:
-    """Fold the LSTM over each sentence of ``xs`` ([N, e]); returns (h_T [B, d], all_h [N, d]).
+def lstm_encode(xs: Node, W: Node, b: Node,
+                packing: Packing | None = None) -> tuple[Node, Node]:
+    """Fold the LSTM over each sentence of ``xs``; returns (h_T [B, d], all_h [N, d]).
 
-    The sentences are concatenated as in :func:`lstm_states`, and
-    ``all_h`` holds its values; ``h_T[k]`` is sentence ``k``'s state at its
-    last token. The whole batch is one tape node whose backward rule runs
-    one batched BPTT loop over the packed rows that computes only the
-    recurrent ``dh``; the input and weight gradients are then one matrix
-    product each over the N rows. Its gradients are finite-difference
-    checked and agree with chaining single LSTM steps.
+    ``xs`` and ``all_h`` are packed rows laid out by ``packing`` (default:
+    one sentence, whose packed order is its token order); ``h_T[k]`` is
+    sentence ``k``'s state at its last token. The batch is one tape node
+    whose backward rule runs one BPTT loop over the packed rows for the
+    recurrent ``dh`` alone; the input and weight gradients are then one
+    product each. Its gradients are finite-difference checked and agree
+    with chaining single LSTM steps.
     """
-    fold = _LstmFold(xs.value, W.value, b.value, lengths)
-    all_h = xs.tape.record(fold.outputs(), (xs, W, b), fold.backward)
-    return ad.row(all_h, np.cumsum(fold.lengths) - 1), all_h
+    packing = pack(np.array([len(xs.value)])) if packing is None else packing
+    fold = _LstmFold(xs.value, W.value, b.value, packing)
+    all_h = xs.tape.record(fold.H, (xs, W, b), fold.backward)
+    return ad.row(all_h, packing.last), all_h
 
 
 def softmax_classify(h: Node, W: Node, b: Node) -> Node:

@@ -173,9 +173,9 @@ def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
 
     The whole batch is one graph. Each term is the mean over its sentences.
     The diff term is over the final states (``diff_mode="batch"``) or over
-    every timestep (``"sentence"``), for which the forward pass's ``[N, d]``
-    token rows are padded to ``[B, T, d]`` here; the padding adds nothing to
-    ``S^T H``.
+    every timestep (``"sentence"``), for which only this mode scatters the
+    packed ``[N, d]`` states into zero-padded ``[B, T, d]`` blocks, one per
+    sentence; the padding adds nothing to ``S^T H``.
     """
     adversarial = config.has_discriminator
     if batch.is_unlabeled and not adversarial:
@@ -193,8 +193,8 @@ def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
     if adversarial:
         S, H = res.s_T, res.h_T
         if cfg.diff_mode == "sentence":  # each sentence's states as one [T, d] block
-            lengths = [len(s) for s in batch.sequences]
-            S, H = ad.pad_runs(res.S, lengths), ad.pad_runs(res.H, lengths)
+            grid = (len(batch), len(res.packing.active))
+            S, H = (ad.scatter_rows(n, res.packing.slots, grid) for n in (res.S, res.H))
         l_diff = ad.scale(L.diff_loss(S, H), 1.0 / len(batch))
     return l_ce, l_adv, l_diff
 

@@ -384,7 +384,7 @@ class EagerTaskBatcher:
         items = [pool[i] for i in order]
         chunks = [items[i:i + self.size] for i in range(0, len(items), self.size)]
         if unlabeled:
-            return iter([D.Batch(task, seqs, None, True) for seqs in chunks])
+            return iter([D.Batch(task, seqs, None) for seqs in chunks])
         return iter([D.Batch(task, [ex.tokens for ex in chunk], [ex.label for ex in chunk])
                      for chunk in chunks])
 

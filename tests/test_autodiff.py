@@ -362,7 +362,7 @@ class TestFiniteDifferenceCheck:
 # through identity weights and a zero bias, its affine map through general ones
 OPS = ["add", "add_bias", "mul", "matmul", "matvec", "tanh", "softmax",
        "concat0", "concat1", "sum_all", "row", "take_rows", "softmax_rows", "affine",
-       "affine_vec", "pad_runs", "row_indices"]
+       "affine_vec", "scatter_rows", "row_indices"]
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -420,9 +420,9 @@ def test_every_op_matches_finite_differences(op):
             W, b = t.leaf(p["w"]), t.leaf(p["bias2"])
             out = nn.softmax_classify(x, W, b)
             nodes = {"m1" if op == "affine" else "a": x, "w": W, "bias2": b}
-        elif op == "pad_runs":
+        elif op == "scatter_rows":
             a = t.leaf(p["m1"])
-            out = ad.pad_runs(a, [1, 2])
+            out = ad.scatter_rows(a, [4, 0, 5], (2, 3))
             nodes = {"m1": a}
         elif op == "row_indices":
             a = t.leaf(p["m1"])
@@ -448,7 +448,7 @@ def test_every_op_matches_finite_differences(op):
             "concat0": ["a", "b"], "concat1": ["m1", "m3"],
             "sum_all": ["m1"], "row": ["m1"], "take_rows": ["m1"], "softmax_rows": ["m1"],
             "affine": ["m1", "w", "bias2"], "affine_vec": ["a", "w", "bias2"],
-            "pad_runs": ["m1"], "row_indices": ["m1"]}[op]
+            "scatter_rows": ["m1"], "row_indices": ["m1"]}[op]
     err = ad.finite_difference_check(build, {k: params[k] for k in used}, 1e-5)
     assert err < 1e-4, f"{op}: max relative error {err}"
 
@@ -593,16 +593,22 @@ def test_softmax_is_distribution(n, seed):
     assert np.all(out.value >= 0)
 
 
-def test_pad_runs_and_row_values():
+def test_scatter_rows_and_row_values():
     t = Tape()
     a = leaf(t, np.arange(8.0).reshape(4, 2))
-    padded = ad.pad_runs(a, [1, 3])
+    padded = ad.scatter_rows(a, [0, 3, 4, 5], (2, 3))  # runs of 1 and 3 rows, zero-padded
     npt.assert_array_equal(padded.value, [[[0, 1], [0, 0], [0, 0]],
                                           [[2, 3], [4, 5], [6, 7]]])
+    npt.assert_array_equal(ad.scatter_rows(a, [3, 0, 4, 5], (2, 3)).value,
+                           [[[2, 3], [0, 0], [0, 0]], [[0, 1], [4, 5], [6, 7]]])
     npt.assert_array_equal(ad.row(a, np.array([0, 3])).value, [[0, 1], [6, 7]])
     npt.assert_array_equal(ad.row(a, 2).value, [4, 5])
     with pytest.raises(ShapeError):
-        ad.pad_runs(a, [1, 2])  # lengths must cover every row
+        ad.scatter_rows(a, [0, 3, 4], (2, 3))  # the slots must cover every row
+    with pytest.raises(ShapeError):
+        ad.scatter_rows(a, [0, 3, 4, 6], (2, 3))  # a slot past the grid
+    grad = ad.backward(t, ad.sum_all(ad.mul(padded, padded)))[a.idx]
+    npt.assert_array_equal(grad, 2 * a.value)  # each row's gradient from its own slot
 
 
 def test_softmax_rows_are_independent_distributions():

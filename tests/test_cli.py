@@ -18,6 +18,8 @@ from advmtl import models as M
 from advmtl import train as T
 from advmtl.errors import ConfigError
 
+from test_data import NEGATIVE_SPECS
+
 
 SYNTH_SPEC = """
 tasks = 2
@@ -122,6 +124,14 @@ class TestSynth:
         spec.write_text(SYNTH_SPEC + "embedding_dim = 0\nembedding_scale = 0\n")
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 0
         assert not (tmp_path / "x" / "vectors.txt").exists()
+
+    @pytest.mark.parametrize("key,fields", NEGATIVE_SPECS, ids=[k for k, _ in NEGATIVE_SPECS])
+    def test_negative_count_or_fraction_exits_3(self, tmp_path, capsys, key, fields):
+        spec = tmp_path / "bad.cfg"
+        spec.write_text("tasks = 2\n" + "".join(f"{k} = {v}\n" for k, v in fields.items()))
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")]) == 3
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_key_exits_3(self, tmp_path):
         spec = tmp_path / "bad.cfg"

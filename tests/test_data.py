@@ -257,6 +257,19 @@ def synth_specs(draw):
         domain_bias=draw(st.sampled_from([0.0, 3.0])), seed=draw(st.integers(0, 2 ** 40)))
 
 
+# specs that once loaded as if the value were 0, or the nearest end of
+# [0, 1]: each names the key it gets wrong
+NEGATIVE_SPECS = [
+    ("unlabeled_per_task", dict(unlabeled_per_task=-1)),
+    ("shared_tokens", dict(shared_tokens=-1)),
+    ("private_tokens", dict(private_tokens=-1)),
+    ("filler_tokens", dict(filler_tokens=-1, shared_rate=0.5, own_rate=0.4,
+                           contaminant_rate=0.1)),  # no filler drawn
+    ("conflict_fraction", dict(conflict_fraction=1.5)),
+    ("conflict_fraction", dict(conflict_fraction=-0.5, private_tokens=0)),
+]
+
+
 class TestSynthetic:
     GOLDEN = {  # sha256 of each corpus and its provenance, as generated before any speed-up
         "three_tasks_biased": (
@@ -388,6 +401,11 @@ class TestSynthetic:
             D.SynthSpec(tasks=2, noise_rate=0.7)
         with pytest.raises(ConfigError):
             D.SynthSpec(tasks=2, shared_rate=0.9, own_rate=0.3)
+
+    @pytest.mark.parametrize("key,fields", NEGATIVE_SPECS, ids=[k for k, _ in NEGATIVE_SPECS])
+    def test_negative_counts_and_fraction_rejected(self, key, fields):
+        with pytest.raises(ConfigError, match=key):
+            D.SynthSpec(tasks=2, **fields)
 
     def test_roundtrip_through_disk(self, tmp_path):
         spec = D.SynthSpec(tasks=2, sentences_per_task=60, unlabeled_per_task=15,

@@ -298,7 +298,9 @@ class TestDumpActivations:
             for name, got, want in zip("SH", (res.S, res.H), alone):
                 assert (want is None) == (got is None), name
                 if want is not None:
-                    npt.assert_allclose(got.value[rows], want, rtol=0, atol=1e-12, err_msg=name)
+                    tokens = np.empty_like(got.value)  # the packed rows in token order
+                    tokens[res.packing.rows] = got.value
+                    npt.assert_allclose(tokens[rows], want, rtol=0, atol=1e-12, err_msg=name)
 
     def test_record_count_and_consistency(self):
         cfg = small_config("sp", d=3, e=2)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from advmtl import autodiff as ad
 from advmtl import data as D
@@ -150,6 +150,7 @@ class TestLstmEncode:
 class TestBatchedLstm:
     LENGTHS = [3, 1, 5]  # ragged and unsorted
     ENDS = np.cumsum(LENGTHS)
+    PACKING = nn.pack(np.array(LENGTHS))
 
     def _setup(self, seed, d=3, e=2):
         rng = np.random.default_rng(seed)
@@ -174,9 +175,12 @@ class TestBatchedLstm:
         W, b, xs = self._setup(4)
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
-        h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn, self.LENGTHS)
+        packing = self.PACKING
+        h_T, all_h = nn.lstm_encode(t.constant(xs[packing.rows]), Wn, bn, packing)
+        H = np.empty_like(all_h.value)  # the packed rows in token order
+        H[packing.rows] = all_h.value
         for k, end in enumerate(self.ENDS):
-            assert h_T.value[k].tobytes() == all_h.value[end - 1].tobytes()
+            assert h_T.value[k].tobytes() == H[end - 1].tobytes()
 
     def test_bad_lengths_rejected(self):
         W, b, xs = self._setup(6)
@@ -200,7 +204,8 @@ class TestBatchedLstm:
         def loss_fn(p, with_grads):
             t = Tape()
             nodes = {k: t.leaf(v) for k, v in p.items()}
-            h_T, all_h = nn.lstm_encode(nodes["xs"], nodes["W"], nodes["b"], self.LENGTHS)
+            xs = ad.row(nodes["xs"], self.PACKING.rows)  # packed order
+            h_T, all_h = nn.lstm_encode(xs, nodes["W"], nodes["b"], self.PACKING)
             out = ad.add(ad.sum_all(ad.mul(h_T, h_T)), ad.sum_all(ad.tanh(all_h)))
             if not with_grads:
                 return float(out.value), None
@@ -212,15 +217,16 @@ class TestBatchedLstm:
     def test_weight_gradient_is_the_sum_over_sentences(self):
         W, b, xs = self._setup(8)
 
-        def grads(batch, lengths):
+        def grads(batch, packing):
             t = Tape()
             Wn, bn = bind_lstm(t, W, b)
-            h_T, all_h = nn.lstm_encode(t.constant(batch), Wn, bn, lengths)
+            rows = batch if packing is None else batch[packing.rows]
+            h_T, all_h = nn.lstm_encode(t.constant(rows), Wn, bn, packing)
             gm = ad.backward(t, ad.add(ad.sum_all(ad.mul(h_T, h_T)),
                                        ad.sum_all(ad.tanh(all_h))))
             return gm[Wn.idx], gm[bn.idx]
 
-        dW, db = grads(xs, self.LENGTHS)
+        dW, db = grads(xs, self.PACKING)
         alone = [grads(xs[rows], None) for rows in self._sentences()]
         npt.assert_allclose(dW, sum(g for g, _ in alone), rtol=0, atol=1e-14)
         npt.assert_allclose(db, sum(g for _, g in alone), rtol=0, atol=1e-14)
@@ -251,22 +257,24 @@ class TestPackedFold:
     @pytest.mark.parametrize("lengths,T", CASES.values(), ids=list(CASES))
     def test_matches_padded_fold(self, lengths, T, d, e):
         X, W, b, g = self._setup(lengths, T, d, e)  # g is nonzero on padded steps too
-        real = self._real(lengths, T)
-        packed = nn._LstmFold(X[real], W, b, lengths)
+        packing = nn.pack(np.array(lengths))
+        real = self._real(lengths, T)  # token order; [real][packing.rows] is packed order
+        packed = nn._LstmFold(X[real][packing.rows], W, b, packing)
         padded = oracles.PaddedLstmFold(X, W, b, lengths)
-        npt.assert_allclose(packed.outputs(), padded.outputs()[real], rtol=0, atol=1e-12)
+        npt.assert_allclose(packed.H, padded.outputs()[real][packing.rows], rtol=0, atol=1e-12)
         dX, dW, db = padded.backward(g)
-        for name, got, want in zip(("dX", "dW", "db"), packed.backward(g[real]),
-                                   (dX[real], dW, db)):
+        for name, got, want in zip(("dX", "dW", "db"), packed.backward(g[real][packing.rows]),
+                                   (dX[real][packing.rows], dW, db)):
             assert got.shape == want.shape, name
             npt.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
 
     def test_stores_only_real_rows(self):
         lengths, T = self.CASES["T_past_longest"]
         X, W, b, _ = self._setup(lengths, T, 3, 2)
-        fold = nn._LstmFold(X[self._real(lengths, T)], W, b, lengths)
+        packing = nn.pack(np.array(lengths))
+        fold = nn._LstmFold(X[self._real(lengths, T)][packing.rows], W, b, packing)
         stored = {k: v for k, v in vars(fold).items()
-                  if isinstance(v, np.ndarray) and v is not fold.W and v is not fold.lengths}
+                  if isinstance(v, np.ndarray) and v is not fold.W}
         assert {"X", "Z", "H", "C", "tanh_C"} <= set(stored)
         assert {k: v.shape[0] for k, v in stored.items()} == dict.fromkeys(stored, sum(lengths))
 
@@ -289,14 +297,14 @@ class TestFinalStates:
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_single_sentence_bitwise_equal_to_fold(self, n, d, e):
         X, W, b = self._setup([n], d, e)
-        want = nn._LstmFold(X, W, b, None).outputs()[n - 1]
+        want = nn.lstm_states(X, W, b)[n - 1]
         assert self._final(X, W, b, [n])[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d,e", [(3, 2), (24, 16)])
     @pytest.mark.parametrize("lengths", [[4, 2, 6, 2, 6, 1], [5, 5, 5], [1, 3, 1], [2, 9, 3]])
     def test_ragged_batch_matches_fold(self, lengths, d, e):
         X, W, b = self._setup(lengths, d, e)
-        H = nn._LstmFold(X, W, b, lengths).outputs()
+        H = nn.lstm_states(X, W, b, lengths)
         got = self._final(X, W, b, lengths)
         assert got.shape == (len(lengths), d)
         for k, end in enumerate(np.cumsum(lengths)):
@@ -314,6 +322,24 @@ class TestFinalStates:
         padded = [k * T + t for t in range(T) for k in packing.order if t < lengths[k]]
         k, t = np.divmod(padded, T)
         npt.assert_array_equal(packing.rows, starts[k] + t)
+        npt.assert_array_equal(packing.slots, k * lengths.max() + t)
+        npt.assert_array_equal(packing.last, [6, 9, 3, 10])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    @example([1]).via("a batch of one sentence of one token")
+    @example([3, 1, 3, 1]).via("ties and length one")
+    def test_index_maps_name_the_same_tokens(self, lengths):
+        lengths = np.array(lengths, dtype=np.intp)
+        packing = nn.pack(lengths)
+        T, starts = lengths.max(), np.cumsum(lengths) - lengths
+        step = np.repeat(np.arange(T), packing.active)  # the step each packed row sits in
+        k, t = np.divmod(packing.slots, T)  # the (sentence, step) grid slot of each row
+        npt.assert_array_equal(t, step)
+        assert np.all(t < lengths[k])
+        npt.assert_array_equal(packing.rows, starts[k] + t)  # the same token of that sentence
+        npt.assert_array_equal(np.sort(packing.rows), np.arange(lengths.sum()))
+        npt.assert_array_equal(packing.rows[packing.last], starts + lengths - 1)
 
 
 class TestSoftmaxHead:
@@ -452,7 +478,8 @@ class TestEmbeddings:
         tape = Tape()
         bound = params.bind(tape)
         res = M.forward_batch(tape, bound, config, sentences, 0)
-        return tape, bound["embeddings"], tape.nodes[res.S.parents[0]]  # the encoder's input
+        packed = tape.nodes[res.S.parents[0]]  # the encoder's input: the lookup, packed
+        return tape, bound["embeddings"], tape.nodes[packed.parents[0]]
 
     def test_lookup_and_oov_guard(self):
         _, _, xs = self._forward([[1, 0, 1]])

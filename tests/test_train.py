@@ -235,24 +235,25 @@ class TestStepGraph:
 
     A K = 2 asp model binds 13 tensors: the table, the shared, both private
     and both head layers, and the discriminator. A labeled step adds the
-    lookup, two LSTM folds (each a fold node and a final-row node), the
-    concatenation, the head's classifier, the reversal, the discriminator's
-    classifier, two cross-entropies, the two padded state blocks, the diff
-    loss and its 1/B scale, and _combine's two scales and sum: 31 nodes. An
-    unlabeled step adds the lookup, the shared fold, the reversal, the
-    discriminator and its cross-entropy, and _combine returns that term: 19.
-    A classifier split into an affine and a softmax node changes both.
+    lookup and its permutation into packed order, two LSTM folds (each a
+    fold node and a final-row node), the concatenation, the head's
+    classifier, the reversal, the discriminator's classifier, two
+    cross-entropies, the two scattered state blocks, the diff loss and its
+    1/B scale, and _combine's two scales and sum: 32 nodes. An unlabeled
+    step adds the lookup and its permutation, the shared fold, the
+    reversal, the discriminator and its cross-entropy, and _combine returns
+    that term: 20. A classifier split into an affine and a softmax node
+    changes both.
     """
 
-    @pytest.mark.parametrize("unlabeled, nodes", [(False, 31), (True, 19)])
+    @pytest.mark.parametrize("unlabeled, nodes", [(False, 32), (True, 20)])
     def test_nodes_per_step(self, monkeypatch, unlabeled, nodes):
         corpus, vocab, names = ragged_corpus()
         config = M.ModelConfig(scheme="asp", task_names=names, classes=(2, 2),
                                hidden_size=4, embed_size=3, vocab_size=len(vocab))
         train = corpus[names[1]].train[:4]
         batch = D.Batch(task=1, sequences=[e.tokens for e in train],
-                        labels=None if unlabeled else [e.label for e in train],
-                        is_unlabeled=unlabeled)
+                        labels=None if unlabeled else [e.label for e in train])
         lengths, backward = [], ad.backward
 
         def spy(tape, loss):
@@ -296,8 +297,7 @@ class TestBatchedTerms:
             seqs.insert(2, train[5].tokens[:1])
             labels = [e.label for e in train[:6]]
         assert size == "one" or len({len(q) for q in seqs}) > 2
-        return D.Batch(task=1, sequences=seqs, labels=None if unlabeled else labels,
-                       is_unlabeled=unlabeled)
+        return D.Batch(task=1, sequences=seqs, labels=None if unlabeled else labels)
 
     def _terms(self, build, params, config, batch, cfg):
         tape = Tape()
