@@ -230,22 +230,6 @@ def scale(a: Node, c: float) -> Node:
     return a.tape.record(a.value * c, (a,), lambda g: (g * c,))
 
 
-def add_n(nodes: Sequence[Node]) -> Node:
-    """Sum of same-shaped nodes; one tape entry regardless of count."""
-    if not nodes:
-        raise ContractError("add_n of zero nodes")
-    tape = nodes[0].tape
-    shape = nodes[0].value.shape
-    for n in nodes[1:]:
-        if n.value.shape != shape:
-            raise ShapeError(f"add_n: mixed shapes {shape} and {n.value.shape}")
-    total = nodes[0].value.copy()
-    for n in nodes[1:]:
-        total += n.value
-    k = len(nodes)
-    return tape.record(total, nodes, lambda g: (g,) * k)
-
-
 def matmul(a: Node, b: Node) -> Node:
     """Matrix product: [m,k]@[k,n] -> [m,n] or [m,k]@[k] -> [m]."""
     tape = a.tape

@@ -411,8 +411,8 @@ def cmd_train(args) -> Run:
         print(f"best epoch {history.best_epoch}: "
               f"mean dev error {history.mean_dev_error(history.best_epoch):.4f}")
     if history.diverged:
-        print("training diverged; best checkpoint before divergence retained",
-              file=sys.stderr)
+        print(f"training diverged at {history.divergence}; "
+              "best checkpoint before divergence retained", file=sys.stderr)
         run.code = EXIT_NUMERIC
     return run
 
@@ -474,6 +474,8 @@ def _shared_sha256(params: M.ModelParams) -> str:
 
 
 def cmd_transfer(args) -> Run:
+    if bool(args.target) == args.all_targets:
+        raise ConfigError("transfer: give one of --target and --all-targets")
     _require_file(args.checkpoint, "--checkpoint")
     source_params, source_config, _ = M.load_checkpoint(args.checkpoint)
     cfg = resolve_config(args.config, vars(args), keys=TRANSFER_KEYS)
@@ -483,10 +485,8 @@ def cmd_transfer(args) -> Run:
         if args.target not in datasets:
             raise CompatibilityError(f"target task '{args.target}' not in data")
         targets = [args.target]
-    elif args.all_targets:
-        targets = sorted(datasets)
     else:
-        raise ConfigError("--target or --all-targets: required")
+        targets = sorted(datasets)
     for target in targets:  # each target is scored on its test split once trained
         _nonempty_split(datasets[target], "test")
     run = Run(args.out, cfg, [args.data, args.checkpoint])

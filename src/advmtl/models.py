@@ -181,16 +181,17 @@ def _check_task(config: ModelConfig, task: int) -> None:
         raise InputError(f"unknown task index {task} for {config.n_tasks} tasks")
 
 
-def forward_batch(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
+def forward_batch(bound: Mapping[str, Node], config: ModelConfig,
                   sentences: Sequence[Sequence[int]], task: int | None,
                   rev_spec: GradReversalSpec | None = None,
                   want_disc: bool = True) -> ForwardResult:
     """Run a batch of sentences through the scheme's encoders, as one graph.
 
-    With a task, that task's private encoder and head run too; with none
-    (unlabeled data) only the shared encoder does. For ``asp`` with
-    ``want_disc`` the discriminator reads the gradient-reversed final shared
-    states.
+    The graph is recorded on the tape of the ``bound`` leaves (see
+    :meth:`ModelParams.bind`). With a task, that task's private encoder
+    and head run too; with none (unlabeled data) only the shared encoder
+    does. For ``asp`` with ``want_disc`` the discriminator reads the
+    gradient-reversed final shared states.
     """
     if task is not None:
         _check_task(config, task)
@@ -221,9 +222,10 @@ def forward(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
 
     This is :func:`forward_batch` on a batch of one, with the batch axis
     taken off the per-sentence fields; ``S`` and ``H`` are already the
-    sentence's ``[T, d]`` states.
+    sentence's ``[T, d]`` states. ``tape`` is the one ``bound`` was
+    recorded on; the nodes carry it, so it is not read.
     """
-    res = forward_batch(tape, bound, config, [token_ids], task, rev_spec, want_disc)
+    res = forward_batch(bound, config, [token_ids], task, rev_spec, want_disc)
     return replace(res, **{k: ad.row(n, 0) for k, n in vars(res).items()
                            if isinstance(n, Node) and k not in ("S", "H")})
 

@@ -2,14 +2,15 @@
 
 One optimization step draws one task's batch (strict round-robin) and
 is one call of ``_batch_grads``: it binds the parameters on a fresh
-tape, builds the combined objective of the whole batch as one graph
-(``_combine`` of ``_batch_terms``), rejects a non-finite loss,
-backpropagates once and releases the tape. ``sgd_step`` then updates
-every trainable tensor jointly; the gradient-reversal node inside the
-adversarial term is what sends the shared encoder and the discriminator
-in opposing directions. With ``alternating`` a step is two such calls:
-the first updates only the discriminator, the second everything else.
-Unlabeled batches (when enabled) contribute the adversarial term only.
+tape, builds the loss terms of the whole batch as one graph
+(``_batch_terms``) and their weighted sum as one node (``_combine``),
+rejects a non-finite loss, backpropagates once and releases the tape.
+``sgd_step`` then updates every trainable tensor jointly; the
+gradient-reversal node inside the adversarial term is what sends the
+shared encoder and the discriminator in opposing directions. With
+``alternating`` a step is two such calls: the first updates only the
+discriminator, the second everything else. Unlabeled batches (when
+enabled) contribute the adversarial term only.
 
 An epoch is one pass over the largest task's training split; smaller
 tasks cycle. Early stopping watches mean dev error across tasks.
@@ -40,7 +41,7 @@ from . import losses as L
 from . import models as M
 from .autodiff import GradReversalSpec, Tape, Tensor
 from .data import Batch, TaskBatcher, TaskDataset, Example
-from .errors import ConfigError, ContractError, InputError, NumericError
+from .errors import ConfigError, ContractError, InputError, NumericError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,9 @@ class TrainConfig:
     alternating: bool = False
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "seed"):
+            if not M._is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.patience < 1:
@@ -97,11 +101,27 @@ class EpochTaskRecord:
     l_diff: float | None
 
 
+@dataclass(frozen=True)
+class Divergence:
+    """Where training stopped on a non-finite value: epoch, task whose batch raised, cause."""
+
+    epoch: int
+    task: str
+    cause: str
+
+    def __str__(self) -> str:
+        return f"epoch {self.epoch}, task '{self.task}': {self.cause}"
+
+
 @dataclass
 class TrainHistory:
     records: list[EpochTaskRecord] = field(default_factory=list)
     best_epoch: int = -1
-    diverged: bool = False
+    divergence: Divergence | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.divergence is not None
 
     def epochs(self) -> list[int]:
         return sorted({r.epoch for r in self.records})
@@ -167,11 +187,11 @@ def sgd_step(params: M.ModelParams, grads: Mapping[str, Tensor | ad.RowGrad],
             tensors[name] -= step * g
 
 
-def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
-                 cfg: TrainConfig):
+def _batch_terms(bound, config: M.ModelConfig, batch: Batch, cfg: TrainConfig):
     """Per-batch loss nodes: (task CE, adversarial CE, diff) — None where n/a.
 
-    The whole batch is one graph. Each term is the mean over its sentences.
+    The whole batch is one graph, on the tape of the ``bound`` leaves. Each
+    term is the mean over its sentences; the diff term's 1/B is its own node.
     The diff term is over the final states (``diff_mode="batch"``) or over
     every timestep (``"sentence"``), for which only this mode scatters the
     packed ``[N, d]`` states into zero-padded ``[B, T, d]`` blocks, one per
@@ -182,8 +202,7 @@ def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
         raise ContractError("unlabeled batches require the adversarial scheme")
     rev = GradReversalSpec(cfg.adv_weight) if adversarial else None
     task = None if batch.is_unlabeled else batch.task
-    res = M.forward_batch(tape, bound, config, batch.sequences, task,
-                          rev_spec=rev, want_disc=adversarial)
+    res = M.forward_batch(bound, config, batch.sequences, task, rev_spec=rev)
     l_adv = (L.cross_entropy(res.disc_probs, [batch.task] * len(batch))
              if adversarial else None)
     if batch.is_unlabeled:
@@ -199,23 +218,32 @@ def _batch_terms(tape: Tape, bound, config: M.ModelConfig, batch: Batch,
     return l_ce, l_adv, l_diff
 
 
-def _combine(tape: Tape, l_ce, l_adv, l_diff, task: int, cfg: TrainConfig) -> ad.Node:
-    """Total objective for one step: alpha_k * ce + adv + gamma * diff.
+def _combine(l_ce, l_adv, l_diff, task: int, cfg: TrainConfig) -> ad.Node:
+    """Total objective for one step as one tape node: alpha_k * ce + adv + gamma * diff.
 
-    Absent (None) terms are left out, so an unlabeled batch's objective is
-    its adversarial term alone. The adversarial weight acts through the
-    reversal node (the discriminator itself trains at full rate), so the
-    adversarial term enters the sum unscaled.
+    Absent (None) terms are left out, and a lone adversarial term (an
+    unlabeled batch's objective) is returned as it is. The adversarial
+    weight acts through the reversal node (the discriminator itself trains
+    at full rate), so the adversarial term enters the sum unscaled. The
+    weighted terms are added left to right into a copy of the first, and
+    the vjp hands each term the upstream gradient times its weight. Every
+    term must be a scalar.
     """
-    terms = []
-    if l_ce is not None:
-        alpha = 1.0 if cfg.alpha is None else float(cfg.alpha[task])
-        terms.append(ad.scale(l_ce, alpha))
-    if l_adv is not None:
-        terms.append(l_adv)
-    if l_diff is not None:
-        terms.append(ad.scale(l_diff, cfg.diff_weight))
-    return terms[0] if len(terms) == 1 else ad.add_n(terms)
+    alpha = 1.0 if cfg.alpha is None else cfg.alpha[task]
+    terms = [(node, w) for node, w in ((l_ce, float(alpha)), (l_adv, None),
+                                       (l_diff, float(cfg.diff_weight))) if node is not None]
+    for node, _ in terms:
+        if node.value.shape != ():
+            raise ShapeError(f"_combine: a loss term of shape {node.value.shape}, not a scalar")
+    if len(terms) == 1 and terms[0][1] is None:
+        return terms[0][0]
+    nodes, weights = zip(*terms)
+    parts = [node.value if w is None else node.value * w for node, w in terms]
+    total = np.array(parts[0])  # a copy: the sum must not write into a term's value
+    for part in parts[1:]:
+        total += part
+    return nodes[0].tape.record(total, nodes,
+                                lambda g: tuple(g if w is None else g * w for w in weights))
 
 
 @np.errstate(all="ignore")  # a non-finite value is reported as a NumericError, not a warning
@@ -232,8 +260,8 @@ def _batch_grads(params: M.ModelParams, config: M.ModelConfig, batch: Batch,
     tape = Tape()
     try:
         bound = params.bind(tape)
-        parts = _batch_terms(tape, bound, config, batch, cfg)
-        total = _combine(tape, *parts, batch.task, cfg)
+        parts = _batch_terms(bound, config, batch, cfg)
+        total = _combine(*parts, batch.task, cfg)
         if not np.isfinite(total.value):
             raise NumericError("training loss is not finite")
         by_id = ad.backward(tape, total)
@@ -371,8 +399,8 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
     and writes it back on return, so no copy of the model is made.
     A task with an empty training or dev split raises :class:`InputError`
     before the first step. On divergence (non-finite loss or gradient)
-    training stops and the model is returned at its best epoch so far with
-    ``history.diverged`` set.
+    training stops and the model is returned at its best epoch so far;
+    ``history.divergence`` names the epoch, the task and the cause.
     """
     tasks = []
     for k, name in enumerate(config.task_names):
@@ -388,6 +416,10 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
         missing = [k for k in range(config.n_tasks) if k not in cfg.alpha]
         if missing:
             raise ConfigError(f"alpha: no task weight for task {missing[0]}")
+        extra = [k for k in cfg.alpha if k not in range(config.n_tasks)]
+        if extra:
+            raise ConfigError(f"alpha: task weight for task {extra[0]!r}, "
+                              f"but the model has {config.n_tasks} tasks")
     for ds in tasks:
         if not ds.train:  # the batcher would have no batch to draw
             raise InputError(f"task '{ds.name}': empty training split")
@@ -417,8 +449,8 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
                             s[1] += adv if adv is not None else 0.0
                             s[2] += diff if diff is not None else 0.0
                             s[3] += 1
-        except NumericError:
-            history.diverged = True
+        except NumericError as exc:
+            history.divergence = Divergence(epoch, config.task_names[k], str(exc))
             break
         errors, disc_accs = _dev_stats(params, config, tasks)
         for k, name in enumerate(config.task_names):

@@ -22,6 +22,9 @@ node is checked bitwise against it.
 and softmax node that ``nn.softmax_classify`` replaced; the one node is
 checked bitwise against it, and :func:`softmax_node` is the softmax alone
 as that one node.
+:func:`combine_composed` is the step's objective as the two scale nodes
+and the sum node that the one node of ``train._combine`` replaced; the
+one node is checked bitwise against it.
 :func:`generate_synthetic_scalar` is the synthetic corpus generator that
 calls ``Generator.random()`` and ``Generator.integers`` once per value;
 ``data.generate_synthetic``, which rebuilds those values from PCG64's raw
@@ -30,6 +33,7 @@ outputs, is checked against it.
 
 import math
 from bisect import bisect_left
+from functools import reduce
 
 import numpy as np
 
@@ -118,6 +122,23 @@ def cross_entropy_composed(probs, labels):
     rows = p.shape[0] if p.ndim == 2 else 1
     onehot = probs.tape.constant(np.eye(p.shape[-1])[labels])
     return ad.scale(ad.sum_all(ad.mul(onehot, log_node(probs))), -1.0 / rows)
+
+
+def combine_composed(l_ce, l_adv, l_diff, task, cfg):
+    """``train._combine`` as the nodes it replaced: two scales and their sum.
+
+    ``alpha_k * ce`` and ``gamma * diff`` are scale nodes and the present
+    terms are summed left to right by a chain of ``add`` nodes; a lone
+    term is returned as the chain's first node.
+    """
+    terms = []
+    if l_ce is not None:
+        terms.append(ad.scale(l_ce, 1.0 if cfg.alpha is None else cfg.alpha[task]))
+    if l_adv is not None:
+        terms.append(l_adv)
+    if l_diff is not None:
+        terms.append(ad.scale(l_diff, cfg.diff_weight))
+    return reduce(ad.add, terms)
 
 
 def softmax_classify_composed(h, W, b):
@@ -231,7 +252,7 @@ def backward_copy_accumulate(tape, loss):
 
 
 def _mean(nodes):
-    return ad.scale(ad.add_n(nodes), 1.0 / len(nodes))
+    return ad.scale(reduce(ad.add, nodes), 1.0 / len(nodes))
 
 
 def _stack_rows(rows):
@@ -316,12 +337,13 @@ class PaddedLstmFold:
         return dX.transpose(1, 0, 2)[self.unsort], dW, db
 
 
-def batch_terms(tape, bound, config, batch, cfg):
+def batch_terms(bound, config, batch, cfg):
     """(task CE, adversarial CE, diff) of a batch, one graph per sentence.
 
     Each sentence runs through ``models.forward`` on its own, and each term
     is the mean of the per-sentence terms.
     """
+    tape = bound["embeddings"].tape
     adversarial = config.has_discriminator
     rev = GradReversalSpec(cfg.adv_weight) if adversarial else None
     ce_nodes, adv_nodes, diff_nodes = [], [], []
@@ -330,7 +352,7 @@ def batch_terms(tape, bound, config, batch, cfg):
         if not adversarial:
             raise ContractError("unlabeled batches require the adversarial scheme")
         for seq in batch.sequences:
-            res = M.forward_batch(tape, bound, config, [seq], None, want_disc=False)
+            res = M.forward_batch(bound, config, [seq], None, want_disc=False)
             disc_probs = M.discriminate(ad.gradient_reversal(ad.row(res.s_T, 0), rev),
                                         bound["disc.W"], bound["disc.b"])
             adv_nodes.append(L.cross_entropy(disc_probs, batch.task))

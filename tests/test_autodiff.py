@@ -1,4 +1,5 @@
 import zlib
+from functools import reduce
 
 import numpy as np
 import numpy.testing as npt
@@ -209,8 +210,8 @@ class TestRelease:
 def _random_graph(seed):
     """A seeded graph whose vjps return shared and sliced upstream gradients.
 
-    Nodes are ``[3, 2]`` matrices made by ``add``, ``add_n`` and ``concat``
-    (whose vjps return ``g`` itself or views of it), ``tanh`` and table
+    Nodes are ``[3, 2]`` matrices made by ``add`` (alone or chained) and
+    ``concat`` (whose vjps return ``g`` itself or views of it), ``tanh`` and table
     lookups; each reads one to three earlier nodes picked at random,
     possibly the same one twice. The table leaf is read by ``take_rows``
     (a ``RowGrad``) and, in some graphs, densely through ``matmul``. The
@@ -233,7 +234,7 @@ def _random_graph(seed):
         elif op == 1:  # column slices of the upstream gradient
             node = ad.matmul(ad.concat(ops, axis=1), t.leaf(rng.normal(size=(4, 2))))
         elif op == 2:
-            node = ad.add_n(ops)
+            node = reduce(ad.add, ops)
         elif op == 3:  # row slices of the upstream gradient
             node = ad.matmul(t.leaf(rng.normal(size=(3, 6))), ad.concat(ops, axis=0))
         elif op == 4:
@@ -243,7 +244,7 @@ def _random_graph(seed):
         pool.append(node)
         read.update(n.idx for n in ops)
     sinks = [n for n in pool if n.idx not in read]
-    return t, ad.add_n([ad.sum_all(ad.mul(n, n)) for n in sinks])
+    return t, reduce(ad.add, [ad.sum_all(ad.mul(n, n)) for n in sinks])
 
 
 class TestAccumulation:
@@ -477,7 +478,7 @@ class TestRowGrad:
         t = Tape()
         table = leaf(t, rng.normal(size=(7, 3)))
         terms, upstream = self._lookups(t, table, rng)
-        g = ad.backward(t, ad.add_n(terms))[table.idx]
+        g = ad.backward(t, reduce(ad.add, terms))[table.idx]
         assert isinstance(g, ad.RowGrad)
         npt.assert_array_equal(g.ids, [0, 1, 3, 5])
         assert g.rows.shape == (4, 3)
@@ -502,7 +503,7 @@ class TestRowGrad:
         terms, upstream = self._lookups(t, table, rng)
         if not direct_first:
             direct = ad.sum_all(ad.mul(table, t.constant(weight)))
-        g = ad.backward(t, ad.add_n([direct] + terms))[table.idx]
+        g = ad.backward(t, reduce(ad.add, [direct] + terms))[table.idx]
         assert isinstance(g, np.ndarray)
         # parts in recording order; backward visits the last-recorded first
         parts = [weight] + [_dense_take_rows_grad((7, 3), ids, c)
@@ -569,10 +570,10 @@ def test_tape_determinism_bitwise():
 
 
 @pytest.mark.parametrize("op", [
-    lambda a, b: ad.add(a, b), lambda a, b: ad.mul(a, b), lambda a, b: ad.add_n([a, a, b]),
+    lambda a, b: ad.add(a, b), lambda a, b: ad.mul(a, b),
     lambda a, b: ad.matmul(a, b), lambda a, b: nn.softmax_classify(a, a, ad.row(b, 0)),
     lambda a, b: ad.concat([a, b], axis=1)],
-    ids=["add", "mul", "add_n", "matmul", "softmax_classify", "concat"])
+    ids=["add", "mul", "matmul", "softmax_classify", "concat"])
 def test_mixed_tapes_rejected(op):
     # the op records on its first operand's tape, which must reject the other
     t1, t2 = Tape(), Tape()

@@ -373,7 +373,8 @@ class TestTrain:
              "--embed-size", "4"], env=_child_env(), capture_output=True, text=True,
             timeout=120)
         assert proc.returncode == 5
-        assert proc.stderr == "training diverged; best checkpoint before divergence retained\n"
+        assert proc.stderr == ("training diverged at epoch 0, task 'task00': training loss "
+                               "is not finite; best checkpoint before divergence retained\n")
 
 
 class TestEval:
@@ -548,6 +549,17 @@ class TestTransfer:
         assert capsys.readouterr().err == "error: seed from --seed: must be >= 0, got -1\n"
         assert not (tmp_path / "tr").exists()
 
+    @pytest.mark.parametrize("targets", [[], ["--target", "task00", "--all-targets"]],
+                             ids=["neither", "both"])
+    def test_one_target_flag_required(self, corpus_dir, tmp_path, capsys, targets):
+        rc = cli.main(["transfer", "--checkpoint", str(tmp_path / "missing.bin"),
+                       "--data", str(corpus_dir), *targets, "--mode", "sc",
+                       "--out", str(tmp_path / "tr"), "--max-epochs", "1"])
+        assert rc == 3  # before the checkpoint is read: it does not exist
+        assert capsys.readouterr().err == (
+            "error: transfer: give one of --target and --all-targets\n")
+        assert not (tmp_path / "tr").exists()
+
     def test_unknown_target_exits_4(self, corpus_dir, trained_dir, tmp_path):
         rc = cli.main(["transfer", "--checkpoint", str(trained_dir / "checkpoint.bin"),
                        "--data", str(corpus_dir), "--target", "nope",
@@ -678,7 +690,7 @@ def test_console_entry_point(tmp_path):
     bad.write_text("tasks = 1\n")
     rc = subprocess.run([sys.executable, "-m", "advmtl", "synth", "--spec",
                          str(bad), "--out", str(tmp_path / "x")],
-                        capture_output=True)
+                        env=_child_env(), capture_output=True)
     assert rc.returncode == 3
 
 

@@ -11,7 +11,7 @@ from advmtl import losses as L
 from advmtl import models as M
 from advmtl import train as T
 from advmtl.autodiff import GradReversalSpec, Tape
-from advmtl.errors import ConfigError, ShapeError
+from advmtl.errors import ConfigError, ContractError, ShapeError
 from advmtl.train import _combine
 
 import oracles
@@ -65,14 +65,14 @@ class TestTaskLoss:
     # the alpha_k weight of the labeled task's cross-entropy in _combine
     def test_single_task_unchanged(self):
         t = Tape()
-        out = _combine(t, t.constant(1.7), None, None, 0, T.TrainConfig())
+        out = _combine(t.constant(1.7), None, None, 0, T.TrainConfig())
         assert float(out.value) == 1.7
 
     def test_zero_weight_contributes_nothing(self):
         t = Tape()
         cfg = T.TrainConfig(alpha={0: 1.0, 1: 0.0})
-        assert float(_combine(t, t.constant(5.0), None, None, 1, cfg).value) == 0.0
-        assert float(_combine(t, t.constant(1.0), None, None, 0, cfg).value) == 1.0
+        assert float(_combine(t.constant(5.0), None, None, 1, cfg).value) == 0.0
+        assert float(_combine(t.constant(1.0), None, None, 0, cfg).value) == 1.0
 
     def test_three_tasks_sum(self):
         rng = np.random.default_rng(2)
@@ -80,11 +80,12 @@ class TestTaskLoss:
         w = {0: 0.5, 1: 1.0, 2: 2.0}
         cfg = T.TrainConfig(alpha=w)
         t = Tape()
-        outs = [float(_combine(t, t.constant(v), None, None, k, cfg).value)
+        outs = [float(_combine(t.constant(v), None, None, k, cfg).value)
                 for k, v in enumerate(vals)]
         assert outs == [w[k] * v for k, v in enumerate(vals)]
 
-    def test_missing_weight_rejected(self):
+    @staticmethod
+    def _rejected(alpha, match):
         ds = {name: D.TaskDataset(name=name, n_classes=2,
                                   train=[D.Example([1, 2], 0)], dev=[], test=[])
               for name in ("a", "b")}
@@ -92,10 +93,16 @@ class TestTaskLoss:
                                hidden_size=2, embed_size=2, vocab_size=4)
         params = M.init_model(config, seed=0)
         before = {n: a.tobytes() for n, a in params.named_tensors().items()}
-        with pytest.raises(ConfigError, match="task 1"):
-            T.train_multitask(params, config, ds, T.TrainConfig(alpha={0: 1.0}))
+        with pytest.raises(ConfigError, match=match):
+            T.train_multitask(params, config, ds, T.TrainConfig(alpha=alpha))
         # rejected before the first step
         assert {n: a.tobytes() for n, a in params.named_tensors().items()} == before
+
+    def test_missing_weight_rejected(self):
+        self._rejected({0: 1.0}, "task 1")
+
+    def test_weight_for_an_unknown_task_rejected(self):
+        self._rejected({0: 1.0, 1: 1.0, 7: 3.0}, "task 7")
 
 
 class TestAdversarialLoss:
@@ -391,7 +398,7 @@ class TestTotalLoss:
     # _combine: alpha_k * ce + adv + gamma * diff over the terms present
     def test_degenerate_weights_reduce_to_task(self):
         t = Tape()
-        out = _combine(t, t.constant(1.25), None, t.constant(9.0), 0,
+        out = _combine(t.constant(1.25), None, t.constant(9.0), 0,
                        T.TrainConfig(diff_weight=0.0))
         assert float(out.value) == 1.25
 
@@ -401,20 +408,75 @@ class TestTotalLoss:
 
     def test_arithmetic(self):
         t = Tape()
-        out = _combine(t, t.constant(1.0), t.constant(2.0), t.constant(3.0), 1,
+        out = _combine(t.constant(1.0), t.constant(2.0), t.constant(3.0), 1,
                        T.TrainConfig(diff_weight=0.1, alpha={0: 1.0, 1: 0.5}))
         assert abs(float(out.value) - 2.8) < 1e-15
 
     def test_unlabeled_batch_returns_adversarial_term(self):
         t = Tape()
         l_adv = t.constant(0.75)
-        assert _combine(t, None, l_adv, None, 0, T.TrainConfig()) is l_adv
+        assert _combine(None, l_adv, None, 0, T.TrainConfig()) is l_adv
 
     def test_non_scalar_rejected(self):
         t = Tape()
         with pytest.raises(ShapeError):
-            _combine(t, t.constant([1.0, 2.0]), t.constant(0.0), t.constant(0.0), 0,
+            _combine(t.constant([1.0, 2.0]), t.constant(0.0), t.constant(0.0), 0,
                      T.TrainConfig())
+
+    def test_mixed_tapes_rejected(self):
+        # the node records on the first term's tape, which must reject the other
+        t1, t2 = Tape(), Tape()
+        ce, adv = t1.leaf(1.0), t2.leaf(2.0)
+        before = len(t1)
+        with pytest.raises(ContractError, match="different tapes"):
+            _combine(ce, adv, None, 0, T.TrainConfig())
+        assert len(t1) == before
+
+    @settings(max_examples=150, deadline=None)
+    @given(present=st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(any),
+           zero_alpha=st.booleans(), zero_gamma=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_node_bitwise_equal_to_composition(self, present, zero_alpha, zero_gamma,
+                                                   seed):
+        """Value and the gradient of each present term, against two scales and a sum."""
+        # values of mixed magnitudes with full mantissas, so the order of the additions shows
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=3) * 10.0 ** rng.integers(-3, 4, size=3)
+        alpha, gamma, upstream = rng.uniform(0, 3, size=3)
+        cfg = T.TrainConfig(alpha={0: 0.0 if zero_alpha else alpha},
+                            diff_weight=0.0 if zero_gamma else gamma)
+
+        def run(combine):
+            t = Tape()
+            terms = [t.leaf(v) if on else None for v, on in zip(values, present)]
+            before = len(t)
+            total = combine(*terms, 0, cfg)
+            nodes = len(t) - before
+            grads = ad.backward(t, ad.scale(total, upstream))
+            return (total.value.tobytes(), nodes,
+                    [None if n is None else grads[n.idx].tobytes() for n in terms])
+
+        value, nodes, grads = run(_combine)
+        want_value, _, want_grads = run(oracles.combine_composed)
+        assert value == want_value and grads == want_grads
+        assert nodes == (0 if present == (False, True, False) else 1)
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(12)
+        params = {"x": rng.normal(size=3), "y": rng.normal(size=3)}
+        cfg = T.TrainConfig(alpha={0: 0.7}, diff_weight=1.3)
+
+        def loss_fn(p, with_grads):
+            t = Tape()
+            x, y = t.leaf(p["x"]), t.leaf(p["y"])
+            out = _combine(ad.sum_all(ad.mul(x, x)), ad.sum_all(ad.tanh(y)),
+                           ad.sum_all(ad.tanh(ad.mul(x, y))), 0, cfg)
+            if not with_grads:
+                return float(out.value), None
+            g = ad.backward(t, out)
+            return float(out.value), {"x": g[x.idx], "y": g[y.idx]}
+
+        assert ad.finite_difference_check(loss_fn, params, 1e-5) < 1e-6
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):

@@ -90,7 +90,7 @@ def _step(params, X, y, t, private, cfg):
     l_ce = L.cross_entropy(nn.softmax_classify(feature, bound["head.W"], bound["head.b"]), y)
     rev = ad.gradient_reversal(s, GradReversalSpec(cfg.adv_weight))
     l_adv = L.cross_entropy(M.discriminate(rev, bound["disc.W"], bound["disc.b"]), [t] * len(y))
-    by_id = ad.backward(tape, T._combine(tape, l_ce, l_adv, l_diff, t, cfg))
+    by_id = ad.backward(tape, T._combine(l_ce, l_adv, l_diff, t, cfg))
     T.sgd_step(params, {name: by_id[n.idx] for name, n in bound.items() if n.idx in by_id}, LR)
 
 

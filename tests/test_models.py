@@ -288,7 +288,7 @@ class TestDumpActivations:
         rng = np.random.default_rng(6)
         batch = [[int(v) for v in rng.integers(0, 12, size=n)] for n in (5, 1, 8, 3)]
         tape = Tape()
-        res = M.forward_batch(tape, params.bind(tape), cfg, batch, 2)
+        res = M.forward_batch(params.bind(tape), cfg, batch, 2)
         assert res.S.value.shape == (17, cfg.hidden_size)  # one row per token
         end = 0
         for ids in batch:

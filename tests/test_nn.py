@@ -477,7 +477,7 @@ class TestEmbeddings:
         params.tensors["embeddings"][:] = np.arange(12.0).reshape(4, 3)
         tape = Tape()
         bound = params.bind(tape)
-        res = M.forward_batch(tape, bound, config, sentences, 0)
+        res = M.forward_batch(bound, config, sentences, 0)
         packed = tape.nodes[res.S.parents[0]]  # the encoder's input: the lookup, packed
         return tape, bound["embeddings"], tape.nodes[packed.parents[0]]
 

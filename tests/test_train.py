@@ -51,6 +51,9 @@ class TestTrainConfig:
         ("learning_rate", 0.0), ("adv_weight", float("nan")), ("adv_weight", float("inf")),
         ("adv_weight", -0.1), ("diff_weight", float("nan")), ("diff_weight", float("inf")),
         ("clip_norm", float("nan")), ("clip_norm", 0.0), ("seed", -1),
+        # counts are plain ints: a float or a bool is no count
+        ("batch_size", 2.5), ("max_epochs", 2.0), ("seed", 1.5), ("patience", 1.5),
+        ("batch_size", True), ("max_epochs", True),
     ])
     def test_rejects(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -239,14 +242,14 @@ class TestStepGraph:
     fold node and a final-row node), the concatenation, the head's
     classifier, the reversal, the discriminator's classifier, two
     cross-entropies, the two scattered state blocks, the diff loss and its
-    1/B scale, and _combine's two scales and sum: 32 nodes. An unlabeled
-    step adds the lookup and its permutation, the shared fold, the
-    reversal, the discriminator and its cross-entropy, and _combine returns
-    that term: 20. A classifier split into an affine and a softmax node
-    changes both.
+    1/B scale, and _combine's weighted sum: 30 nodes. An unlabeled step
+    adds the lookup and its permutation, the shared fold, the reversal,
+    the discriminator and its cross-entropy, and _combine returns that
+    term: 20. A classifier split into an affine and a softmax node changes
+    both.
     """
 
-    @pytest.mark.parametrize("unlabeled, nodes", [(False, 32), (True, 20)])
+    @pytest.mark.parametrize("unlabeled, nodes", [(False, 30), (True, 20)])
     def test_nodes_per_step(self, monkeypatch, unlabeled, nodes):
         corpus, vocab, names = ragged_corpus()
         config = M.ModelConfig(scheme="asp", task_names=names, classes=(2, 2),
@@ -302,8 +305,8 @@ class TestBatchedTerms:
     def _terms(self, build, params, config, batch, cfg):
         tape = Tape()
         bound = params.bind(tape)
-        terms = build(tape, bound, config, batch, cfg)
-        total = T._combine(tape, *terms, batch.task, cfg)
+        terms = build(bound, config, batch, cfg)
+        total = T._combine(*terms, batch.task, cfg)
         return terms, total, named_grads(tape, bound, total)
 
     @pytest.mark.parametrize("size", ["ragged", "one"])
@@ -338,7 +341,7 @@ class TestBatchedTerms:
         batch = self._batch(corpus, names, "ragged", False)
         tape = Tape()
         bound = params.bind(tape)
-        T._combine(tape, *T._batch_terms(tape, bound, config, batch, T.TrainConfig()), 1,
+        T._combine(*T._batch_terms(bound, config, batch, T.TrainConfig()), 1,
                    T.TrainConfig())
         assert len(tape) - len(bound) < 40  # per-sentence graphs took over 150 nodes
 
@@ -670,6 +673,8 @@ class TestUndoJournal:
         monkeypatch.setattr(T, "_batch_grads", diverge_in_epoch_2)
         best, hist = T.train_multitask(model(), config, corpus, cfg)
         assert hist.diverged and hist.best_epoch == 0 and hist.epochs() == [0, 1]
+        # the third step of epoch 2 is task 0's second batch
+        assert hist.divergence == T.Divergence(2, config.task_names[0], "injected")
         monkeypatch.setattr(T, "_batch_grads", batch_grads)
         self._script_dev_errors(monkeypatch, [0.3])
         epoch0, _ = T.train_multitask(model(), config, corpus, replace(cfg, max_epochs=1))
