@@ -310,6 +310,23 @@ def row(a: Node, i) -> Node:
     return a.tape.record(a.value.take(i, axis=0), (a,), vjp)
 
 
+def columns(a: Node, start: int, stop: int) -> Node:
+    """Entries ``start:stop`` of the last axis: a slice of a vector, or a block of columns.
+
+    The value is a view of ``a``'s; the vjp places the upstream gradient in
+    those columns of a zero array.
+    """
+    if a.value.ndim not in (1, 2) or not 0 <= start < stop <= a.value.shape[-1]:
+        raise ShapeError(f"columns: {start}:{stop} of shape {a.value.shape}")
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        out[..., start:stop] = g
+        return (out,)
+
+    return a.tape.record(a.value[..., start:stop], (a,), vjp)
+
+
 def take_rows(a: Node, indices: Sequence[int]) -> Node:
     """Gather rows by index (embedding lookup); duplicates accumulate.
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import data as D
 from . import models as M
+from . import nn
 from . import train as T
 from .errors import AdvMtlError, ConfigError, DataFormatError, InputError, NumericError
 
@@ -233,15 +234,20 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def run_environment() -> dict:
-    """Versions and BLAS settings a run's numbers can depend on.
+    """Versions, BLAS settings and CPUs that a run's numbers or speed depend on.
 
     At d = 200 the BLAS thread count changes the last bits of a trained
     model, so each thread variable is recorded as set, or null when unset.
+    ``cpus`` is the number of CPUs this process may run on
+    (:func:`nn.allowed_cpus`): with the thread variables it decides whether
+    a step's two LSTM folds run at once, which changes the speed but no
+    number.
     """
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
-            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+            "cpus": nn.allowed_cpus()}
 
 
 @dataclasses.dataclass

@@ -17,7 +17,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import zip_longest
 from typing import Mapping, Sequence
 
@@ -160,20 +160,48 @@ def init_model(config: ModelConfig, seed: int,
 class ForwardResult:
     """Tape nodes of a forward pass, and the batch's packed layout.
 
-    ``S`` and ``H`` are ``[N, d]``: the shared and private state after each
-    token, as packed rows laid out by ``packing`` (one sentence's are in
-    token order). ``s_T`` and ``h_T``, the states at each sentence's last
-    token, and the probabilities have one row per sentence. Fields that the
-    scheme or the call does not produce are None.
+    ``states`` is ``[N, d]``: the shared state after each token, as packed
+    rows laid out by ``packing`` (one sentence's are in token order). When
+    a private encoder ran too it is ``[N, 2d]``, the pair ``[H | S]`` in
+    ``CONCAT_ORDER`` (:func:`nn.lstm_pair`). ``features`` is its row at
+    each sentence's last token, the head's input; the probabilities have
+    one row per sentence too.
+
+    ``S`` and ``H`` are the shared and private halves of ``states``, and
+    ``s_T`` and ``h_T`` those of ``features``. A half of a pair is a column
+    slice that is recorded when it is first read, so a graph holds only the
+    halves its losses use. Fields that the scheme or the call does not
+    produce are None.
     """
 
     packing: nn.Packing
-    s_T: Node
-    S: Node
-    h_T: Node | None = None
-    H: Node | None = None
+    states: Node
+    features: Node
+    paired: bool = False
     class_probs: Node | None = None
     disc_probs: Node | None = None
+
+    def _half(self, node: Node, shared: bool) -> Node | None:
+        if not self.paired:
+            return node if shared else None
+        d = node.value.shape[-1] // 2
+        return ad.columns(node, d, 2 * d) if shared else ad.columns(node, 0, d)
+
+    @cached_property
+    def S(self) -> Node:
+        return self._half(self.states, True)
+
+    @cached_property
+    def H(self) -> Node | None:
+        return self._half(self.states, False)
+
+    @cached_property
+    def s_T(self) -> Node:
+        return self._half(self.features, True)
+
+    @cached_property
+    def h_T(self) -> Node | None:
+        return self._half(self.features, False)
 
 
 def _check_task(config: ModelConfig, task: int) -> None:
@@ -200,13 +228,15 @@ def forward_batch(bound: Mapping[str, Node], config: ModelConfig,
     ids, lengths = nn.batch_token_ids(sentences, table.value.shape[0])
     packing = nn.pack(lengths)
     xs = ad.row(ad.take_rows(table, ids), packing.rows)
-    out = ForwardResult(packing, *nn.lstm_encode(xs, *_layer(bound, "shared"), packing))
+    if task is not None and config.has_private:
+        states = nn.lstm_pair(xs, _layer(bound, f"private.{task}"), _layer(bound, "shared"),
+                              packing)
+        out = ForwardResult(packing, states, ad.row(states, packing.last), paired=True)
+    else:
+        s_T, S = nn.lstm_encode(xs, *_layer(bound, "shared"), packing)
+        out = ForwardResult(packing, S, s_T)
     if task is not None:
-        feature = out.s_T
-        if config.has_private:
-            out.h_T, out.H = nn.lstm_encode(xs, *_layer(bound, f"private.{task}"), packing)
-            feature = ad.concat([out.h_T, out.s_T], axis=1)
-        out.class_probs = nn.softmax_classify(feature, *_layer(bound, f"head.{task}"))
+        out.class_probs = nn.softmax_classify(out.features, *_layer(bound, f"head.{task}"))
     if config.has_discriminator and want_disc:
         spec = rev_spec if rev_spec is not None else GradReversalSpec(1.0)
         rev = ad.gradient_reversal(out.s_T, spec)
@@ -221,13 +251,14 @@ def forward(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
     """Run one sentence through the scheme's encoders and its task head.
 
     This is :func:`forward_batch` on a batch of one, with the batch axis
-    taken off the per-sentence fields; ``S`` and ``H`` are already the
-    sentence's ``[T, d]`` states. ``tape`` is the one ``bound`` was
-    recorded on; the nodes carry it, so it is not read.
+    taken off the per-sentence fields; ``states`` are already the
+    sentence's ``[T, d]`` (or ``[T, 2d]``) states. ``tape`` is the one
+    ``bound`` was recorded on; the nodes carry it, so it is not read.
     """
     res = forward_batch(bound, config, [token_ids], task, rev_spec, want_disc)
-    return replace(res, **{k: ad.row(n, 0) for k, n in vars(res).items()
-                           if isinstance(n, Node) and k not in ("S", "H")})
+    return replace(res, **{k: ad.row(getattr(res, k), 0)
+                           for k in ("features", "class_probs", "disc_probs")
+                           if getattr(res, k) is not None})
 
 
 def discriminate(s: Node, W: Node, b: Node) -> Node:
@@ -289,7 +320,8 @@ def encode(params: ModelParams, config: ModelConfig,
     private encoder and head run too, and the discriminator when the
     scheme has one. The embedding rows are gathered once, in packed order,
     and every encoder folds over them keeping only its running state
-    (:func:`nn.lstm_final_states`).
+    (:func:`nn.lstm_final_states`); a private and the shared encoder fold
+    as a pair (:func:`nn.lstm_final_pair`).
     """
     if task is not None:
         _check_task(config, task)
@@ -298,11 +330,14 @@ def encode(params: ModelParams, config: ModelConfig,
     ids, lengths = nn.batch_token_ids(sentences, table.shape[0])
     packing = nn.pack(lengths)
     X = table[ids[packing.rows]]
-    out = Encoding(s_T=nn.lstm_final_states(X, *_layer(tensors, "shared"), packing))
+    shared = _layer(tensors, "shared")
     if task is None:
-        return out
+        return Encoding(s_T=nn.lstm_final_states(X, *shared, packing))
     if config.has_private:
-        out.h_T = nn.lstm_final_states(X, *_layer(tensors, f"private.{task}"), packing)
+        h_T, s_T = nn.lstm_final_pair(X, _layer(tensors, f"private.{task}"), shared, packing)
+        out = Encoding(s_T=s_T, h_T=h_T)
+    else:
+        out = Encoding(s_T=nn.lstm_final_states(X, *shared, packing))
     out.class_probs = _classify(tensors, task, out.s_T, out.h_T)
     if config.has_discriminator:
         out.disc_probs = ad._softmax(ad._affine(out.s_T, *_layer(tensors, "disc")))

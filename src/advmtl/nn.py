@@ -10,11 +10,22 @@ gate pre-activations, stacked in the fixed row-block order
 
 The block order and the [x; h_prev] column order are part of the
 checkpoint format and must not change.
+
+A shared-private model folds two LSTMs over the same inputs, and neither
+reads the other's output. :func:`lstm_pair` and :func:`lstm_final_pair`
+run the two folds on two threads when :func:`_concurrent` allows it: the
+calling thread folds the shared layer and one worker thread per process,
+pinned to the last CPU this process may use, folds the private one. Each
+fold is the same sequence of numpy calls on either thread, so the numbers
+are bitwise those of the serial path, whichever is taken.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,15 +176,17 @@ class _LstmFold:
     The fold runs on packed rows ``X`` laid out by ``packing``, and every
     array it stores has one row per packed row: no padded slot enters any
     product. It stores every step's gate activations, ``h`` (as ``H``),
-    ``c`` and ``tanh(c)``, which the backward rule reads.
+    ``c`` and ``tanh(c)``, which the backward rule reads. ``H``, if given,
+    is the ``[N, d]`` array (a view may do) that the states are written to.
     """
 
-    def __init__(self, X, W, b, packing: Packing):
+    def __init__(self, X, W, b, packing: Packing, H: Tensor | None = None):
         N, d = X.shape[0], b.shape[0] // 4
         self.d, self.W, self.X, self.active, self.offs = d, W, X, packing.active, packing.offs
         # gate pre-activations, then (in place, step by step) their activations
         self.Z, W_hT = _input_term(X, W, b)
-        self.H, self.C, self.tanh_C = np.empty((N, d)), np.empty((N, d)), np.empty((N, d))
+        self.H = np.empty((N, d)) if H is None else H
+        self.C, self.tanh_C = np.empty((N, d)), np.empty((N, d))
         for t, n in enumerate(self.active):
             r = slice(self.offs[t], self.offs[t + 1])
             p = slice(self.offs[t - 1], self.offs[t - 1] + n)
@@ -235,6 +248,119 @@ def lstm_encode(xs: Node, W: Node, b: Node,
     fold = _LstmFold(xs.value, W.value, b.value, packing)
     all_h = xs.tape.record(fold.H, (xs, W, b), fold.backward)
     return ad.row(all_h, packing.last), all_h
+
+
+CONCURRENT_MIN_HIDDEN = 128  # below it a second thread costs more than it saves
+
+
+def _concurrent(d: int) -> bool:
+    """Whether a pair of width-``d`` folds runs on two threads.
+
+    Three conditions, from timings on a 2-vCPU VM:
+    - ``d >= CONCURRENT_MIN_HIDDEN``. Smaller folds make numpy calls too
+      short to release the interpreter for long. A fold pair's forward and
+      backward (batch 16, lengths 4-30, one BLAS thread) ran 0.88x as fast
+      on two threads at d = 16, 1.03x at d = 64, 1.31x at d = 128 and
+      1.60x at d = 200.
+    - This process may run on at least 2 CPUs.
+    - BLAS runs one thread: ``OPENBLAS_NUM_THREADS``, or if it is unset
+      ``OMP_NUM_THREADS``, is ``1`` (the order in which OpenBLAS, which
+      numpy's wheels bundle, reads them). BLAS's own threads use the same
+      CPUs; with them a paper-scale step ran slower as a pair than alone.
+    """
+    env = os.environ
+    return (d >= CONCURRENT_MIN_HIDDEN
+            and env.get("OPENBLAS_NUM_THREADS", env.get("OMP_NUM_THREADS")) == "1"
+            and allowed_cpus() >= 2)
+
+
+def allowed_cpus() -> int:
+    """The number of CPUs this process may run on (all of them where there is no affinity set)."""
+    if hasattr(os, "sched_getaffinity"):  # Linux
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_worker: ThreadPoolExecutor | None = None
+
+
+def _pin_to_last_cpu() -> None:
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # this thread only
+
+
+def _drop_worker() -> None:
+    """Forget the worker: a forked child has its executor but not its thread."""
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):  # every platform that forks
+    os.register_at_fork(after_in_child=_drop_worker)
+
+
+def _both(shared, private, d: int) -> tuple:
+    """``(shared(), private())``; the two run at once when :func:`_concurrent` allows it.
+
+    ``private`` then runs on the worker thread, in a copy of the caller's
+    context, so the caller's ``np.errstate`` holds there too. The worker is
+    always waited for, and an error surfaces as it would serially: the
+    shared call's first.
+    """
+    if not _concurrent(d):
+        return shared(), private()
+    global _worker
+    if _worker is None:
+        _worker = ThreadPoolExecutor(1, "advmtl-fold", _pin_to_last_cpu)
+    future = _worker.submit(contextvars.copy_context().run, private)
+    try:
+        first = shared()
+    finally:
+        wait((future,))  # it writes into arrays the caller owns
+    return first, future.result()
+
+
+def lstm_pair(xs: Node, private: tuple[Node, Node], shared: tuple[Node, Node],
+              packing: Packing) -> Node:
+    """The private and the shared LSTM folded over the same packed rows ``xs``, as one node.
+
+    ``private`` and ``shared`` are each a layer's ``(W, b)``, of equal
+    width ``d``. The value is ``[N, 2d]``: row ``r`` is ``[h_r | s_r]``, the
+    two states after packed row ``r`` in the models' concatenation order
+    (private, shared). Each fold writes its own half. The vjp runs the two
+    fold backwards (see :func:`_both`) and returns the input gradient as
+    ``dX_p + dX_s``, the order in which :func:`~advmtl.autodiff.backward`
+    would add the gradients of two separate fold nodes; a fold none of
+    whose inputs needs a gradient runs no backward.
+    """
+    (W_p, b_p), (W_s, b_s) = private, shared
+    X, d = xs.value, b_s.value.shape[0] // 4
+    if b_p.value.shape != b_s.value.shape:
+        raise ShapeError(f"lstm_pair: private width {b_p.value.shape[0] // 4}, shared {d}")
+    out = np.empty((len(X), 2 * d))
+    fold_s, fold_p = _both(lambda: _LstmFold(X, W_s.value, b_s.value, packing, out[:, d:]),
+                           lambda: _LstmFold(X, W_p.value, b_p.value, packing, out[:, :d]), d)
+
+    def vjp(g):
+        run_s = xs.needs_grad or W_s.needs_grad or b_s.needs_grad
+        run_p = xs.needs_grad or W_p.needs_grad or b_p.needs_grad
+        (dX_s, dW_s, db_s), (dX_p, dW_p, db_p) = _both(
+            lambda: fold_s.backward(g[:, d:]) if run_s else (None,) * 3,
+            lambda: fold_p.backward(g[:, :d]) if run_p else (None,) * 3, d)
+        return dX_p + dX_s if xs.needs_grad else None, dW_p, db_p, dW_s, db_s
+
+    return xs.tape.record(out, (xs, W_p, b_p, W_s, b_s), vjp)
+
+
+def lstm_final_pair(X: Tensor, private: tuple[Tensor, Tensor], shared: tuple[Tensor, Tensor],
+                    packing: Packing) -> tuple[Tensor, Tensor]:
+    """:func:`lstm_final_states` of the private and the shared layer over the same rows ``X``.
+
+    Returns ``(h_T, s_T)``; the two folds run as :func:`_both` decides.
+    """
+    s_T, h_T = _both(lambda: lstm_final_states(X, *shared, packing),
+                     lambda: lstm_final_states(X, *private, packing), shared[1].shape[0] // 4)
+    return h_T, s_T
 
 
 def softmax_classify(h: Node, W: Node, b: Node) -> Node:

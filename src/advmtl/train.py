@@ -103,14 +103,19 @@ class EpochTaskRecord:
 
 @dataclass(frozen=True)
 class Divergence:
-    """Where training stopped on a non-finite value: epoch, task whose batch raised, cause."""
+    """Where training stopped on a non-finite value.
+
+    ``step`` counts the epoch's batches, labeled and unlabeled, from 0;
+    ``task`` is that batch's task and ``cause`` the error's message.
+    """
 
     epoch: int
+    step: int
     task: str
     cause: str
 
     def __str__(self) -> str:
-        return f"epoch {self.epoch}, task '{self.task}': {self.cause}"
+        return f"epoch {self.epoch}, step {self.step}, task '{self.task}': {self.cause}"
 
 
 @dataclass
@@ -210,10 +215,11 @@ def _batch_terms(bound, config: M.ModelConfig, batch: Batch, cfg: TrainConfig):
     l_ce = L.cross_entropy(res.class_probs, batch.labels)
     l_diff = None
     if adversarial:
-        S, H = res.s_T, res.h_T
         if cfg.diff_mode == "sentence":  # each sentence's states as one [T, d] block
             grid = (len(batch), len(res.packing.active))
             S, H = (ad.scatter_rows(n, res.packing.slots, grid) for n in (res.S, res.H))
+        else:
+            S, H = res.s_T, res.h_T
         l_diff = ad.scale(L.diff_loss(S, H), 1.0 / len(batch))
     return l_ce, l_adv, l_diff
 
@@ -400,7 +406,7 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
     A task with an empty training or dev split raises :class:`InputError`
     before the first step. On divergence (non-finite loss or gradient)
     training stops and the model is returned at its best epoch so far;
-    ``history.divergence`` names the epoch, the task and the cause.
+    ``history.divergence`` names the epoch, the step, the task and the cause.
     """
     tasks = []
     for k, name in enumerate(config.task_names):
@@ -435,6 +441,7 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
     K = config.n_tasks
     for epoch in range(cfg.max_epochs):
         sums = {k: [0.0, 0.0, 0.0, 0] for k in range(K)}  # ce, adv, diff, batches
+        step = 0
         try:
             for _ in range(batcher.steps_per_epoch()):
                 for k in range(K):
@@ -443,6 +450,7 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
                         work.extend(batcher.next_unlabeled(k))
                     for batch in work:
                         ce, adv, diff = _train_one_batch(params, config, batch, cfg, journal)
+                        step += 1
                         if not batch.is_unlabeled:
                             s = sums[k]
                             s[0] += ce
@@ -450,7 +458,7 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
                             s[2] += diff if diff is not None else 0.0
                             s[3] += 1
         except NumericError as exc:
-            history.divergence = Divergence(epoch, config.task_names[k], str(exc))
+            history.divergence = Divergence(epoch, step, config.task_names[k], str(exc))
             break
         errors, disc_accs = _dev_stats(params, config, tasks)
         for k, name in enumerate(config.task_names):

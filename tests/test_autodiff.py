@@ -67,6 +67,11 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             ad.mul(leaf(t, [1.0, 2.0]), leaf(t, [1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("start, stop", [(0, 0), (2, 1), (-1, 2), (1, 5)])
+    def test_columns_out_of_range(self, start, stop):
+        with pytest.raises(ShapeError):
+            ad.columns(leaf(Tape(), np.ones((2, 4))), start, stop)
+
     def test_concat_axis1(self):
         t = Tape()
         out = ad.concat([leaf(t, [[1.0], [2.0]]), leaf(t, [[3.0], [4.0]])], axis=1)
@@ -363,7 +368,7 @@ class TestFiniteDifferenceCheck:
 # through identity weights and a zero bias, its affine map through general ones
 OPS = ["add", "add_bias", "mul", "matmul", "matvec", "tanh", "softmax",
        "concat0", "concat1", "sum_all", "row", "take_rows", "softmax_rows", "affine",
-       "affine_vec", "scatter_rows", "row_indices"]
+       "affine_vec", "scatter_rows", "row_indices", "columns", "columns_vec"]
 
 
 @pytest.mark.parametrize("op", OPS)
@@ -429,6 +434,10 @@ def test_every_op_matches_finite_differences(op):
             a = t.leaf(p["m1"])
             out = ad.row(a, np.array([2, 0]))
             nodes = {"m1": a}
+        elif op in ("columns", "columns_vec"):
+            a = t.leaf(p["m1" if op == "columns" else "a"])
+            out = ad.columns(a, 1, 3)
+            nodes = {"m1" if op == "columns" else "a": a}
         loss = ad.sum_all(ad.mul(out, out)) if out.value.shape != () else out
         if not with_grads:
             return float(loss.value), None
@@ -449,7 +458,8 @@ def test_every_op_matches_finite_differences(op):
             "concat0": ["a", "b"], "concat1": ["m1", "m3"],
             "sum_all": ["m1"], "row": ["m1"], "take_rows": ["m1"], "softmax_rows": ["m1"],
             "affine": ["m1", "w", "bias2"], "affine_vec": ["a", "w", "bias2"],
-            "scatter_rows": ["m1"], "row_indices": ["m1"]}[op]
+            "scatter_rows": ["m1"], "row_indices": ["m1"], "columns": ["m1"],
+            "columns_vec": ["a"]}[op]
     err = ad.finite_difference_check(build, {k: params[k] for k in used}, 1e-5)
     assert err < 1e-4, f"{op}: max relative error {err}"
 

@@ -333,7 +333,8 @@ class TestTrain:
                          "--out", str(out), "--max-epochs", "1", "--patience", "1",
                          "--hidden-size", "4", "--embed-size", "4"]) == 0
         env = json.loads((out / "manifest.json").read_text())["environment"]
-        assert set(env) == {"python", "numpy", "blas", "blas_threads"}
+        assert set(env) == {"python", "numpy", "blas", "blas_threads", "cpus"}
+        assert env["cpus"] == len(os.sched_getaffinity(0)) >= 1
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
@@ -373,8 +374,8 @@ class TestTrain:
              "--embed-size", "4"], env=_child_env(), capture_output=True, text=True,
             timeout=120)
         assert proc.returncode == 5
-        assert proc.stderr == ("training diverged at epoch 0, task 'task00': training loss "
-                               "is not finite; best checkpoint before divergence retained\n")
+        assert proc.stderr == ("training diverged at epoch 0, step 2, task 'task00': training "
+                               "loss is not finite; best checkpoint before divergence retained\n")
 
 
 class TestEval:

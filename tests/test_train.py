@@ -503,6 +503,20 @@ class TestTrainingLoop:
         assert hist.diverged
         assert hist.records == [] and hist.best_epoch == -1
 
+    def test_divergence_names_the_step(self):
+        # a NaN in task 1's head: its first batch has a non-finite loss, and
+        # it is the epoch's step 3, after task 0's labeled batch and its two
+        # unlabeled ones (ratio 2)
+        corpus, vocab, names = ragged_corpus(unlabeled=20)
+        config = M.ModelConfig(scheme="asp", task_names=names, classes=(2, 2),
+                               hidden_size=4, embed_size=3, vocab_size=len(vocab))
+        params = M.init_model(config, seed=1)
+        params.tensors["head.1.b"][0] = np.nan
+        cfg = T.TrainConfig(max_epochs=2, seed=0, use_unlabeled=True, unlabeled_ratio=2.0)
+        _, hist = T.train_multitask(params, config, corpus, cfg)
+        assert hist.divergence == T.Divergence(0, 3, names[1], "training loss is not finite")
+        assert str(hist.divergence).startswith(f"epoch 0, step 3, task '{names[1]}': ")
+
     @staticmethod
     def _trailing_by(gap):
         """A one-sentence batch whose true class trails the other by about ``gap`` logits."""
@@ -674,7 +688,7 @@ class TestUndoJournal:
         best, hist = T.train_multitask(model(), config, corpus, cfg)
         assert hist.diverged and hist.best_epoch == 0 and hist.epochs() == [0, 1]
         # the third step of epoch 2 is task 0's second batch
-        assert hist.divergence == T.Divergence(2, config.task_names[0], "injected")
+        assert hist.divergence == T.Divergence(2, 2, config.task_names[0], "injected")
         monkeypatch.setattr(T, "_batch_grads", batch_grads)
         self._script_dev_errors(monkeypatch, [0.3])
         epoch0, _ = T.train_multitask(model(), config, corpus, replace(cfg, max_epochs=1))
