@@ -344,9 +344,11 @@ def lstm_pair(xs: Node, private: tuple[Node, Node], shared: tuple[Node, Node],
     def vjp(g):
         run_s = xs.needs_grad or W_s.needs_grad or b_s.needs_grad
         run_p = xs.needs_grad or W_p.needs_grad or b_p.needs_grad
+        # contiguous halves: the BPTT loop reads them a few rows at a time
+        g_p, g_s = np.ascontiguousarray(g[:, :d]), np.ascontiguousarray(g[:, d:])
         (dX_s, dW_s, db_s), (dX_p, dW_p, db_p) = _both(
-            lambda: fold_s.backward(g[:, d:]) if run_s else (None,) * 3,
-            lambda: fold_p.backward(g[:, :d]) if run_p else (None,) * 3, d)
+            lambda: fold_s.backward(g_s) if run_s else (None,) * 3,
+            lambda: fold_p.backward(g_p) if run_p else (None,) * 3, d)
         return dX_p + dX_s if xs.needs_grad else None, dW_p, db_p, dW_s, db_s
 
     return xs.tape.record(out, (xs, W_p, b_p, W_s, b_s), vjp)
