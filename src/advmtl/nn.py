@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -282,6 +283,7 @@ def allowed_cpus() -> int:
 
 
 _worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
 
 
 def _pin_to_last_cpu() -> None:
@@ -290,9 +292,9 @@ def _pin_to_last_cpu() -> None:
 
 
 def _drop_worker() -> None:
-    """Forget the worker: a forked child has its executor but not its thread."""
-    global _worker
-    _worker = None
+    """Forget the worker: a forked child has its executor but not its thread, nor the lock's holder."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # every platform that forks
@@ -310,9 +312,10 @@ def _both(shared, private, d: int) -> tuple:
     if not _concurrent(d):
         return shared(), private()
     global _worker
-    if _worker is None:
-        _worker = ThreadPoolExecutor(1, "advmtl-fold", _pin_to_last_cpu)
-    future = _worker.submit(contextvars.copy_context().run, private)
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, "advmtl-fold", _pin_to_last_cpu)
+        future = _worker.submit(contextvars.copy_context().run, private)
     try:
         first = shared()
     finally:

@@ -121,6 +121,34 @@ class TestLstmPair:
         for k, g in grads.items():
             assert g.tobytes() == want[k].tobytes(), k
 
+    def test_callers_on_more_threads_than_cpus(self, monkeypatch):
+        # each caller's pair writes its own array from two threads; a fresh
+        # worker is started by whichever caller comes first
+        monkeypatch.setattr(nn, "_concurrent", lambda d: True)
+        monkeypatch.setattr(nn, "_worker", None)
+        want = [self._run(self._inputs(20 + k), True) for k in range(6)]
+        got, interval = {}, sys.getswitchinterval()
+
+        def call(k):
+            for _ in range(5):
+                got.setdefault(k, []).append(self._run(self._inputs(20 + k), True))
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(6)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers) and sorted(got) == list(range(6))
+        for k, runs in got.items():
+            assert len(runs) == 5
+            for value, grads in runs:
+                assert value == want[k][0]
+                assert all(g.tobytes() == want[k][1][n].tobytes() for n, g in grads.items())
+
     @pytest.mark.parametrize("frozen, folds_back", [(("xs", "W_s", "b_s"), 1), (("xs",), 2)])
     def test_a_fold_that_needs_no_gradient_runs_no_backward(self, monkeypatch, frozen,
                                                            folds_back):
