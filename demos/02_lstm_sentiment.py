@@ -37,10 +37,12 @@ for epoch in history.epochs():
 print("best epoch:", history.best_epoch)
 print("test error:", T.evaluate(best, config, task.test, 0))
 
-# Watch the running prediction evolve over one sentence.
-sentence = task.dev[0].tokens
-print("\nper-timestep prediction trace:")
-for rec in M.dump_activations(best, config, sentence, task=0):
-    tok = vocab.id_to_token[rec["token_id"]]
-    print(f"  t={rec['t']:2d} {tok:10s} p(positive)={rec['class_probs'][1]:.3f}")
-print("true label:", task.dev[0].label)
+# Watch the running prediction evolve over two sentences, dumped as one batch.
+examples = task.dev[:2]
+traces = M.dump_activations(best, config, [ex.tokens for ex in examples], task=0)
+for ex, records in zip(examples, traces):
+    print("\nper-timestep prediction trace:")
+    for rec in records:
+        tok = vocab.id_to_token[rec["token_id"]]
+        print(f"  t={rec['t']:2d} {tok:10s} p(positive)={rec['class_probs'][1]:.3f}")
+    print("true label:", ex.label)

@@ -560,25 +560,22 @@ def cmd_dump_activations(args) -> Run:
         raise CompatibilityError(f"task '{args.task}' not in checkpoint tasks")
     task = config.task_names.index(args.task)
     d = config.hidden_size
-    n_classes = config.classes[task]
     header = (["sentence", "t", "token"]
               + [f"shared_{j}" for j in range(d)]
               + [f"private_{j}" for j in range(d)]
-              + [f"prob_{c}" for c in range(n_classes)])
+              + [f"prob_{c}" for c in range(config.classes[task])])
     lines = [",".join(header)]
     sentences = [line.split() for _, line in D.text_lines(args.sentences) if line.split()]
     if not sentences:
         raise InputError(f"{args.sentences}: no sentences")
-    for si, tokens in enumerate(sentences):
-        ids = vocab.encode(tokens)
-        for rec in M.dump_activations(params, config, ids, task):
-            private = (rec["private"] if rec["private"] is not None
-                       else np.zeros(d))
-            row = ([str(si), str(rec["t"]), tokens[rec["t"] - 1]]
-                   + [repr(float(v)) for v in rec["shared"]]
-                   + [repr(float(v)) for v in private]
-                   + [repr(float(v)) for v in rec["class_probs"]])
-            lines.append(",".join(row))
+    dumped = (records for chunk in T.chunks([vocab.encode(tokens) for tokens in sentences])
+              for records in M.dump_activations(params, config, chunk, task))
+    for si, (tokens, records) in enumerate(zip(sentences, dumped)):
+        for rec in records:
+            private = rec["private"] if rec["private"] is not None else np.zeros(d)
+            values = np.concatenate([rec["shared"], private, rec["class_probs"]])
+            lines.append(",".join([str(si), str(rec["t"]), tokens[rec["t"] - 1]]
+                                  + [repr(float(v)) for v in values]))
     out_path = run.write("activations.csv", "\n".join(lines) + "\n")
     print(f"wrote {out_path} ({len(lines) - 1} rows)")
     return run
@@ -588,11 +585,19 @@ def cmd_dump_activations(args) -> Run:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _StoreText(argparse.Action):
+    """Store a flag's text; argparse (Python 3.11) passes ``--key=--`` on as ``[]``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
+
+
 def _add_config_flags(p: argparse.ArgumentParser, keys) -> None:
     """One ``--key-with-dashes`` flag per ``CONFIG_KEYS`` entry; unset is None."""
     for key in keys:
         cast, _, _, help_text = CONFIG_KEYS[key]
-        kind = dict(action="store_const", const="true") if cast is _bool else {}
+        kind = (dict(action="store_const", const="true") if cast is _bool
+                else dict(action=_StoreText))
         p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **kind)
 
 

@@ -13,6 +13,7 @@ trainable one).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -160,12 +161,12 @@ def init_model(config: ModelConfig, seed: int,
 class ForwardResult:
     """Tape nodes of a forward pass, and the batch's packed layout.
 
-    ``states`` is ``[N, d]``: the shared state after each token, as packed
-    rows laid out by ``packing`` (one sentence's are in token order). When
-    a private encoder ran too it is ``[N, 2d]``, the pair ``[H | S]`` in
-    ``CONCAT_ORDER`` (:func:`nn.lstm_pair`). ``features`` is its row at
-    each sentence's last token, the head's input; the probabilities have
-    one row per sentence too.
+    ``states`` is the :func:`nn.lstm_encode` node of the ``layers`` folded
+    layers, packed rows laid out by ``packing`` (one sentence's are in
+    token order): ``[N, d]`` shared states, or ``[N, 2d]``, the pair
+    ``[H | S]`` in ``CONCAT_ORDER``. ``features`` is its row at each
+    sentence's last token, the head's input; the probabilities have one
+    row per sentence too.
 
     ``S`` and ``H`` are the shared and private halves of ``states``, and
     ``s_T`` and ``h_T`` those of ``features``. A half of a pair is a column
@@ -177,14 +178,14 @@ class ForwardResult:
     packing: nn.Packing
     states: Node
     features: Node
-    paired: bool = False
+    layers: int
     class_probs: Node | None = None
     disc_probs: Node | None = None
 
     def _half(self, node: Node, shared: bool) -> Node | None:
-        if not self.paired:
+        if self.layers == 1:
             return node if shared else None
-        d = node.value.shape[-1] // 2
+        d = node.shape[-1] // 2
         return ad.columns(node, d, 2 * d) if shared else ad.columns(node, 0, d)
 
     @cached_property
@@ -204,9 +205,34 @@ class ForwardResult:
         return self._half(self.features, False)
 
 
-def _check_task(config: ModelConfig, task: int) -> None:
-    if not 0 <= task < config.n_tasks:
+def _packed_batch(tensors: Mapping, config: ModelConfig, sentences: Sequence[Sequence[int]],
+                  task: int | None) -> tuple[nn.Packing, Node | Tensor, tuple]:
+    """A batch's packing, its embedding rows in packed order and the layers it folds through.
+
+    The layers are the task's private one and the shared one, in
+    ``CONCAT_ORDER``, or the shared one alone for ``fs`` and for unlabeled
+    data (no task). ``tensors`` are a model's arrays or its nodes on a
+    tape; there the rows are one ``take_rows`` of the ids in token order,
+    whose gradient sums each id's rows in token order, then one
+    ``autodiff.row`` into packed order.
+    """
+    if task is not None and not 0 <= task < config.n_tasks:
         raise InputError(f"unknown task index {task} for {config.n_tasks} tasks")
+    if not sentences:
+        raise InputError("empty batch")
+    packing = nn.pack(np.array([len(s) for s in sentences], dtype=np.intp))
+    ids = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.intp,
+                      count=packing.offs[-1])
+    table = tensors["embeddings"]
+    if ids.min() < 0 or ids.max() >= table.shape[0]:
+        raise InputError(f"token id out of range for vocabulary of {table.shape[0]}")
+    if isinstance(table, Node):
+        rows = ad.row(ad.take_rows(table, ids), packing.rows)
+    else:
+        rows = table[ids[packing.rows]]
+    private = task is not None and config.has_private
+    names = (f"private.{task}", "shared") if private else ("shared",)
+    return packing, rows, tuple(_layer(tensors, name) for name in names)
 
 
 def forward_batch(bound: Mapping[str, Node], config: ModelConfig,
@@ -221,20 +247,9 @@ def forward_batch(bound: Mapping[str, Node], config: ModelConfig,
     does. For ``asp`` with ``want_disc`` the discriminator reads the
     gradient-reversed final shared states.
     """
-    if task is not None:
-        _check_task(config, task)
-    # one lookup, permuted once into packed order, feeds both encoders: its gradient sums by token
-    table = bound["embeddings"]
-    ids, lengths = nn.batch_token_ids(sentences, table.value.shape[0])
-    packing = nn.pack(lengths)
-    xs = ad.row(ad.take_rows(table, ids), packing.rows)
-    if task is not None and config.has_private:
-        states = nn.lstm_pair(xs, _layer(bound, f"private.{task}"), _layer(bound, "shared"),
-                              packing)
-        out = ForwardResult(packing, states, ad.row(states, packing.last), paired=True)
-    else:
-        s_T, S = nn.lstm_encode(xs, *_layer(bound, "shared"), packing)
-        out = ForwardResult(packing, S, s_T)
+    packing, xs, layers = _packed_batch(bound, config, sentences, task)
+    states = nn.lstm_encode(xs, layers, packing)
+    out = ForwardResult(packing, states, ad.row(states, packing.last), len(layers))
     if task is not None:
         out.class_probs = nn.softmax_classify(out.features, *_layer(bound, f"head.{task}"))
     if config.has_discriminator and want_disc:
@@ -297,7 +312,7 @@ class Encoding:
     probabilities are those of the task head and the discriminator, as in
     :class:`ForwardResult`. Fields that the scheme or the call does not
     produce are None. Per-timestep states are not kept: see
-    :func:`dump_activations` for those of one sentence.
+    :func:`dump_activations` for those of a batch.
     """
 
     s_T: Tensor
@@ -306,10 +321,8 @@ class Encoding:
     disc_probs: Tensor | None = None
 
 
-def _classify(tensors: Mapping[str, Tensor], task: int, s: Tensor,
-              h: Tensor | None) -> Tensor:
-    feature = s if h is None else np.concatenate([h, s], axis=1)
-    return ad._softmax(ad._affine(feature, *_layer(tensors, f"head.{task}")))
+def _classify(tensors: Mapping[str, Tensor], task: int, features: Tensor) -> Tensor:
+    return ad._softmax(ad._affine(features, *_layer(tensors, f"head.{task}")))
 
 
 def encode(params: ModelParams, config: ModelConfig,
@@ -319,53 +332,50 @@ def encode(params: ModelParams, config: ModelConfig,
     With no task only the shared encoder runs. With a task, that task's
     private encoder and head run too, and the discriminator when the
     scheme has one. The embedding rows are gathered once, in packed order,
-    and every encoder folds over them keeping only its running state
-    (:func:`nn.lstm_final_states`); a private and the shared encoder fold
-    as a pair (:func:`nn.lstm_final_pair`).
+    and the encoders fold over them keeping only their running states
+    (:func:`nn.lstm_final_states`).
     """
-    if task is not None:
-        _check_task(config, task)
     tensors = params.tensors
-    table = tensors["embeddings"]
-    ids, lengths = nn.batch_token_ids(sentences, table.shape[0])
-    packing = nn.pack(lengths)
-    X = table[ids[packing.rows]]
-    shared = _layer(tensors, "shared")
-    if task is None:
-        return Encoding(s_T=nn.lstm_final_states(X, *shared, packing))
-    if config.has_private:
-        h_T, s_T = nn.lstm_final_pair(X, _layer(tensors, f"private.{task}"), shared, packing)
-        out = Encoding(s_T=s_T, h_T=h_T)
-    else:
-        out = Encoding(s_T=nn.lstm_final_states(X, *shared, packing))
-    out.class_probs = _classify(tensors, task, out.s_T, out.h_T)
-    if config.has_discriminator:
-        out.disc_probs = ad._softmax(ad._affine(out.s_T, *_layer(tensors, "disc")))
+    packing, X, layers = _packed_batch(tensors, config, sentences, task)
+    finals = nn.lstm_final_states(X, layers, packing)
+    out = Encoding(s_T=finals[-1], h_T=finals[0] if len(finals) == 2 else None)
+    if task is not None:
+        features = finals[0] if len(finals) == 1 else np.concatenate(finals, axis=1)
+        out.class_probs = _classify(tensors, task, features)
+        if config.has_discriminator:
+            out.disc_probs = ad._softmax(ad._affine(out.s_T, *_layer(tensors, "disc")))
     return out
 
 
 def dump_activations(params: ModelParams, config: ModelConfig,
-                     token_ids: Sequence[int], task: int) -> list[dict]:
-    """Per-timestep encoder states plus the head's running prediction.
+                     sentences: Sequence[Sequence[int]], task: int) -> list[list[dict]]:
+    """Per-timestep encoder states plus the head's running prediction, for a batch of sentences.
 
-    Record ``t`` (1-based) holds the shared and private hidden vectors at
-    that step and the class distribution the task head assigns to the
-    prefix ending there; the last record matches ``forward``.
+    Returns one list of records per sentence. Record ``t`` (1-based) holds
+    the shared and private hidden vectors at that step and the class
+    distribution the task head assigns to the prefix ending there; a
+    sentence's last record matches ``forward``. The batch folds as one
+    (:func:`nn.lstm_states`), so a value may differ in the last bit from
+    that of the sentence alone.
     """
-    _check_task(config, task)
     tensors = params.tensors
-    table = tensors["embeddings"]
-    ids, _ = nn.batch_token_ids([token_ids], table.shape[0])
-    X = table[ids]
-    S = nn.lstm_states(X, *_layer(tensors, "shared"))
-    H = nn.lstm_states(X, *_layer(tensors, f"private.{task}")) if config.has_private else None
-    probs = _classify(tensors, task, S, H)
-    return [{"t": t + 1,
-             "token_id": int(token_ids[t]),
-             "shared": S[t].copy(),
-             "private": H[t].copy() if H is not None else None,
-             "class_probs": probs[t]}
-            for t in range(len(S))]
+    packing, X, layers = _packed_batch(tensors, config, sentences, task)
+    packed = nn.lstm_states(X, layers, packing)
+    states = np.empty_like(packed)  # in token order
+    states[packing.rows] = packed
+    probs = _classify(tensors, task, states)
+    d = config.hidden_size
+    records, start = [], 0
+    for token_ids in sentences:
+        rows = range(start, start + len(token_ids))
+        records.append([{"t": t + 1,
+                         "token_id": int(token_ids[t]),
+                         "shared": states[r, -d:].copy(),
+                         "private": states[r, :d].copy() if len(layers) == 2 else None,
+                         "class_probs": probs[r]}
+                        for t, r in enumerate(rows)])
+        start += len(token_ids)
+    return records
 
 
 # ---------------------------------------------------------------------------

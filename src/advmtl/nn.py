@@ -11,9 +11,13 @@ gate pre-activations, stacked in the fixed row-block order
 The block order and the [x; h_prev] column order are part of the
 checkpoint format and must not change.
 
-A shared-private model folds two LSTMs over the same inputs, and neither
-reads the other's output. :func:`lstm_pair` and :func:`lstm_final_pair`
-run the two folds on two threads when :func:`_concurrent` allows it: the
+A model folds one LSTM over a batch, or two over the same inputs: a
+task's private LSTM and the shared one, neither reading the other's
+output. Each fold entry, :func:`lstm_encode` (a tape node),
+:func:`lstm_states` (its value, untaped) and :func:`lstm_final_states`
+(inference), takes a tuple of one or two ``(W, b)`` layers in the models'
+concatenation order (private, shared).
+Two layers run on two threads when :func:`_concurrent` allows it: the
 calling thread folds the shared layer and one worker thread per process,
 pinned to the last CPU this process may use, folds the private one. Each
 fold is the same sequence of numpy calls on either thread, so the numbers
@@ -28,6 +32,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,31 +48,6 @@ INPUT_ORDER = "x,h"
 def uniform_init(rng: np.random.Generator, shape) -> Tensor:
     """Draw one parameter tensor i.i.d. uniform on [-INIT_RANGE, INIT_RANGE]."""
     return rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape)
-
-
-def lstm_states(X: Tensor, W: Tensor, b: Tensor, lengths=None) -> Tensor:
-    """Hidden states ``[N, d]`` of the LSTM folded over each sentence of ``X``.
-
-    ``X`` is ``[N, e]``: the sentences' token inputs, concatenated, so
-    sentence ``k`` is the next ``lengths[k]`` rows (default: one sentence
-    of all N). Each sentence starts from a zero state. Row ``r`` of the
-    result is the state after input row ``r``, so a sentence's final state
-    is its last row. This is :func:`lstm_encode`'s fold, laid back out in
-    token order.
-    """
-    if X.ndim != 2:
-        raise ShapeError(f"lstm_states: expected [N, e] inputs, got {X.shape}")
-    N, e = X.shape
-    d = b.shape[0] // 4
-    if e != W.shape[1] - d:
-        raise ShapeError(f"lstm_states: input width {e}, expected {W.shape[1] - d}")
-    lengths = np.array([N]) if lengths is None else np.asarray(lengths, dtype=np.intp)
-    if lengths.ndim != 1 or len(lengths) == 0 or lengths.sum() != N:
-        raise ShapeError(f"lstm_states: lengths {lengths} for {N} input rows")
-    packing = pack(lengths)
-    out = np.empty((N, d))
-    out[packing.rows] = _LstmFold(X[packing.rows], W, b, packing).H
-    return out
 
 
 @dataclass(frozen=True)
@@ -150,7 +130,7 @@ def _lstm_step(z: Tensor, W_hT: Tensor, h_prev: Tensor | None, c_prev: Tensor | 
     np.multiply(o, tanh_c, out=h)
 
 
-def lstm_final_states(X: Tensor, W: Tensor, b: Tensor, packing: Packing) -> Tensor:
+def _final_fold(X: Tensor, W: Tensor, b: Tensor, packing: Packing) -> Tensor:
     """Final hidden state ``[B, d]`` of each sentence, in the caller's sentence order.
 
     ``X`` holds the sentences' token inputs as packed rows, laid out by
@@ -158,7 +138,7 @@ def lstm_final_states(X: Tensor, W: Tensor, b: Tensor, packing: Packing) -> Tens
     writes the first ``active[t]`` rows, so a sentence's row is last
     written at its final token and then holds its final state. No
     per-token state is stored, so this is the inference fold; the values
-    are those of :func:`lstm_states` at each sentence's last token.
+    are those of :class:`_LstmFold` at each sentence's last token.
     """
     Z, W_hT = _input_term(X, W, b)
     d = W_hT.shape[0]
@@ -233,24 +213,6 @@ class _LstmFold:
         return ga_rows @ W[:, :e], dW, db
 
 
-def lstm_encode(xs: Node, W: Node, b: Node,
-                packing: Packing | None = None) -> tuple[Node, Node]:
-    """Fold the LSTM over each sentence of ``xs``; returns (h_T [B, d], all_h [N, d]).
-
-    ``xs`` and ``all_h`` are packed rows laid out by ``packing`` (default:
-    one sentence, whose packed order is its token order); ``h_T[k]`` is
-    sentence ``k``'s state at its last token. The batch is one tape node
-    whose backward rule runs one BPTT loop over the packed rows for the
-    recurrent ``dh`` alone; the input and weight gradients are then one
-    product each. Its gradients are finite-difference checked and agree
-    with chaining single LSTM steps.
-    """
-    packing = pack(np.array([len(xs.value)])) if packing is None else packing
-    fold = _LstmFold(xs.value, W.value, b.value, packing)
-    all_h = xs.tape.record(fold.H, (xs, W, b), fold.backward)
-    return ad.row(all_h, packing.last), all_h
-
-
 CONCURRENT_MIN_HIDDEN = 128  # below it a second thread costs more than it saves
 
 
@@ -301,71 +263,105 @@ if hasattr(os, "register_at_fork"):  # every platform that forks
     os.register_at_fork(after_in_child=_drop_worker)
 
 
-def _both(shared, private, d: int) -> tuple:
-    """``(shared(), private())``; the two run at once when :func:`_concurrent` allows it.
+def _each(calls, d: int) -> list:
+    """``[call() for call in calls]`` for the one or two calls of width-``d`` folds' layers.
 
-    ``private`` then runs on the worker thread, in a copy of the caller's
-    context, so the caller's ``np.errstate`` holds there too. The worker is
-    always waited for, and an error surfaces as it would serially: the
-    shared call's first.
+    The calls are in the layers' order (private, shared). The last, the
+    shared layer's, runs first and on the calling thread. With two calls
+    the other runs meanwhile on the worker thread when :func:`_concurrent`
+    allows it, in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds there too. The worker is always waited for, and
+    an error surfaces as it would serially: the shared call's first.
     """
-    if not _concurrent(d):
-        return shared(), private()
+    *rest, last = calls
+    if not rest or not _concurrent(d):
+        out = last()
+        return [call() for call in rest] + [out]
     global _worker
     with _worker_lock:
         if _worker is None:
             _worker = ThreadPoolExecutor(1, "advmtl-fold", _pin_to_last_cpu)
-        future = _worker.submit(contextvars.copy_context().run, private)
+        future = _worker.submit(contextvars.copy_context().run, rest[0])
     try:
-        first = shared()
+        out = last()
     finally:
         wait((future,))  # it writes into arrays the caller owns
-    return first, future.result()
+    return [future.result(), out]
 
 
-def lstm_pair(xs: Node, private: tuple[Node, Node], shared: tuple[Node, Node],
-              packing: Packing) -> Node:
-    """The private and the shared LSTM folded over the same packed rows ``xs``, as one node.
+def _width(X: Tensor, layers, packing: Packing) -> int:
+    """The width ``d`` of one or two layers ``(W [4d, e + d], b [4d])`` over packed rows ``X``."""
+    d = layers[-1][1].shape[0] // 4 if layers else 0
+    want = ((4 * d, X.shape[-1] + d), (4 * d,))
+    if (X.ndim != 2 or len(X) != packing.offs[-1] or not 1 <= len(layers) <= 2
+            or any((W.shape, b.shape) != want for W, b in layers)):
+        raise ShapeError(f"lstm: layers {[(W.shape, b.shape) for W, b in layers]} over "
+                         f"inputs {X.shape} for {packing.offs[-1]} packed rows")
+    return d
 
-    ``private`` and ``shared`` are each a layer's ``(W, b)``, of equal
-    width ``d``. The value is ``[N, 2d]``: row ``r`` is ``[h_r | s_r]``, the
-    two states after packed row ``r`` in the models' concatenation order
-    (private, shared). Each fold writes its own half. The vjp runs the two
-    fold backwards (see :func:`_both`) and returns the input gradient as
+
+def _folds(X: Tensor, layers, packing: Packing) -> tuple[Tensor, list[_LstmFold]]:
+    """The states ``[N, k*d]`` of ``k`` layers' folds over packed rows ``X``, and the folds."""
+    d = _width(X, layers, packing)
+    out = np.empty((len(X), len(layers) * d))
+    folds = _each([partial(_LstmFold, X, W, b, packing, out[:, j * d:(j + 1) * d])
+                   for j, (W, b) in enumerate(layers)], d)
+    return out, folds
+
+
+def lstm_encode(xs: Node, layers, packing: Packing) -> Node:
+    """One or two LSTMs folded over the packed rows ``xs``, as one tape node.
+
+    ``layers`` holds one or two ``(W, b)`` node pairs of equal width
+    ``d``, in the models' concatenation order (private, shared). The value
+    is ``[N, k*d]`` for ``k`` layers: row ``r`` is the layers' states after
+    packed row ``r``, ``[h_r | s_r]`` for two, laid out by ``packing``.
+    The vjp runs one BPTT loop per layer for the recurrent ``dh`` alone;
+    the input and weight gradients are then one product each. Two layers'
+    backwards run as :func:`_each` decides, and the input gradient is
     ``dX_p + dX_s``, the order in which :func:`~advmtl.autodiff.backward`
     would add the gradients of two separate fold nodes; a fold none of
     whose inputs needs a gradient runs no backward.
     """
-    (W_p, b_p), (W_s, b_s) = private, shared
-    X, d = xs.value, b_s.value.shape[0] // 4
-    if b_p.value.shape != b_s.value.shape:
-        raise ShapeError(f"lstm_pair: private width {b_p.value.shape[0] // 4}, shared {d}")
-    out = np.empty((len(X), 2 * d))
-    fold_s, fold_p = _both(lambda: _LstmFold(X, W_s.value, b_s.value, packing, out[:, d:]),
-                           lambda: _LstmFold(X, W_p.value, b_p.value, packing, out[:, :d]), d)
+    out, folds = _folds(xs.value, [(W.value, b.value) for W, b in layers], packing)
+    d = out.shape[1] // len(layers)
 
     def vjp(g):
-        run_s = xs.needs_grad or W_s.needs_grad or b_s.needs_grad
-        run_p = xs.needs_grad or W_p.needs_grad or b_p.needs_grad
-        # contiguous halves: the BPTT loop reads them a few rows at a time
-        g_p, g_s = np.ascontiguousarray(g[:, :d]), np.ascontiguousarray(g[:, d:])
-        (dX_s, dW_s, db_s), (dX_p, dW_p, db_p) = _both(
-            lambda: fold_s.backward(g_s) if run_s else (None,) * 3,
-            lambda: fold_p.backward(g_p) if run_p else (None,) * 3, d)
-        return dX_p + dX_s if xs.needs_grad else None, dW_p, db_p, dW_s, db_s
+        calls = []
+        for j, ((W, b), fold) in enumerate(zip(layers, folds)):
+            if xs.needs_grad or W.needs_grad or b.needs_grad:
+                # a contiguous block: the BPTT loop reads it a few rows at a time
+                calls.append(partial(fold.backward,
+                                     np.ascontiguousarray(g[:, j * d:(j + 1) * d])))
+            else:
+                calls.append(lambda: (None,) * 3)
+        grads = _each(calls, d)
+        dX = None
+        if xs.needs_grad:
+            dX = grads[0][0] if len(grads) == 1 else grads[0][0] + grads[1][0]
+        return (dX, *(grad for _, dW, db in grads for grad in (dW, db)))
 
-    return xs.tape.record(out, (xs, W_p, b_p, W_s, b_s), vjp)
+    return xs.tape.record(out, (xs, *itertools.chain.from_iterable(layers)), vjp)
 
 
-def lstm_final_pair(X: Tensor, private: tuple[Tensor, Tensor], shared: tuple[Tensor, Tensor],
-                    packing: Packing) -> tuple[Tensor, Tensor]:
-    """:func:`lstm_final_states` of the private and the shared layer over the same rows ``X``.
+def lstm_states(X: Tensor, layers, packing: Packing) -> Tensor:
+    """The value of :func:`lstm_encode` over packed rows ``X`` and arrays ``(W, b)``, untaped.
 
-    Returns ``(h_T, s_T)``; the two folds run as :func:`_both` decides.
+    Row ``r`` is the layers' states after packed row ``r``; the row of a
+    sentence's last token is ``packing.last``.
     """
-    s_T, h_T = _both(lambda: lstm_final_states(X, *shared, packing),
-                     lambda: lstm_final_states(X, *private, packing), shared[1].shape[0] // 4)
-    return h_T, s_T
+    return _folds(X, layers, packing)[0]
+
+
+def lstm_final_states(X: Tensor, layers, packing: Packing) -> tuple[Tensor, ...]:
+    """Each layer's final states ``[B, d]`` over packed rows ``X``, in the caller's sentence order.
+
+    ``layers`` is as for :func:`lstm_states`, and so is the order of the
+    result. Each layer folds with :func:`_final_fold`, keeping only its
+    running ``[B, d]`` state; two run as :func:`_each` decides.
+    """
+    d = _width(X, layers, packing)
+    return tuple(_each([partial(_final_fold, X, W, b, packing) for W, b in layers], d))
 
 
 def softmax_classify(h: Node, W: Node, b: Node) -> Node:
@@ -389,19 +385,3 @@ def softmax_classify(h: Node, W: Node, b: Node) -> Node:
         return (gz @ Wv, gz.T @ hv, gz.sum(axis=0))
 
     return h.tape.record(y, (h, W, b), vjp)
-
-
-def batch_token_ids(sentences, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of a batch of sentences, concatenated, and each sentence's length.
-
-    An empty batch, an empty sentence and an out-of-range id raise.
-    """
-    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
-    if len(lengths) == 0 or lengths.min() == 0:
-        raise InputError("batch_token_ids: empty sentence")
-    ids = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.intp,
-                      count=int(lengths.sum()))
-    if ids.min() < 0 or ids.max() >= vocab_size:
-        raise InputError(
-            f"batch_token_ids: token id out of range for vocabulary of {vocab_size}")
-    return ids, lengths

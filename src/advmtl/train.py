@@ -340,31 +340,31 @@ def _train_one_batch(params: M.ModelParams, config: M.ModelConfig, batch: Batch,
     return values
 
 
-ENCODE_TOKENS = 1024  # tokens per encode call in evaluation: bounds a fold's memory
+ENCODE_TOKENS = 1024  # tokens per tape-free batch: bounds a fold's memory
 
 
-def _encode_split(params: M.ModelParams, config: M.ModelConfig,
-                  sentences: Sequence[Sequence[int]], task: int | None = None):
-    """``M.encode`` over consecutive chunks of ``sentences``; yields each chunk's Encoding.
+def chunks(sentences: Sequence[Sequence[int]]):
+    """Consecutive slices of ``sentences`` of at most ``ENCODE_TOKENS`` tokens in all.
 
-    A chunk is consecutive sentences of at most ``ENCODE_TOKENS`` tokens in
-    all; a longer sentence is a chunk alone.
+    A longer sentence is a slice alone. Evaluation and ``dump-activations``
+    run one tape-free batch per slice.
     """
     start, tokens = 0, 0
     for end, sentence in enumerate(sentences):
         if tokens + len(sentence) > ENCODE_TOKENS and end > start:
-            yield M.encode(params, config, sentences[start:end], task)
+            yield sentences[start:end]
             start, tokens = end, 0
         tokens += len(sentence)
     if start < len(sentences):
-        yield M.encode(params, config, sentences[start:], task)
+        yield sentences[start:]
 
 
 def _predictions(params: M.ModelParams, config: M.ModelConfig,
                  examples: Sequence[Example], task: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Argmax class and (for adversarial models) argmax task of every example."""
     classes, tasks = [], []
-    for enc in _encode_split(params, config, [ex.tokens for ex in examples], task):
+    for chunk in chunks([ex.tokens for ex in examples]):
+        enc = M.encode(params, config, chunk, task)
         classes.append(np.argmax(enc.class_probs, axis=1))
         if enc.disc_probs is not None:
             tasks.append(np.argmax(enc.disc_probs, axis=1))
@@ -488,8 +488,8 @@ def train_multitask(params: M.ModelParams, config: M.ModelConfig,
 def shared_features(params: M.ModelParams, config: M.ModelConfig,
                     sentences: Sequence[Sequence[int]]) -> Tensor:
     """Final shared-encoder states, one row per sentence."""
-    chunks = [enc.s_T for enc in _encode_split(params, config, sentences)]
-    return np.concatenate(chunks) if chunks else np.empty((0, config.hidden_size))
+    finals = [M.encode(params, config, chunk).s_T for chunk in chunks(sentences)]
+    return np.concatenate(finals) if finals else np.empty((0, config.hidden_size))
 
 
 def fit_probe(features: Tensor, labels: Sequence[int], n_classes: int,
@@ -550,7 +550,8 @@ def shared_private_cosine(params: M.ModelParams, config: M.ModelConfig,
     vals = []
     for k, name in enumerate(config.task_names):
         split_tokens = [ex.tokens for ex in datasets[name].split(split)]
-        for enc in _encode_split(params, config, split_tokens, k):
+        for chunk in chunks(split_tokens):
+            enc = M.encode(params, config, chunk, k)
             s, h = enc.s_T, enc.h_T
             denom = np.linalg.norm(s, axis=1) * np.linalg.norm(h, axis=1)
             dots = np.abs((s * h).sum(axis=1))

@@ -3,8 +3,8 @@
 Everything here except :func:`lstm_step` and :func:`batch_terms` is
 deliberately written with explicit scalar loops and the math library,
 sharing no code with the package under test. :func:`lstm_step` is one LSTM
-timestep as a tape node with a hand-derived backward rule; the fused
-sequence encoder ``nn.lstm_encode`` is checked against it.
+timestep as a tape node with a hand-derived backward rule; the fold
+node ``nn.lstm_encode``, with one layer, is checked against it.
 :class:`PaddedLstmFold` is the padded ``[T, B]`` fold that the packed
 ``nn._LstmFold`` replaced; the packed fold is checked against it.
 :func:`batch_terms` builds a batch's loss terms one sentence at a time;

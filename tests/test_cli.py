@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from advmtl import cli
 from advmtl import data as D
 from advmtl import models as M
+from advmtl import nn
 from advmtl import train as T
 from advmtl.errors import ConfigError
 
@@ -599,6 +600,40 @@ class TestDumpActivations:
         got = [float(v) for v in last[-2:]]
         np.testing.assert_allclose(got, res.class_probs.value, rtol=0, atol=1e-12)
 
+    def test_one_fold_call_per_chunk(self, corpus_dir, trained_dir, tmp_path, monkeypatch):
+        datasets, vocab = D.load_corpus(corpus_dir)
+        sentences = [[vocab.id_to_token[i] for i in ex.tokens]
+                     for ds in datasets.values() for ex in ds.test[:12]]
+        path = tmp_path / "sents.txt"
+        path.write_text("".join(" ".join(s) + "\n" for s in sentences))
+        monkeypatch.setattr(T, "ENCODE_TOKENS", 20)  # several chunks of several sentences
+        chunks = [sum(map(len, c)) for c in T.chunks(sentences)]
+        assert len(chunks) >= 4 and len(chunks) < len(sentences)
+        calls, states = [], nn.lstm_states
+
+        def spy(X, layers, packing):
+            calls.append(len(X))
+            return states(X, layers, packing)
+
+        monkeypatch.setattr(nn, "lstm_states", spy)
+        out = tmp_path / "dump"
+        assert cli.main(["dump-activations", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                         "--data", str(corpus_dir), "--sentences", str(path),
+                         "--task", "task01", "--out", str(out)]) == 0
+        assert calls == chunks
+        monkeypatch.undo()
+        # the rows of each sentence alone, in the same order, within 1e-12
+        params, config, _ = M.load_checkpoint(trained_dir / "checkpoint.bin")
+        lines = (out / "activations.csv").read_text().splitlines()
+        assert len(lines) == 1 + sum(chunks)
+        want = [(si, rec) for si, s in enumerate(sentences)
+                for rec in M.dump_activations(params, config, [vocab.encode(s)], 1)[0]]
+        for line, (si, rec) in zip(lines[1:], want):
+            row = line.split(",")
+            assert row[:3] == [str(si), str(rec["t"]), sentences[si][rec["t"] - 1]]
+            values = np.concatenate([rec["shared"], rec["private"], rec["class_probs"]])
+            np.testing.assert_allclose([float(v) for v in row[3:]], values, rtol=0, atol=1e-12)
+
     def test_checkpoint_max_len_restored(self, corpus_dir, tmp_path):
         run = tmp_path / "short"
         assert cli.main(["train", "--scheme", "fs", "--data", str(corpus_dir),
@@ -823,6 +858,7 @@ SETTING_TEXT = st.one_of(
 
 @CONFIG_SETTINGS
 @given(st.sampled_from(NON_BOOLEAN_KEYS), SETTING_TEXT)
+@example(key="scheme", text="--")  # argparse hands a bare "--" value over as []
 def test_flag_file_and_environment_cast_alike(tmp_path, key, text):
     def outcome(flag_values, config_path, environ):
         try:

@@ -1,6 +1,6 @@
 """The shared and private LSTM folds as one pair, on one thread or two.
 
-``nn._concurrent`` decides whether a pair runs its two folds at once; the
+``nn._concurrent`` decides whether two layers' folds run at once; the
 tests force either answer through it, and every number must be bitwise
 the same both ways.
 """
@@ -32,7 +32,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 def force(monkeypatch, concurrent: bool) -> list[str]:
     """Make every fold pair run concurrently or serially; returns the threads that built folds."""
     monkeypatch.setattr(nn, "_concurrent", lambda d: concurrent)
-    names, init, final = [], nn._LstmFold.__init__, nn.lstm_final_states
+    names, init, final = [], nn._LstmFold.__init__, nn._final_fold
 
     def fold_init(self, *args, **kwargs):
         names.append(threading.current_thread().name)
@@ -43,7 +43,7 @@ def force(monkeypatch, concurrent: bool) -> list[str]:
         return final(*args)
 
     monkeypatch.setattr(nn._LstmFold, "__init__", fold_init)
-    monkeypatch.setattr(nn, "lstm_final_states", final_states)
+    monkeypatch.setattr(nn, "_final_fold", final_states)
     return names
 
 
@@ -82,15 +82,17 @@ class TestLstmPair:
     def _loss(self, nodes, pair: bool):
         """A loss that reads every state and, more, each final state, as a step does."""
         xs = ad.row(nodes["xs"], self.PACKING.rows)
+        private, shared = (nodes["W_p"], nodes["b_p"]), (nodes["W_s"], nodes["b_s"])
         if pair:
-            states = nn.lstm_pair(xs, (nodes["W_p"], nodes["b_p"]),
-                                  (nodes["W_s"], nodes["b_s"]), self.PACKING)
+            states = nn.lstm_encode(xs, (private, shared), self.PACKING)
             d = states.value.shape[1] // 2
             H, S = ad.columns(states, 0, d), ad.columns(states, d, 2 * d)
             feature = ad.row(states, self.PACKING.last)
-        else:
-            s_T, S = nn.lstm_encode(xs, nodes["W_s"], nodes["b_s"], self.PACKING)
-            h_T, H = nn.lstm_encode(xs, nodes["W_p"], nodes["b_p"], self.PACKING)
+        else:  # two one-layer nodes
+            S = nn.lstm_encode(xs, (shared,), self.PACKING)
+            s_T = ad.row(S, self.PACKING.last)
+            H = nn.lstm_encode(xs, (private,), self.PACKING)
+            h_T = ad.row(H, self.PACKING.last)
             feature = ad.concat([h_T, s_T], axis=1)
         return ad.add(ad.add(ad.sum_all(ad.mul(feature, feature)), ad.sum_all(ad.tanh(S))),
                       ad.sum_all(ad.mul(H, S)))
@@ -169,8 +171,8 @@ class TestLstmPair:
         t = Tape()
         nodes = {k: t.leaf(v) for k, v in params.items()}
         with pytest.raises(ShapeError):
-            nn.lstm_pair(nodes["xs"], (nodes["W_p"], t.leaf(np.zeros(8))),
-                         (nodes["W_s"], nodes["b_s"]), self.PACKING)
+            nn.lstm_encode(nodes["xs"], ((nodes["W_p"], t.leaf(np.zeros(8))),
+                                         (nodes["W_s"], nodes["b_s"])), self.PACKING)
 
 
 def _corpus(unlabeled=20):
@@ -227,9 +229,12 @@ class TestSerialEqualsConcurrent:
     def _read(params, config, corpus):
         errors = [T.evaluate(params, config, corpus[name].test, k)
                   for k, name in enumerate(config.task_names)]
-        enc = M.encode(params, config, [ex.tokens for ex in corpus[config.task_names[0]].dev], 0)
+        dev = [ex.tokens for ex in corpus[config.task_names[0]].dev]
+        enc = M.encode(params, config, dev, 0)
+        dumped = [rec[k].tobytes() for records in M.dump_activations(params, config, dev, 0)
+                  for rec in records for k in ("shared", "private", "class_probs")]
         return (errors, [a.tobytes() for a in (enc.s_T, enc.h_T, enc.class_probs,
-                                               enc.disc_probs)],
+                                               enc.disc_probs)], dumped,
                 repr(T.probe_shared_purity(params, config, corpus, iters=50)),
                 repr(T.shared_private_cosine(params, config, corpus)))
 
@@ -258,7 +263,7 @@ class TestWorkerErrors:
     @staticmethod
     def _failing(monkeypatch, fails):
         """Make the fold of each layer named in ``fails`` raise, in forward or backward."""
-        init, backward = nn._LstmFold.__init__, nn._LstmFold.backward
+        init, backward, final = nn._LstmFold.__init__, nn._LstmFold.backward, nn._final_fold
         params, config, corpus = _model("sp")
         layer = {id(params.tensors["shared.W"]): "shared",
                  id(params.tensors["private.1.W"]): "private"}
@@ -273,8 +278,14 @@ class TestWorkerErrors:
                 raise NumericError(f"{layer[id(self.W)]} backward")
             return backward(self, g)
 
+        def final_fold(X, W, b, packing):
+            if fails.get(layer.get(id(W))) == "forward":
+                raise ShapeError(f"{layer[id(W)]} forward")
+            return final(X, W, b, packing)
+
         monkeypatch.setattr(nn._LstmFold, "__init__", fold_init)
         monkeypatch.setattr(nn._LstmFold, "backward", fold_backward)
+        monkeypatch.setattr(nn, "_final_fold", final_fold)
         released, release = [], Tape.release
 
         def spy_release(tape):
@@ -305,14 +316,27 @@ class TestWorkerErrors:
         monkeypatch.setattr(nn, "_concurrent", lambda d: concurrent)
         T._batch_grads(params, config, batch, T.TrainConfig())
 
+    @pytest.mark.parametrize("concurrent", [False, True], ids=["serial", "concurrent"])
+    @pytest.mark.parametrize("read", ["encode", "dump_activations"])
+    @pytest.mark.parametrize("fails, error", [
+        ({"shared": "forward", "private": "forward"}, "shared forward"),
+        ({"private": "forward"}, "private forward"),
+    ])
+    def test_a_tape_free_fold_raises_the_shared_error_first(self, monkeypatch, concurrent, read,
+                                                            fails, error):
+        monkeypatch.setattr(nn, "_concurrent", lambda d: concurrent)
+        params, config, batch, _ = self._failing(monkeypatch, fails)
+        with pytest.raises(ShapeError, match=f"^{error}$"):
+            getattr(M, read)(params, config, batch.sequences, batch.task)
+
     def test_the_worker_keeps_the_callers_error_state(self, monkeypatch):
         # numpy's error state is per context, and a fresh thread's is the default
         monkeypatch.setattr(nn, "_concurrent", lambda d: True)
         log_zero = lambda: np.log(np.zeros(2))  # noqa: E731
         with np.errstate(divide="ignore"):
-            assert np.isneginf(nn._both(log_zero, log_zero, 128)[1]).all()
+            assert np.isneginf(nn._each([log_zero, log_zero], 128)[0]).all()
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            nn._both(lambda: None, log_zero, 128)
+            nn._each([log_zero, lambda: None], 128)
 
     def test_a_diverging_step_warns_on_no_thread(self, monkeypatch):
         # the step's errstate(all="ignore") holds in both folds; the loss

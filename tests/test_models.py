@@ -186,7 +186,7 @@ class TestEncode:
         with pytest.raises(InputError):
             M.encode(params, cfg, [[1, 2]], task)
         with pytest.raises(InputError):
-            M.dump_activations(params, cfg, [1, 2], task)
+            M.dump_activations(params, cfg, [[1, 2]], task)
 
 
 class TestDiscriminate:
@@ -275,7 +275,7 @@ class TestDumpActivations:
             ids = [int(v) for v in rng.integers(0, 12, size=int(rng.integers(1, 9)))]
             tape = Tape()
             res = M.forward(tape, params.bind(tape), cfg, ids, task)
-            S, H = self._states(M.dump_activations(params, cfg, ids, task))
+            S, H = self._states(M.dump_activations(params, cfg, [ids], task)[0])
             assert S.tobytes() == res.S.value.tobytes()
             assert (H is None) == (res.H is None)
             if H is not None:
@@ -290,23 +290,30 @@ class TestDumpActivations:
         tape = Tape()
         res = M.forward_batch(params.bind(tape), cfg, batch, 2)
         assert res.S.value.shape == (17, cfg.hidden_size)  # one row per token
+        dumped = M.dump_activations(params, cfg, batch, 2)
+        assert [len(records) for records in dumped] == [len(ids) for ids in batch]
         end = 0
-        for ids in batch:
+        for ids, records in zip(batch, dumped):
             rows = slice(end, end + len(ids))
             end += len(ids)
-            alone = self._states(M.dump_activations(params, cfg, ids, 2))
-            for name, got, want in zip("SH", (res.S, res.H), alone):
-                assert (want is None) == (got is None), name
+            alone = M.dump_activations(params, cfg, [ids], 2)[0]
+            assert [r["token_id"] for r in records] == ids
+            npt.assert_allclose(np.stack([r["class_probs"] for r in records]),
+                                np.stack([r["class_probs"] for r in alone]), rtol=0, atol=1e-12)
+            for name, got, in_batch, want in zip("SH", (res.S, res.H), self._states(records),
+                                                 self._states(alone)):
+                assert (want is None) == (got is None) == (in_batch is None), name
                 if want is not None:
                     tokens = np.empty_like(got.value)  # the packed rows in token order
                     tokens[res.packing.rows] = got.value
                     npt.assert_allclose(tokens[rows], want, rtol=0, atol=1e-12, err_msg=name)
+                    npt.assert_allclose(in_batch, want, rtol=0, atol=1e-12, err_msg=name)
 
     def test_record_count_and_consistency(self):
         cfg = small_config("sp", d=3, e=2)
         params = M.init_model(cfg, seed=5)
         ids = [1, 4, 2, 7, 3]
-        records = M.dump_activations(params, cfg, ids, task=0)
+        (records,) = M.dump_activations(params, cfg, [ids], task=0)
         assert len(records) == len(ids)
         assert [r["t"] for r in records] == list(range(1, len(ids) + 1))
         tape = Tape()
@@ -319,7 +326,7 @@ class TestDumpActivations:
         params = M.init_model(cfg, seed=5)
         for name, arr in params.named_tensors().items():
             arr[...] = 0.0
-        for rec in M.dump_activations(params, cfg, [1, 2, 3], task=1):
+        for rec in M.dump_activations(params, cfg, [[1, 2, 3]], task=1)[0]:
             npt.assert_array_equal(rec["shared"], np.zeros(3))
             npt.assert_array_equal(rec["private"], np.zeros(3))
             npt.assert_allclose(rec["class_probs"], [0.5, 0.5], rtol=0, atol=1e-15)

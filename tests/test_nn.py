@@ -19,6 +19,24 @@ def bind_lstm(tape, W, b):
     return tape.leaf(np.asarray(W, dtype=np.float64)), tape.leaf(np.asarray(b, dtype=np.float64))
 
 
+def encode_one(xs, W, b):
+    """``nn.lstm_encode`` of one layer over one sentence's rows ``xs``: (h_T [1, d], all_h [T, d]).
+
+    A sentence's packed order is its token order.
+    """
+    packing = nn.pack(np.array([len(xs.value)]))
+    all_h = nn.lstm_encode(xs, ((W, b),), packing)
+    return ad.row(all_h, packing.last), all_h
+
+
+def token_states(X, W, b, lengths):
+    """``nn.lstm_states`` of one layer over the concatenated sentences ``X``, in token order."""
+    packing = nn.pack(np.asarray(lengths, dtype=np.intp))
+    states = np.empty((len(X), b.shape[0] // 4))
+    states[packing.rows] = nn.lstm_states(X[packing.rows], ((W, b),), packing)
+    return states
+
+
 class TestLstmStep:
     def test_zero_params_zero_state(self):
         d, e = 3, 2
@@ -90,7 +108,7 @@ class TestLstmEncode:
         W, b, xs = self._setup(5, T=1)
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
-        h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn)
+        h_T, all_h = encode_one(t.constant(xs), Wn, bn)
         d = b.shape[0] // 4
         h1, _ = oracles.lstm_step(t.constant(xs[0]), t.constant(np.zeros(d)),
                              t.constant(np.zeros(d)), Wn, bn)
@@ -100,15 +118,14 @@ class TestLstmEncode:
         d, e, T = 4, 3, 5
         t = Tape()
         W, b = bind_lstm(t, np.zeros((4 * d, d + e)), np.zeros(4 * d))
-        h_T, _ = nn.lstm_encode(t.constant(np.random.default_rng(0).normal(size=(T, e))),
-                                W, b)
+        h_T, _ = encode_one(t.constant(np.random.default_rng(0).normal(size=(T, e))), W, b)
         npt.assert_array_equal(h_T.value[0], np.zeros(d))
 
     def test_chained_oracle_T3(self):
         W, b, xs = self._setup(77, T=3)
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
-        h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn)
+        h_T, all_h = encode_one(t.constant(xs), Wn, bn)
         oh, oall = oracles.lstm_encode_loops(xs.tolist(), W.tolist(), b.tolist())
         npt.assert_allclose(h_T.value[0], oh, rtol=0, atol=1e-12)
         npt.assert_allclose(all_h.value, oall, rtol=0, atol=1e-12)
@@ -117,14 +134,14 @@ class TestLstmEncode:
         W, b, xs = self._setup(6, T=7)
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
-        h_T, all_h = nn.lstm_encode(t.constant(xs), Wn, bn)
+        h_T, all_h = encode_one(t.constant(xs), Wn, bn)
         npt.assert_array_equal(all_h.value[-1], h_T.value[0])
 
     def test_empty_sequence_rejected(self):
         t = Tape()
         W, b = bind_lstm(t, np.zeros((12, 5)), np.zeros(12))
         with pytest.raises(InputError):
-            nn.lstm_encode(t.constant(np.zeros((0, 2))), W, b)
+            encode_one(t.constant(np.zeros((0, 2))), W, b)
 
     @pytest.mark.parametrize("T", [1, 3, 7])
     def test_gradients_match_finite_differences(self, T):
@@ -137,7 +154,7 @@ class TestLstmEncode:
         def loss_fn(p, with_grads):
             t = Tape()
             nodes = {k: t.leaf(v) for k, v in p.items()}
-            h_T, all_h = nn.lstm_encode(nodes["xs"], nodes["W"], nodes["b"])
+            h_T, all_h = encode_one(nodes["xs"], nodes["W"], nodes["b"])
             out = ad.add(ad.sum_all(ad.mul(h_T, h_T)), ad.sum_all(ad.tanh(all_h)))
             if not with_grads:
                 return float(out.value), None
@@ -163,10 +180,10 @@ class TestBatchedLstm:
 
     def test_each_sentence_as_if_alone(self):
         W, b, xs = self._setup(3)
-        H = nn.lstm_states(xs, W, b, self.LENGTHS)
+        H = token_states(xs, W, b, self.LENGTHS)
         assert H.shape == (sum(self.LENGTHS), 3)
         for rows in self._sentences():
-            alone = nn.lstm_states(xs[rows], W, b)
+            alone = token_states(xs[rows], W, b, [len(xs[rows])])
             npt.assert_allclose(H[rows], alone, rtol=0, atol=1e-15)
             _, oall = oracles.lstm_encode_loops(xs[rows].tolist(), W.tolist(), b.tolist())
             npt.assert_allclose(H[rows], oall, rtol=0, atol=1e-12)
@@ -176,26 +193,36 @@ class TestBatchedLstm:
         t = Tape()
         Wn, bn = bind_lstm(t, W, b)
         packing = self.PACKING
-        h_T, all_h = nn.lstm_encode(t.constant(xs[packing.rows]), Wn, bn, packing)
+        all_h = nn.lstm_encode(t.constant(xs[packing.rows]), ((Wn, bn),), packing)
         H = np.empty_like(all_h.value)  # the packed rows in token order
         H[packing.rows] = all_h.value
         for k, end in enumerate(self.ENDS):
-            assert h_T.value[k].tobytes() == H[end - 1].tobytes()
+            assert all_h.value[packing.last[k]].tobytes() == H[end - 1].tobytes()
 
     def test_bad_lengths_rejected(self):
         W, b, xs = self._setup(6)
-        with pytest.raises(ShapeError):
-            nn.lstm_states(xs, W, b, [3, 1, 6])  # more rows than the input has
-        with pytest.raises(ShapeError):
-            nn.lstm_states(xs, W, b, [3, 1])
-        with pytest.raises(ShapeError):
-            nn.lstm_states(xs, W, b, [[3, 1, 5]])
+        t = Tape()
+
+        def encode(X, layers, packing):
+            nodes = tuple((t.leaf(W), t.leaf(b)) for W, b in layers)
+            return nn.lstm_encode(t.constant(X), nodes, packing)
+
         with pytest.raises(InputError):
-            nn.lstm_states(xs, W, b, [4, 0, 5])
-        with pytest.raises(ShapeError):
-            nn.lstm_states(xs[:, :1], W, b, self.LENGTHS)  # input width
-        with pytest.raises(ShapeError):
-            nn.lstm_states(xs[None], W, b, self.LENGTHS)  # not [N, e] rows
+            nn.pack(np.array([4, 0, 5]))
+        layer = (W, b)
+        for fold in (encode, nn.lstm_states, nn.lstm_final_states):
+            with pytest.raises(ShapeError):
+                fold(xs, (layer,), nn.pack(np.array([3, 1, 6])))  # more rows than the input has
+            with pytest.raises(ShapeError):
+                fold(xs, (layer,), nn.pack(np.array([3, 1])))
+            with pytest.raises(ShapeError):
+                fold(xs[:, :1], (layer,), self.PACKING)  # input width
+            with pytest.raises(ShapeError):
+                fold(xs[None], (layer,), self.PACKING)  # not [N, e] rows
+            with pytest.raises(ShapeError):
+                fold(xs, (layer,) * 3, self.PACKING)  # one or two layers
+            with pytest.raises(ShapeError):
+                fold(xs, ((W[:8, :4], b[:8]), layer), self.PACKING)  # of unequal widths
 
     def test_gradients_match_finite_differences(self):
         W, b, xs = self._setup(7)
@@ -205,7 +232,8 @@ class TestBatchedLstm:
             t = Tape()
             nodes = {k: t.leaf(v) for k, v in p.items()}
             xs = ad.row(nodes["xs"], self.PACKING.rows)  # packed order
-            h_T, all_h = nn.lstm_encode(xs, nodes["W"], nodes["b"], self.PACKING)
+            all_h = nn.lstm_encode(xs, ((nodes["W"], nodes["b"]),), self.PACKING)
+            h_T = ad.row(all_h, self.PACKING.last)
             out = ad.add(ad.sum_all(ad.mul(h_T, h_T)), ad.sum_all(ad.tanh(all_h)))
             if not with_grads:
                 return float(out.value), None
@@ -220,8 +248,9 @@ class TestBatchedLstm:
         def grads(batch, packing):
             t = Tape()
             Wn, bn = bind_lstm(t, W, b)
-            rows = batch if packing is None else batch[packing.rows]
-            h_T, all_h = nn.lstm_encode(t.constant(rows), Wn, bn, packing)
+            packing = nn.pack(np.array([len(batch)])) if packing is None else packing
+            all_h = nn.lstm_encode(t.constant(batch[packing.rows]), ((Wn, bn),), packing)
+            h_T = ad.row(all_h, packing.last)
             gm = ad.backward(t, ad.add(ad.sum_all(ad.mul(h_T, h_T)),
                                        ad.sum_all(ad.tanh(all_h))))
             return gm[Wn.idx], gm[bn.idx]
@@ -291,20 +320,21 @@ class TestFinalStates:
     def _final(X, W, b, lengths):
         """Final states of the concatenated sentences ``X``, fed as packed rows."""
         packing = nn.pack(np.asarray(lengths, dtype=np.intp))
-        return nn.lstm_final_states(X[packing.rows], W, b, packing)
+        (final,) = nn.lstm_final_states(X[packing.rows], ((W, b),), packing)
+        return final
 
     @pytest.mark.parametrize("d,e", [(3, 2), (24, 16)])
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_single_sentence_bitwise_equal_to_fold(self, n, d, e):
         X, W, b = self._setup([n], d, e)
-        want = nn.lstm_states(X, W, b)[n - 1]
+        want = token_states(X, W, b, [n])[n - 1]
         assert self._final(X, W, b, [n])[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d,e", [(3, 2), (24, 16)])
     @pytest.mark.parametrize("lengths", [[4, 2, 6, 2, 6, 1], [5, 5, 5], [1, 3, 1], [2, 9, 3]])
     def test_ragged_batch_matches_fold(self, lengths, d, e):
         X, W, b = self._setup(lengths, d, e)
-        H = nn.lstm_states(X, W, b, lengths)
+        H = token_states(X, W, b, lengths)
         got = self._final(X, W, b, lengths)
         assert got.shape == (len(lengths), d)
         for k, end in enumerate(np.cumsum(lengths)):
