@@ -39,10 +39,10 @@ print("test error:", T.evaluate(best, config, task.test, 0))
 
 # Watch the running prediction evolve over two sentences, dumped as one batch.
 examples = task.dev[:2]
-traces = M.dump_activations(best, config, [ex.tokens for ex in examples], task=0)
-for ex, records in zip(examples, traces):
+_, probs = M.dump_activations(best, config, [ex.tokens for ex in examples], task=0)
+ends = np.cumsum([len(ex.tokens) for ex in examples])[:-1]  # one row per token, in order
+for ex, positive in zip(examples, np.split(probs[:, 1], ends)):
     print("\nper-timestep prediction trace:")
-    for rec in records:
-        tok = vocab.id_to_token[rec["token_id"]]
-        print(f"  t={rec['t']:2d} {tok:10s} p(positive)={rec['class_probs'][1]:.3f}")
+    for t, (token_id, p) in enumerate(zip(ex.tokens, positive), 1):
+        print(f"  t={t:2d} {vocab.id_to_token[token_id]:10s} p(positive)={p:.3f}")
     print("true label:", ex.label)

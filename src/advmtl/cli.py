@@ -344,7 +344,14 @@ def _parse_alpha(text: str | None):
     if text is None:
         return None
     return {k: _typed(f"weight {k}", p, "alpha", float)
-            for k, p in enumerate(p for p in text.split(",") if p.strip())}
+            for k, p in enumerate(_comma_list("alpha", text))}
+
+
+def _comma_list(name: str, text: str) -> list[str]:
+    """The entries of a comma-separated list; an empty one raises a ConfigError naming ``name``."""
+    if not all(entry.strip() for entry in text.split(",")):
+        raise ConfigError(f"{name}: empty entry in '{text}'")
+    return text.split(",")
 
 
 def _parse_grid(text: str) -> dict[str, list]:
@@ -359,8 +366,10 @@ def _parse_grid(text: str) -> dict[str, list]:
         key = key.strip()
         if key not in GRID_KEYS:
             raise ConfigError(f"grid: unsupported key '{key}'")
-        grid[CONFIG_KEYS[key][2]] = [_typed(key, v, "grid") for v in values.split(",")
-                                     if v.strip()]
+        field = CONFIG_KEYS[key][2]
+        if field in grid:
+            raise ConfigError(f"grid: key '{key}' given twice")
+        grid[field] = [_typed(key, v, "grid") for v in _comma_list(f"grid key '{key}'", values)]
     if not grid:
         raise ConfigError("grid: empty specification")
     return grid
@@ -561,23 +570,22 @@ def cmd_dump_activations(args) -> Run:
     task = config.task_names.index(args.task)
     d = config.hidden_size
     header = (["sentence", "t", "token"]
-              + [f"shared_{j}" for j in range(d)]
-              + [f"private_{j}" for j in range(d)]
+              + [f"{layer}_{j}" for layer in ("shared", "private") for j in range(d)]
               + [f"prob_{c}" for c in range(config.classes[task])])
-    lines = [",".join(header)]
     sentences = [line.split() for _, line in D.text_lines(args.sentences) if line.split()]
     if not sentences:
         raise InputError(f"{args.sentences}: no sentences")
-    dumped = (records for chunk in T.chunks([vocab.encode(tokens) for tokens in sentences])
-              for records in M.dump_activations(params, config, chunk, task))
-    for si, (tokens, records) in enumerate(zip(sentences, dumped)):
-        for rec in records:
-            private = rec["private"] if rec["private"] is not None else np.zeros(d)
-            values = np.concatenate([rec["shared"], private, rec["class_probs"]])
-            lines.append(",".join([str(si), str(rec["t"]), tokens[rec["t"] - 1]]
-                                  + [repr(float(v)) for v in values]))
-    out_path = run.write("activations.csv", "\n".join(lines) + "\n")
-    print(f"wrote {out_path} ({len(lines) - 1} rows)")
+    keys = (f"{si},{t},{token}," for si, tokens in enumerate(sentences)
+            for t, token in enumerate(tokens, 1))
+    out_path = run.path("activations.csv")
+    with open(out_path, "w", encoding="utf-8") as fh:  # one chunk's rows at a time
+        fh.write(",".join(header) + "\n")
+        for chunk in T.chunks(sentences):
+            states, probs = M.dump_activations(params, config, list(map(vocab.encode, chunk)), task)
+            private = states[:, :d] if config.has_private else np.zeros_like(states)
+            values = np.concatenate([states[:, -d:], private, probs], axis=1).tolist()
+            fh.writelines(next(keys) + ",".join(map(repr, row)) + "\n" for row in values)
+    print(f"wrote {out_path} ({sum(map(len, sentences))} rows)")
     return run
 
 

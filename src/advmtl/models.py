@@ -348,34 +348,23 @@ def encode(params: ModelParams, config: ModelConfig,
 
 
 def dump_activations(params: ModelParams, config: ModelConfig,
-                     sentences: Sequence[Sequence[int]], task: int) -> list[list[dict]]:
-    """Per-timestep encoder states plus the head's running prediction, for a batch of sentences.
+                     sentences: Sequence[Sequence[int]], task: int) -> tuple[Tensor, Tensor]:
+    """Per-token encoder states and the head's running prediction, for a batch of sentences.
 
-    Returns one list of records per sentence. Record ``t`` (1-based) holds
-    the shared and private hidden vectors at that step and the class
-    distribution the task head assigns to the prefix ending there; a
-    sentence's last record matches ``forward``. The batch folds as one
-    (:func:`nn.lstm_states`), so a value may differ in the last bit from
-    that of the sentence alone.
+    Returns ``states`` ``[N, k·d]`` and ``class_probs`` ``[N, C]``, one row
+    per token of the concatenated sentences, in order. ``states`` holds the
+    k layers' states in ``CONCAT_ORDER`` (private, shared), as
+    :func:`nn.lstm_states` gives them; ``class_probs`` is the distribution
+    the task head assigns to the prefix ending at that token, so a
+    sentence's last row matches ``forward``. The batch folds as one, so a
+    value may differ in the last bit from that of the sentence alone.
     """
     tensors = params.tensors
     packing, X, layers = _packed_batch(tensors, config, sentences, task)
     packed = nn.lstm_states(X, layers, packing)
     states = np.empty_like(packed)  # in token order
     states[packing.rows] = packed
-    probs = _classify(tensors, task, states)
-    d = config.hidden_size
-    records, start = [], 0
-    for token_ids in sentences:
-        rows = range(start, start + len(token_ids))
-        records.append([{"t": t + 1,
-                         "token_id": int(token_ids[t]),
-                         "shared": states[r, -d:].copy(),
-                         "private": states[r, :d].copy() if len(layers) == 2 else None,
-                         "class_probs": probs[r]}
-                        for t, r in enumerate(rows)])
-        start += len(token_ids)
-    return records
+    return states, _classify(tensors, task, states)
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,8 @@ _worker_lock = threading.Lock()
 
 
 def _pin_to_last_cpu() -> None:
+    # Pinned because it paid: on 2 vCPUs, 6 alternating pairs of 20 s perfbench paper-asp runs
+    # gave 302-453 sentences/s unpinned against 439-481 pinned (medians 380 and 458).
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # this thread only
 

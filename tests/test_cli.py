@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -247,13 +248,18 @@ class TestTrain:
         (["--scheme", "fs", "--seed", "-1"], "seed"),
         (["--scheme", "fs", "--learning-rate", "abc"], "learning_rate"),
         (["--scheme", "fs", "--batch-size", "x"], "batch_size"),
+        (["--scheme", "sp", "--grid", "learning_rate="], "learning_rate"),
+        (["--scheme", "sp", "--grid", "learning_rate=0.1;learning_rate=0.3"], "learning_rate"),
+        (["--scheme", "sp", "--grid", "learning_rate=0.1,,0.3"], "learning_rate"),
+        (["--scheme", "sp", "--alpha", "1,,1"], "alpha"),
     ], ids=["scheme", "diff_mode", "grid", "unlabeled_ratio_negative",
             "unlabeled_ratio_nan", "max_len", "clip_norm_nan", "learning_rate_nan",
             "learning_rate_inf", "gamma_nan", "lambda_nan", "grid_learning_rate_nan",
             "grid_gamma_nan", "grid_lambda_fs", "grid_gamma_sp", "hidden_size_zero",
             "embed_size_negative", "jobs_zero", "jobs_negative", "alternating_sp",
             "diff_mode_sp", "unlabeled_ratio_fs", "seed_negative", "learning_rate_text",
-            "batch_size_text"])
+            "batch_size_text", "grid_no_values", "grid_repeated_key", "grid_empty_entry",
+            "alpha_empty_entry"])
     def test_bad_value_exits_3(self, corpus_dir, tmp_path, capsys, flags, key):
         rc = cli.main(["train", *flags, "--data", str(corpus_dir),
                        "--out", str(tmp_path / "x")])
@@ -626,13 +632,37 @@ class TestDumpActivations:
         params, config, _ = M.load_checkpoint(trained_dir / "checkpoint.bin")
         lines = (out / "activations.csv").read_text().splitlines()
         assert len(lines) == 1 + sum(chunks)
-        want = [(si, rec) for si, s in enumerate(sentences)
-                for rec in M.dump_activations(params, config, [vocab.encode(s)], 1)[0]]
-        for line, (si, rec) in zip(lines[1:], want):
-            row = line.split(",")
-            assert row[:3] == [str(si), str(rec["t"]), sentences[si][rec["t"] - 1]]
-            values = np.concatenate([rec["shared"], rec["private"], rec["class_probs"]])
-            np.testing.assert_allclose([float(v) for v in row[3:]], values, rtol=0, atol=1e-12)
+        d, rows = config.hidden_size, iter(lines[1:])
+        for si, s in enumerate(sentences):
+            states, probs = M.dump_activations(params, config, [vocab.encode(s)], 1)
+            values = np.concatenate([states[:, -d:], states[:, :d], probs], axis=1)
+            for t, (token, want) in enumerate(zip(s, values), 1):
+                row = next(rows).split(",")
+                assert row[:3] == [str(si), str(t), token]
+                np.testing.assert_allclose([float(v) for v in row[3:]], want, rtol=0, atol=1e-12)
+
+    def test_memory_follows_the_chunk_budget(self, corpus_dir, trained_dir, tmp_path,
+                                             monkeypatch):
+        datasets, vocab = D.load_corpus(corpus_dir)
+        lines = [" ".join(vocab.id_to_token[i] for i in ex.tokens) + "\n"
+                 for ex in datasets["task00"].test]
+        monkeypatch.setattr(T, "ENCODE_TOKENS", 40)
+
+        def peak(n):
+            path = tmp_path / f"sents{n}.txt"
+            path.write_text("".join(lines[i % len(lines)] for i in range(n)))
+            tracemalloc.start()
+            try:
+                assert cli.main(["dump-activations", "--checkpoint",
+                                 str(trained_dir / "checkpoint.bin"), "--data", str(corpus_dir),
+                                 "--sentences", str(path), "--task", "task00",
+                                 "--out", str(tmp_path / f"dump{n}")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the rows of 4x the sentences pass through memory one chunk at a time
+        assert peak(1000) < 1.5 * peak(250)
 
     def test_checkpoint_max_len_restored(self, corpus_dir, tmp_path):
         run = tmp_path / "short"

@@ -231,8 +231,7 @@ class TestSerialEqualsConcurrent:
                   for k, name in enumerate(config.task_names)]
         dev = [ex.tokens for ex in corpus[config.task_names[0]].dev]
         enc = M.encode(params, config, dev, 0)
-        dumped = [rec[k].tobytes() for records in M.dump_activations(params, config, dev, 0)
-                  for rec in records for k in ("shared", "private", "class_probs")]
+        dumped = [a.tobytes() for a in M.dump_activations(params, config, dev, 0)]
         return (errors, [a.tobytes() for a in (enc.s_T, enc.h_T, enc.class_probs,
                                                enc.disc_probs)], dumped,
                 repr(T.probe_shared_purity(params, config, corpus, iters=50)),

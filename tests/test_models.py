@@ -261,10 +261,9 @@ class TestTransfer:
 
 class TestDumpActivations:
     @staticmethod
-    def _states(records):
-        private = [r["private"] for r in records]
-        return (np.stack([r["shared"] for r in records]),
-                None if private[0] is None else np.stack(private))
+    def _states(states, d):
+        """The shared and private (None for one layer) columns of dumped states."""
+        return states[:, -d:], states[:, :d] if states.shape[1] == 2 * d else None
 
     @pytest.mark.parametrize("scheme", ["fs", "sp", "asp"])
     def test_states_bitwise_equal_to_tape_forward(self, scheme):
@@ -275,7 +274,8 @@ class TestDumpActivations:
             ids = [int(v) for v in rng.integers(0, 12, size=int(rng.integers(1, 9)))]
             tape = Tape()
             res = M.forward(tape, params.bind(tape), cfg, ids, task)
-            S, H = self._states(M.dump_activations(params, cfg, [ids], task)[0])
+            states, _ = M.dump_activations(params, cfg, [ids], task)
+            S, H = self._states(states, cfg.hidden_size)
             assert S.tobytes() == res.S.value.tobytes()
             assert (H is None) == (res.H is None)
             if H is not None:
@@ -290,18 +290,17 @@ class TestDumpActivations:
         tape = Tape()
         res = M.forward_batch(params.bind(tape), cfg, batch, 2)
         assert res.S.value.shape == (17, cfg.hidden_size)  # one row per token
-        dumped = M.dump_activations(params, cfg, batch, 2)
-        assert [len(records) for records in dumped] == [len(ids) for ids in batch]
+        states, probs = M.dump_activations(params, cfg, batch, 2)
+        assert len(states) == len(probs) == 17
         end = 0
-        for ids, records in zip(batch, dumped):
+        for ids in batch:
             rows = slice(end, end + len(ids))
             end += len(ids)
-            alone = M.dump_activations(params, cfg, [ids], 2)[0]
-            assert [r["token_id"] for r in records] == ids
-            npt.assert_allclose(np.stack([r["class_probs"] for r in records]),
-                                np.stack([r["class_probs"] for r in alone]), rtol=0, atol=1e-12)
-            for name, got, in_batch, want in zip("SH", (res.S, res.H), self._states(records),
-                                                 self._states(alone)):
+            alone_states, alone_probs = M.dump_activations(params, cfg, [ids], 2)
+            npt.assert_allclose(probs[rows], alone_probs, rtol=0, atol=1e-12)
+            for name, got, in_batch, want in zip(
+                    "SH", (res.S, res.H), self._states(states[rows], cfg.hidden_size),
+                    self._states(alone_states, cfg.hidden_size)):
                 assert (want is None) == (got is None) == (in_batch is None), name
                 if want is not None:
                     tokens = np.empty_like(got.value)  # the packed rows in token order
@@ -313,12 +312,13 @@ class TestDumpActivations:
         cfg = small_config("sp", d=3, e=2)
         params = M.init_model(cfg, seed=5)
         ids = [1, 4, 2, 7, 3]
-        (records,) = M.dump_activations(params, cfg, [ids], task=0)
-        assert len(records) == len(ids)
-        assert [r["t"] for r in records] == list(range(1, len(ids) + 1))
+        states, probs = M.dump_activations(params, cfg, [ids], task=0)
+        assert states.shape == (len(ids), 2 * cfg.hidden_size)
+        assert probs.shape == (len(ids), cfg.classes[0])
         tape = Tape()
         res = M.forward(tape, params.bind(tape), cfg, ids, task=0)
-        npt.assert_allclose(records[-1]["class_probs"], res.class_probs.value,
+        npt.assert_allclose(probs[-1], res.class_probs.value, rtol=0, atol=1e-12)
+        npt.assert_allclose(states[-1], np.concatenate([res.H.value[-1], res.S.value[-1]]),
                             rtol=0, atol=1e-12)
 
     def test_zero_params_uniform_everywhere(self):
@@ -326,10 +326,9 @@ class TestDumpActivations:
         params = M.init_model(cfg, seed=5)
         for name, arr in params.named_tensors().items():
             arr[...] = 0.0
-        for rec in M.dump_activations(params, cfg, [[1, 2, 3]], task=1)[0]:
-            npt.assert_array_equal(rec["shared"], np.zeros(3))
-            npt.assert_array_equal(rec["private"], np.zeros(3))
-            npt.assert_allclose(rec["class_probs"], [0.5, 0.5], rtol=0, atol=1e-15)
+        states, probs = M.dump_activations(params, cfg, [[1, 2, 3]], task=1)
+        npt.assert_array_equal(states, np.zeros((3, 6)))
+        npt.assert_allclose(probs, np.full((3, 2), 0.5), rtol=0, atol=1e-15)
 
 
 class TestCheckpoint:

@@ -420,11 +420,13 @@ class TestPinnedNumbers:
 
     def test_dump_activations(self, tmp_path):
         best, config, corpus, names = self._train("sentence", tmp_path / "model.bin")
-        records = [rec for task, name in enumerate(names) for ex in corpus[name].test[:3]
-                   for rec in M.dump_activations(best, config, [ex.tokens], task)[0]]
+        d = config.hidden_size
+        dumped = [M.dump_activations(best, config, [ex.tokens], task)
+                  for task, name in enumerate(names) for ex in corpus[name].test[:3]]
+        # each token's shared states, private states and class probabilities, in order
         self._check("dump_activations", b"".join(
-            np.concatenate([r["shared"], r["private"], r["class_probs"]]).tobytes()
-            for r in records))
+            np.concatenate([states[:, -d:], states[:, :d], probs], axis=1).tobytes()
+            for states, probs in dumped))
 
 
 class TestTrainingLoop:
