@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -156,11 +157,9 @@ def read_labeled_file(path, max_len: int = DEFAULT_MAX_LEN) -> list[RawExample]:
             raise DataFormatError(
                 f"{path}:{ln}: expected 'label<TAB>text', got {len(parts)} fields")
         label_text, text = parts
-        try:
-            label = int(label_text)
-        except ValueError:
-            raise DataFormatError(
-                f"{path}:{ln}: label '{label_text}' is not an integer") from None
+        if not re.fullmatch("-?[0-9]+", label_text):  # not int(): it takes "1_0", " 1", "١"
+            raise DataFormatError(f"{path}:{ln}: label '{label_text}' is not an integer")
+        label = int(label_text)
         if label < 0:
             raise DataFormatError(f"{path}:{ln}: negative label {label}")
         tokens = text.split()
@@ -627,10 +626,10 @@ def load_embeddings_text(path, token_to_id: dict[str, int], matrix: np.ndarray) 
 
     Format: one token per line followed by ``dim`` whitespace-separated
     floats. Lines whose token is not in ``token_to_id`` are skipped. A
-    line of a known token with the wrong width, a value that is not a
-    float, a NaN or infinite value, a second line of the same known token,
-    or a line that is not UTF-8 raises :class:`DataFormatError`. Returns
-    the number of rows loaded.
+    line of a known token with the wrong width, a value that is not an
+    ASCII float without ``_``, a NaN or infinite value, a second line of
+    the same known token, or a line that is not UTF-8 raises
+    :class:`DataFormatError`. Returns the number of rows loaded.
     """
     dim = matrix.shape[1]
     seen: dict[str, int] = {}  # line of each known token
@@ -650,8 +649,12 @@ def load_embeddings_text(path, token_to_id: dict[str, int], matrix: np.ndarray) 
             raise DataFormatError(
                 f"{path}:{ln}: expected {dim} values for '{token}', "
                 f"got {len(parts) - 1}")
+        values = parts[1:]
+        bad = next((v for v in values if not v.isascii() or "_" in v), None)
+        if bad is not None:  # float() takes "1_0" and non-ASCII digits such as "٣"
+            raise DataFormatError(f"{path}:{ln}: '{token}': value {bad!r} is not a float")
         try:
-            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            vec = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError as exc:
             raise DataFormatError(f"{path}:{ln}: '{token}': {exc}") from None
         if not np.isfinite(vec).all():

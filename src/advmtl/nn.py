@@ -27,6 +27,7 @@ are bitwise those of the serial path, whichever is taken.
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import itertools
 import os
 import threading
@@ -43,6 +44,33 @@ from .errors import InputError, ShapeError
 INIT_RANGE = 0.1
 GATE_BLOCK_ORDER = "cbar,o,i,f"
 INPUT_ORDER = "x,h"
+
+
+def _keep_freed_memory() -> None:
+    """Make glibc keep freed memory in the process instead of returning it to the kernel.
+
+    By default glibc maps each block above 128 kB on its own and unmaps it
+    when freed, and trims free space off the top of a heap, so every
+    training step faulted its arrays in afresh. With the mmap threshold at
+    256 MiB and the trim threshold at 512 MiB, freed arrays are reused, on
+    the calling thread and in the fold worker's arena alike. It acts
+    process-wide, only on glibc, and not at all when the process was
+    started with glibc's own ``MALLOC_MMAP_THRESHOLD_`` or
+    ``MALLOC_TRIM_THRESHOLD_``.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name here
+        return
+    if not glibc or {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"} & os.environ.keys():
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 256 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 512 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
 
 
 def uniform_init(rng: np.random.Generator, shape) -> Tensor:
@@ -106,17 +134,19 @@ def _input_term(X: Tensor, W: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
 
 
 def _lstm_step(z: Tensor, W_hT: Tensor, h_prev: Tensor | None, c_prev: Tensor | None,
-               h: Tensor, c: Tensor, tanh_c: Tensor) -> None:
+               h: Tensor, c: Tensor, tanh_c: Tensor, zh: Tensor, cf: Tensor) -> None:
     """One LSTM step over the rows of ``z``, written into ``h``, ``c`` and ``tanh_c``.
 
     ``z`` holds the step's input term from :func:`_input_term` and is
     overwritten with the gate activations in block order. The previous
     state is ``(h_prev, c_prev)``, or zero when they are None. Both are read
     before the step writes ``h`` and ``c``, so the outputs may alias them.
+    ``zh`` (``[n, 4d]``) and ``cf`` (``[n, d]``) are scratch for
+    ``h_prev @ W_hT`` and ``c_prev * f``.
     """
     d = h.shape[1]
     if h_prev is not None:
-        z += h_prev @ W_hT
+        z += np.matmul(h_prev, W_hT, out=zh)
     np.tanh(z, out=z)
     gates = z[:, d:]
     gates *= 0.5
@@ -125,7 +155,9 @@ def _lstm_step(z: Tensor, W_hT: Tensor, h_prev: Tensor | None, c_prev: Tensor | 
     if c_prev is None:
         np.multiply(cbar, i, out=c)
     else:
-        np.add(cbar * i, c_prev * f, out=c)
+        np.multiply(c_prev, f, out=cf)
+        np.multiply(cbar, i, out=c)
+        c += cf
     np.tanh(c, out=tanh_c)
     np.multiply(o, tanh_c, out=h)
 
@@ -143,11 +175,12 @@ def _final_fold(X: Tensor, W: Tensor, b: Tensor, packing: Packing) -> Tensor:
     Z, W_hT = _input_term(X, W, b)
     d = W_hT.shape[0]
     B = packing.active[0]
-    h, c, tanh_c = np.empty((B, d)), np.empty((B, d)), np.empty((B, d))
+    h, c, tanh_c, cf = (np.empty((B, d)) for _ in range(4))
+    zh = np.empty((B, 4 * d))
     for t, n in enumerate(packing.active):
         prev = (h[:n], c[:n]) if t else (None, None)
         _lstm_step(Z[packing.offs[t]:packing.offs[t + 1]], W_hT, *prev,
-                   h[:n], c[:n], tanh_c[:n])
+                   h[:n], c[:n], tanh_c[:n], zh[:n], cf[:n])
     return h[np.argsort(packing.order)]
 
 
@@ -168,11 +201,13 @@ class _LstmFold:
         self.Z, W_hT = _input_term(X, W, b)
         self.H = np.empty((N, d)) if H is None else H
         self.C, self.tanh_C = np.empty((N, d)), np.empty((N, d))
+        zh, cf = np.empty((self.active[0], 4 * d)), np.empty((self.active[0], d))
         for t, n in enumerate(self.active):
             r = slice(self.offs[t], self.offs[t + 1])
             p = slice(self.offs[t - 1], self.offs[t - 1] + n)
             prev = (self.H[p], self.C[p]) if t else (None, None)
-            _lstm_step(self.Z[r], W_hT, *prev, self.H[r], self.C[r], self.tanh_C[r])
+            _lstm_step(self.Z[r], W_hT, *prev, self.H[r], self.C[r], self.tanh_C[r],
+                       zh[:n], cf[:n])
 
     def backward(self, g: Tensor) -> tuple:
         """Gradients of (inputs, W, b) from the gradient of ``H``, all in packed order."""
@@ -191,10 +226,20 @@ class _LstmFold:
         cbar, o, i, f = (self.Z[:, k * d:(k + 1) * d] for k in range(4))
         tc = self.tanh_C
         # each row's gate-gradient factors in block order cbar, o, i, f: the
-        # o block scales the step's dh, the other three its dc
-        local = np.stack([i * (1.0 - cbar * cbar), tc * o * (1.0 - o),
-                          cbar * i * (1.0 - i), c_prev * f * (1.0 - f)], axis=1)
-        dc_dh = o * (1.0 - tc * tc)
+        # o block scales the step's dh, the other three its dc. They and
+        # dc_dh = o * (1 - tc * tc) are built in place, in the operand order
+        # written; dc_dh is scratch until it is built last
+        local = np.empty((N, 4, d))
+        lc, lo, li, lf = (local[:, k] for k in range(4))
+        dc_dh = np.empty((N, d))
+        for out, x, y in ((lo, tc, o), (li, cbar, i), (lf, c_prev, f)):  # x * y * (1 - y)
+            np.subtract(1.0, y, out=dc_dh)
+            np.multiply(x, y, out=out)
+            out *= dc_dh
+        for out, x, y in ((lc, i, cbar), (dc_dh, o, tc)):  # x * (1 - y * y)
+            np.multiply(y, y, out=out)
+            np.subtract(1.0, out, out=out)
+            out *= x
         W_h = W[:, e:]  # a strided view: the product reads it in place
         ga_all = np.empty((N, 4, d))
         dh, dc = np.zeros((n0, d)), np.zeros((n0, d))
@@ -222,9 +267,10 @@ def _concurrent(d: int) -> bool:
     Three conditions, from timings on a 2-vCPU VM:
     - ``d >= CONCURRENT_MIN_HIDDEN``. Smaller folds make numpy calls too
       short to release the interpreter for long. A fold pair's forward and
-      backward (batch 16, lengths 4-30, one BLAS thread) ran 0.88x as fast
-      on two threads at d = 16, 1.03x at d = 64, 1.31x at d = 128 and
-      1.60x at d = 200.
+      backward (batch 16, lengths 4-30, one BLAS thread; the medians of two
+      runs of 7 alternating pairs) ran 0.78-0.97x as fast on two threads at
+      d = 16, 0.99-1.00x at d = 64, 1.36-1.42x at d = 128 and 1.36-1.53x
+      at d = 200.
     - This process may run on at least 2 CPUs.
     - BLAS runs one thread: ``OPENBLAS_NUM_THREADS``, or if it is unset
       ``OMP_NUM_THREADS``, is ``1`` (the order in which OpenBLAS, which

@@ -28,11 +28,26 @@ class TestFileParsing:
         with pytest.raises(DataFormatError, match="bad.tsv:2"):
             D.read_labeled_file(path)
 
-    def test_non_integer_label(self, tmp_path):
+    # int() would take "1_0", "+1", " 1" and non-ASCII digits: a label is ASCII digits only
+    @pytest.mark.parametrize("label, message", [
+        ("pos", "not an integer"), ("1_0", "not an integer"), ("+1", "not an integer"),
+        (" 1", "not an integer"), ("1 ", "not an integer"), ("\u0661", "not an integer"),
+        ("-1", "negative label -1")],
+        ids=["word", "underscore", "plus", "leading_space", "trailing_space", "arabic_digit",
+             "negative"])
+    def test_non_integer_label(self, tmp_path, label, message):
         path = tmp_path / "bad.tsv"
-        path.write_text("pos\tgood stuff\n")
-        with pytest.raises(DataFormatError, match="bad.tsv:1"):
+        path.write_text(f"1\tok text\n{label}\tgood stuff\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"bad.tsv:2: .*{message}"):
             D.read_labeled_file(path)
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0663"], ids=["underscore", "arabic_digit"])
+    def test_embedding_value_must_be_an_ascii_float(self, tmp_path, value):
+        # float() would load "1_0" as 10.0 and "\u0663" as 3.0
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"alpha 0.5 1.0\nbeta 0.5 {value}\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="vectors.txt:2: 'beta'"):
+            D.load_embeddings_text(path, {"alpha": 0, "beta": 1}, np.zeros((2, 2)))
 
     def test_non_utf8_line_is_named(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -391,3 +391,55 @@ def test_forked_grid_cells_start_their_own_worker():
     assert proc.returncode == 0, err
     two, one = out.splitlines()
     assert two.split(" ", 1) == ["2", one.split(" ", 1)[1]]
+
+
+STEADY_FAULTS = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from advmtl import autodiff as ad, nn
+
+    def call(rng):
+        lengths = rng.integers(4, 31, 16)
+        packing = nn.pack(lengths)
+        X = rng.uniform(-1, 1, (int(lengths.sum()), 200))
+        tape = ad.Tape()
+        layers = tuple((tape.leaf(rng.uniform(-0.1, 0.1, (800, 400))),
+                        tape.leaf(rng.uniform(-0.1, 0.1, 800))) for _ in range(2))
+        states = nn.lstm_encode(tape.leaf(X), layers, packing)
+        ad.backward(tape, ad.sum_all(states))
+        nn.lstm_final_states(X, [(W.value, b.value) for W, b in layers], packing)
+
+    for concurrent in (False, True):
+        nn._concurrent = lambda d: concurrent
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            call(rng)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            call(rng)
+        print(concurrent, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+""")
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not _glibc(),
+                    reason="the allocator setting acts on glibc only")
+def test_a_steady_state_fold_makes_no_page_faults():
+    # a d = 200 pair's forward, backward and final states, serial and as the pair: freed
+    # arrays stay in the process, so after warm-up no call faults memory in again
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")}
+    env.update(OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", STEADY_FAULTS], env=env, text=True,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults = dict(line.split() for line in proc.stdout.splitlines())
+    assert faults.keys() == {"False", "True"}
+    assert all(float(n) < 100 for n in faults.values()), faults

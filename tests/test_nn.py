@@ -566,8 +566,9 @@ class TestEmbeddings:
         def bad(vals):
             if len(vals) != dim:
                 return True
-            try:
-                return not all(math.isfinite(float(v)) for v in vals)
+            try:  # float() alone would also take "1_0" and non-ASCII digits
+                return not all(v.isascii() and "_" not in v and math.isfinite(float(v))
+                               for v in vals)
             except ValueError:
                 return True
 
