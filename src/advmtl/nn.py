@@ -17,23 +17,33 @@ output. Each fold entry, :func:`lstm_encode` (a tape node),
 :func:`lstm_states` (its value, untaped) and :func:`lstm_final_states`
 (inference), takes a tuple of one or two ``(W, b)`` layers in the models'
 concatenation order (private, shared).
-Two layers run on two threads when :func:`_concurrent` allows it: the
-calling thread folds the shared layer and one worker thread per process,
-pinned to the last CPU this process may use, folds the private one. Each
-fold is the same sequence of numpy calls on either thread, so the numbers
-are bitwise those of the serial path, whichever is taken.
+Two layers run in two processes when :func:`_concurrent` allows it: the
+calling process folds the shared layer and one helper process per
+process, started at the first such pair and pinned to the last CPU this
+process may use, folds the private one. The two share one block of
+memory for the arrays, and talk over two pipes. The helper makes the
+same sequence of numpy calls on the same values, so the numbers are
+bitwise those of the serial path, whichever is taken. Where it cannot
+start (no ``os.memfd_create`` or no ``sys.executable``), every pair folds
+serially.
 """
 
 from __future__ import annotations
 
-import contextvars
+import atexit
 import ctypes
 import itertools
+import math
+import mmap
 import os
+import signal
+import subprocess
+import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+import warnings
+import weakref
 from dataclasses import dataclass
-from functools import partial
+from functools import cache
 
 import numpy as np
 
@@ -52,8 +62,8 @@ def _keep_freed_memory() -> None:
     By default glibc maps each block above 128 kB on its own and unmaps it
     when freed, and trims free space off the top of a heap, so every
     training step faulted its arrays in afresh. With the mmap threshold at
-    256 MiB and the trim threshold at 512 MiB, freed arrays are reused, on
-    the calling thread and in the fold worker's arena alike. It acts
+    256 MiB and the trim threshold at 512 MiB, freed arrays are reused, in
+    the calling process and in the fold helper alike. It acts
     process-wide, only on glibc, and not at all when the process was
     started with glibc's own ``MALLOC_MMAP_THRESHOLD_`` or
     ``MALLOC_TRIM_THRESHOLD_``.
@@ -100,7 +110,12 @@ class Packing:
 
 
 def pack(lengths: np.ndarray) -> Packing:
-    """The :class:`Packing` of concatenated sentences of ``lengths``; an empty one raises."""
+    """The :class:`Packing` of concatenated sentences of ``lengths``.
+
+    No sentences, or an empty one, raise :class:`InputError`.
+    """
+    if not len(lengths):
+        raise InputError("pack: no sentences")
     if lengths.min() < 1:
         raise InputError("pack: empty sentence")
     order = np.argsort(-lengths, kind="stable")
@@ -133,6 +148,19 @@ def _input_term(X: Tensor, W: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
     return Z, W_hT
 
 
+@cache
+def _gate_affine(d: int) -> tuple[Tensor, Tensor]:
+    """The ``[4d]`` rows that turn ``tanh`` into the gate activations: scale, then shift.
+
+    1 and -0.0 on the candidate block, which leaves it exactly as it is
+    (signed zeros too), and 0.5 and 0.5 on the three sigmoid blocks.
+    """
+    scale, shift = np.full(4 * d, 0.5), np.full(4 * d, 0.5)
+    scale[:d], shift[:d] = 1.0, -0.0
+    scale.flags.writeable = shift.flags.writeable = False  # shared by every caller
+    return scale, shift
+
+
 def _lstm_step(z: Tensor, W_hT: Tensor, h_prev: Tensor | None, c_prev: Tensor | None,
                h: Tensor, c: Tensor, tanh_c: Tensor, zh: Tensor, cf: Tensor) -> None:
     """One LSTM step over the rows of ``z``, written into ``h``, ``c`` and ``tanh_c``.
@@ -148,10 +176,10 @@ def _lstm_step(z: Tensor, W_hT: Tensor, h_prev: Tensor | None, c_prev: Tensor | 
     if h_prev is not None:
         z += np.matmul(h_prev, W_hT, out=zh)
     np.tanh(z, out=z)
-    gates = z[:, d:]
-    gates *= 0.5
-    gates += 0.5
-    cbar, o, i, f = (z[:, k * d:(k + 1) * d] for k in range(4))
+    scale, shift = _gate_affine(d)  # whole contiguous rows, not the strided sigmoid blocks
+    z *= scale
+    z += shift
+    cbar, o, i, f = z[:, :d], z[:, d:2 * d], z[:, 2 * d:3 * d], z[:, 3 * d:]
     if c_prev is None:
         np.multiply(cbar, i, out=c)
     else:
@@ -163,7 +191,7 @@ def _lstm_step(z: Tensor, W_hT: Tensor, h_prev: Tensor | None, c_prev: Tensor | 
 
 
 def _final_fold(X: Tensor, W: Tensor, b: Tensor, packing: Packing) -> Tensor:
-    """Final hidden state ``[B, d]`` of each sentence, in the caller's sentence order.
+    """Final hidden state ``[B, d]`` of each sentence, in sorted order (``packing.order``).
 
     ``X`` holds the sentences' token inputs as packed rows, laid out by
     ``packing``. The fold keeps only the running ``[B, d]`` state: a step
@@ -181,7 +209,7 @@ def _final_fold(X: Tensor, W: Tensor, b: Tensor, packing: Packing) -> Tensor:
         prev = (h[:n], c[:n]) if t else (None, None)
         _lstm_step(Z[packing.offs[t]:packing.offs[t + 1]], W_hT, *prev,
                    h[:n], c[:n], tanh_c[:n], zh[:n], cf[:n])
-    return h[np.argsort(packing.order)]
+    return h
 
 
 class _LstmFold:
@@ -209,8 +237,11 @@ class _LstmFold:
             _lstm_step(self.Z[r], W_hT, *prev, self.H[r], self.C[r], self.tanh_C[r],
                        zh[:n], cf[:n])
 
-    def backward(self, g: Tensor) -> tuple:
-        """Gradients of (inputs, W, b) from the gradient of ``H``, all in packed order."""
+    def backward(self, g: Tensor, into: tuple | None = None) -> tuple:
+        """Gradients of (inputs, W, b) from the gradient of ``H``, all in packed order.
+
+        ``into``, if given, holds the three arrays to write them into.
+        """
         d, W, active, offs = self.d, self.W, self.active, self.offs
         N, e = self.X.shape
         # the [x; h_prev] input and c_prev of every row, zero at step 0; a
@@ -253,24 +284,23 @@ class _LstmFold:
                 np.matmul(ga.reshape(n, 4 * d), W_h, out=dh[:n])
                 np.multiply(gc, f[r], out=dc[:n])
         ga_rows = ga_all.reshape(N, 4 * d)
-        dW = ga_rows.T @ zs
-        db = ga_rows.sum(axis=0)
-        return ga_rows @ W[:, :e], dW, db
+        dX, dW, db = into or (None,) * 3
+        return (np.matmul(ga_rows, W[:, :e], out=dX), np.matmul(ga_rows.T, zs, out=dW),
+                np.sum(ga_rows, axis=0, out=db))
 
 
-CONCURRENT_MIN_HIDDEN = 128  # below it a second thread costs more than it saves
+CONCURRENT_MIN_HIDDEN = 32  # below it a request to the helper costs more than it saves
 
 
 def _concurrent(d: int) -> bool:
-    """Whether a pair of width-``d`` folds runs on two threads.
+    """Whether a pair of width-``d`` folds runs in two processes.
 
     Three conditions, from timings on a 2-vCPU VM:
-    - ``d >= CONCURRENT_MIN_HIDDEN``. Smaller folds make numpy calls too
-      short to release the interpreter for long. A fold pair's forward and
-      backward (batch 16, lengths 4-30, one BLAS thread; the medians of two
-      runs of 7 alternating pairs) ran 0.78-0.97x as fast on two threads at
-      d = 16, 0.99-1.00x at d = 64, 1.36-1.42x at d = 128 and 1.36-1.53x
-      at d = 200.
+    - ``d >= CONCURRENT_MIN_HIDDEN``. Smaller folds are too short to pay
+      for a request. A fold pair's forward and backward (batch 16, lengths
+      4-30, one BLAS thread; the medians of 60 or 100 interleaved
+      repetitions) ran 0.91-1.10x as fast with the helper as serially at
+      d = 16, 1.21x at d = 32, 1.22-1.32x at d = 64 and 1.64x at d = 200.
     - This process may run on at least 2 CPUs.
     - BLAS runs one thread: ``OPENBLAS_NUM_THREADS``, or if it is unset
       ``OMP_NUM_THREADS``, is ``1`` (the order in which OpenBLAS, which
@@ -290,51 +320,375 @@ def allowed_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
+# The operations of _each, and the helper's request kinds: a taped fold,
+# which the helper keeps for its backward; that fold's backward; and an
+# untaped fold, of every state or (with no output array) the final ones.
+_TAPED, _BACKWARD, _UNTAPED = range(3)
+# The helper's command: the directory that holds this package goes first on
+# its path, then the argv of _Helper: that directory and three descriptors.
+_HELPER_MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); from advmtl import nn; "
+                "nn._serve(*map(int, sys.argv[2:]))")
+_ALIGN = 8  # floats: every array in the shared block starts on a 64-byte line
 
 
 def _pin_to_last_cpu() -> None:
-    # Pinned because it paid: on 2 vCPUs, 6 alternating pairs of 20 s perfbench paper-asp runs
-    # gave 302-453 sentences/s unpinned against 439-481 pinned (medians 380 and 458).
+    # Pinned because it paid for the fold thread that came before the helper: on 2 vCPUs,
+    # 6 alternating pairs of 20 s perfbench paper-asp runs gave 302-453 sentences/s
+    # unpinned against 439-481 pinned (medians 380 and 458).
     if hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})  # this thread only
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
 
-def _drop_worker() -> None:
-    """Forget the worker: a forked child has its executor but not its thread, nor the lock's holder."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+def _layout(shapes) -> tuple[list, int]:
+    """Where arrays of ``shapes`` lie in the shared block: ``[(offset, shape)]``, and the end.
 
-
-if hasattr(os, "register_at_fork"):  # every platform that forks
-    os.register_at_fork(after_in_child=_drop_worker)
-
-
-def _each(calls, d: int) -> list:
-    """``[call() for call in calls]`` for the one or two calls of width-``d`` folds' layers.
-
-    The calls are in the layers' order (private, shared). The last, the
-    shared layer's, runs first and on the calling thread. With two calls
-    the other runs meanwhile on the worker thread when :func:`_concurrent`
-    allows it, in a copy of the caller's context, so the caller's
-    ``np.errstate`` holds there too. The worker is always waited for, and
-    an error surfaces as it would serially: the shared call's first.
+    Offsets and sizes count floats.
     """
-    *rest, last = calls
-    if not rest or not _concurrent(d):
-        out = last()
-        return [call() for call in rest] + [out]
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(1, "advmtl-fold", _pin_to_last_cpu)
-        future = _worker.submit(contextvars.copy_context().run, rest[0])
+    spans, at = [], 0
+    for shape in shapes:
+        spans.append((at, tuple(shape)))
+        at += -(-math.prod(shape) // _ALIGN) * _ALIGN
+    return spans, at
+
+
+class _Block:
+    """A block of float64 shared between the caller and the helper: a memfd, mapped on each side."""
+
+    def __init__(self, fd: int):
+        self.fd, self.size, self.floats = fd, 0, np.empty(0)
+
+    def map(self, size: int) -> None:
+        """Map the first ``size`` floats; an old mapping goes when no view of it is left."""
+        if size != self.size:
+            self.size, self.floats = size, np.frombuffer(mmap.mmap(self.fd, 8 * size), np.float64)
+
+    def view(self, at: int, shape) -> np.ndarray:
+        return self.floats[at:at + math.prod(shape)].reshape(shape)
+
+
+def _portable(cls: type) -> type:
+    """The first class in ``cls``'s MRO the caller can build from a message: built-in or ours."""
+    return next(c for c in cls.__mro__
+                if c.__module__ == "builtins" or c.__module__.startswith(__package__))
+
+
+def _serve(requests_fd: int, replies_fd: int, memfd: int) -> None:
+    """The helper's loop: one reply to each request, until the request pipe ends.
+
+    Every fold reads its inputs from the shared block and writes its
+    outputs there, under the caller's numpy error state; the reply carries
+    the warnings and the exception it raised, if any. A taped fold keeps
+    copies of ``X`` and ``W``, since the next request writes the block
+    again, and stays in ``folds`` until its backward or until the caller
+    names its key among a later request's drops.
+    """
+    from multiprocessing.connection import Connection
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    _pin_to_last_cpu()
+    requests = Connection(requests_fd, writable=False)
+    replies = Connection(replies_fd, readable=False)
+    block, folds, served = _Block(memfd), {}, 0
+    while True:
+        try:
+            kind, key, final, drops, err, size, ins, outs, steps = requests.recv()
+        except EOFError:  # the caller closed its end, or exited
+            return
+        for k in drops:
+            folds.pop(k, None)
+        block.map(size)
+        ins, outs = ([block.view(*span) for span in spans] for spans in (ins, outs))
+        packing = steps and Packing(None, *steps, None, None, None)  # the folds read these two
+        error = None
+        with warnings.catch_warnings(record=True) as caught, np.errstate(**err):
+            warnings.simplefilter("always")
+            try:
+                if kind == _BACKWARD:
+                    folds.pop(key).backward(*ins, outs)
+                elif kind == _TAPED:
+                    X, W, b = ins
+                    folds[key] = fold = _LstmFold(X.copy(), W.copy(), b, packing)
+                    outs[0][...] = fold.H
+                elif final:
+                    outs[0][...] = _final_fold(*ins, packing)
+                else:
+                    _LstmFold(*ins, packing, outs[0])
+            except Exception as exc:  # raised again in the caller
+                cls = _portable(type(exc))
+                error = cls, str(exc) if cls is type(exc) else f"{type(exc).__name__}: {exc}"
+        served += 1
+        replies.send((error, [(str(w.message), _portable(w.category)) for w in caught],
+                      len(folds), served))
+
+
+class _Remote:
+    """A taped fold that the helper holds, and the arrays it was folded from.
+
+    The helper drops the fold after its backward, or when this handle is
+    freed first: the finalizer queues the key on the helper's ``drops``,
+    which the next request carries. Should that helper be gone by the
+    backward, the fold runs again here from ``args``.
+    """
+
+    def __init__(self, helper: _Helper, key: int, args: tuple):
+        self.helper, self.key, self.args = helper, key, args
+        self.finalizer = weakref.finalize(self, helper.drops.append, key)
+        self.finalizer.atexit = False
+
+
+class _Helper:
+    """The caller's end of a helper process: two pipes, the shared block and a lock.
+
+    The lock is held from a request to its reply. ``live`` and ``served``
+    are the helper's count of the taped folds it holds and of the requests
+    it has answered, as of its last reply.
+    """
+
+    def __init__(self):
+        from multiprocessing.connection import Connection
+
+        self.block = _Block(os.memfd_create("advmtl-fold", os.MFD_CLOEXEC))
+        (requests_r, requests_w), (replies_r, replies_w) = os.pipe(), os.pipe()
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        fds = (requests_r, replies_w, self.block.fd)
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-c", _HELPER_MAIN, root, *map(str, fds)], pass_fds=fds,
+                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        except BaseException:
+            for fd in (requests_w, replies_r, self.block.fd):
+                os.close(fd)
+            raise
+        finally:
+            os.close(requests_r)
+            os.close(replies_w)
+        self.requests = Connection(requests_w, readable=False)
+        self.replies = Connection(replies_r, writable=False)
+        self.lock, self.keys, self.drops = threading.Lock(), itertools.count(), []
+        self.live = self.served = 0
+        self.closed = False
+
+    def send(self, op) -> bool:
+        """Write ``op``'s inputs into the block and send its request; False if it is gone."""
+        kind, *args = op
+        if kind == _BACKWARD:
+            remote, g = args
+            X, W = remote.args[:2]
+            ins, outs, key = (g,), (X.shape, W.shape, W.shape[:1]), remote.key
+            final, steps = False, None
+        else:
+            X, W, b, packing, H = args
+            final = H is None
+            ins, outs = (X, W, b), ((packing.active[0], len(b) // 4) if final else H.shape,)
+            key = next(self.keys) if kind == _TAPED else None
+            steps = packing.active, packing.offs
+        spans, size = _layout([a.shape for a in ins] + list(outs))
+        if self.closed:
+            return False
+        n = len(self.drops)  # a finalizer may append meanwhile: those go with the next request
+        drops = self.drops[:n]
+        del self.drops[:n]
+        try:
+            if size > self.block.size:
+                size = max(size, 2 * self.block.size)
+                os.ftruncate(self.block.fd, 8 * size)
+                self.block.map(size)
+            for span, a in zip(spans, ins):
+                self.block.view(*span)[...] = a
+            self.requests.send((kind, key, final, drops, np.geterr(), self.block.size,
+                                spans[:len(ins)], spans[len(ins):], steps))
+        except OSError:
+            self.lost()
+            return False
+        self.pending = key, spans[len(ins):]
+        return True
+
+    def receive(self, op) -> tuple | None:
+        """The reply to ``op``: its result, copied out of the block, the warnings and the error.
+
+        None if the helper is gone.
+        """
+        try:
+            error, caught, self.live, self.served = self.replies.recv()
+        except (EOFError, OSError):
+            self.lost()
+            return None
+        except BaseException:  # an interrupt: the reply may yet come, so the helper is out of step
+            self.lost()
+            raise
+        kind, *args = op
+        key, spans = self.pending
+        if kind == _BACKWARD:
+            args[0].finalizer.detach()  # the helper has dropped it
+        if error is not None:
+            return None, caught, error[0](error[1])
+        outs = [self.block.view(*span) for span in spans]
+        if kind == _BACKWARD:
+            return tuple(a.copy() for a in outs), caught, None
+        X, W, b, packing, H = args
+        if H is None:
+            return outs[0].copy(), caught, None
+        H[...] = outs[0]
+        return (_Remote(self, key, (X, W, b, packing)) if kind == _TAPED else H), caught, None
+
+    def lost(self) -> None:
+        """Forget this helper, dead or out of step; if it never answered, start no other."""
+        global _helper, _unavailable
+        with _start_lock:
+            if _helper is self:
+                _helper = None
+                _unavailable = not self.served
+        self.close(kill=True)
+
+    def close(self, kill: bool = False) -> None:
+        """End the helper, which returns when its request pipe ends, and reap it."""
+        if self.closed:
+            return
+        self.closed = True
+        if kill:
+            self.proc.kill()
+        self.requests.close()
+        self.replies.close()
+        try:
+            self.proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        os.close(self.block.fd)
+
+
+_helper: _Helper | None = None
+_unavailable = False  # no memfd_create or no interpreter here, or the helper never answered
+_start_lock = threading.Lock()
+
+
+def _start_helper() -> _Helper | None:
+    """This process's helper, started if there is none; None where it cannot start."""
+    global _helper, _unavailable
+    with _start_lock:
+        if _helper is None and not _unavailable:
+            try:
+                if not (sys.executable and hasattr(os, "memfd_create")):
+                    raise OSError("no interpreter to run, or no shared memory")
+                _helper = _Helper()
+            except (OSError, subprocess.SubprocessError):
+                _unavailable = True
+        return _helper
+
+
+def _stop_helper() -> None:
+    """End this process's helper, if any; the next concurrent pair starts another."""
+    global _helper
+    with _start_lock:
+        helper, _helper = _helper, None
+    if helper is not None:
+        helper.close()
+
+
+def _forget_helper() -> None:
+    """In a forked child: close the inherited ends of the parent's helper, which keeps running."""
+    global _helper, _start_lock
+    helper, _helper, _start_lock = _helper, None, threading.Lock()
+    if helper is not None:
+        helper.closed = True
+        helper.requests.close()
+        helper.replies.close()
+        os.close(helper.block.fd)
+
+
+atexit.register(_stop_helper)
+if hasattr(os, "register_at_fork"):  # every platform that forks
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _plain(*arrays: Tensor) -> bool:
+    """Whether the helper computes what this process would.
+
+    The arrays are C-contiguous float64, and numpy's error state only
+    ignores, warns or raises.
+    """
+    return (all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
+            and set(np.geterr().values()) <= {"ignore", "warn", "raise"})
+
+
+def _run(op):
+    """The result of ``op`` in this process."""
+    kind, *args = op
+    if kind == _BACKWARD:
+        fold, g = args
+        if fold is None:  # no input of the fold needs a gradient
+            return (None,) * 3
+        if isinstance(fold, _Remote):  # its helper is gone: fold again here
+            fold = _LstmFold(*fold.args)
+        return fold.backward(g)
+    X, W, b, packing, H = args
+    if H is None:
+        return _final_fold(X, W, b, packing)
+    fold = _LstmFold(X, W, b, packing, H)
+    return fold if kind == _TAPED else H
+
+
+def _reserve(op, d: int) -> _Helper | None:
+    """The helper, locked and sent ``op``; or None, and ``op`` runs here.
+
+    A backward waits for the helper that holds its fold, if there is one
+    and it is alive. Any other operation goes to this process's helper,
+    started at the first, when :func:`_concurrent` allows it and
+    :func:`_plain` holds; a caller that finds the helper busy runs ``op``
+    itself, with the same result.
+    """
+    kind, *args = op
+    if kind == _BACKWARD:
+        helper = args[0].helper if isinstance(args[0], _Remote) else None
+        if helper is None or not _plain(args[1]):
+            return None
+        helper.lock.acquire()
+    else:
+        if not (_concurrent(d) and _plain(*args[:3])):
+            return None
+        helper = _helper or _start_helper()
+        if helper is None or not helper.lock.acquire(blocking=False):
+            return None
+    if helper.send(op):
+        return helper
+    helper.lock.release()
+    return None
+
+
+def _each(ops, d: int) -> list:
+    """The results of one or two fold operations on width-``d`` layers, in the layers' order.
+
+    Each operation is a tuple ``(kind, *args)``: ``(_TAPED, X, W, b,
+    packing, H)`` folds into ``H`` and gives the fold for its backward;
+    ``(_UNTAPED, X, W, b, packing, H)`` folds into ``H`` and gives it, or
+    with ``H`` None gives the final states in sorted order; and
+    ``(_BACKWARD, fold, g)`` gives ``(dX, dW, db)``, or three None for a
+    fold of None. The layers are in the order (private, shared). The last,
+    the shared layer's, runs first and in this process; with two, the
+    other runs meanwhile in the helper when :func:`_reserve` sends it
+    there, else afterwards here. Either way an error surfaces as it would
+    serially, the shared operation's first, and so do the warnings.
+    """
+    *rest, last = ops
+    helper = _reserve(rest[0], d) if rest else None
+    if helper is None:
+        out = _run(last)
+        return [_run(op) for op in rest] + [out]
     try:
-        out = last()
+        try:
+            out = _run(last)
+        finally:  # the helper writes into the block, which the next request reuses
+            reply = helper.receive(rest[0])
     finally:
-        wait((future,))  # it writes into arrays the caller owns
-    return [future.result(), out]
+        helper.lock.release()
+    if reply is None:  # the helper is gone: as serially, after the shared operation
+        return [_run(rest[0]), out]
+    got, caught, error = reply
+    for message, category in caught:
+        warnings.warn(message, category, stacklevel=2)
+    if error is not None:
+        raise error
+    return [got, out]
 
 
 def _width(X: Tensor, layers, packing: Packing) -> int:
@@ -348,13 +702,15 @@ def _width(X: Tensor, layers, packing: Packing) -> int:
     return d
 
 
-def _folds(X: Tensor, layers, packing: Packing) -> tuple[Tensor, list[_LstmFold]]:
-    """The states ``[N, k*d]`` of ``k`` layers' folds over packed rows ``X``, and the folds."""
+def _folds(kind: int, X: Tensor, layers, packing: Packing) -> tuple[Tensor, list]:
+    """The states ``[N, k*d]`` of ``k`` layers' folds of ``kind`` over packed rows ``X``.
+
+    Also the folds' results, as :func:`_each` gives them.
+    """
     d = _width(X, layers, packing)
     out = np.empty((len(X), len(layers) * d))
-    folds = _each([partial(_LstmFold, X, W, b, packing, out[:, j * d:(j + 1) * d])
-                   for j, (W, b) in enumerate(layers)], d)
-    return out, folds
+    return out, _each([(kind, X, W, b, packing, out[:, j * d:(j + 1) * d])
+                       for j, (W, b) in enumerate(layers)], d)
 
 
 def lstm_encode(xs: Node, layers, packing: Packing) -> Node:
@@ -371,19 +727,16 @@ def lstm_encode(xs: Node, layers, packing: Packing) -> Node:
     would add the gradients of two separate fold nodes; a fold none of
     whose inputs needs a gradient runs no backward.
     """
-    out, folds = _folds(xs.value, [(W.value, b.value) for W, b in layers], packing)
+    out, folds = _folds(_TAPED, xs.value, [(W.value, b.value) for W, b in layers], packing)
     d = out.shape[1] // len(layers)
 
     def vjp(g):
-        calls = []
+        ops = [(_BACKWARD, None, None)] * len(layers)
         for j, ((W, b), fold) in enumerate(zip(layers, folds)):
             if xs.needs_grad or W.needs_grad or b.needs_grad:
                 # a contiguous block: the BPTT loop reads it a few rows at a time
-                calls.append(partial(fold.backward,
-                                     np.ascontiguousarray(g[:, j * d:(j + 1) * d])))
-            else:
-                calls.append(lambda: (None,) * 3)
-        grads = _each(calls, d)
+                ops[j] = (_BACKWARD, fold, np.ascontiguousarray(g[:, j * d:(j + 1) * d]))
+        grads = _each(ops, d)
         dX = None
         if xs.needs_grad:
             dX = grads[0][0] if len(grads) == 1 else grads[0][0] + grads[1][0]
@@ -398,7 +751,7 @@ def lstm_states(X: Tensor, layers, packing: Packing) -> Tensor:
     Row ``r`` is the layers' states after packed row ``r``; the row of a
     sentence's last token is ``packing.last``.
     """
-    return _folds(X, layers, packing)[0]
+    return _folds(_UNTAPED, X, layers, packing)[0]
 
 
 def lstm_final_states(X: Tensor, layers, packing: Packing) -> tuple[Tensor, ...]:
@@ -409,7 +762,9 @@ def lstm_final_states(X: Tensor, layers, packing: Packing) -> tuple[Tensor, ...]
     running ``[B, d]`` state; two run as :func:`_each` decides.
     """
     d = _width(X, layers, packing)
-    return tuple(_each([partial(_final_fold, X, W, b, packing) for W, b in layers], d))
+    finals = _each([(_UNTAPED, X, W, b, packing, None) for W, b in layers], d)
+    inverse = np.argsort(packing.order)
+    return tuple(h[inverse] for h in finals)
 
 
 def softmax_classify(h: Node, W: Node, b: Node) -> Node:

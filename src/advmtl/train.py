@@ -589,6 +589,8 @@ def grid_search(params: M.ModelParams, config: M.ModelConfig,
     lose. Cells are scored as they finish, in order, and only the best so
     far is kept, so at most two trained models are alive at once.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     keys = list(grid.keys())
     combos = list(itertools.product(*(grid[k] for k in keys)))
     if not combos:

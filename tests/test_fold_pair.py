@@ -1,16 +1,18 @@
-"""The shared and private LSTM folds as one pair, on one thread or two.
+"""The shared and private LSTM folds as one pair, in one process or two.
 
-``nn._concurrent`` decides whether two layers' folds run at once; the
-tests force either answer through it, and every number must be bitwise
-the same both ways.
+``nn._concurrent`` decides whether two layers' folds run at once, the
+private one in the helper process; the tests force either answer through
+it, and every number must be bitwise the same both ways.
 """
 
+import gc
 import os
 import signal
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -29,36 +31,31 @@ import test_train
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def force(monkeypatch, concurrent: bool) -> list[str]:
-    """Make every fold pair run concurrently or serially; returns the threads that built folds."""
+def served() -> tuple:
+    """This process's helper and the number of requests it has answered."""
+    helper = nn._helper
+    return (helper, helper.served) if helper else (None, 0)
+
+
+def force(monkeypatch, concurrent: bool):
+    """Make every fold pair run concurrently or serially.
+
+    Returns a check: whether the helper has answered a request since.
+    """
     monkeypatch.setattr(nn, "_concurrent", lambda d: concurrent)
-    names, init, final = [], nn._LstmFold.__init__, nn._final_fold
-
-    def fold_init(self, *args, **kwargs):
-        names.append(threading.current_thread().name)
-        init(self, *args, **kwargs)
-
-    def final_states(*args):
-        names.append(threading.current_thread().name)
-        return final(*args)
-
-    monkeypatch.setattr(nn._LstmFold, "__init__", fold_init)
-    monkeypatch.setattr(nn, "_final_fold", final_states)
-    return names
-
-
-def on_worker(names) -> bool:
-    return any(name.startswith("advmtl-fold") for name in names)
+    before = served()
+    return lambda: served() != before
 
 
 class TestRule:
     @pytest.mark.parametrize("d, cpus, blas, want", [
         (128, {0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, True),
         (200, {2, 5, 7}, {"OMP_NUM_THREADS": "1"}, True),
-        (127, {0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, False),
+        (31, {0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, False),
         (128, {3}, {"OPENBLAS_NUM_THREADS": "1"}, False),
         (128, {0, 1}, {}, False),  # BLAS may run a thread per CPU
         (128, {0, 1}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        (32, {0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, True),
     ])
     def test_width_cpus_and_blas_threads(self, monkeypatch, d, cpus, blas, want):
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -113,22 +110,24 @@ class TestLstmPair:
 
     @pytest.mark.parametrize("concurrent", [False, True], ids=["serial", "concurrent"])
     def test_bitwise_equal_to_two_fold_nodes(self, monkeypatch, concurrent):
-        names = force(monkeypatch, concurrent)
+        force(monkeypatch, concurrent)
         params = self._inputs(12)
         want_value, want = self._run(params, False)
-        names.clear()
+        on_helper = force(monkeypatch, concurrent)
         value, grads = self._run(params, True)
-        assert on_worker(names) == concurrent
+        assert on_helper() == concurrent
         assert value == want_value and grads.keys() == want.keys()
         for k, g in grads.items():
             assert g.tobytes() == want[k].tobytes(), k
 
     def test_callers_on_more_threads_than_cpus(self, monkeypatch):
-        # each caller's pair writes its own array from two threads; a fresh
-        # worker is started by whichever caller comes first
-        monkeypatch.setattr(nn, "_concurrent", lambda d: True)
-        monkeypatch.setattr(nn, "_worker", None)
+        # one caller at a time sends its pair to the helper; the others fold
+        # both layers themselves, or wait for the helper that holds their
+        # fold's backward. A fresh helper is started by whichever comes first
+        monkeypatch.setattr(nn, "_concurrent", lambda d: False)
         want = [self._run(self._inputs(20 + k), True) for k in range(6)]
+        nn._stop_helper()
+        on_helper = force(monkeypatch, True)
         got, interval = {}, sys.getswitchinterval()
 
         def call(k):
@@ -145,6 +144,7 @@ class TestLstmPair:
         finally:
             sys.setswitchinterval(interval)
         assert not any(c.is_alive() for c in callers) and sorted(got) == list(range(6))
+        assert on_helper()
         for k, runs in got.items():
             assert len(runs) == 5
             for value, grads in runs:
@@ -199,7 +199,7 @@ TRAINING = {
 
 
 class TestSerialEqualsConcurrent:
-    """Checkpoints, histories and evaluation outputs do not depend on the fold pair's threads."""
+    """Checkpoints, histories and evaluation outputs do not depend on where the pair folds."""
 
     @staticmethod
     def _train(case, tmp_path):
@@ -221,9 +221,9 @@ class TestSerialEqualsConcurrent:
     def test_training(self, monkeypatch, tmp_path, case):
         force(monkeypatch, False)
         want = self._train(case, tmp_path)
-        names = force(monkeypatch, True)
+        on_helper = force(monkeypatch, True)
         assert self._train(case, tmp_path) == want
-        assert on_worker(names)
+        assert on_helper()
 
     @staticmethod
     def _read(params, config, corpus):
@@ -243,48 +243,88 @@ class TestSerialEqualsConcurrent:
                                                                 seed=1))
         force(monkeypatch, False)
         want = self._read(params, config, corpus)
-        names = force(monkeypatch, True)
+        on_helper = force(monkeypatch, True)
         assert self._read(params, config, corpus) == want
-        assert on_worker(names)
+        assert on_helper()
 
 
 class TestPinnedNumbersConcurrent(test_train.TestPinnedNumbers):
-    """The pinned digests, unedited, with every fold pair run on two threads."""
+    """The pinned digests, unedited, with every fold pair run in two processes."""
 
     @pytest.fixture(autouse=True)
     def _concurrent(self, monkeypatch):
-        names = force(monkeypatch, True)
+        on_helper = force(monkeypatch, True)
         yield
-        assert on_worker(names)
+        assert on_helper()
+
+
+# Folds that fail where their W starts with the mark of a layer and phase.
+# The same code patches this process's folds and, through HELPER_MAIN, the
+# helper's, so either may raise what the serial path would.
+FAILING_FOLDS = textwrap.dedent("""
+    from advmtl.errors import NumericError, ShapeError
+
+    MARKS = {11.0: ("shared", "forward"), 12.0: ("shared", "backward"),
+             21.0: ("private", "forward"), 22.0: ("private", "backward")}
+    init, backward, final = nn._LstmFold.__init__, nn._LstmFold.backward, nn._final_fold
+
+    def failing(W, phase):
+        layer, fails = MARKS.get(float(W.flat[0]), (None, None))
+        if fails == phase == "forward":
+            raise ShapeError(f"{layer} forward")
+        if fails == phase == "backward":
+            raise NumericError(f"{layer} backward")
+
+    def fold_init(self, X, W, *rest):
+        failing(W, "forward")
+        init(self, X, W, *rest)
+
+    def fold_backward(self, g, into=None):
+        failing(self.W, "backward")
+        return backward(self, g, into)
+
+    def final_fold(X, W, *rest):
+        failing(W, "forward")
+        return final(X, W, *rest)
+""")
+PATCHES = {"fold_init": (nn._LstmFold, "__init__"), "fold_backward": (nn._LstmFold, "backward"),
+           "final_fold": (nn, "_final_fold")}
+HELPER_MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); from advmtl import nn\n"
+               + FAILING_FOLDS + textwrap.dedent("""
+    nn._LstmFold.__init__, nn._LstmFold.backward = fold_init, fold_backward
+    nn._final_fold = final_fold
+    nn._serve(*map(int, sys.argv[2:]))
+"""))
+MARKS = {("shared", "forward"): 11.0, ("shared", "backward"): 12.0,
+         ("private", "forward"): 21.0, ("private", "backward"): 22.0}
 
 
 class TestWorkerErrors:
+    @pytest.fixture(autouse=True)
+    def _failing_folds(self, monkeypatch):
+        """Install FAILING_FOLDS here and in a helper of its own, ended after the test."""
+        scope = {"nn": nn}
+        exec(FAILING_FOLDS, scope)
+        for fn, (owner, name) in PATCHES.items():
+            monkeypatch.setattr(owner, name, scope[fn])
+        monkeypatch.setattr(nn, "_HELPER_MAIN", HELPER_MAIN)
+        nn._stop_helper()
+        yield
+        nn._stop_helper()
+
     @staticmethod
     def _failing(monkeypatch, fails):
-        """Make the fold of each layer named in ``fails`` raise, in forward or backward."""
-        init, backward, final = nn._LstmFold.__init__, nn._LstmFold.backward, nn._final_fold
+        """A model whose layers named in ``fails`` fail in that phase, until ``restore``."""
         params, config, corpus = _model("sp")
-        layer = {id(params.tensors["shared.W"]): "shared",
-                 id(params.tensors["private.1.W"]): "private"}
+        names = {"shared": "shared.W", "private": "private.1.W"}
+        kept = {layer: params.tensors[names[layer]].flat[0] for layer in fails}
+        for layer, phase in fails.items():
+            params.tensors[names[layer]].flat[0] = MARKS[layer, phase]
 
-        def fold_init(self, X, W, b, *rest):
-            if fails.get(layer.get(id(W))) == "forward":
-                raise ShapeError(f"{layer[id(W)]} forward")
-            init(self, X, W, b, *rest)
+        def restore():
+            for layer, value in kept.items():
+                params.tensors[names[layer]].flat[0] = value
 
-        def fold_backward(self, g):
-            if fails.get(layer.get(id(self.W))) == "backward":
-                raise NumericError(f"{layer[id(self.W)]} backward")
-            return backward(self, g)
-
-        def final_fold(X, W, b, packing):
-            if fails.get(layer.get(id(W))) == "forward":
-                raise ShapeError(f"{layer[id(W)]} forward")
-            return final(X, W, b, packing)
-
-        monkeypatch.setattr(nn._LstmFold, "__init__", fold_init)
-        monkeypatch.setattr(nn._LstmFold, "backward", fold_backward)
-        monkeypatch.setattr(nn, "_final_fold", final_fold)
         released, release = [], Tape.release
 
         def spy_release(tape):
@@ -295,7 +335,7 @@ class TestWorkerErrors:
         train = corpus[config.task_names[1]].train[:5]
         batch = D.Batch(task=1, sequences=[e.tokens for e in train],
                         labels=[e.label for e in train])
-        return params, config, batch, released
+        return params, config, batch, released, restore
 
     @pytest.mark.parametrize("concurrent", [False, True], ids=["serial", "concurrent"])
     @pytest.mark.parametrize("fails, error", [
@@ -305,15 +345,18 @@ class TestWorkerErrors:
         ({"private": "backward"}, "private backward"),
     ])
     def test_the_shared_error_surfaces_first(self, monkeypatch, concurrent, fails, error):
-        monkeypatch.setattr(nn, "_concurrent", lambda d: concurrent)
-        params, config, batch, released = self._failing(monkeypatch, fails)
+        on_helper = force(monkeypatch, concurrent)
+        params, config, batch, released, restore = self._failing(monkeypatch, fails)
         with pytest.raises((ShapeError, NumericError), match=f"^{error}$"):
             T._batch_grads(params, config, batch, T.TrainConfig())
         assert released and released[-1].swept  # the tape is released, swept or not
-        # the worker is free again: the next step runs
-        monkeypatch.undo()
-        monkeypatch.setattr(nn, "_concurrent", lambda d: concurrent)
+        assert on_helper() == concurrent
+        # the helper is free again: the next step runs, in the same helper
+        restore()
+        before = served()
         T._batch_grads(params, config, batch, T.TrainConfig())
+        after = served()
+        assert after[0] is before[0] and (after[1] > before[1]) == concurrent
 
     @pytest.mark.parametrize("concurrent", [False, True], ids=["serial", "concurrent"])
     @pytest.mark.parametrize("read", ["encode", "dump_activations"])
@@ -323,24 +366,36 @@ class TestWorkerErrors:
     ])
     def test_a_tape_free_fold_raises_the_shared_error_first(self, monkeypatch, concurrent, read,
                                                             fails, error):
-        monkeypatch.setattr(nn, "_concurrent", lambda d: concurrent)
-        params, config, batch, _ = self._failing(monkeypatch, fails)
+        on_helper = force(monkeypatch, concurrent)
+        params, config, batch, _, _ = self._failing(monkeypatch, fails)
         with pytest.raises(ShapeError, match=f"^{error}$"):
             getattr(M, read)(params, config, batch.sequences, batch.task)
+        assert on_helper() == concurrent
 
     def test_the_worker_keeps_the_callers_error_state(self, monkeypatch):
-        # numpy's error state is per context, and a fresh thread's is the default
-        monkeypatch.setattr(nn, "_concurrent", lambda d: True)
-        log_zero = lambda: np.log(np.zeros(2))  # noqa: E731
-        with np.errstate(divide="ignore"):
-            assert np.isneginf(nn._each([log_zero, log_zero], 128)[0]).all()
-        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            nn._each([log_zero, lambda: None], 128)
+        # numpy's error state is per process: each request carries the caller's.
+        # The private layer's input term X @ W_x^T + b overflows in the add
+        packing = nn.pack(np.array([3, 2]))
+        X = np.ones((5, 1))
+        overflowing = (np.pad(np.full((8, 1), 1e308), ((0, 0), (0, 2))), np.full(8, 1e308))
+        layers = [overflowing, (np.zeros((8, 3)), np.zeros(8))]
+        force(monkeypatch, False)
+        with np.errstate(over="ignore"):
+            want = nn.lstm_final_states(X, layers, packing)
+        on_helper = force(monkeypatch, True)
+        with np.errstate(over="ignore"):
+            got = nn.lstm_final_states(X, layers, packing)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            nn.lstm_final_states(X, layers, packing)
+        with np.errstate(over="warn"), pytest.warns(RuntimeWarning, match="overflow"):
+            nn.lstm_final_states(X, layers, packing)
+        assert on_helper()
 
     def test_a_diverging_step_warns_on_no_thread(self, monkeypatch):
         # the step's errstate(all="ignore") holds in both folds; the loss
         # turns non-finite at the heads, so the step ends in a NumericError
-        names = force(monkeypatch, True)
+        on_helper = force(monkeypatch, True)
         params, config, corpus = _model("sp", d=128, e=8)
         cfg = T.TrainConfig(learning_rate=1e9, max_epochs=2, patience=2, seed=0, batch_size=8)
         with warnings.catch_warnings(record=True) as caught:
@@ -348,7 +403,7 @@ class TestWorkerErrors:
             _, history = T.train_multitask(params, config, corpus, cfg)
         assert [w.message for w in caught] == []
         assert history.diverged and "not finite" in history.divergence.cause
-        assert on_worker(names)
+        assert on_helper()
 
 
 FORKED_GRID = textwrap.dedent("""
@@ -364,7 +419,7 @@ FORKED_GRID = textwrap.dedent("""
     params = M.init_model(config, seed=1)
     cfg = T.TrainConfig(learning_rate=0.1, max_epochs=1, patience=1, seed=0)
     T.train_multitask(params.copy(), config, corpus, cfg)
-    assert nn._worker is not None  # this process's worker thread has started
+    assert nn._helper is not None  # this process's helper has started
     for jobs in (2, 1):
         result = T.grid_search(params, config, corpus, {"learning_rate": [0.1, 0.05]}, cfg,
                                jobs=jobs)
@@ -375,7 +430,8 @@ FORKED_GRID = textwrap.dedent("""
 
 
 def test_forked_grid_cells_start_their_own_worker():
-    # a forked cell inherits the worker's executor but not its thread
+    # a forked cell inherits the parent helper's pipe ends, closes them and
+    # starts a helper of its own
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.Popen([sys.executable, "-c", FORKED_GRID], env=env, text=True,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -409,15 +465,25 @@ STEADY_FAULTS = textwrap.dedent("""
         ad.backward(tape, ad.sum_all(states))
         nn.lstm_final_states(X, [(W.value, b.value) for W, b in layers], packing)
 
+    def faults():  # minor faults of this process and of its helper (field 10 of its stat)
+        helper = 0
+        if nn._helper is not None:
+            with open(f"/proc/{nn._helper.proc.pid}/stat") as fh:
+                helper = int(fh.read().rsplit(")", 1)[1].split()[7])
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt, helper
+
     for concurrent in (False, True):
         nn._concurrent = lambda d: concurrent
         rng = np.random.default_rng(0)
         for _ in range(3):
             call(rng)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        before = faults()
         for _ in range(5):
             call(rng)
-        print(concurrent, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+        caller, helper = ((after - b) / 5 for after, b in zip(faults(), before))
+        print(concurrent, caller)
+    assert nn._helper.served
+    print("helper", helper)
 """)
 
 
@@ -432,7 +498,8 @@ def _glibc() -> bool:
                     reason="the allocator setting acts on glibc only")
 def test_a_steady_state_fold_makes_no_page_faults():
     # a d = 200 pair's forward, backward and final states, serial and as the pair: freed
-    # arrays stay in the process, so after warm-up no call faults memory in again
+    # arrays stay in each process, so after warm-up no call faults memory in again, in
+    # the caller or in the helper
     env = {k: v for k, v in os.environ.items()
            if k not in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")}
     env.update(OPENBLAS_NUM_THREADS="1",
@@ -441,5 +508,146 @@ def test_a_steady_state_fold_makes_no_page_faults():
                           capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     faults = dict(line.split() for line in proc.stdout.splitlines())
-    assert faults.keys() == {"False", "True"}
+    assert faults.keys() == {"False", "True", "helper"}
     assert all(float(n) < 100 for n in faults.values()), faults
+
+
+def _child_env() -> dict:
+    return dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def _state(pid: int) -> str | None:
+    """The state letter of process ``pid`` (``Z`` for a zombie), or None if there is none."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+CALLER = textwrap.dedent("""
+    import os, sys
+    import numpy as np
+    from advmtl import nn
+
+    nn._concurrent = lambda d: True
+    rng = np.random.default_rng(0)
+    layers = [(rng.uniform(-1, 1, (8, 3)), rng.uniform(-1, 1, 8)) for _ in range(2)]
+    nn.lstm_final_states(rng.uniform(-1, 1, (5, 1)), layers, nn.pack(np.array([3, 2])))
+    pid = nn._helper.proc.pid
+    print(pid, *(os.readlink(f"/proc/{pid}/fd/{fd}") for fd in (0, 1, 2)), flush=True)
+    if sys.argv[1] == "exception":
+        raise RuntimeError("uncaught")
+    if sys.argv[1] == "os._exit":
+        os._exit(0)
+""")
+
+# A helper that kills itself when it folds a W that starts with 31.0.
+DYING_MAIN = textwrap.dedent("""
+    import os, signal, sys
+    sys.path.insert(0, sys.argv[1])
+    from advmtl import nn
+
+    init = nn._LstmFold.__init__
+
+    def fold_init(self, X, W, *rest):
+        if W.flat[0] == 31.0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        init(self, X, W, *rest)
+
+    nn._LstmFold.__init__ = fold_init
+    nn._serve(*map(int, sys.argv[2:]))
+""")
+
+KILLED = textwrap.dedent("""
+    import os, signal, sys
+    import numpy as np
+    from advmtl import autodiff as ad, nn
+
+    moment, nn._HELPER_MAIN = sys.argv[1], sys.argv[2]
+    rng = np.random.default_rng(0)
+    packing = nn.pack(np.array([3, 1, 5]))
+    X = rng.uniform(-1, 1, (9, 2))
+    layers = [(rng.uniform(-0.8, 0.8, (12, 5)), rng.uniform(-0.8, 0.8, 12)) for _ in range(2)]
+    W_p, kept = layers[0][0], layers[0][0].flat[0]
+
+    def forward():
+        tape = ad.Tape()
+        nodes = [tape.leaf(X), *(tape.leaf(a) for layer in layers for a in layer)]
+        return tape, nodes, nn.lstm_encode(nodes[0], (nodes[1:3], nodes[3:]), packing)
+
+    def backward(tape, nodes, states):
+        grads = ad.backward(tape, ad.sum_all(ad.mul(states, states)))
+        return [states.value.tobytes()] + [grads[n.idx].tobytes() for n in nodes]
+
+    def kill(helper):
+        os.kill(helper.proc.pid, signal.SIGKILL)
+        helper.proc.wait()
+
+    nn._concurrent = lambda d: False
+    want = backward(*forward())
+    W_p.flat[0] = 31.0
+    want_dying = backward(*forward())
+    W_p.flat[0] = kept
+    nn._concurrent = lambda d: True
+    assert backward(*forward()) == want
+    first = nn._helper
+    if moment == "between requests":
+        kill(first)
+        assert backward(*forward()) == want
+    elif moment == "holding a fold":  # the helper holds the private fold for its backward
+        pending = forward()
+        kill(first)
+        assert backward(*pending) == want
+    else:  # the helper dies in the middle of the request
+        W_p.flat[0] = 31.0
+        assert backward(*forward()) == want_dying
+        W_p.flat[0] = kept
+    assert first.closed and first.proc.returncode is not None
+    # the next pair starts a new helper
+    assert backward(*forward()) == want
+    assert nn._helper is not first and nn._helper.served
+    print("ok")
+""")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads the helper's /proc entries")
+class TestHelperProcess:
+    @pytest.mark.parametrize("ending", ["normal", "exception", "os._exit"])
+    def test_no_helper_outlives_its_caller(self, ending):
+        proc = subprocess.run([sys.executable, "-c", CALLER, ending], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == (1 if ending == "exception" else 0), proc.stderr
+        pid, *std = proc.stdout.split()
+        assert std == ["/dev/null"] * 3  # never the caller's stdin, stdout or stderr
+        # the caller reaps its helper at exit; with no exit handlers run, the
+        # helper still ends at the end of its request pipe
+        gone = (None,) if ending != "os._exit" else (None, "Z")
+        deadline = time.monotonic() + 20
+        while _state(int(pid)) not in gone and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _state(int(pid)) in gone
+
+    @pytest.mark.parametrize("moment", ["between requests", "holding a fold", "during a request"])
+    def test_a_killed_helper_is_replaced(self, moment):
+        # the call that finds the helper dead folds here, bitwise as serially,
+        # and the next pair starts a new helper; nothing waits for the dead one
+        proc = subprocess.run([sys.executable, "-c", KILLED, moment, DYING_MAIN],
+                              env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+    def test_forward_only_folds_are_dropped(self, monkeypatch):
+        # models.forward's folds are freed with their tape, never run backward:
+        # each one's key goes with a later request, and the helper drops it
+        on_helper = force(monkeypatch, True)
+        params, config, corpus = _model("sp")
+        sentences = [ex.tokens for ex in corpus[config.task_names[1]].test]
+        for k in range(500):
+            tape = Tape()
+            M.forward(tape, params.bind(tape), config, sentences[k % len(sentences)], 1,
+                      want_disc=False)
+        del tape
+        gc.collect()
+        M.encode(params, config, sentences[:2], 1)  # carries the last drops
+        assert on_helper() and nn._helper.served >= 500
+        assert nn._helper.live == 0

@@ -96,6 +96,28 @@ class TestLstmStep:
             oracles.lstm_step(t.constant(np.ones(e + 1)), t.constant(np.zeros(d)),
                          t.constant(np.zeros(d)), W, b)
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 24), n=st.integers(1, 8), data=st.data())
+    def test_gate_affine_equals_the_two_ops_on_the_sigmoid_blocks(self, d, n, data):
+        # _lstm_step scales and shifts whole rows, 1 and -0.0 on the candidate
+        # block: bit for bit the in-place halving and shift of z[:, d:] alone
+        finite = st.floats(-40, 40, allow_subnormal=True)
+        rows = st.lists(st.one_of(finite, st.sampled_from([0.0, -0.0])),
+                        min_size=n * 4 * d, max_size=n * 4 * d)
+        z0 = np.array(data.draw(rows)).reshape(n, 4 * d)
+        W_hT = np.zeros((d, 4 * d))
+        want = np.tanh(z0)
+        gates = want[:, d:]
+        gates *= 0.5
+        gates += 0.5
+        cbar, o, i, f = (want[:, k * d:(k + 1) * d] for k in range(4))
+        z = z0.copy()
+        h, c, tanh_c = np.empty((n, d)), np.empty((n, d)), np.empty((n, d))
+        nn._lstm_step(z, W_hT, None, None, h, c, tanh_c, np.empty((n, 4 * d)), np.empty((n, d)))
+        assert z.tobytes() == want.tobytes()  # signed zeros included
+        assert c.tobytes() == (cbar * i).tobytes()
+        assert h.tobytes() == (o * np.tanh(cbar * i)).tobytes()
+
 
 class TestLstmEncode:
     def _setup(self, seed, d=3, e=2, T=3):
@@ -209,6 +231,8 @@ class TestBatchedLstm:
 
         with pytest.raises(InputError):
             nn.pack(np.array([4, 0, 5]))
+        with pytest.raises(InputError, match="no sentences"):  # not numpy's ValueError
+            nn.pack(np.array([], dtype=np.intp))
         layer = (W, b)
         for fold in (encode, nn.lstm_states, nn.lstm_final_states):
             with pytest.raises(ShapeError):

@@ -856,6 +856,13 @@ class TestNoCycleCollectorNeeded:
         assert [r() is not None for r in returned] == [False, True, False, False]
         assert returned[1]() is result.best_params.tensors["shared.W"]
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_fewer_than_one_job_is_rejected(self, jobs):
+        # it used to run the grid serially without a word
+        with pytest.raises(ConfigError, match="jobs"):
+            T.grid_search(*toy_model(seed=5), {"toy": toy_task()}, {"learning_rate": [0.3]},
+                          T.TrainConfig(learning_rate=0.3, max_epochs=1, seed=2), jobs=jobs)
+
 
 class TestTransferTraining:
     def test_frozen_shared_bitwise_unchanged(self):
