@@ -10,15 +10,22 @@ to the cycle collector. Gradients are dense arrays, except that a leaf
 matrix read through :func:`take_rows` (the embedding table) gets a
 row-sparse :class:`RowGrad`.
 
+The operations here are those a training step records around the LSTM
+folds and the classifier (``nn``) and the losses (``losses``): the
+embedding lookup :func:`take_rows`, the row and column slices
+:func:`row` and :func:`columns`, :func:`scatter_rows` (packed rows into
+``[B, T]`` blocks for the diff loss), :func:`scale` and
+:func:`gradient_reversal`.
+
 A vjp must not write into the upstream gradient it is given: it may be
-the gradient another node received too (``add`` passes one array to both
-operands), and ``backward`` keeps a node's first gradient as the vjp
+the gradient another node received too (the one node of
+``train._combine`` hands its own ``g`` to its unweighted adversarial
+term), and ``backward`` keeps a node's first gradient as the vjp
 returned it. For the same reason gradients that :func:`backward` returns
 may share memory with one another.
 
 Everything runs in double precision so finite-difference checks are
-meaningful. No broadcasting beyond adding a bias vector to matrix rows;
-all other shape mismatches raise :class:`~advmtl.errors.ShapeError`.
+meaningful. Shape mismatches raise :class:`~advmtl.errors.ShapeError`.
 """
 
 from __future__ import annotations
@@ -204,49 +211,10 @@ class Tape:
 # primitive operations
 # ---------------------------------------------------------------------------
 
-def add(a: Node, b: Node) -> Node:
-    """Elementwise sum; also accepts matrix + row-vector (bias broadcast)."""
-    tape = a.tape
-    va, vb = a.value, b.value
-    if va.shape == vb.shape:
-        return tape.record(va + vb, (a, b), lambda g: (g, g))
-    if va.ndim == 2 and vb.ndim == 1 and va.shape[1] == vb.shape[0]:
-        return tape.record(va + vb, (a, b), lambda g: (g, g.sum(axis=0)))
-    raise ShapeError(f"add: incompatible shapes {va.shape} and {vb.shape}")
-
-
-def mul(a: Node, b: Node) -> Node:
-    """Elementwise (Hadamard) product of same-shaped operands."""
-    tape = a.tape
-    va, vb = a.value, b.value
-    if va.shape != vb.shape:
-        raise ShapeError(f"mul: incompatible shapes {va.shape} and {vb.shape}")
-    return tape.record(va * vb, (a, b), lambda g: (g * vb, g * va))
-
-
 def scale(a: Node, c: float) -> Node:
     """Multiply by a non-differentiated scalar constant."""
     c = float(c)
     return a.tape.record(a.value * c, (a,), lambda g: (g * c,))
-
-
-def matmul(a: Node, b: Node) -> Node:
-    """Matrix product: [m,k]@[k,n] -> [m,n] or [m,k]@[k] -> [m]."""
-    tape = a.tape
-    va, vb = a.value, b.value
-    if va.ndim == 2 and vb.ndim == 2:
-        if va.shape[1] != vb.shape[0]:
-            raise ShapeError(
-                f"matmul: inner dimensions disagree for {va.shape} and {vb.shape}")
-        return tape.record(va @ vb, (a, b),
-                           lambda g: (g @ vb.T, va.T @ g))
-    if va.ndim == 2 and vb.ndim == 1:
-        if va.shape[1] != vb.shape[0]:
-            raise ShapeError(
-                f"matmul: inner dimensions disagree for {va.shape} and {vb.shape}")
-        return tape.record(va @ vb, (a, b),
-                           lambda g: (np.outer(g, vb), va.T @ g))
-    raise ShapeError(f"matmul: unsupported ranks {va.shape} and {vb.shape}")
 
 
 def _softmax(x: Tensor) -> Tensor:
@@ -259,42 +227,6 @@ def _softmax(x: Tensor) -> Tensor:
 def _affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """The rows of ``x`` (or the vector ``x``) through a linear layer: x @ W.T + b."""
     return x @ W.T + b
-
-
-def tanh(a: Node) -> Node:
-    y = np.tanh(a.value)
-    return a.tape.record(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def concat(parts: Sequence[Node], axis: int = 0) -> Node:
-    """Concatenate vectors (axis 0) or matrices (axis 0 or 1)."""
-    if not parts:
-        raise ContractError("concat of zero nodes")
-    tape = parts[0].tape
-    vals = [p.value for p in parts]
-    ndim = vals[0].ndim
-    for v in vals[1:]:
-        if v.ndim != ndim:
-            raise ShapeError(
-                f"concat: mixed ranks {vals[0].shape} and {v.shape}")
-    if axis >= ndim:
-        raise ShapeError(f"concat: axis {axis} out of range for rank {ndim}")
-    try:
-        out = np.concatenate(vals, axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat: {exc}") from None
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        slicer = [slice(None)] * ndim
-        grads = []
-        for i in range(len(sizes)):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(slicer)])
-        return tuple(grads)
-
-    return tape.record(out, parts, vjp)
 
 
 def row(a: Node, i) -> Node:
@@ -362,13 +294,6 @@ def scatter_rows(a: Node, at: np.ndarray, shape: tuple[int, ...]) -> Node:
     out = np.zeros((n, *rest))
     out[at] = a.value
     return a.tape.record(out.reshape(*shape, *rest), (a,), lambda g: (g.reshape(n, *rest)[at],))
-
-
-def sum_all(a: Node) -> Node:
-    """Reduce to a scalar by summing every element."""
-    shape = a.value.shape
-    return a.tape.record(np.asarray(a.value.sum()), (a,),
-                         lambda g: (np.broadcast_to(g, shape).copy() if shape else g,))
 
 
 @dataclass(frozen=True)

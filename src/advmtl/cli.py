@@ -33,7 +33,7 @@ import numpy as np
 
 from . import data as D
 from . import models as M
-from . import nn
+from . import processes
 from . import train as T
 from .errors import AdvMtlError, ConfigError, DataFormatError, InputError, NumericError
 
@@ -239,7 +239,7 @@ def run_environment() -> dict:
     At d = 200 the BLAS thread count changes the last bits of a trained
     model, so each thread variable is recorded as set, or null when unset.
     ``cpus`` is the number of CPUs this process may run on
-    (:func:`nn.allowed_cpus`): with the thread variables it decides whether
+    (:func:`processes.allowed_cpus`): with the thread variables it decides whether
     a step's two LSTM folds run at once, which changes the speed but no
     number.
     """
@@ -247,7 +247,7 @@ def run_environment() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
             "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-            "cpus": nn.allowed_cpus()}
+            "cpus": processes.allowed_cpus()}
 
 
 @dataclasses.dataclass

@@ -522,21 +522,34 @@ def probe_accuracy(W: Tensor, b: Tensor, features: Tensor,
     return float(np.mean(pred == np.asarray(labels)))
 
 
+def _splits(config: M.ModelConfig, datasets: Mapping[str, TaskDataset],
+            *names: str) -> list[tuple[list[Example], ...]]:
+    """Each task's splits ``names``, in task order; an empty one raises :class:`InputError`."""
+    out = []
+    for task in config.task_names:
+        splits = tuple(datasets[task].split(name) for name in names)
+        for name, examples in zip(names, splits):
+            if not examples:
+                raise InputError(f"task '{task}': empty {name} split")
+        out.append(splits)
+    return out
+
+
 def probe_shared_purity(params: M.ModelParams, config: M.ModelConfig,
                         datasets: Mapping[str, TaskDataset],
                         iters: int = 300, lr: float = 1.0) -> float:
     """Accuracy of a fresh probe discriminator on frozen shared features.
 
     Fits on training-split features, reports accuracy on dev-split
-    features; chance level is 1/K.
+    features; chance level is 1/K. A task with an empty training or dev
+    split raises :class:`InputError` before any sentence is encoded.
     """
     train_X, train_y, dev_X, dev_y = [], [], [], []
-    for k, name in enumerate(config.task_names):
-        ds = datasets[name]
-        train_X.append(shared_features(params, config, [e.tokens for e in ds.train]))
-        train_y.extend([k] * len(ds.train))
-        dev_X.append(shared_features(params, config, [e.tokens for e in ds.dev]))
-        dev_y.extend([k] * len(ds.dev))
+    for k, (train, dev) in enumerate(_splits(config, datasets, "train", "dev")):
+        train_X.append(shared_features(params, config, [e.tokens for e in train]))
+        train_y.extend([k] * len(train))
+        dev_X.append(shared_features(params, config, [e.tokens for e in dev]))
+        dev_y.extend([k] * len(dev))
     W, b = fit_probe(np.vstack(train_X), train_y, config.n_tasks, iters, lr)
     return probe_accuracy(W, b, np.vstack(dev_X), dev_y)
 
@@ -544,13 +557,16 @@ def probe_shared_purity(params: M.ModelParams, config: M.ModelConfig,
 def shared_private_cosine(params: M.ModelParams, config: M.ModelConfig,
                           datasets: Mapping[str, TaskDataset],
                           split: str = "dev") -> float:
-    """Mean |cosine| between final shared and private states over a split."""
+    """Mean |cosine| between final shared and private states over a split.
+
+    A task whose ``split`` is empty raises :class:`InputError` before any
+    sentence is encoded.
+    """
     if not config.has_private:
         raise ConfigError("cosine diagnostic needs a scheme with private encoders")
     vals = []
-    for k, name in enumerate(config.task_names):
-        split_tokens = [ex.tokens for ex in datasets[name].split(split)]
-        for chunk in chunks(split_tokens):
+    for k, (examples,) in enumerate(_splits(config, datasets, split)):
+        for chunk in chunks([ex.tokens for ex in examples]):
             enc = M.encode(params, config, chunk, k)
             s, h = enc.s_T, enc.h_T
             denom = np.linalg.norm(s, axis=1) * np.linalg.norm(h, axis=1)

@@ -1,6 +1,12 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and test-only tape ops.
 
-Everything here except :func:`lstm_step` and :func:`batch_terms` is
+The tape ops :func:`add`, :func:`mul`, :func:`matmul`, :func:`tanh`,
+:func:`concat` and :func:`sum_all` record on an ``autodiff.Tape`` through
+``Tape.record``. No training step records them, so they live here: tests
+build scratch graphs and losses with them, and ``tests/test_autodiff.py``
+checks each against finite differences.
+
+Everything else except :func:`lstm_step` and :func:`batch_terms` is
 deliberately written with explicit scalar loops and the math library,
 sharing no code with the package under test. :func:`lstm_step` is one LSTM
 timestep as a tape node with a hand-derived backward rule; the fold
@@ -44,6 +50,98 @@ from advmtl import models as M
 from advmtl import nn
 from advmtl.autodiff import GradReversalSpec
 from advmtl.errors import ContractError, ShapeError
+
+
+# ---------------------------------------------------------------------------
+# test-only tape ops: scratch graphs for the tape, the folds and the losses
+# ---------------------------------------------------------------------------
+
+def add(a, b):
+    """Elementwise sum; also accepts matrix + row-vector (bias broadcast)."""
+    tape = a.tape
+    va, vb = a.value, b.value
+    if va.shape == vb.shape:
+        return tape.record(va + vb, (a, b), lambda g: (g, g))
+    if va.ndim == 2 and vb.ndim == 1 and va.shape[1] == vb.shape[0]:
+        return tape.record(va + vb, (a, b), lambda g: (g, g.sum(axis=0)))
+    raise ShapeError(f"add: incompatible shapes {va.shape} and {vb.shape}")
+
+
+def mul(a, b):
+    """Elementwise (Hadamard) product of same-shaped operands."""
+    tape = a.tape
+    va, vb = a.value, b.value
+    if va.shape != vb.shape:
+        raise ShapeError(f"mul: incompatible shapes {va.shape} and {vb.shape}")
+    return tape.record(va * vb, (a, b), lambda g: (g * vb, g * va))
+
+
+def matmul(a, b):
+    """Matrix product: [m,k]@[k,n] -> [m,n] or [m,k]@[k] -> [m]."""
+    tape = a.tape
+    va, vb = a.value, b.value
+    if va.ndim == 2 and vb.ndim == 2:
+        if va.shape[1] != vb.shape[0]:
+            raise ShapeError(
+                f"matmul: inner dimensions disagree for {va.shape} and {vb.shape}")
+        return tape.record(va @ vb, (a, b),
+                           lambda g: (g @ vb.T, va.T @ g))
+    if va.ndim == 2 and vb.ndim == 1:
+        if va.shape[1] != vb.shape[0]:
+            raise ShapeError(
+                f"matmul: inner dimensions disagree for {va.shape} and {vb.shape}")
+        return tape.record(va @ vb, (a, b),
+                           lambda g: (np.outer(g, vb), va.T @ g))
+    raise ShapeError(f"matmul: unsupported ranks {va.shape} and {vb.shape}")
+
+
+def tanh(a):
+    """Elementwise tanh."""
+    y = np.tanh(a.value)
+    return a.tape.record(y, (a,), lambda g: (g * (1.0 - y * y),))
+
+
+def concat(parts, axis=0):
+    """Concatenate vectors (axis 0) or matrices (axis 0 or 1)."""
+    if not parts:
+        raise ContractError("concat of zero nodes")
+    tape = parts[0].tape
+    vals = [p.value for p in parts]
+    ndim = vals[0].ndim
+    for v in vals[1:]:
+        if v.ndim != ndim:
+            raise ShapeError(
+                f"concat: mixed ranks {vals[0].shape} and {v.shape}")
+    if axis >= ndim:
+        raise ShapeError(f"concat: axis {axis} out of range for rank {ndim}")
+    try:
+        out = np.concatenate(vals, axis=axis)
+    except ValueError as exc:
+        raise ShapeError(f"concat: {exc}") from None
+    sizes = [v.shape[axis] for v in vals]
+    offsets = np.cumsum([0] + sizes)
+
+    def vjp(g):
+        slicer = [slice(None)] * ndim
+        grads = []
+        for i in range(len(sizes)):
+            slicer[axis] = slice(offsets[i], offsets[i + 1])
+            grads.append(g[tuple(slicer)])
+        return tuple(grads)
+
+    return tape.record(out, parts, vjp)
+
+
+def sum_all(a):
+    """Reduce to a scalar by summing every element."""
+    shape = a.value.shape
+    return a.tape.record(np.asarray(a.value.sum()), (a,),
+                         lambda g: (np.broadcast_to(g, shape).copy() if shape else g,))
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+# ---------------------------------------------------------------------------
 
 
 def matmul_loops(a, b):
@@ -121,7 +219,7 @@ def cross_entropy_composed(probs, labels):
     p = probs.value
     rows = p.shape[0] if p.ndim == 2 else 1
     onehot = probs.tape.constant(np.eye(p.shape[-1])[labels])
-    return ad.scale(ad.sum_all(ad.mul(onehot, log_node(probs))), -1.0 / rows)
+    return ad.scale(sum_all(mul(onehot, log_node(probs))), -1.0 / rows)
 
 
 def combine_composed(l_ce, l_adv, l_diff, task, cfg):
@@ -138,7 +236,7 @@ def combine_composed(l_ce, l_adv, l_diff, task, cfg):
         terms.append(l_adv)
     if l_diff is not None:
         terms.append(ad.scale(l_diff, cfg.diff_weight))
-    return reduce(ad.add, terms)
+    return reduce(add, terms)
 
 
 def softmax_classify_composed(h, W, b):
@@ -252,7 +350,7 @@ def backward_copy_accumulate(tape, loss):
 
 
 def _mean(nodes):
-    return ad.scale(reduce(ad.add, nodes), 1.0 / len(nodes))
+    return ad.scale(reduce(add, nodes), 1.0 / len(nodes))
 
 
 def _stack_rows(rows):

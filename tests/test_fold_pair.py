@@ -22,18 +22,21 @@ from advmtl import autodiff as ad
 from advmtl import data as D
 from advmtl import models as M
 from advmtl import nn
+from advmtl import processes
 from advmtl import train as T
 from advmtl.autodiff import Tape
 from advmtl.errors import NumericError, ShapeError
 
+import oracles
 import test_train
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 def served() -> tuple:
     """This process's helper and the number of requests it has answered."""
-    helper = nn._helper
+    helper = processes._helper
     return (helper, helper.served) if helper else (None, 0)
 
 
@@ -90,9 +93,10 @@ class TestLstmPair:
             s_T = ad.row(S, self.PACKING.last)
             H = nn.lstm_encode(xs, (private,), self.PACKING)
             h_T = ad.row(H, self.PACKING.last)
-            feature = ad.concat([h_T, s_T], axis=1)
-        return ad.add(ad.add(ad.sum_all(ad.mul(feature, feature)), ad.sum_all(ad.tanh(S))),
-                      ad.sum_all(ad.mul(H, S)))
+            feature = oracles.concat([h_T, s_T], axis=1)
+        return oracles.add(oracles.add(oracles.sum_all(oracles.mul(feature, feature)),
+                                       oracles.sum_all(oracles.tanh(S))),
+                           oracles.sum_all(oracles.mul(H, S)))
 
     def _run(self, params, pair, frozen=()):
         t = Tape()
@@ -126,7 +130,7 @@ class TestLstmPair:
         # fold's backward. A fresh helper is started by whichever comes first
         monkeypatch.setattr(nn, "_concurrent", lambda d: False)
         want = [self._run(self._inputs(20 + k), True) for k in range(6)]
-        nn._stop_helper()
+        processes._stop_helper()
         on_helper = force(monkeypatch, True)
         got, interval = {}, sys.getswitchinterval()
 
@@ -289,11 +293,11 @@ FAILING_FOLDS = textwrap.dedent("""
 """)
 PATCHES = {"fold_init": (nn._LstmFold, "__init__"), "fold_backward": (nn._LstmFold, "backward"),
            "final_fold": (nn, "_final_fold")}
-HELPER_MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); from advmtl import nn\n"
+HELPER_MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); from advmtl import nn, processes\n"
                + FAILING_FOLDS + textwrap.dedent("""
     nn._LstmFold.__init__, nn._LstmFold.backward = fold_init, fold_backward
     nn._final_fold = final_fold
-    nn._serve(*map(int, sys.argv[2:]))
+    processes._serve(*map(int, sys.argv[2:]))
 """))
 MARKS = {("shared", "forward"): 11.0, ("shared", "backward"): 12.0,
          ("private", "forward"): 21.0, ("private", "backward"): 22.0}
@@ -307,10 +311,10 @@ class TestWorkerErrors:
         exec(FAILING_FOLDS, scope)
         for fn, (owner, name) in PATCHES.items():
             monkeypatch.setattr(owner, name, scope[fn])
-        monkeypatch.setattr(nn, "_HELPER_MAIN", HELPER_MAIN)
-        nn._stop_helper()
+        monkeypatch.setattr(processes, "_HELPER_MAIN", HELPER_MAIN)
+        processes._stop_helper()
         yield
-        nn._stop_helper()
+        processes._stop_helper()
 
     @staticmethod
     def _failing(monkeypatch, fails):
@@ -408,7 +412,7 @@ class TestWorkerErrors:
 
 FORKED_GRID = textwrap.dedent("""
     import hashlib
-    from advmtl import data as D, models as M, nn, train as T
+    from advmtl import data as D, models as M, nn, processes, train as T
 
     nn._concurrent = lambda d: True
     spec = D.SynthSpec(tasks=2, sentences_per_task=24, min_len=3, max_len=8, seed=3)
@@ -419,7 +423,7 @@ FORKED_GRID = textwrap.dedent("""
     params = M.init_model(config, seed=1)
     cfg = T.TrainConfig(learning_rate=0.1, max_epochs=1, patience=1, seed=0)
     T.train_multitask(params.copy(), config, corpus, cfg)
-    assert nn._helper is not None  # this process's helper has started
+    assert processes._helper is not None  # this process's helper has started
     for jobs in (2, 1):
         result = T.grid_search(params, config, corpus, {"learning_rate": [0.1, 0.05]}, cfg,
                                jobs=jobs)
@@ -452,7 +456,8 @@ def test_forked_grid_cells_start_their_own_worker():
 STEADY_FAULTS = textwrap.dedent("""
     import resource
     import numpy as np
-    from advmtl import autodiff as ad, nn
+    from advmtl import autodiff as ad, nn, processes
+    import oracles
 
     def call(rng):
         lengths = rng.integers(4, 31, 16)
@@ -462,13 +467,13 @@ STEADY_FAULTS = textwrap.dedent("""
         layers = tuple((tape.leaf(rng.uniform(-0.1, 0.1, (800, 400))),
                         tape.leaf(rng.uniform(-0.1, 0.1, 800))) for _ in range(2))
         states = nn.lstm_encode(tape.leaf(X), layers, packing)
-        ad.backward(tape, ad.sum_all(states))
+        ad.backward(tape, oracles.sum_all(states))
         nn.lstm_final_states(X, [(W.value, b.value) for W, b in layers], packing)
 
     def faults():  # minor faults of this process and of its helper (field 10 of its stat)
         helper = 0
-        if nn._helper is not None:
-            with open(f"/proc/{nn._helper.proc.pid}/stat") as fh:
+        if processes._helper is not None:
+            with open(f"/proc/{processes._helper.proc.pid}/stat") as fh:
                 helper = int(fh.read().rsplit(")", 1)[1].split()[7])
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt, helper
 
@@ -482,7 +487,7 @@ STEADY_FAULTS = textwrap.dedent("""
             call(rng)
         caller, helper = ((after - b) / 5 for after, b in zip(faults(), before))
         print(concurrent, caller)
-    assert nn._helper.served
+    assert processes._helper.served
     print("helper", helper)
 """)
 
@@ -503,7 +508,7 @@ def test_a_steady_state_fold_makes_no_page_faults():
     env = {k: v for k, v in os.environ.items()
            if k not in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")}
     env.update(OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+               PYTHONPATH=os.pathsep.join([SRC, TESTS, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", STEADY_FAULTS], env=env, text=True,
                           capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -513,7 +518,8 @@ def test_a_steady_state_fold_makes_no_page_faults():
 
 
 def _child_env() -> dict:
-    return dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([SRC, TESTS, os.environ.get("PYTHONPATH", "")]))
 
 
 def _state(pid: int) -> str | None:
@@ -528,13 +534,13 @@ def _state(pid: int) -> str | None:
 CALLER = textwrap.dedent("""
     import os, sys
     import numpy as np
-    from advmtl import nn
+    from advmtl import nn, processes
 
     nn._concurrent = lambda d: True
     rng = np.random.default_rng(0)
     layers = [(rng.uniform(-1, 1, (8, 3)), rng.uniform(-1, 1, 8)) for _ in range(2)]
     nn.lstm_final_states(rng.uniform(-1, 1, (5, 1)), layers, nn.pack(np.array([3, 2])))
-    pid = nn._helper.proc.pid
+    pid = processes._helper.proc.pid
     print(pid, *(os.readlink(f"/proc/{pid}/fd/{fd}") for fd in (0, 1, 2)), flush=True)
     if sys.argv[1] == "exception":
         raise RuntimeError("uncaught")
@@ -546,7 +552,7 @@ CALLER = textwrap.dedent("""
 DYING_MAIN = textwrap.dedent("""
     import os, signal, sys
     sys.path.insert(0, sys.argv[1])
-    from advmtl import nn
+    from advmtl import nn, processes
 
     init = nn._LstmFold.__init__
 
@@ -556,15 +562,16 @@ DYING_MAIN = textwrap.dedent("""
         init(self, X, W, *rest)
 
     nn._LstmFold.__init__ = fold_init
-    nn._serve(*map(int, sys.argv[2:]))
+    processes._serve(*map(int, sys.argv[2:]))
 """)
 
 KILLED = textwrap.dedent("""
     import os, signal, sys
     import numpy as np
-    from advmtl import autodiff as ad, nn
+    from advmtl import autodiff as ad, nn, processes
+    import oracles
 
-    moment, nn._HELPER_MAIN = sys.argv[1], sys.argv[2]
+    moment, processes._HELPER_MAIN = sys.argv[1], sys.argv[2]
     rng = np.random.default_rng(0)
     packing = nn.pack(np.array([3, 1, 5]))
     X = rng.uniform(-1, 1, (9, 2))
@@ -577,7 +584,7 @@ KILLED = textwrap.dedent("""
         return tape, nodes, nn.lstm_encode(nodes[0], (nodes[1:3], nodes[3:]), packing)
 
     def backward(tape, nodes, states):
-        grads = ad.backward(tape, ad.sum_all(ad.mul(states, states)))
+        grads = ad.backward(tape, oracles.sum_all(oracles.mul(states, states)))
         return [states.value.tobytes()] + [grads[n.idx].tobytes() for n in nodes]
 
     def kill(helper):
@@ -591,7 +598,7 @@ KILLED = textwrap.dedent("""
     W_p.flat[0] = kept
     nn._concurrent = lambda d: True
     assert backward(*forward()) == want
-    first = nn._helper
+    first = processes._helper
     if moment == "between requests":
         kill(first)
         assert backward(*forward()) == want
@@ -606,7 +613,7 @@ KILLED = textwrap.dedent("""
     assert first.closed and first.proc.returncode is not None
     # the next pair starts a new helper
     assert backward(*forward()) == want
-    assert nn._helper is not first and nn._helper.served
+    assert processes._helper is not first and processes._helper.served
     print("ok")
 """)
 
@@ -649,5 +656,5 @@ class TestHelperProcess:
         del tape
         gc.collect()
         M.encode(params, config, sentences[:2], 1)  # carries the last drops
-        assert on_helper() and nn._helper.served >= 500
-        assert nn._helper.live == 0
+        assert on_helper() and processes._helper.served >= 500
+        assert processes._helper.live == 0

@@ -38,6 +38,8 @@ from advmtl import nn
 from advmtl import train as T
 from advmtl.autodiff import GradReversalSpec, Tape
 
+import oracles
+
 SEEDS = range(5)
 PRIOR = (0.85, 0.15)  # P(label 1) in each task
 SIGNAL, WIDTH = 0.5, 3
@@ -80,11 +82,11 @@ def _step(params, X, y, t, private, cfg):
     tape = Tape()
     bound = params.bind(tape)
     x = tape.constant(X)
-    s = ad.tanh(ad.add(ad.matmul(x, bound["shared.W"]), bound["shared.b"]))
+    s = oracles.tanh(oracles.add(oracles.matmul(x, bound["shared.W"]), bound["shared.b"]))
     feature, l_diff = s, None
     if private:
-        h = ad.add(ad.matmul(x, bound[f"private.{t}.W"]), bound[f"private.{t}.b"])
-        feature = ad.concat([h, s], axis=1)
+        h = oracles.add(oracles.matmul(x, bound[f"private.{t}.W"]), bound[f"private.{t}.b"])
+        feature = oracles.concat([h, s], axis=1)
         if cfg.diff_weight > 0:
             l_diff = ad.scale(L.diff_loss(s, h), 1.0 / len(y))
     l_ce = L.cross_entropy(nn.softmax_classify(feature, bound["head.W"], bound["head.b"]), y)

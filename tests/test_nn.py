@@ -177,7 +177,8 @@ class TestLstmEncode:
             t = Tape()
             nodes = {k: t.leaf(v) for k, v in p.items()}
             h_T, all_h = encode_one(nodes["xs"], nodes["W"], nodes["b"])
-            out = ad.add(ad.sum_all(ad.mul(h_T, h_T)), ad.sum_all(ad.tanh(all_h)))
+            out = oracles.add(oracles.sum_all(oracles.mul(h_T, h_T)),
+                              oracles.sum_all(oracles.tanh(all_h)))
             if not with_grads:
                 return float(out.value), None
             gm = ad.backward(t, out)
@@ -258,7 +259,8 @@ class TestBatchedLstm:
             xs = ad.row(nodes["xs"], self.PACKING.rows)  # packed order
             all_h = nn.lstm_encode(xs, ((nodes["W"], nodes["b"]),), self.PACKING)
             h_T = ad.row(all_h, self.PACKING.last)
-            out = ad.add(ad.sum_all(ad.mul(h_T, h_T)), ad.sum_all(ad.tanh(all_h)))
+            out = oracles.add(oracles.sum_all(oracles.mul(h_T, h_T)),
+                              oracles.sum_all(oracles.tanh(all_h)))
             if not with_grads:
                 return float(out.value), None
             gm = ad.backward(t, out)
@@ -275,8 +277,8 @@ class TestBatchedLstm:
             packing = nn.pack(np.array([len(batch)])) if packing is None else packing
             all_h = nn.lstm_encode(t.constant(batch[packing.rows]), ((Wn, bn),), packing)
             h_T = ad.row(all_h, packing.last)
-            gm = ad.backward(t, ad.add(ad.sum_all(ad.mul(h_T, h_T)),
-                                       ad.sum_all(ad.tanh(all_h))))
+            gm = ad.backward(t, oracles.add(oracles.sum_all(oracles.mul(h_T, h_T)),
+                                            oracles.sum_all(oracles.tanh(all_h))))
             return gm[Wn.idx], gm[bn.idx]
 
         dW, db = grads(xs, self.PACKING)
@@ -479,7 +481,7 @@ class TestSoftmaxHead:
             t = Tape()
             h, W, b = t.leaf(h0), t.leaf(W0), t.leaf(b0)
             out = classify(h, W, b)
-            grads = ad.backward(t, ad.sum_all(ad.mul(out, t.constant(c))))
+            grads = ad.backward(t, oracles.sum_all(oracles.mul(out, t.constant(c))))
             return [out.value.tobytes()] + [grads[n.idx].tobytes() for n in (h, W, b)]
 
         assert run(nn.softmax_classify) == run(oracles.softmax_classify_composed)
@@ -493,7 +495,7 @@ class TestSoftmaxHead:
         t = Tape()
         z = t.leaf(z0)
         out = oracles.softmax_node(z)
-        g = ad.backward(t, ad.sum_all(ad.mul(out, t.constant(c))))[z.idx]
+        g = ad.backward(t, oracles.sum_all(oracles.mul(out, t.constant(c))))[z.idx]
         y = ad._softmax(z0)
         assert out.value.tobytes() == y.tobytes()
         assert g.tobytes() == (y * (c - (c * y).sum(axis=-1, keepdims=True))).tobytes()
@@ -545,7 +547,7 @@ class TestEmbeddings:
     def test_batch_looks_up_only_real_tokens(self):
         tape, table, xs = self._forward([[2], [0, 3, 0]])
         npt.assert_array_equal(xs.value, [[6, 7, 8], [0, 1, 2], [9, 10, 11], [0, 1, 2]])
-        grad = ad.backward(tape, ad.sum_all(xs))[table.idx]
+        grad = ad.backward(tape, oracles.sum_all(xs))[table.idx]
         npt.assert_array_equal(grad.ids, [0, 2, 3])
         npt.assert_array_equal(grad.rows, np.repeat([[2.0], [1.0], [1.0]], 3, axis=1))
         with pytest.raises(InputError):

@@ -41,9 +41,10 @@ def test_traced_desk_workload_reads_every_gradient():
 
 def test_read_path_workload_runs_correctly():
     # batched inference: evaluate's error rates equal the reference's
-    _, result = _run("eval-probe", trace=0)
+    proc, result = _run("eval-probe", trace=0)
     assert result["correct"] and result["failed"] == 0
     assert result["attempted"] > 0
+    assert "probability check skipped" not in proc.stdout
 
 
 def test_paper_workload_runs_correctly():

@@ -900,3 +900,34 @@ class TestProbe:
         params, config = toy_model("fs")
         with pytest.raises(ConfigError):
             T.shared_private_cosine(params, config, {}, "dev")
+
+    @staticmethod
+    def _spy_encode(monkeypatch):
+        calls, encode = [], M.encode
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(M, "encode", spy)
+        return calls
+
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_purity_rejects_an_empty_split_before_encoding(self, monkeypatch, split):
+        # an empty dev split gave NaN, an empty training split a probe fit on nothing
+        corpus = {"t0": toy_task(seed=0, name="t0"),
+                  "t1": toy_task(seed=1, name="t1", **{f"n_{split}": 0})}
+        params, config = toy_model("sp", K=2)
+        calls = self._spy_encode(monkeypatch)
+        with pytest.raises(InputError, match=f"^task 't1': empty {split} split$"):
+            T.probe_shared_purity(params, config, corpus)
+        assert calls == []
+
+    def test_cosine_rejects_an_empty_split_before_encoding(self, monkeypatch):
+        # it returned 0.0 over empty splits
+        corpus = {"t0": toy_task(seed=0, name="t0"), "t1": toy_task(seed=1, n_test=0, name="t1")}
+        params, config = toy_model("sp", K=2)
+        calls = self._spy_encode(monkeypatch)
+        with pytest.raises(InputError, match="^task 't1': empty test split$"):
+            T.shared_private_cosine(params, config, corpus, "test")
+        assert calls == []
