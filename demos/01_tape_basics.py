@@ -9,7 +9,7 @@ import numpy as np
 from advmtl import autodiff as ad
 from advmtl import losses as L
 from advmtl import nn
-from advmtl.autodiff import GradReversalSpec, Tape
+from advmtl.autodiff import Tape
 
 rng = np.random.default_rng(0)
 params = {"E": rng.uniform(-1, 1, (5, 3)),  # an embedding table: 5 words, 3 dimensions
@@ -51,12 +51,11 @@ print("finite-difference max relative error:", err)
 # is what turns a discriminator's minimization into the encoder's
 # maximization during adversarial training: the head below it learns as
 # before, while everything above it gets the gradient reversed.
-spec = GradReversalSpec(scale=0.05)
-rev_loss, rev = loss_fn(params, True, spec)
+rev_loss, rev = loss_fn(params, True, 0.05)
 print("\nwith reversal, the loss is unchanged:", rev_loss == loss)
 print("the head's gradient is unchanged:", rev["W"].tobytes() == grads["W"].tobytes())
 print("the table's gradient is -0.05 times the plain one:",
       np.allclose(np.asarray(rev["E"]), -0.05 * np.asarray(dE), rtol=1e-12, atol=0))
 # Finite differences see only the forward function, so they reject it.
-err = ad.finite_difference_check(lambda p, with_grads: loss_fn(p, with_grads, spec), params)
+err = ad.finite_difference_check(lambda p, with_grads: loss_fn(p, with_grads, 0.05), params)
 print("finite-difference error of the reversed gradient:", err)

@@ -7,8 +7,8 @@ data tooling, a training loop, and a synthetic conflicting-polarity
 benchmark.
 """
 
-from .autodiff import (GradReversalSpec, Node, Tape, Tensor, backward,
-                       finite_difference_check, gradient_reversal, tensor)
+from .autodiff import (Node, Tape, Tensor, backward, finite_difference_check,
+                       gradient_reversal, tensor)
 from .data import (Batch, Example, SynthSpec, TaskDataset, Vocabulary,
                    generate_synthetic, load_corpus, partition, write_corpus)
 from .losses import cross_entropy, diff_loss

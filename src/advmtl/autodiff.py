@@ -30,7 +30,6 @@ meaningful. Shape mismatches raise :class:`~advmtl.errors.ShapeError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -296,20 +295,14 @@ def scatter_rows(a: Node, at: np.ndarray, shape: tuple[int, ...]) -> Node:
     return a.tape.record(out.reshape(*shape, *rest), (a,), lambda g: (g.reshape(n, *rest)[at],))
 
 
-@dataclass(frozen=True)
-class GradReversalSpec:
-    """Backward-pass scale of a gradient reversal node (the adversarial weight)."""
+def gradient_reversal(a: Node, scale: float) -> Node:
+    """Identity in the forward pass; multiplies the gradient by -scale going back.
 
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.scale) or self.scale < 0:
-            raise ConfigError(f"gradient reversal scale must be >= 0, got {self.scale}")
-
-
-def gradient_reversal(a: Node, spec: GradReversalSpec) -> Node:
-    """Identity in the forward pass; multiplies the gradient by -scale going back."""
-    s = float(spec.scale)
+    ``scale`` is the adversarial weight, finite and >= 0.
+    """
+    s = float(scale)
+    if not np.isfinite(s) or s < 0:
+        raise ConfigError(f"gradient reversal scale must be >= 0, got {scale}")
     return a.tape.record(a.value, (a,), lambda g: (-s * g,))
 
 

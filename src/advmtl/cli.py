@@ -20,8 +20,10 @@ error), 3 config validation, 4 checkpoint/data incompatibility,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -379,10 +381,17 @@ def _parse_grid(text: str) -> dict[str, list]:
 # commands
 # ---------------------------------------------------------------------------
 
+def _csv(rows) -> str:
+    """``rows`` as CSV text; a field holding a comma, a quote or a line break is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def _error_table(rows: list) -> str:
     """Append the AVG row to ``rows``; return the ``task,error`` CSV."""
     rows.append(("AVG", float(np.mean([e for _, e in rows]))))
-    return "\n".join(["task,error"] + [f"{n},{e!r}" for n, e in rows]) + "\n"
+    return _csv([("task", "error"), *rows])
 
 
 def cmd_train(args) -> Run:
@@ -408,10 +417,9 @@ def cmd_train(args) -> Run:
     if grid:
         result = T.grid_search(params, config, datasets, grid, train_cfg, jobs=cfg["jobs"])
         best, history = result.best_params, result.best_history
-        grid_rows = ["cell,mean_dev_error," + ",".join(result.cells[0][0])]
-        for i, (cell, err) in enumerate(result.cells):
-            grid_rows.append(f"{i},{err!r}," + ",".join(repr(v) for v in cell.values()))
-        run.write("grid.csv", "\n".join(grid_rows) + "\n")
+        run.write("grid.csv", _csv([("cell", "mean_dev_error", *result.cells[0][0])]
+                                   + [(i, err, *map(repr, cell.values()))
+                                      for i, (cell, err) in enumerate(result.cells)]))
         print(f"grid: best cell {result.best_index} -> "
               f"{result.cells[result.best_index][0]}")
     else:
@@ -575,16 +583,17 @@ def cmd_dump_activations(args) -> Run:
     sentences = [line.split() for _, line in D.text_lines(args.sentences) if line.split()]
     if not sentences:
         raise InputError(f"{args.sentences}: no sentences")
-    keys = (f"{si},{t},{token}," for si, tokens in enumerate(sentences)
+    keys = ((si, t, token) for si, tokens in enumerate(sentences)
             for t, token in enumerate(tokens, 1))
     out_path = run.path("activations.csv")
     with open(out_path, "w", encoding="utf-8") as fh:  # one chunk's rows at a time
-        fh.write(",".join(header) + "\n")
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(header)
         for chunk in T.chunks(sentences):
             states, probs = M.dump_activations(params, config, list(map(vocab.encode, chunk)), task)
             private = states[:, :d] if config.has_private else np.zeros_like(states)
             values = np.concatenate([states[:, -d:], private, probs], axis=1).tolist()
-            fh.writelines(next(keys) + ",".join(map(repr, row)) + "\n" for row in values)
+            rows.writerows((*next(keys), *row) for row in values)
     print(f"wrote {out_path} ({sum(map(len, sentences))} rows)")
     return run
 

@@ -131,11 +131,12 @@ RawCorpus = dict[str, RawTask]
 def text_lines(path, error: type[Exception] = DataFormatError):
     """Yield ``(line_number, line)`` for each line of a UTF-8 text file, from 1.
 
-    A line that is not valid UTF-8 raises ``error`` naming the file and the
-    line. Bytes that do not decode become lone surrogates, which a valid
-    file cannot hold, so only a line that is not ASCII is checked.
+    One byte-order mark at the start of the file is dropped. A line that
+    is not valid UTF-8 raises ``error`` naming the file and the line.
+    Bytes that do not decode become lone surrogates, which a valid file
+    cannot hold, so only a line that is not ASCII is checked.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for ln, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .autodiff import GradReversalSpec, Node, Tape, Tensor
+from .autodiff import Node, Tape, Tensor
 from .errors import ConfigError, ContractError, DataFormatError, InputError
 
 SCHEMES = ("fs", "sp", "asp")
@@ -237,31 +237,28 @@ def _packed_batch(tensors: Mapping, config: ModelConfig, sentences: Sequence[Seq
 
 def forward_batch(bound: Mapping[str, Node], config: ModelConfig,
                   sentences: Sequence[Sequence[int]], task: int | None,
-                  rev_spec: GradReversalSpec | None = None,
-                  want_disc: bool = True) -> ForwardResult:
+                  adv_weight: float = 1.0) -> ForwardResult:
     """Run a batch of sentences through the scheme's encoders, as one graph.
 
     The graph is recorded on the tape of the ``bound`` leaves (see
     :meth:`ModelParams.bind`). With a task, that task's private encoder
     and head run too; with none (unlabeled data) only the shared encoder
-    does. For ``asp`` with ``want_disc`` the discriminator reads the
-    gradient-reversed final shared states.
+    does. For ``asp`` the discriminator reads the final shared states
+    through a gradient reversal of scale ``adv_weight``.
     """
     packing, xs, layers = _packed_batch(bound, config, sentences, task)
     states = nn.lstm_encode(xs, layers, packing)
     out = ForwardResult(packing, states, ad.row(states, packing.last), len(layers))
     if task is not None:
         out.class_probs = nn.softmax_classify(out.features, *_layer(bound, f"head.{task}"))
-    if config.has_discriminator and want_disc:
-        spec = rev_spec if rev_spec is not None else GradReversalSpec(1.0)
-        rev = ad.gradient_reversal(out.s_T, spec)
+    if config.has_discriminator:
+        rev = ad.gradient_reversal(out.s_T, adv_weight)
         out.disc_probs = discriminate(rev, *_layer(bound, "disc"))
     return out
 
 
 def forward(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
-            token_ids: Sequence[int], task: int,
-            rev_spec: GradReversalSpec | None = None,
+            token_ids: Sequence[int], task: int, rev_spec: float = 1.0,
             want_disc: bool = True) -> ForwardResult:
     """Run one sentence through the scheme's encoders and its task head.
 
@@ -269,8 +266,11 @@ def forward(tape: Tape, bound: Mapping[str, Node], config: ModelConfig,
     taken off the per-sentence fields; ``states`` are already the
     sentence's ``[T, d]`` (or ``[T, 2d]``) states. ``tape`` is the one
     ``bound`` was recorded on; the nodes carry it, so it is not read.
+    ``rev_spec`` is the reversal's scale; ``want_disc=False`` leaves ``disc_probs`` None.
     """
-    res = forward_batch(bound, config, [token_ids], task, rev_spec, want_disc)
+    res = forward_batch(bound, config, [token_ids], task, rev_spec)
+    if not want_disc:
+        res.disc_probs = None
     return replace(res, **{k: ad.row(getattr(res, k), 0)
                            for k in ("features", "class_probs", "disc_probs")
                            if getattr(res, k) is not None})

@@ -37,7 +37,7 @@ from . import autodiff as ad
 from . import processes
 from .autodiff import Node, Tensor
 from .errors import InputError, ShapeError
-from .processes import _BACKWARD, _TAPED, _UNTAPED
+from .processes import _BACKWARD, _FINAL, _STATES, _TAPED
 
 INIT_RANGE = 0.1
 GATE_BLOCK_ORDER = "cbar,o,i,f"
@@ -308,30 +308,30 @@ def _run(op):
         fold, g = args
         if fold is None:  # no input of the fold needs a gradient
             return (None,) * 3
-        if isinstance(fold, processes._Remote):  # its helper is gone: fold again here
+        if isinstance(fold, processes._Remote):  # its helper no longer holds it: fold again here
             fold = _LstmFold(*fold.args)
         return fold.backward(g)
-    X, W, b, packing, H = args
-    if H is None:
-        return _final_fold(X, W, b, packing)
-    fold = _LstmFold(X, W, b, packing, H)
-    return fold if kind == _TAPED else H
+    if kind == _FINAL:
+        return _final_fold(*args)
+    fold = _LstmFold(*args)
+    return fold if kind == _TAPED else fold.H
 
 
 def _reserve(op, d: int) -> processes._Helper | None:
     """The helper, locked and sent ``op``; or None, and ``op`` runs here.
 
-    A backward waits for the helper that holds its fold, if there is one
-    and it is alive. Any other operation goes to this process's helper,
-    started at the first, when :func:`_concurrent` allows it and
-    ``processes._plain`` holds; a caller that finds the helper busy runs
-    ``op`` itself, with the same result.
+    A backward waits for the helper its fold was folded in, which takes
+    it if it still holds that fold (see ``_Helper.send``). Any other
+    operation goes to this process's helper, started at the first, when
+    :func:`_concurrent` allows it and ``processes._plain`` holds; a caller
+    that finds the helper busy runs ``op`` itself, with the same result.
     """
     kind, *args = op
     if kind == _BACKWARD:
-        helper = args[0].helper if isinstance(args[0], processes._Remote) else None
-        if helper is None or not processes._plain(args[1]):
+        remote, g = args
+        if not (isinstance(remote, processes._Remote) and processes._plain(g)):
             return None
+        helper = remote.helper
         helper.lock.acquire()
     else:
         if not (_concurrent(d) and processes._plain(*args[:3])):
@@ -350,8 +350,8 @@ def _each(ops, d: int) -> list:
 
     Each operation is a tuple ``(kind, *args)``: ``(_TAPED, X, W, b,
     packing, H)`` folds into ``H`` and gives the fold for its backward;
-    ``(_UNTAPED, X, W, b, packing, H)`` folds into ``H`` and gives it, or
-    with ``H`` None gives the final states in sorted order; and
+    ``(_STATES, X, W, b, packing, H)`` folds into ``H`` and gives it;
+    ``(_FINAL, X, W, b, packing)`` gives the final states in sorted order; and
     ``(_BACKWARD, fold, g)`` gives ``(dX, dW, db)``, or three None for a
     fold of None. The layers are in the order (private, shared). The last,
     the shared layer's, runs first and in this process; with two, the
@@ -441,7 +441,7 @@ def lstm_states(X: Tensor, layers, packing: Packing) -> Tensor:
     Row ``r`` is the layers' states after packed row ``r``; the row of a
     sentence's last token is ``packing.last``.
     """
-    return _folds(_UNTAPED, X, layers, packing)[0]
+    return _folds(_STATES, X, layers, packing)[0]
 
 
 def lstm_final_states(X: Tensor, layers, packing: Packing) -> tuple[Tensor, ...]:
@@ -452,7 +452,7 @@ def lstm_final_states(X: Tensor, layers, packing: Packing) -> tuple[Tensor, ...]
     running ``[B, d]`` state; two run as :func:`_each` decides.
     """
     d = _width(X, layers, packing)
-    finals = _each([(_UNTAPED, X, W, b, packing, None) for W, b in layers], d)
+    finals = _each([(_FINAL, X, W, b, packing) for W, b in layers], d)
     inverse = np.argsort(packing.order)
     return tuple(h[inverse] for h in finals)
 

@@ -5,10 +5,12 @@ allows it: the calling process folds the shared layer, and the helper,
 started here at the first such pair, folds the private one. The helper
 may run on any CPU this process may use. The two share one block of
 memory for the arrays (a memfd, mapped on each side), and talk over two
-pipes: the caller sends a request (:data:`_TAPED`, :data:`_BACKWARD` or
-:data:`_UNTAPED`) and the helper sends one reply. The helper makes the
-same sequence of numpy calls on the same values, so the numbers are
-bitwise those of the serial path, whichever is taken. Where it cannot
+pipes: the caller sends a request of one of four kinds (:data:`_TAPED`,
+:data:`_BACKWARD`, :data:`_STATES` or :data:`_FINAL`) and the helper sends
+one reply. The helper holds one taped fold, its latest, for that fold's
+backward; the backward of any other fold runs in the caller. The helper
+makes the same sequence of numpy calls on the same values, so the numbers
+are bitwise those of the serial path, whichever is taken. Where it cannot
 start (no ``os.memfd_create`` or no ``sys.executable``), every pair folds
 serially.
 """
@@ -16,7 +18,6 @@ serially.
 from __future__ import annotations
 
 import atexit
-import itertools
 import math
 import mmap
 import os
@@ -25,7 +26,6 @@ import subprocess
 import sys
 import threading
 import warnings
-import weakref
 
 import numpy as np
 
@@ -38,9 +38,9 @@ def allowed_cpus() -> int:
 
 
 # The operations of nn._each, and the helper's request kinds: a taped fold,
-# which the helper keeps for its backward; that fold's backward; and an
-# untaped fold, of every state or (with no output array) the final ones.
-_TAPED, _BACKWARD, _UNTAPED = range(3)
+# which the helper holds for its backward until the next taped fold; that
+# fold's backward; and an untaped fold, of every state or of the final ones.
+_TAPED, _BACKWARD, _STATES, _FINAL = range(4)
 # The helper's command: the directory that holds this package goes first on
 # its path, then the argv of _Helper: that directory and three descriptors.
 _HELPER_MAIN = ("import sys; sys.path.insert(0, sys.argv[1]); "
@@ -86,10 +86,10 @@ def _serve(requests_fd: int, replies_fd: int, memfd: int) -> None:
 
     Every fold reads its inputs from the shared block and writes its
     outputs there, under the caller's numpy error state; the reply carries
-    the warnings and the exception it raised, if any. A taped fold keeps
-    copies of ``X`` and ``W``, since the next request writes the block
-    again, and stays in ``folds`` until its backward or until the caller
-    names its key among a later request's drops.
+    the exception it raised, if any, the warnings and the count of
+    requests served. A taped fold keeps copies of ``X`` and ``W``, since
+    the next request writes the block again, and is held until its
+    backward or the next taped fold, which frees it first.
     """
     from multiprocessing.connection import Connection
 
@@ -98,14 +98,12 @@ def _serve(requests_fd: int, replies_fd: int, memfd: int) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
     requests = Connection(requests_fd, writable=False)
     replies = Connection(replies_fd, readable=False)
-    block, folds, served = _Block(memfd), {}, 0
+    block, fold, served = _Block(memfd), None, 0
     while True:
         try:
-            kind, key, final, drops, err, size, ins, outs, steps = requests.recv()
+            kind, err, size, ins, outs, steps = requests.recv()
         except EOFError:  # the caller closed its end, or exited
             return
-        for k in drops:
-            folds.pop(k, None)
         block.map(size)
         ins, outs = ([block.view(*span) for span in spans] for spans in (ins, outs))
         packing = steps and nn.Packing(None, *steps, None, None, None)  # the folds read these two
@@ -114,44 +112,41 @@ def _serve(requests_fd: int, replies_fd: int, memfd: int) -> None:
             warnings.simplefilter("always")
             try:
                 if kind == _BACKWARD:
-                    folds.pop(key).backward(*ins, outs)
+                    fold.backward(*ins, outs)
                 elif kind == _TAPED:
+                    fold = None  # the last one goes before this one is built
                     X, W, b = ins
-                    folds[key] = fold = nn._LstmFold(X.copy(), W.copy(), b, packing)
+                    fold = nn._LstmFold(X.copy(), W.copy(), b, packing)
                     outs[0][...] = fold.H
-                elif final:
+                elif kind == _FINAL:
                     outs[0][...] = nn._final_fold(*ins, packing)
                 else:
                     nn._LstmFold(*ins, packing, outs[0])
             except Exception as exc:  # raised again in the caller
                 cls = _portable(type(exc))
                 error = cls, str(exc) if cls is type(exc) else f"{type(exc).__name__}: {exc}"
+        if kind == _BACKWARD:
+            fold = None
         served += 1
-        replies.send((error, [(str(w.message), _portable(w.category)) for w in caught],
-                      len(folds), served))
+        replies.send((error, [(str(w.message), _portable(w.category)) for w in caught], served))
 
 
 class _Remote:
-    """A taped fold that the helper holds, and the arrays it was folded from.
+    """A taped fold in ``helper``, whose reply to it was its ``serial``-th, and its arguments.
 
-    The helper drops the fold after its backward, or when this handle is
-    freed first: the finalizer queues the key on the helper's ``drops``,
-    which the next request carries. Should that helper be gone by the
-    backward, the fold runs again here from ``args``.
+    Its backward runs in the helper while the helper holds it, else here.
     """
 
-    def __init__(self, helper: _Helper, key: int, args: tuple):
-        self.helper, self.key, self.args = helper, key, args
-        self.finalizer = weakref.finalize(self, helper.drops.append, key)
-        self.finalizer.atexit = False
+    def __init__(self, helper: _Helper, serial: int, args: tuple):
+        self.helper, self.serial, self.args = helper, serial, args
 
 
 class _Helper:
     """The caller's end of a helper process: two pipes, the shared block and a lock.
 
-    The lock is held from a request to its reply. ``live`` and ``served``
-    are the helper's count of the taped folds it holds and of the requests
-    it has answered, as of its last reply.
+    The lock is held from a request to its reply, and guards ``held``: the
+    serial of the taped fold the helper holds, or None. ``served`` is the
+    helper's count of the requests it has answered, as of its last reply.
     """
 
     def __init__(self):
@@ -174,30 +169,26 @@ class _Helper:
             os.close(replies_w)
         self.requests = Connection(requests_w, readable=False)
         self.replies = Connection(replies_r, writable=False)
-        self.lock, self.keys, self.drops = threading.Lock(), itertools.count(), []
-        self.live = self.served = 0
+        self.lock, self.held, self.served = threading.Lock(), None, 0
         self.closed = False
 
     def send(self, op) -> bool:
-        """Write ``op``'s inputs into the block and send its request; False if it is gone."""
+        """Write ``op``'s inputs into the block and send its request.
+
+        False if the helper is gone, or no longer holds the fold of a backward.
+        """
         kind, *args = op
         if kind == _BACKWARD:
             remote, g = args
             X, W = remote.args[:2]
-            ins, outs, key = (g,), (X.shape, W.shape, W.shape[:1]), remote.key
-            final, steps = False, None
+            ins, outs, steps = (g,), (X.shape, W.shape, W.shape[:1]), None
         else:
-            X, W, b, packing, H = args
-            final = H is None
-            ins, outs = (X, W, b), ((packing.active[0], len(b) // 4) if final else H.shape,)
-            key = next(self.keys) if kind == _TAPED else None
-            steps = packing.active, packing.offs
+            X, W, b, packing, *H = args
+            ins, steps = (X, W, b), (packing.active, packing.offs)
+            outs = ((packing.active[0], len(b) // 4) if kind == _FINAL else H[0].shape,)
         spans, size = _layout([a.shape for a in ins] + list(outs))
-        if self.closed:
+        if self.closed or kind == _BACKWARD and self.held != remote.serial:
             return False
-        n = len(self.drops)  # a finalizer may append meanwhile: those go with the next request
-        drops = self.drops[:n]
-        del self.drops[:n]
         try:
             if size > self.block.size:
                 size = max(size, 2 * self.block.size)
@@ -205,12 +196,12 @@ class _Helper:
                 self.block.map(size)
             for span, a in zip(spans, ins):
                 self.block.view(*span)[...] = a
-            self.requests.send((kind, key, final, drops, np.geterr(), self.block.size,
-                                spans[:len(ins)], spans[len(ins):], steps))
+            self.requests.send((kind, np.geterr(), self.block.size, spans[:len(ins)],
+                                spans[len(ins):], steps))
         except OSError:
             self.lost()
             return False
-        self.pending = key, spans[len(ins):]
+        self.pending = spans[len(ins):]
         return True
 
     def receive(self, op) -> tuple | None:
@@ -219,7 +210,7 @@ class _Helper:
         None if the helper is gone.
         """
         try:
-            error, caught, self.live, self.served = self.replies.recv()
+            error, caught, self.served = self.replies.recv()
         except (EOFError, OSError):
             self.lost()
             return None
@@ -227,19 +218,21 @@ class _Helper:
             self.lost()
             raise
         kind, *args = op
-        key, spans = self.pending
-        if kind == _BACKWARD:
-            args[0].finalizer.detach()  # the helper has dropped it
+        if kind == _TAPED or kind == _BACKWARD:  # the helper has let its fold go
+            self.held = None
         if error is not None:
             return None, caught, error[0](error[1])
-        outs = [self.block.view(*span) for span in spans]
+        outs = [self.block.view(*span) for span in self.pending]
         if kind == _BACKWARD:
             return tuple(a.copy() for a in outs), caught, None
-        X, W, b, packing, H = args
-        if H is None:
+        if kind == _FINAL:
             return outs[0].copy(), caught, None
+        X, W, b, packing, H = args
         H[...] = outs[0]
-        return (_Remote(self, key, (X, W, b, packing)) if kind == _TAPED else H), caught, None
+        if kind == _STATES:
+            return H, caught, None
+        self.held = self.served
+        return _Remote(self, self.served, (X, W, b, packing)), caught, None
 
     def lost(self) -> None:
         """Forget this helper, dead or out of step; if it never answered, start no other."""

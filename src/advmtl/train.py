@@ -28,6 +28,7 @@ by the split.
 
 from __future__ import annotations
 
+import csv
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -39,7 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as L
 from . import models as M
-from .autodiff import GradReversalSpec, Tape, Tensor
+from .autodiff import Tape, Tensor
 from .data import Batch, TaskBatcher, TaskDataset, Example
 from .errors import ConfigError, ContractError, InputError, NumericError, ShapeError
 
@@ -138,13 +139,14 @@ class TrainHistory:
         return float(np.mean(errs))
 
     def to_csv(self, path) -> None:
+        """One row per record; an absent value is an empty field."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,task,train_loss,dev_error,disc_acc,l_adv,l_diff\n")
+            rows = csv.writer(fh, lineterminator="\n")
+            rows.writerow(("epoch", "task", "train_loss", "dev_error", "disc_acc", "l_adv",
+                           "l_diff"))
             for r in self.records:
-                opt = lambda v: "" if v is None else repr(float(v))
-                fh.write(f"{r.epoch},{r.task},{repr(float(r.train_loss))},"
-                         f"{repr(float(r.dev_error))},{opt(r.disc_acc)},"
-                         f"{opt(r.l_adv)},{opt(r.l_diff)}\n")
+                values = (r.train_loss, r.dev_error, r.disc_acc, r.l_adv, r.l_diff)
+                rows.writerow((r.epoch, r.task, *(None if v is None else float(v) for v in values)))
 
 
 @np.errstate(all="ignore")  # a non-finite value is reported as a NumericError, not a warning
@@ -205,9 +207,8 @@ def _batch_terms(bound, config: M.ModelConfig, batch: Batch, cfg: TrainConfig):
     adversarial = config.has_discriminator
     if batch.is_unlabeled and not adversarial:
         raise ContractError("unlabeled batches require the adversarial scheme")
-    rev = GradReversalSpec(cfg.adv_weight) if adversarial else None
     task = None if batch.is_unlabeled else batch.task
-    res = M.forward_batch(bound, config, batch.sequences, task, rev_spec=rev)
+    res = M.forward_batch(bound, config, batch.sequences, task, cfg.adv_weight)
     l_adv = (L.cross_entropy(res.disc_probs, [batch.task] * len(batch))
              if adversarial else None)
     if batch.is_unlabeled:

@@ -48,7 +48,6 @@ from advmtl import data as D
 from advmtl import losses as L
 from advmtl import models as M
 from advmtl import nn
-from advmtl.autodiff import GradReversalSpec
 from advmtl.errors import ContractError, ShapeError
 
 
@@ -443,21 +442,19 @@ def batch_terms(bound, config, batch, cfg):
     """
     tape = bound["embeddings"].tape
     adversarial = config.has_discriminator
-    rev = GradReversalSpec(cfg.adv_weight) if adversarial else None
     ce_nodes, adv_nodes, diff_nodes = [], [], []
     finals = []
     if batch.is_unlabeled:
         if not adversarial:
             raise ContractError("unlabeled batches require the adversarial scheme")
         for seq in batch.sequences:
-            res = M.forward_batch(bound, config, [seq], None, want_disc=False)
-            disc_probs = M.discriminate(ad.gradient_reversal(ad.row(res.s_T, 0), rev),
+            res = M.forward_batch(bound, config, [seq], None)
+            disc_probs = M.discriminate(ad.gradient_reversal(ad.row(res.s_T, 0), cfg.adv_weight),
                                         bound["disc.W"], bound["disc.b"])
             adv_nodes.append(L.cross_entropy(disc_probs, batch.task))
         return None, _mean(adv_nodes), None
     for seq, label in zip(batch.sequences, batch.labels):
-        res = M.forward(tape, bound, config, seq, batch.task,
-                        rev_spec=rev, want_disc=adversarial)
+        res = M.forward(tape, bound, config, seq, batch.task, rev_spec=cfg.adv_weight)
         ce_nodes.append(L.cross_entropy(res.class_probs, label))
         if adversarial:
             adv_nodes.append(L.cross_entropy(res.disc_probs, batch.task))

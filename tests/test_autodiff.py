@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from advmtl import autodiff as ad
 from advmtl import nn
-from advmtl.autodiff import GradReversalSpec, Tape
+from advmtl.autodiff import Tape
 from advmtl.errors import ConfigError, ContractError, ShapeError
 
 import oracles
@@ -282,13 +282,13 @@ class TestGradientReversal:
     def test_forward_identity_bitwise(self):
         t = Tape()
         x = leaf(t, [1.0, 2.0])
-        out = ad.gradient_reversal(x, GradReversalSpec(1.0))
+        out = ad.gradient_reversal(x, 1.0)
         assert out.value.tobytes() == x.value.tobytes()
 
     def test_backward_sign_flip(self):
         t = Tape()
         x = leaf(t, [1.0, 1.0])
-        rev = ad.gradient_reversal(x, GradReversalSpec(1.0))
+        rev = ad.gradient_reversal(x, 1.0)
         weighted = oracles.mul(rev, t.constant([0.5, -0.5]))
         grads = ad.backward(t, oracles.sum_all(weighted))
         npt.assert_array_equal(grads[x.idx], [-0.5, 0.5])
@@ -297,21 +297,21 @@ class TestGradientReversal:
         # upstream [1.0] at the documented default weight 0.05
         t = Tape()
         x = leaf(t, [1.0])
-        rev = ad.gradient_reversal(x, GradReversalSpec(0.05))
+        rev = ad.gradient_reversal(x, 0.05)
         grads = ad.backward(t, oracles.sum_all(rev))
         npt.assert_allclose(grads[x.idx], [-0.05], rtol=0, atol=0)
 
     def test_negative_scale_rejected(self):
+        t = Tape()
         with pytest.raises(ConfigError):
-            GradReversalSpec(-0.1)
+            ad.gradient_reversal(leaf(t, [1.0]), -0.1)
 
     @given(a=st.floats(0.0, 3.0), b=st.floats(0.0, 3.0))
     @settings(max_examples=25, deadline=None)
     def test_double_reversal_composes(self, a, b):
         t = Tape()
         x = leaf(t, [2.0])
-        out = ad.gradient_reversal(
-            ad.gradient_reversal(x, GradReversalSpec(a)), GradReversalSpec(b))
+        out = ad.gradient_reversal(ad.gradient_reversal(x, a), b)
         grads = ad.backward(t, oracles.sum_all(out))
         npt.assert_allclose(grads[x.idx], [a * b], rtol=1e-15, atol=0)
 
@@ -340,7 +340,7 @@ class TestFiniteDifferenceCheck:
             def loss_fn(p, with_grads):
                 t = Tape()
                 x = t.leaf(p["x"])
-                h = ad.gradient_reversal(x, GradReversalSpec(scale)) if reversed_path else x
+                h = ad.gradient_reversal(x, scale) if reversed_path else x
                 out = oracles.sum_all(oracles.mul(h, t.constant(coeff)))
                 if not with_grads:
                     return float(out.value), None

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -680,6 +681,38 @@ class TestDumpActivations:
         assert manifest["config"]["max_len"] == 3
 
 
+def _csv_rows(path) -> list:
+    """The rows of a CSV file after its header, each as wide as the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(header) for row in rows), path
+    return rows
+
+
+def test_tables_quote_commas_and_quotes(corpus_dir, tmp_path):
+    # a task named "task,01", and the tokens 'a,b' and '"hi"', read back whole
+    data = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, data)
+    (data / "task01").rename(data / "task,01")
+    run = tmp_path / "run"
+    assert cli.main(["train", "--scheme", "sp", "--data", str(data), "--out", str(run),
+                     "--seed", "1", "--max-epochs", "1", "--patience", "1",
+                     "--hidden-size", "4", "--embed-size", "4"]) == 0
+    checkpoint = str(run / "checkpoint.bin")
+    assert cli.main(["eval", "--checkpoint", checkpoint, "--data", str(data),
+                     "--split", "test", "--out", str(tmp_path / "eval")]) == 0
+    sentences = tmp_path / "sents.txt"
+    sentences.write_text('sh003 a,b "hi"\n')
+    assert cli.main(["dump-activations", "--checkpoint", checkpoint, "--data", str(data),
+                     "--sentences", str(sentences), "--task", "task,01",
+                     "--out", str(tmp_path / "dump")]) == 0
+    assert {row[1] for row in _csv_rows(run / "history.csv")} == {"task,01", "task00"}
+    assert [row[0] for row in _csv_rows(tmp_path / "eval" / "eval_test.csv")] == [
+        "task,01", "task00", "AVG"]
+    assert [row[2] for row in _csv_rows(tmp_path / "dump" / "activations.csv")] == [
+        "sh003", "a,b", '"hi"']
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--config", "run.cfg"],
     ["dump-activations", "--config", "run.cfg", "--sentences", "s.txt",
@@ -875,6 +908,12 @@ def test_well_formed_config_round_trips(tmp_path, values):
     path.write_text("# comment\n" + "".join(f"{k} = {v}  # note\n" for k, v in values.items()),
                     encoding="utf-8")
     assert cli.parse_flat_config(path) == {k: v.strip() for k, v in values.items()}
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("\ufeffscheme = asp\nseed = 3\n", encoding="utf-8")
+    assert cli.parse_flat_config(path) == {"scheme": "asp", "seed": "3"}
 
 
 NON_BOOLEAN_KEYS = [key for key, (cast, *_) in cli.CONFIG_KEYS.items() if cast is not cli._bool]

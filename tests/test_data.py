@@ -56,6 +56,17 @@ class TestFileParsing:
             with pytest.raises(DataFormatError, match=r"bad.tsv:3: not UTF-8 text \(byte 0xff\)"):
                 read(path)
 
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        # a file saved with a BOM: its first vector and first label read as written
+        path = tmp_path / "vectors.txt"
+        path.write_text("\ufeffalpha 0.5 1.0\nbeta 2.0 3.0\n", encoding="utf-8")
+        matrix = np.zeros((2, 2))
+        assert D.load_embeddings_text(path, {"alpha": 0, "beta": 1}, matrix) == 2
+        assert matrix.tolist() == [[0.5, 1.0], [2.0, 3.0]]
+        path = tmp_path / "labeled.tsv"
+        path.write_text("\ufeff1\tgood text\n0\tbad\n", encoding="utf-8")
+        assert D.read_labeled_file(path) == [(["good", "text"], 1), (["bad"], 0)]
+
     def test_max_len_caps_sequence(self, tmp_path):
         path = tmp_path / "long.tsv"
         path.write_text("1\t" + " ".join(f"w{i}" for i in range(600)) + "\n")

@@ -5,7 +5,6 @@ private one in the helper process; the tests force either answer through
 it, and every number must be bitwise the same both ways.
 """
 
-import gc
 import os
 import signal
 import subprocess
@@ -69,6 +68,29 @@ class TestRule:
         assert nn._concurrent(d) is want
 
 
+# A helper that warns, at each taped fold it builds and each backward it runs,
+# how many taped folds it holds.
+COUNTING_MAIN = textwrap.dedent("""
+    import sys, warnings, weakref
+    sys.path.insert(0, sys.argv[1])
+    from advmtl import nn, processes
+
+    init, backward, held = nn._LstmFold.__init__, nn._LstmFold.backward, weakref.WeakSet()
+
+    def fold_init(self, *args):
+        init(self, *args)
+        held.add(self)
+        warnings.warn(f"holds {len(held)}")
+
+    def fold_backward(self, *args):
+        warnings.warn(f"holds {len(held)}")
+        return backward(self, *args)
+
+    nn._LstmFold.__init__, nn._LstmFold.backward = fold_init, fold_backward
+    processes._serve(*map(int, sys.argv[2:]))
+""")
+
+
 class TestLstmPair:
     LENGTHS = np.array([3, 1, 5])
     PACKING = nn.pack(LENGTHS)
@@ -98,12 +120,18 @@ class TestLstmPair:
                                        oracles.sum_all(oracles.tanh(S))),
                            oracles.sum_all(oracles.mul(H, S)))
 
-    def _run(self, params, pair, frozen=()):
+    def _record(self, params, pair, frozen=()):
         t = Tape()
         nodes = {k: t.constant(v) if k in frozen else t.leaf(v) for k, v in params.items()}
-        loss = self._loss(nodes, pair)
+        return t, nodes, self._loss(nodes, pair)
+
+    @staticmethod
+    def _backward(t, nodes, loss):
         gm = ad.backward(t, loss)
         return float(loss.value), {k: gm[n.idx] for k, n in nodes.items() if n.idx in gm}
+
+    def _run(self, params, pair, frozen=()):
+        return self._backward(*self._record(params, pair, frozen))
 
     def test_gradients_match_finite_differences(self):
         def loss_fn(p, with_grads):
@@ -154,6 +182,34 @@ class TestLstmPair:
             for value, grads in runs:
                 assert value == want[k][0]
                 assert all(g.tobytes() == want[k][1][n].tobytes() for n, g in grads.items())
+
+    def test_interleaved_tapes(self, monkeypatch):
+        # two tapes' pairs, then the first tape's backward and the second's. The
+        # helper holds only its latest taped fold, the second tape's, so the
+        # first backward folds its private layer again here
+        force(monkeypatch, False)
+        params = [self._inputs(15 + k) for k in range(2)]
+        want = [self._run(p, True) for p in params]
+        monkeypatch.setattr(processes, "_HELPER_MAIN", COUNTING_MAIN)
+        processes._stop_helper()
+        force(monkeypatch, True)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                first, second = [self._record(p, True) for p in params]
+                helper, count = served()
+                got = [self._backward(*first)]
+                assert served() == (helper, count)
+                got.append(self._backward(*second))
+                assert served() == (helper, count + 1) and helper.held is None
+        finally:
+            processes._stop_helper()
+        # two taped folds and one backward in the helper, each with one fold held
+        assert [str(w.message) for w in caught] == ["holds 1"] * 3
+        for (value, grads), (want_value, want_grads) in zip(got, want):
+            assert value == want_value and grads.keys() == want_grads.keys()
+            for k, g in grads.items():
+                assert g.tobytes() == want_grads[k].tobytes(), k
 
     @pytest.mark.parametrize("frozen, folds_back", [(("xs", "W_s", "b_s"), 1), (("xs",), 2)])
     def test_a_fold_that_needs_no_gradient_runs_no_backward(self, monkeypatch, frozen,
@@ -645,7 +701,8 @@ class TestHelperProcess:
 
     def test_forward_only_folds_are_dropped(self, monkeypatch):
         # models.forward's folds are freed with their tape, never run backward:
-        # each one's key goes with a later request, and the helper drops it
+        # each taped fold replaces the one before, so the helper holds one
+        # fold, the last request's
         on_helper = force(monkeypatch, True)
         params, config, corpus = _model("sp")
         sentences = [ex.tokens for ex in corpus[config.task_names[1]].test]
@@ -653,8 +710,5 @@ class TestHelperProcess:
             tape = Tape()
             M.forward(tape, params.bind(tape), config, sentences[k % len(sentences)], 1,
                       want_disc=False)
-        del tape
-        gc.collect()
-        M.encode(params, config, sentences[:2], 1)  # carries the last drops
         assert on_helper() and processes._helper.served >= 500
-        assert processes._helper.live == 0
+        assert processes._helper.held == processes._helper.served

@@ -10,7 +10,7 @@ from advmtl import data as D
 from advmtl import losses as L
 from advmtl import models as M
 from advmtl import train as T
-from advmtl.autodiff import GradReversalSpec, Tape
+from advmtl.autodiff import Tape
 from advmtl.errors import ConfigError, ContractError, ShapeError
 from advmtl.train import _combine
 
@@ -55,9 +55,9 @@ class TestCrossEntropy:
                 assert val > 0.0
 
 
-def adversarial_ce(s, task, disc_W, disc_b, spec):
+def adversarial_ce(s, task, disc_W, disc_b, scale):
     """The training step's adversarial term for one sentence."""
-    probs = M.discriminate(ad.gradient_reversal(s, spec), disc_W, disc_b)
+    probs = M.discriminate(ad.gradient_reversal(s, scale), disc_W, disc_b)
     return L.cross_entropy(probs, task)
 
 
@@ -112,7 +112,7 @@ class TestAdversarialLoss:
             out = adversarial_ce(t.constant(np.array(s)), task=2,
                                  disc_W=t.leaf(np.zeros((4, 3))),
                                  disc_b=t.leaf(np.zeros(4)),
-                                 spec=GradReversalSpec(1.0))
+                                 scale=1.0)
             assert abs(float(out.value) - math.log(4.0)) < 1e-12
 
     def test_degenerate_game_rejected(self):
@@ -124,7 +124,7 @@ class TestAdversarialLoss:
         with pytest.raises(ConfigError):
             adversarial_ce(t.constant(np.zeros(3)), 1,
                            t.leaf(np.zeros((1, 3))), t.leaf(np.zeros(1)),
-                           GradReversalSpec(1.0))
+                           1.0)
 
     @pytest.mark.parametrize("lam", [0.0, 0.05, 1.0])
     def test_encoder_gradient_is_minus_lambda_times_identity(self, lam):
@@ -135,22 +135,19 @@ class TestAdversarialLoss:
         bD = rng.normal(size=K)
         s_val = rng.normal(size=d)
 
-        def encoder_grad(spec):
+        def encoder_grad(scale):
             t = Tape()
             s = t.leaf(s_val)
-            if spec is None:
+            if scale is None:
                 probs = M.discriminate(s, t.constant(U), t.constant(bD))
                 out = L.cross_entropy(probs, 1)
             else:
-                out = adversarial_ce(s, 1, t.constant(U), t.constant(bD), spec)
+                out = adversarial_ce(s, 1, t.constant(U), t.constant(bD), scale)
             return ad.backward(t, out)[s.idx]
 
-        reversed_g = encoder_grad(GradReversalSpec(lam))
+        reversed_g = encoder_grad(lam)
         identity_g = encoder_grad(None)
         npt.assert_allclose(reversed_g, -lam * identity_g, rtol=0, atol=1e-12)
-
-    def test_default_scale_matches_documented_value(self):
-        assert GradReversalSpec(0.05).scale == 0.05
 
 
 class TestDiffLoss:

@@ -36,7 +36,7 @@ from advmtl import losses as L
 from advmtl import models as M
 from advmtl import nn
 from advmtl import train as T
-from advmtl.autodiff import GradReversalSpec, Tape
+from advmtl.autodiff import Tape
 
 import oracles
 
@@ -90,7 +90,7 @@ def _step(params, X, y, t, private, cfg):
         if cfg.diff_weight > 0:
             l_diff = ad.scale(L.diff_loss(s, h), 1.0 / len(y))
     l_ce = L.cross_entropy(nn.softmax_classify(feature, bound["head.W"], bound["head.b"]), y)
-    rev = ad.gradient_reversal(s, GradReversalSpec(cfg.adv_weight))
+    rev = ad.gradient_reversal(s, cfg.adv_weight)
     l_adv = L.cross_entropy(M.discriminate(rev, bound["disc.W"], bound["disc.b"]), [t] * len(y))
     by_id = ad.backward(tape, T._combine(l_ce, l_adv, l_diff, t, cfg))
     T.sgd_step(params, {name: by_id[n.idx] for name, n in bound.items() if n.idx in by_id}, LR)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from advmtl import autodiff as ad
 from advmtl import losses as L
 from advmtl import models as M
-from advmtl.autodiff import GradReversalSpec, Tape
+from advmtl.autodiff import Tape
 from advmtl.errors import ConfigError, InputError, ShapeError
 
 import oracles
@@ -116,7 +116,7 @@ class TestForward:
         params = M.init_model(cfg, seed=3)
         tape = Tape()
         res = M.forward(tape, params.bind(tape), cfg, [1, 5, 2], task=2,
-                        rev_spec=GradReversalSpec(0.05))
+                        rev_spec=0.05)
         assert abs(res.class_probs.value.sum() - 1.0) < 1e-9
         assert abs(res.disc_probs.value.sum() - 1.0) < 1e-9
 
@@ -130,7 +130,7 @@ class TestForward:
         t1, t2 = Tape(), Tape()
         r_sp = M.forward(t1, sp.bind(t1), sp_cfg, ids, task=0)
         r_asp = M.forward(t2, asp.bind(t2), asp_cfg, ids, task=0,
-                          rev_spec=GradReversalSpec(0.0))
+                          rev_spec=0.0)
         assert r_sp.class_probs.value.tobytes() == r_asp.class_probs.value.tobytes()
 
 
